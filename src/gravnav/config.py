@@ -132,6 +132,14 @@ class ScenarioConfig:
             raise ConfigError("duration must be positive")
         if self.pmht.T < 2:
             raise ConfigError("pmht.T must be >= 2")
+        if self.pmht.max_iters < 1:
+            raise ConfigError("pmht.max_iters must be >= 1")
+        if not self.pmht.gamma > 0:
+            raise ConfigError("pmht.gamma must be positive")
+        if self.pmht.n_max < 1:
+            raise ConfigError("pmht.n_max must be >= 1")
+        if self.fusion.window_len < 1:
+            raise ConfigError("fusion.window_len must be >= 1")
         if self.monte_carlo.runs < 1:
             raise ConfigError("monte_carlo.runs must be >= 1")
         if self.gravimeter.interval <= 0:

@@ -10,13 +10,17 @@ wrong-cluster fixes.
 Sigma-point machinery follows the scaled unscented transform. The dynamics
 and measurement models here are linear, so the filter is exactly equivalent
 to a Kalman filter; the sigma-point form is kept for the nonlinear
-extensions the aiding pathway anticipates.
+extensions the aiding pathway anticipates. Prediction propagates all sigma
+points with one set of array operations; the unscented weights and the
+discrete process noise depend only on the filter parameters and the step,
+so they are computed once per distinct argument set and shared read-only.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,12 +134,25 @@ class BatchApplication:
         return self.n_accepted > 0
 
 
+@lru_cache(maxsize=32)
+def _unscented_weights(n: int, alpha: float, beta: float,
+                       kappa: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Spread factor ``n + lambda`` and the read-only mean/cov weights."""
+    lam = alpha * alpha * (n + kappa) - n
+    c = n + lam
+    wm = np.full(2 * n + 1, 1.0 / (2.0 * c))
+    wc = wm.copy()
+    wm[0] = lam / c
+    wc[0] = lam / c + (1.0 - alpha * alpha + beta)
+    wm.flags.writeable = wc.flags.writeable = False
+    return c, wm, wc
+
+
 def _sigma_points(x: np.ndarray, cov: np.ndarray, alpha: float, beta: float,
                   kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled unscented sigma points and their mean/cov weights."""
     n = x.size
-    lam = alpha * alpha * (n + kappa) - n
-    c = n + lam
+    c, wm, wc = _unscented_weights(n, alpha, beta, kappa)
     scaled = c * 0.5 * (cov + cov.T)
     try:
         root = np.linalg.cholesky(scaled)
@@ -151,15 +168,12 @@ def _sigma_points(x: np.ndarray, cov: np.ndarray, alpha: float, beta: float,
     points[0] = x
     points[1:n + 1] = x + root.T
     points[n + 1:] = x - root.T
-    wm = np.full(2 * n + 1, 1.0 / (2.0 * c))
-    wc = wm.copy()
-    wm[0] = lam / c
-    wc[0] = lam / c + (1.0 - alpha * alpha + beta)
     return points, wm, wc
 
 
+@lru_cache(maxsize=32)
 def _process_noise(dt: float, q_accel: float, bias_psd: float) -> np.ndarray:
-    """Discrete process noise: white-noise acceleration plus a slow bias walk."""
+    """Discrete process noise (read-only): white-noise acceleration plus a slow bias walk."""
     q = np.zeros((6, 6))
     q3, q2, q1 = dt ** 3 / 3.0, dt ** 2 / 2.0, dt
     for p, v in ((0, 2), (1, 3)):
@@ -167,6 +181,7 @@ def _process_noise(dt: float, q_accel: float, bias_psd: float) -> np.ndarray:
         q[p, v] = q[v, p] = q_accel * q2
         q[v, v] = q_accel * q1
     q[4, 4] = q[5, 5] = bias_psd * dt
+    q.flags.writeable = False
     return q
 
 
@@ -180,7 +195,8 @@ def ukf_predict(
 
     Dynamics per sigma point: position advances by ``v*dt + (a-b)*dt^2/2``,
     velocity by ``(a-b)*dt``, the bias stays put; process noise covers the
-    accelerometer white noise and the bias random walk.
+    accelerometer white noise and the bias random walk. All sigma points
+    advance together as rows of one array.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -188,12 +204,12 @@ def ukf_predict(
     q_accel = params.q_accel if params.q_accel is not None else 0.0
     points, wm, wc = _sigma_points(belief.state, belief.cov, params.alpha,
                                    params.beta, params.kappa)
+    pos, vel, bias = points[:, 0:2], points[:, 2:4], points[:, 4:6]
+    acc = a - bias
     prop = np.empty_like(points)
-    for i, pt in enumerate(points):
-        acc = a - pt[4:6]
-        prop[i, 0:2] = pt[0:2] + pt[2:4] * dt + 0.5 * acc * dt * dt
-        prop[i, 2:4] = pt[2:4] + acc * dt
-        prop[i, 4:6] = pt[4:6]
+    prop[:, 0:2] = pos + vel * dt + 0.5 * acc * dt * dt
+    prop[:, 2:4] = vel + acc * dt
+    prop[:, 4:6] = bias
     mean = wm @ prop
     dev = prop - mean
     cov = (wc[:, None] * dev).T @ dev + _process_noise(dt, q_accel, params.bias_psd)

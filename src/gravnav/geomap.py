@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -174,12 +175,15 @@ class CandidateSet:
     def __iter__(self):
         return iter(self.candidates)
 
-    @property
+    @cached_property
     def locations(self) -> np.ndarray:
-        """(n, 2) array of candidate positions."""
-        if not self.candidates:
-            return np.zeros((0, 2))
-        return np.array([c.location for c in self.candidates])
+        """(n, 2) read-only array of candidate positions, built on first use."""
+        if self.candidates:
+            locs = np.array([c.location for c in self.candidates])
+        else:
+            locs = np.zeros((0, 2))
+        locs.flags.writeable = False
+        return locs
 
 
 def load_grid(path) -> GridMap:

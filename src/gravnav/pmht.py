@@ -11,16 +11,28 @@ trajectory iterate feeds back only through the predicted positions used to
 weight candidates. With a single candidate per scan the iteration is
 therefore an ordinary Kalman filter plus smoother, independent of the
 iteration count.
+
+A batch's candidates are stacked once (:class:`~gravnav.assoc.ScanStack`),
+together with their position-noise covariances and the first iteration's
+measurement covariances. Within one iteration each scan's weights depend
+only on its own candidates, its own prediction from the previous iterate and
+its own previous fused covariance, so the association step weights and fuses
+every scan at once; the backward smoother gains are one stacked solve. The
+results are bit-for-bit those of weighting and fusing scan by scan.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .assoc import PdaResult, candidate_weights, pda_fuse, position_noise_cov
+from .assoc import PdaResult, ScanStack, position_noise_cov, stack_fuse, stack_weights
+# Not called here (the E-step uses its stacked form), but perfbench's tracer
+# test patches and restores this binding, so it stays importable from pmht.
+from .assoc import candidate_weights  # noqa: F401
 from .errors import NoFixError, NumericalError
 from .geomap import CandidateSet
 
@@ -118,6 +130,41 @@ class BatchProblem:
     def batch_len(self) -> int:
         return len(self.scans)
 
+    @cached_property
+    def _stacked(self) -> "_StackedScans":
+        return _StackedScans.build(self)
+
+
+@dataclass(frozen=True, eq=False)
+class _StackedScans:
+    """What every association step of a batch shares, built once per batch.
+
+    ``noise_covs`` holds the position-noise covariance of each candidate as
+    one ``(rows, n, 2, 2)`` array per group of ``stack``; ``first_cov`` is
+    the candidate-averaged covariance of each row, the measurement
+    covariance of the first iteration.
+    """
+
+    stack: ScanStack
+    noise_covs: tuple[np.ndarray, ...]
+    first_cov: np.ndarray
+
+    @classmethod
+    def build(cls, problem: BatchProblem) -> "_StackedScans":
+        stack = ScanStack.build(problem.scans)
+        noise_covs = []
+        first_cov = np.empty((len(stack), 2, 2))
+        for rows, locs in stack.groups:
+            covs = np.array([[position_noise_cov(cs.sigma, c.grad, problem.grad_floor)
+                              for c in cs]
+                             for cs in (problem.scans[t] for t in stack.scans[rows])])
+            n = locs.shape[1]
+            # Added in candidate order; a numpy sum over the axis may pair terms
+            # differently and change the last bit.
+            first_cov[rows] = sum(covs[:, j] for j in range(n)) / n
+            noise_covs.append(covs)
+        return cls(stack=stack, noise_covs=tuple(noise_covs), first_cov=first_cov)
+
 
 @dataclass(frozen=True)
 class BatchEstimate:
@@ -147,14 +194,33 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def _solve_spd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve m @ x = rhs, regularizing with a trace-scaled jitter if singular."""
+    """Solve m @ x = rhs, regularizing with a trace-scaled jitter if singular.
+
+    ``m`` and ``rhs`` may be stacks; then only the singular matrices of the
+    stack get the jitter.
+    """
     try:
         return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError:
+        if m.ndim > 2:
+            return np.array([_solve_spd(mi, ri) for mi, ri in zip(m, rhs)])
         warnings.warn("singular covariance in batch recursion; regularized",
                       RuntimeWarning, stacklevel=2)
         jitter = max(np.trace(m), 1.0) * 1e-12
         return np.linalg.solve(m + jitter * np.eye(m.shape[0]), rhs)
+
+
+def _predicted_positions(problem: BatchProblem, states) -> np.ndarray:
+    """(T, 2) one-step predicted positions around an iterate.
+
+    Scan 0 is predicted by the batch prior, scan t by state t-1 of the
+    iterate. The stacked matrix-vector products equal ``F @ x`` and
+    ``H @ x`` taken one state at a time.
+    """
+    f, h = problem.model.F, problem.model.H
+    prev = np.array([problem.priors[0].x] + [st.x for st in states[:-1]])
+    pred_x = np.concatenate([prev[:1], np.matmul(f, prev[1:, :, None])[:, :, 0]])
+    return np.matmul(h, pred_x[:, :, None])[:, :, 0]
 
 
 def em_step(
@@ -170,26 +236,33 @@ def em_step(
     position-noise covariance is used instead). Returns the new smoothed
     trajectory and this iteration's fused pseudo-measurements (``None`` for
     scans whose candidate set is empty).
+
+    Every non-empty scan is weighted and fused in one stacked association
+    step; the forward filter then runs scan by scan, and the backward
+    smoother gains are solved for all scans at once.
     """
     t_len = problem.batch_len
     if len(current) != t_len:
         raise ValueError("current iterate length must equal the batch length")
     f, q, h = problem.model.F, problem.model.Q, problem.model.H
 
+    batch = problem._stacked
+    rows = batch.stack.scans
+    meas_cov = batch.first_cov
+    if prev_fused is not None:
+        meas_cov = meas_cov.copy()
+        for r, t in enumerate(rows):
+            if prev_fused[t] is not None:
+                meas_cov[r] = prev_fused[t].fused_cov
+    pred_pos = _predicted_positions(problem, current)[rows]
+    weights = stack_weights(batch.stack, pred_pos, meas_cov)
+    positions, covs = stack_fuse(batch.stack, weights, batch.noise_covs,
+                                 spread_cov=problem.spread_cov)
+    row_weights = [w for group in weights for w in group]
     fused: list[PdaResult | None] = [None] * t_len
-    for t in range(t_len):
-        cs = problem.scans[t]
-        if len(cs) == 0:
-            continue
-        pred_x = problem.priors[0].x if t == 0 else f @ current[t - 1].x
-        pred_pos = h @ pred_x
-        per_cand = [position_noise_cov(cs.sigma, c.grad, problem.grad_floor) for c in cs]
-        if prev_fused is not None and prev_fused[t] is not None:
-            meas_cov = prev_fused[t].fused_cov
-        else:
-            meas_cov = sum(per_cand) / len(per_cand)
-        w = candidate_weights(cs, pred_pos, meas_cov)
-        fused[t] = pda_fuse(cs, w, per_cand, spread_cov=problem.spread_cov)
+    for r, t in enumerate(rows):
+        fused[t] = PdaResult(fused_position=positions[r], fused_cov=covs[r],
+                             weights=row_weights[r], n_candidates=len(row_weights[r]))
 
     # Forward filter, anchored at the batch prior. The scan-1 pseudo-
     # measurement is not consumed here: the prior already plays the role of
@@ -198,6 +271,7 @@ def em_step(
     p = _symmetrize(problem.priors[0].cov.copy())
     ys = [y]
     ps = [p]
+    y_preds: list[np.ndarray] = []
     p_preds: list[np.ndarray] = []
     for t in range(t_len - 1):
         p_pred = _symmetrize(f @ ps[t] @ f.T + q)
@@ -207,24 +281,29 @@ def em_step(
             ys.append(y_pred)
             ps.append(p_pred)
         else:
-            s_mat = h @ p_pred @ h.T + zt.fused_cov
-            k = _solve_spd(s_mat, h @ p_pred).T
+            hp = h @ p_pred
+            s_mat = hp @ h.T + zt.fused_cov
+            k = _solve_spd(s_mat, hp).T
             ps.append(_symmetrize(p_pred - k @ h @ p_pred))
             ys.append(y_pred + k @ (zt.fused_position - h @ y_pred))
+        y_preds.append(y_pred)
         p_preds.append(p_pred)
 
-    # Backward smoothing with the standard fixed-interval gain.
+    # Backward smoothing with the standard fixed-interval gain, all gains in
+    # one stacked solve.
+    gains = np.swapaxes(
+        _solve_spd(np.array(p_preds), np.matmul(f, np.swapaxes(np.array(ps[:-1]), 1, 2))),
+        1, 2)
     xs: list[np.ndarray] = [np.zeros(4)] * t_len
-    covs: list[np.ndarray] = [np.zeros((4, 4))] * t_len
+    smoothed: list[np.ndarray] = [np.zeros((4, 4))] * t_len
     xs[t_len - 1] = ys[t_len - 1]
-    covs[t_len - 1] = ps[t_len - 1]
+    smoothed[t_len - 1] = ps[t_len - 1]
     for t in range(t_len - 2, -1, -1):
-        p_pred = p_preds[t]
-        g = _solve_spd(p_pred, f @ ps[t].T).T
-        xs[t] = ys[t] + g @ (xs[t + 1] - f @ ys[t])
-        covs[t] = _symmetrize(ps[t] + g @ (covs[t + 1] - p_pred) @ g.T)
+        g = gains[t]
+        xs[t] = ys[t] + g @ (xs[t + 1] - y_preds[t])
+        smoothed[t] = _symmetrize(ps[t] + g @ (smoothed[t + 1] - p_preds[t]) @ g.T)
 
-    states = [KinematicState(x=xs[t], cov=covs[t]) for t in range(t_len)]
+    states = [KinematicState(x=xs[t], cov=smoothed[t]) for t in range(t_len)]
     return states, fused
 
 
@@ -235,16 +314,14 @@ def _weighted_fit_cost(problem: BatchProblem, states, fused) -> float:
     the association weights were computed from (``states`` is the iterate
     that fed the E-step), with each scan's fused covariance as the metric.
     """
-    f, h = problem.model.F, problem.model.H
+    pred = _predicted_positions(problem, states)
+    scans = [t for t, zt in enumerate(fused) if zt is not None]
+    sinvs = np.linalg.inv(np.array([fused[t].fused_cov for t in scans]))
     total = 0.0
-    for t, zt in enumerate(fused):
-        if zt is None:
-            continue
-        pred_x = problem.priors[0].x if t == 0 else f @ states[t - 1].x
-        diffs = problem.scans[t].locations - h @ pred_x
-        sinv = np.linalg.inv(zt.fused_cov)
+    for t, sinv in zip(scans, sinvs):
+        diffs = problem.scans[t].locations - pred[t]
         maha2 = np.einsum("ni,ij,nj->n", diffs, sinv, diffs)
-        total += float(zt.weights @ maha2)
+        total += float(fused[t].weights @ maha2)
     return total
 
 

@@ -106,6 +106,57 @@ class TestCandidateWeights:
         assert np.isfinite(w).all() and abs(w.sum() - 1.0) <= 1e-12
 
 
+def reference_weights(locs, pred, cov):
+    """One scan's weights with the scan-by-scan arithmetic of the kernels."""
+    cov = 0.5 * (cov + cov.T)
+    eigs = np.linalg.eigvalsh(cov)
+    if eigs.min() <= 0 or eigs.max() / max(eigs.min(), 1e-300) > 1e12:
+        cov = cov + (1e-9 * np.trace(cov) / 2.0) * np.eye(2)
+    white = np.linalg.solve(np.linalg.cholesky(cov), (locs - pred).T)
+    logw = -0.5 * np.sum(white ** 2, axis=0)
+    peak = logw.max()
+    if not np.isfinite(peak) or peak < -744.44:
+        return np.full(len(locs), 1.0 / len(locs))
+    w = np.exp(logw - peak)
+    return w / w.sum()
+
+
+def reference_fuse(locs, w, covs, spread_cov):
+    """One scan's fused position and covariance, candidate by candidate."""
+    z_bar = w @ locs
+    r_bar = sum(wi * ci for wi, ci in zip(w, covs)) / w.sum()
+    if spread_cov:
+        d = locs - z_bar
+        r_bar = r_bar + (w[:, None] * d).T @ d
+    return z_bar, 0.5 * (r_bar + r_bar.T)
+
+
+class TestBitExactness:
+    @pytest.mark.filterwarnings("ignore::gravnav.assoc.FarCandidateWarning")
+    def test_weights_and_fusion_match_scan_by_scan_arithmetic(self):
+        # counts on both sides of numpy's 8-element pairwise-sum threshold,
+        # near-singular covariances that take the regularization path, and
+        # far candidates that take the uniform fallback
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            n = int(rng.integers(1, 21))
+            points = rng.normal(0.0, 10.0 ** rng.uniform(0, 3), (n, 2))
+            pred = rng.normal(0.0, 50.0, 2)
+            m = rng.normal(0.0, 1.0, (2, 2))
+            cov = m @ m.T * 10.0 ** rng.uniform(-1, 4)
+            if trial % 10 == 0:
+                cov = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+            covs = [c @ c.T + 0.01 * np.eye(2) for c in rng.normal(0.0, 1.0, (n, 2, 2))]
+            spread = bool(trial % 2)
+            cs = make_set(points)
+            w = candidate_weights(cs, pred, cov)
+            assert np.array_equal(w, reference_weights(cs.locations, pred, cov))
+            res = pda_fuse(cs, w, covs, spread_cov=spread)
+            z_bar, r_bar = reference_fuse(cs.locations, w, covs, spread)
+            assert np.array_equal(res.fused_position, z_bar)
+            assert np.array_equal(res.fused_cov, r_bar)
+
+
 class TestPdaFuse:
     def test_single_candidate_identity(self):
         cs = make_set([(3.0, 4.0)])

@@ -98,6 +98,14 @@ class TestCampaign:
         assert sha(out1 / "summary.csv") == sha(out2 / "summary.csv")
         assert sha(out1 / "campaign.csv") == sha(out2 / "campaign.csv")
 
+    @pytest.mark.parametrize("key", ["pmht.n_max", "pmht.max_iters", "pmht.gamma",
+                                     "fusion.window_len"])
+    def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key):
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + f"{key} = 0\n")
+        assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -6,6 +6,8 @@ from gravnav.fusion import (
     AidingFix,
     FusionParams,
     NavBelief,
+    _process_noise,
+    _unscented_weights,
     aiding_gate,
     apply_batch,
     ukf_predict,
@@ -76,6 +78,68 @@ class TestUkfPredict:
         for _ in range(10):
             b = ukf_predict(b, np.array([1.0, 2.0]), 1.0, params)
             assert (b.cov == b.cov.T).all()
+
+    def test_bit_identical_to_point_by_point_propagation(self):
+        rng = np.random.default_rng(5)
+        for alpha, dt in ((1.0, 1.0), (0.5, 0.37)):
+            params = FusionParams(q_accel=2.5e-9, bias_psd=1e-12, alpha=alpha)
+            b = r = belief()
+            for _ in range(50):
+                a = rng.normal(0.0, 1e-3, 2)
+                b = ukf_predict(b, a, dt, params)
+                r = sigma_point_loop_predict(r, a, dt, params)
+                assert np.array_equal(b.state, r.state)
+                assert np.array_equal(b.cov, r.cov)
+
+    def test_cached_weights_and_process_noise_are_read_only(self):
+        _, wm, wc = _unscented_weights(6, 1.0, 2.0, 0.0)
+        q = _process_noise(1.0, 1e-8, 1e-12)
+        for arr in (wm, wc, q):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert _process_noise(1.0, 1e-8, 1e-12) is q
+
+    def test_process_noise_cache_keys_on_every_parameter(self):
+        b = belief()
+        base = ukf_predict(b, np.zeros(2), 1.0, FusionParams(q_accel=1e-8, bias_psd=1e-12))
+        for changed in (FusionParams(q_accel=2e-8, bias_psd=1e-12),
+                        FusionParams(q_accel=1e-8, bias_psd=2e-12)):
+            out = ukf_predict(b, np.zeros(2), 1.0, changed)
+            assert not np.array_equal(out.cov, base.cov)
+
+
+def sigma_point_loop_predict(b, accel, dt, params):
+    """Unscented predict that advances the sigma points one at a time."""
+    n = b.state.size
+    alpha, beta, kappa = params.alpha, params.beta, params.kappa
+    lam = alpha * alpha * (n + kappa) - n
+    c = n + lam
+    root = np.linalg.cholesky(c * 0.5 * (b.cov + b.cov.T))
+    points = np.empty((2 * n + 1, n))
+    points[0] = b.state
+    points[1:n + 1] = b.state + root.T
+    points[n + 1:] = b.state - root.T
+    wm = np.full(2 * n + 1, 1.0 / (2.0 * c))
+    wc = wm.copy()
+    wm[0] = lam / c
+    wc[0] = lam / c + (1.0 - alpha * alpha + beta)
+    prop = np.empty_like(points)
+    for i, pt in enumerate(points):
+        acc = accel - pt[4:6]
+        prop[i, 0:2] = pt[0:2] + pt[2:4] * dt + 0.5 * acc * dt * dt
+        prop[i, 2:4] = pt[2:4] + acc * dt
+        prop[i, 4:6] = pt[4:6]
+    mean = wm @ prop
+    dev = prop - mean
+    q = np.zeros((6, 6))
+    q3, q2, q1 = dt ** 3 / 3.0, dt ** 2 / 2.0, dt
+    for p, v in ((0, 2), (1, 3)):
+        q[p, p] = params.q_accel * q3
+        q[p, v] = q[v, p] = params.q_accel * q2
+        q[v, v] = params.q_accel * q1
+    q[4, 4] = q[5, 5] = params.bias_psd * dt
+    cov = (wc[:, None] * dev).T @ dev + q
+    return NavBelief(state=mean, cov=0.5 * (cov + cov.T), time=b.time + dt)
 
 
 class TestWeightFixCovariance:

@@ -246,6 +246,19 @@ class TestLookupCandidates:
             prefix = lookup_candidates(grid, 0.0, sigma=0.5, window=w, n_max=n)
             assert [c.cell for c in prefix] == [c.cell for c in a][:n]
 
+    def test_locations_built_once_and_read_only(self):
+        grid = simple_grid(np.full((9, 9), 5.0))
+        w = search_window(np.array([4.5, 4.5]), np.eye(2), gamma=9.0)
+        cs = lookup_candidates(grid, 5.0, sigma=1.0, window=w, n_max=20)
+        locs = cs.locations
+        assert locs.shape == (len(cs), 2)
+        assert cs.locations is locs
+        with pytest.raises(ValueError):
+            locs[0, 0] = 0.0
+        empty = lookup_candidates(grid, 50.0, sigma=1.0, window=w, n_max=20)
+        assert empty.locations.shape == (0, 2)
+        assert not empty.locations.flags.writeable
+
 
 class TestFeatureVariability:
     def test_constant_map_zero(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gravnav.assoc import candidate_weights, pda_fuse, position_noise_cov
 from gravnav.errors import NoFixError, NumericalError
 from gravnav.geomap import Candidate, CandidateSet
 from gravnav.pmht import (
@@ -114,6 +115,42 @@ class TestEmStep:
         states, fused = em_step(problem2, list(problem2.priors))
         assert fused[2] is None
         assert all(np.isfinite(st.x).all() for st in states)
+
+
+class TestStackedAssociation:
+    @pytest.mark.parametrize("spread_cov", [False, True])
+    def test_stacked_step_matches_scan_by_scan(self, spread_cov):
+        # empty scans, one-candidate scans, and counts on both sides of the
+        # 8-element threshold where numpy switches to pairwise summation
+        rng = np.random.default_rng(91)
+        model = cv_model(10.0)
+        priors = rolled_priors(np.array([0.0, 0.0, 20.0, 5.0]),
+                               np.diag([900.0, 900.0, 1.0, 1.0]), model, 12)
+        counts = [0, 1, 8, 20, 1, 0, 9, 15, 8, 16, 1, 20]
+        scans = tuple(
+            scan_from_points(priors[t].position + rng.normal(0.0, 40.0, (n, 2)),
+                             1e-5, [rng.normal(0.0, 1e-6, 2) for _ in range(n)])
+            for t, n in enumerate(counts))
+        problem = BatchProblem(priors=tuple(priors), scans=scans, model=model,
+                               spread_cov=spread_cov)
+        f, h = model.F, model.H
+        current, prev = list(priors), None
+        for _ in range(3):
+            states, fused = em_step(problem, current, prev)
+            for t, cs in enumerate(scans):
+                if len(cs) == 0:
+                    assert fused[t] is None
+                    continue
+                per_cand = [position_noise_cov(cs.sigma, c.grad) for c in cs]
+                meas_cov = (sum(per_cand) / len(per_cand) if prev is None
+                            else prev[t].fused_cov)
+                pred_x = priors[0].x if t == 0 else f @ current[t - 1].x
+                w = candidate_weights(cs, h @ pred_x, meas_cov)
+                ref = pda_fuse(cs, w, per_cand, spread_cov=spread_cov)
+                assert np.array_equal(fused[t].weights, w)
+                assert np.array_equal(fused[t].fused_position, ref.fused_position)
+                assert np.array_equal(fused[t].fused_cov, ref.fused_cov)
+            current, prev = states, fused
 
 
 class TestRunBatchOracles:
