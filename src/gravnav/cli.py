@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import ScenarioConfig, parse_config
-from .errors import ConfigError, GravNavError, GridFormatError, NumericalError, OutOfBoundsError
+from .errors import ConfigError, GravNavError, NumericalError
 from .geomap import (
     feature_variability,
     gradient_at,
@@ -159,10 +159,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, GridFormatError, OutOfBoundsError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GravNavError as exc:
+    except (GravNavError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

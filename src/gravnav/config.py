@@ -4,12 +4,22 @@ The on-disk format is plain ``key = value`` lines with ``#`` comments; keys
 mirror the configuration field names with dots for nesting (``pmht.T = 30``,
 ``gravimeter.sigma = 1e-5``). Vectors are comma-separated; the bump list uses
 ``cx,cy,amplitude,width`` quadruples separated by semicolons.
+
+:data:`KEYS` lists every key once, with the field that holds its value, its
+codec and its allowed range. Parsing, :func:`serialize_config` (which writes
+the keys in table order) and :meth:`ScenarioConfig.validate` all walk it; a
+value out of range raises :class:`ConfigError` naming the key.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .fusion import FusionParams
@@ -25,6 +35,8 @@ __all__ = [
     "MonteCarloParams",
     "DivergenceParams",
     "ScenarioConfig",
+    "Key",
+    "KEYS",
     "parse_config",
     "parse_config_text",
     "serialize_config",
@@ -128,24 +140,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.map.file is None and self.map.gen is None:
             raise ConfigError("config must set either map.file or synthetic map parameters")
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
-        if self.pmht.T < 2:
-            raise ConfigError("pmht.T must be >= 2")
-        if self.pmht.max_iters < 1:
-            raise ConfigError("pmht.max_iters must be >= 1")
-        if not self.pmht.gamma > 0:
-            raise ConfigError("pmht.gamma must be positive")
-        if self.pmht.n_max < 1:
-            raise ConfigError("pmht.n_max must be >= 1")
-        if self.fusion.window_len < 1:
-            raise ConfigError("fusion.window_len must be >= 1")
-        if self.monte_carlo.runs < 1:
-            raise ConfigError("monte_carlo.runs must be >= 1")
-        if self.gravimeter.interval <= 0:
-            raise ConfigError("gravimeter.interval must be positive")
-        if self.divergence.error_threshold_m <= 0 or self.divergence.sustain_s <= 0:
-            raise ConfigError("divergence thresholds must be positive")
+        for key in KEYS:
+            key.check(key.get(self))
         if self.fusion.mode not in ("standard", "retrodiction"):
             raise ConfigError(f"unknown fusion.mode {self.fusion.mode!r}")
         if self.mean_error_window not in ("aided", "full"):
@@ -199,152 +195,9 @@ def _num(text: str, key: str) -> float:
 
 def _intval(text: str, key: str) -> int:
     value = _num(text, key)
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ConfigError(f"key {key!r}: expected an integer, got {text!r}")
     return int(value)
-
-
-def parse_config_text(text: str) -> ScenarioConfig:
-    """Build a :class:`ScenarioConfig` from ``key = value`` lines."""
-    cfg = ScenarioConfig()
-    gen_touched = False
-
-    def gen(cfg=cfg) -> MapGenParams:
-        nonlocal gen_touched
-        if cfg.map.gen is None:
-            cfg.map.gen = MapGenParams()
-        gen_touched = True
-        return cfg.map.gen
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        try:
-            _apply_key(cfg, gen, key, value)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"line {line_no}: key {key!r}: {exc}") from exc
-    if cfg.map.file is not None and gen_touched:
-        raise ConfigError("config sets both map.file and synthetic map parameters")
-    return cfg
-
-
-def _apply_key(cfg: ScenarioConfig, gen, key: str, value: str) -> None:
-    fus = cfg.fusion
-    if key == "map.file":
-        cfg.map.file = value
-    elif key == "map.rows":
-        gen().rows = _intval(value, key)
-    elif key == "map.cols":
-        gen().cols = _intval(value, key)
-    elif key == "map.cell_size":
-        gen().cell_size = _num(value, key)
-    elif key == "map.origin_x":
-        gen().origin_x = _num(value, key)
-    elif key == "map.origin_y":
-        gen().origin_y = _num(value, key)
-    elif key == "map.background":
-        gen().background = _num(value, key)
-    elif key == "map.bumps":
-        gen().bumps = _parse_bumps(value, key)
-    elif key == "map.noise_scale":
-        gen().noise_scale = _num(value, key)
-    elif key == "map.noise_corr_cells":
-        gen().noise_corr_cells = _num(value, key)
-    elif key == "map.seed":
-        gen().seed = _intval(value, key)
-    elif key == "start":
-        cfg.start = _parse_vec2(value, key)
-    elif key == "velocity":
-        cfg.velocity = _parse_vec2(value, key)
-    elif key == "duration":
-        cfg.duration = _num(value, key)
-    elif key == "ins.accel_grade":
-        cfg.ins.accel_grade = value
-    elif key == "ins.gyro_grade":
-        cfg.ins.gyro_grade = value
-    elif key == "gravimeter.sigma":
-        cfg.gravimeter.sigma = _num(value, key)
-    elif key == "gravimeter.interval":
-        cfg.gravimeter.interval = _num(value, key)
-    elif key == "pmht.T":
-        cfg.pmht.T = _intval(value, key)
-    elif key == "pmht.max_iters":
-        cfg.pmht.max_iters = _intval(value, key)
-    elif key == "pmht.epsilon":
-        cfg.pmht.epsilon = _num(value, key)
-    elif key == "pmht.gamma":
-        cfg.pmht.gamma = _num(value, key)
-    elif key == "pmht.n_max":
-        cfg.pmht.n_max = _intval(value, key)
-    elif key == "pmht.q_a":
-        cfg.pmht.q_a = _num(value, key)
-    elif key == "pmht.k_sig":
-        cfg.pmht.k_sig = _num(value, key)
-    elif key == "pmht.grad_floor":
-        cfg.pmht.grad_floor = _num(value, key)
-    elif key == "pmht.spread_cov":
-        cfg.pmht.spread_cov = _parse_bool(value, key)
-    elif key == "fusion.mode":
-        cfg.fusion = _replace(fus, mode=value)
-    elif key == "fusion.variability_threshold":
-        cfg.fusion = _replace(fus, variability_threshold=_num(value, key))
-    elif key == "fusion.window_len":
-        cfg.fusion = _replace(fus, window_len=_intval(value, key))
-    elif key == "fusion.v_floor":
-        cfg.fusion = _replace(fus, v_floor=_num(value, key))
-    elif key == "fusion.nis_gate":
-        gate = None if value.strip().lower() in ("none", "off") else _num(value, key)
-        cfg.fusion = _replace(fus, nis_gate=gate)
-    elif key == "fusion.alpha":
-        cfg.fusion = _replace(fus, alpha=_num(value, key))
-    elif key == "fusion.beta":
-        cfg.fusion = _replace(fus, beta=_num(value, key))
-    elif key == "fusion.kappa":
-        cfg.fusion = _replace(fus, kappa=_num(value, key))
-    elif key == "fusion.bias_psd":
-        cfg.fusion = _replace(fus, bias_psd=_num(value, key))
-    elif key == "fusion.q_accel":
-        q = None if value.strip().lower() == "auto" else _num(value, key)
-        cfg.fusion = _replace(fus, q_accel=q)
-    elif key == "fusion.template_half_width":
-        cfg.fusion = _replace(fus, template_half_width=_intval(value, key))
-    elif key == "init.pos_sigma":
-        cfg.init.pos_sigma = _num(value, key)
-    elif key == "init.vel_sigma":
-        cfg.init.vel_sigma = _num(value, key)
-    elif key == "init.bias_sigma":
-        cfg.init.bias_sigma = None if value.strip().lower() == "auto" else _num(value, key)
-    elif key == "monte_carlo.runs":
-        cfg.monte_carlo.runs = _intval(value, key)
-    elif key == "monte_carlo.base_seed":
-        cfg.monte_carlo.base_seed = _intval(value, key)
-    elif key == "divergence.error_threshold_m":
-        cfg.divergence.error_threshold_m = _num(value, key)
-    elif key == "divergence.sustain_s":
-        cfg.divergence.sustain_s = _num(value, key)
-    elif key == "aiding":
-        cfg.aiding = _parse_bool(value, key)
-    elif key == "mean_error_window":
-        cfg.mean_error_window = value
-    elif key == "include_diverged":
-        cfg.include_diverged = _parse_bool(value, key)
-    else:
-        raise ConfigError(f"unknown config key {key!r}")
-
-
-def _replace(params: FusionParams, **kw) -> FusionParams:
-    return replace(params, **kw)
-
-
-def parse_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
 
 
 def _fmt(value) -> str:
@@ -355,68 +208,163 @@ def _fmt(value) -> str:
     return str(value)
 
 
+class _Codec(NamedTuple):
+    """How a key's value is read from and written to text."""
+
+    kind: str
+    parse: Callable[[str, str], object]
+    fmt: Callable[[object], str]
+
+
+_INT = _Codec("int", _intval, _fmt)
+_FLOAT = _Codec("float", _num, _fmt)
+_STR = _Codec("str", lambda text, key: text, _fmt)
+_BOOL = _Codec("bool", _parse_bool, _fmt)
+_VEC2 = _Codec("vec2", _parse_vec2, lambda vec: ",".join(map(_fmt, vec)))
+_BUMPS = _Codec("bumps", _parse_bumps, lambda bumps: "; ".join(
+    ",".join(map(_fmt, (b.cx, b.cy, b.amplitude, b.width))) for b in bumps))
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: where its value lives, its codec and its range.
+
+    ``section`` is the dotted attribute path from :class:`ScenarioConfig` to
+    the object holding the value (``""`` for top-level fields); the field is
+    the last part of ``name``. ``gt``/``ge``/``le`` bound the value. ``none``
+    lists the words read as ``None``, the first being the one written; an
+    unset value skips the range check.
+    """
+
+    name: str
+    section: str
+    codec: _Codec
+    gt: float | None = None
+    ge: float | None = None
+    le: float | None = None
+    none: tuple[str, ...] = ()
+
+    @property
+    def field(self) -> str:
+        return self.name.rpartition(".")[2]
+
+    def _owner(self, cfg: ScenarioConfig):
+        return reduce(getattr, filter(None, self.section.split(".")), cfg)
+
+    def get(self, cfg: ScenarioConfig):
+        """The stored value, or ``None`` when its section is absent."""
+        owner = self._owner(cfg)
+        return None if owner is None else getattr(owner, self.field)
+
+    def set(self, cfg: ScenarioConfig, text: str) -> None:
+        value = None if text.lower() in self.none else self.codec.parse(text, self.name)
+        if self.section == "fusion":  # FusionParams is frozen
+            cfg.fusion = replace(cfg.fusion, **{self.field: value})
+            return
+        if self.section == "map.gen" and cfg.map.gen is None:
+            cfg.map.gen = MapGenParams()
+        setattr(self._owner(cfg), self.field, value)
+
+    def text(self, value) -> str:
+        return self.none[0] if value is None else self.codec.fmt(value)
+
+    def check(self, value) -> None:
+        for cmp, op, bound in ((operator.gt, ">", self.gt), (operator.ge, ">=", self.ge),
+                               (operator.le, "<=", self.le)):
+            if value is not None and bound is not None and not cmp(value, bound):
+                raise ConfigError(f"{self.name} must be {op} {bound}, got {_fmt(value)}")
+
+
+# Serialization follows this order.
+KEYS: tuple[Key, ...] = (
+    Key("map.file", "map", _STR),
+    Key("map.rows", "map.gen", _INT, ge=2),
+    Key("map.cols", "map.gen", _INT, ge=2),
+    Key("map.cell_size", "map.gen", _FLOAT, gt=0),
+    Key("map.origin_x", "map.gen", _FLOAT),
+    Key("map.origin_y", "map.gen", _FLOAT),
+    Key("map.background", "map.gen", _FLOAT),
+    Key("map.bumps", "map.gen", _BUMPS),
+    Key("map.noise_scale", "map.gen", _FLOAT, ge=0),
+    Key("map.noise_corr_cells", "map.gen", _FLOAT),
+    Key("map.seed", "map.gen", _INT),
+    Key("start", "", _VEC2),
+    Key("velocity", "", _VEC2),
+    Key("duration", "", _FLOAT, gt=0),
+    Key("ins.accel_grade", "ins", _STR),
+    Key("ins.gyro_grade", "ins", _STR),
+    Key("gravimeter.sigma", "gravimeter", _FLOAT, ge=0),
+    Key("gravimeter.interval", "gravimeter", _FLOAT, gt=0),
+    Key("pmht.T", "pmht", _INT, ge=2),
+    Key("pmht.max_iters", "pmht", _INT, ge=1),
+    Key("pmht.epsilon", "pmht", _FLOAT, ge=0),
+    Key("pmht.gamma", "pmht", _FLOAT, gt=0),
+    Key("pmht.n_max", "pmht", _INT, ge=1),
+    Key("pmht.q_a", "pmht", _FLOAT, ge=0),
+    Key("pmht.k_sig", "pmht", _FLOAT, gt=0),
+    Key("pmht.grad_floor", "pmht", _FLOAT, gt=0),
+    Key("pmht.spread_cov", "pmht", _BOOL),
+    Key("fusion.mode", "fusion", _STR),
+    Key("fusion.variability_threshold", "fusion", _FLOAT, ge=0, le=1),
+    Key("fusion.window_len", "fusion", _INT, ge=1),
+    Key("fusion.v_floor", "fusion", _FLOAT, gt=0),
+    Key("fusion.nis_gate", "fusion", _FLOAT, gt=0, none=("none", "off")),
+    Key("fusion.alpha", "fusion", _FLOAT, gt=0),
+    Key("fusion.beta", "fusion", _FLOAT),
+    Key("fusion.kappa", "fusion", _FLOAT),
+    Key("fusion.bias_psd", "fusion", _FLOAT, ge=0),
+    Key("fusion.q_accel", "fusion", _FLOAT, ge=0, none=("auto",)),
+    Key("fusion.template_half_width", "fusion", _INT, ge=0),
+    Key("init.pos_sigma", "init", _FLOAT, gt=0),
+    Key("init.vel_sigma", "init", _FLOAT, gt=0),
+    Key("init.bias_sigma", "init", _FLOAT, gt=0, none=("auto",)),
+    Key("monte_carlo.runs", "monte_carlo", _INT, ge=1),
+    Key("monte_carlo.base_seed", "monte_carlo", _INT),
+    Key("divergence.error_threshold_m", "divergence", _FLOAT, gt=0),
+    Key("divergence.sustain_s", "divergence", _FLOAT, gt=0),
+    Key("aiding", "", _BOOL),
+    Key("mean_error_window", "", _STR),
+    Key("include_diverged", "", _BOOL),
+)
+
+_BY_NAME = {key.name: key for key in KEYS}
+
+
+def parse_config_text(text: str) -> ScenarioConfig:
+    """Build a :class:`ScenarioConfig` from ``key = value`` lines."""
+    cfg = ScenarioConfig()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
+        name, value = (part.strip() for part in line.split("=", 1))
+        if name not in _BY_NAME:
+            raise ConfigError(f"unknown config key {name!r}")
+        _BY_NAME[name].set(cfg, value)
+    if cfg.map.file is not None and cfg.map.gen is not None:
+        raise ConfigError("config sets both map.file and synthetic map parameters")
+    return cfg
+
+
+def parse_config(path) -> ScenarioConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config_text(fh.read())
+
+
 def serialize_config(cfg: ScenarioConfig) -> str:
-    """Canonical text form of a configuration (stable key order)."""
-    lines: list[str] = []
+    """Canonical text form of a configuration, in :data:`KEYS` order.
 
-    def put(key, value):
-        lines.append(f"{key} = {_fmt(value)}")
-
-    if cfg.map.file is not None:
-        put("map.file", cfg.map.file)
-    if cfg.map.gen is not None:
-        g = cfg.map.gen
-        put("map.rows", g.rows)
-        put("map.cols", g.cols)
-        put("map.cell_size", g.cell_size)
-        put("map.origin_x", g.origin_x)
-        put("map.origin_y", g.origin_y)
-        put("map.background", g.background)
-        if g.bumps:
-            bump_txt = "; ".join(
-                f"{_fmt(b.cx)},{_fmt(b.cy)},{_fmt(b.amplitude)},{_fmt(b.width)}"
-                for b in g.bumps)
-            put("map.bumps", bump_txt)
-        put("map.noise_scale", g.noise_scale)
-        put("map.noise_corr_cells", g.noise_corr_cells)
-        put("map.seed", g.seed)
-    put("start", f"{_fmt(cfg.start[0])},{_fmt(cfg.start[1])}")
-    put("velocity", f"{_fmt(cfg.velocity[0])},{_fmt(cfg.velocity[1])}")
-    put("duration", cfg.duration)
-    put("ins.accel_grade", cfg.ins.accel_grade)
-    put("ins.gyro_grade", cfg.ins.gyro_grade)
-    put("gravimeter.sigma", cfg.gravimeter.sigma)
-    put("gravimeter.interval", cfg.gravimeter.interval)
-    put("pmht.T", cfg.pmht.T)
-    put("pmht.max_iters", cfg.pmht.max_iters)
-    put("pmht.epsilon", cfg.pmht.epsilon)
-    put("pmht.gamma", cfg.pmht.gamma)
-    put("pmht.n_max", cfg.pmht.n_max)
-    put("pmht.q_a", cfg.pmht.q_a)
-    put("pmht.k_sig", cfg.pmht.k_sig)
-    put("pmht.grad_floor", cfg.pmht.grad_floor)
-    put("pmht.spread_cov", cfg.pmht.spread_cov)
-    put("fusion.mode", cfg.fusion.mode)
-    put("fusion.variability_threshold", cfg.fusion.variability_threshold)
-    put("fusion.window_len", cfg.fusion.window_len)
-    put("fusion.v_floor", cfg.fusion.v_floor)
-    put("fusion.nis_gate", "none" if cfg.fusion.nis_gate is None else cfg.fusion.nis_gate)
-    put("fusion.alpha", cfg.fusion.alpha)
-    put("fusion.beta", cfg.fusion.beta)
-    put("fusion.kappa", cfg.fusion.kappa)
-    put("fusion.bias_psd", cfg.fusion.bias_psd)
-    put("fusion.q_accel", "auto" if cfg.fusion.q_accel is None else cfg.fusion.q_accel)
-    put("fusion.template_half_width", cfg.fusion.template_half_width)
-    put("init.pos_sigma", cfg.init.pos_sigma)
-    put("init.vel_sigma", cfg.init.vel_sigma)
-    put("init.bias_sigma", "auto" if cfg.init.bias_sigma is None else cfg.init.bias_sigma)
-    put("monte_carlo.runs", cfg.monte_carlo.runs)
-    put("monte_carlo.base_seed", cfg.monte_carlo.base_seed)
-    put("divergence.error_threshold_m", cfg.divergence.error_threshold_m)
-    put("divergence.sustain_s", cfg.divergence.sustain_s)
-    put("aiding", cfg.aiding)
-    put("mean_error_window", cfg.mean_error_window)
-    put("include_diverged", cfg.include_diverged)
+    Keys of an absent section, an unset ``map.file`` and an empty bump list
+    are left out.
+    """
+    lines = []
+    for key in KEYS:
+        value = key.get(cfg)
+        if (value is None and not key.none) or value == ():
+            continue
+        lines.append(f"{key.name} = {key.text(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -110,9 +110,6 @@ class GridMap:
         row_s = min(int((float(pos[1]) - y0) / h), self.n_rows - 1)
         return self.n_rows - 1 - row_s, col
 
-    def is_nodata(self, row: int, col: int) -> bool:
-        return bool(self.values[row, col] == self.nodata)
-
 
 @dataclass(frozen=True)
 class SearchWindow:

@@ -46,7 +46,6 @@ __all__ = [
     "RunReport",
     "CampaignReport",
     "gen_synthetic_map",
-    "geodetic_to_planar",
     "build_grid",
     "run_scenario",
     "detect_divergence",
@@ -56,25 +55,6 @@ __all__ = [
 ]
 
 INS_DT = 1.0  # dead-reckoning rate, samples per second
-
-EARTH_RADIUS = 6371008.8  # mean Earth radius, meters
-
-
-def geodetic_to_planar(lat_deg, lon_deg, origin_lat_deg: float,
-                       origin_lon_deg: float) -> np.ndarray:
-    """Equirectangular projection of geodetic waypoints to local East-North.
-
-    Good to well under a percent over the few-hundred-km legs this tool
-    simulates; real-map runs use it to place geodetic waypoints on a planar
-    grid. Accepts scalars or arrays; returns (..., 2) East/North meters.
-    """
-    lat = np.radians(np.asarray(lat_deg, dtype=float))
-    lon = np.radians(np.asarray(lon_deg, dtype=float))
-    lat0 = math.radians(origin_lat_deg)
-    lon0 = math.radians(origin_lon_deg)
-    east = EARTH_RADIUS * math.cos(lat0) * (lon - lon0)
-    north = EARTH_RADIUS * (lat - lat0)
-    return np.stack([east, north], axis=-1)
 
 
 def gen_synthetic_map(params: MapGenParams) -> GridMap:

@@ -6,8 +6,7 @@ noise, and gyro errors entering through two small tilt angles that leak
 gravity into the horizontal channels (plus a yaw error that misresolves the
 true acceleration). This reproduces the qualitative growth of inertial
 drift - quadratic in accelerometer bias, cubic in gyro bias - without a full
-strapdown mechanization. The vertical channel is not simulated; vertical
-sensor grades are provided as presets but unused by the planar model.
+strapdown mechanization. The vertical channel is not simulated.
 """
 
 from __future__ import annotations
@@ -66,9 +65,7 @@ def _grade(ab, an, gb, gn, label) -> SensorGrade:
 
 SENSOR_GRADES: dict[str, SensorGrade] = {
     "PC-horizontal-accel": _grade(2e-6, 8e-5, 2e-5, 1e-3, "PC-horizontal-accel"),
-    "PC-vertical-accel": _grade(2.5e-8, 1.6e-6, 1e-3, 3e-2, "PC-vertical-accel"),
     "PC-horizontal-gyro": _grade(2e-6, 8e-5, 2e-5, 1e-3, "PC-horizontal-gyro"),
-    "PC-vertical-gyro": _grade(2.5e-8, 1.6e-6, 1e-3, 3e-2, "PC-vertical-gyro"),
     "QS-accel": _grade(1e-8, 3e-8, 1e-5, 1.2e-4, "QS-accel"),
     "QS-gyro": _grade(1e-8, 3e-8, 1e-5, 1.2e-4, "QS-gyro"),
 }

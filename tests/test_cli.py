@@ -98,10 +98,22 @@ class TestCampaign:
         assert sha(out1 / "summary.csv") == sha(out2 / "summary.csv")
         assert sha(out1 / "campaign.csv") == sha(out2 / "campaign.csv")
 
-    @pytest.mark.parametrize("key", ["pmht.n_max", "pmht.max_iters", "pmht.gamma",
-                                     "fusion.window_len"])
-    def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key):
-        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + f"{key} = 0\n")
+    @pytest.mark.parametrize("key, value", [
+        *(pytest.param(key, "0", id=key)
+          for key in ("pmht.n_max", "pmht.max_iters", "pmht.gamma", "fusion.window_len")),
+        *(pytest.param(key, value, id=f"{key}={value}") for key, value in (
+            ("fusion.v_floor", "0"),
+            ("fusion.variability_threshold", "1.5"),
+            ("pmht.grad_floor", "0"),
+            ("gravimeter.sigma", "-1"),
+            ("fusion.alpha", "0"),
+            ("fusion.template_half_width", "-1"),
+            ("pmht.k_sig", "0"),
+            ("fusion.nis_gate", "0"),
+        )),
+    ])
+    def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key, value):
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + f"{key} = {value}\n")
         assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

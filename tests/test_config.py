@@ -1,12 +1,31 @@
+import os
+import string
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gravnav.config import (
+    KEYS,
+    DivergenceParams,
     GaussianBump,
+    GravimeterParams,
+    InitParams,
+    InsParams,
+    MapGenParams,
+    MapSource,
+    MonteCarloParams,
+    PmhtParams,
+    ScenarioConfig,
     config_hash,
+    parse_config,
     parse_config_text,
     serialize_config,
 )
 from gravnav.errors import ConfigError
+from gravnav.fusion import FusionParams
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 SAMPLE = """\
@@ -60,6 +79,11 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config_text("duration = soon\n")
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "2.5"])
+    def test_bad_integer(self, value):
+        with pytest.raises(ConfigError, match="pmht.T"):
+            parse_config_text(f"pmht.T = {value}\n")
+
     def test_bad_bump_arity(self):
         with pytest.raises(ConfigError):
             parse_config_text("map.bumps = 1,2,3\n")
@@ -82,8 +106,108 @@ class TestSerialize:
         again = serialize_config(parse_config_text(text))
         assert text == again
 
+    def test_unset_map_keys_left_out(self):
+        def keys(text):
+            lines = serialize_config(parse_config_text(text)).splitlines()
+            return [line.split(" = ")[0] for line in lines]
+
+        assert [k for k in keys("map.file = m.asc\n") if k.startswith("map.")] == ["map.file"]
+        gen_keys = [k for k in keys("map.rows = 10\n") if k.startswith("map.")]
+        assert "map.file" not in gen_keys and "map.bumps" not in gen_keys
+        assert "map.rows" in gen_keys
+
     def test_hash_tracks_content(self):
         a = parse_config_text(SAMPLE)
         b = parse_config_text(SAMPLE.replace("duration = 600", "duration = 601"))
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(parse_config_text(SAMPLE))
+
+
+class TestRanges:
+    @pytest.mark.parametrize("key", [k for k in KEYS if (k.gt, k.ge, k.le) != (None,) * 3],
+                             ids=lambda k: k.name)
+    def test_value_out_of_range_names_key(self, key):
+        if key.le is not None:
+            bad = key.le + 1
+        else:
+            bad = key.gt if key.gt is not None else key.ge - 1
+        cfg = parse_config_text(SAMPLE)
+        cfg.validate()
+        key.set(cfg, str(bad))
+        with pytest.raises(ConfigError, match=key.name):
+            cfg.validate()
+
+    @pytest.mark.parametrize("text", ["fusion.nis_gate = off", "fusion.q_accel = auto",
+                                      "init.bias_sigma = auto"])
+    def test_unset_sentinel_skips_range(self, text):
+        parse_config_text(SAMPLE + text + "\n").validate()
+
+
+# config_hash values computed before the key table replaced the per-key code;
+# a change here changes every campaign's identity.
+PINNED_HASHES = [
+    ("corridor.cfg", "e3c8939216196dcbd328f16e6813b1ff5aba2e755fd37664bbe4ef4887abb6b0"),
+    ("demo.cfg", "fb15e7451e91bb8bd70541a929c010f92de27005870f1685f971b7d60ae5ef49"),
+    ("map.file = map.asc\nfusion.nis_gate = off\nfusion.q_accel = 2.5e-9\n"
+     "init.bias_sigma = 1e-6\n",
+     "4485c95ed4529833432c5f477cf66081454b14f20f5a554bd7a28b49da12e8a6"),
+]
+
+
+@pytest.mark.parametrize("source, digest", PINNED_HASHES, ids=["corridor", "demo", "map-file"])
+def test_config_hash_pinned(source, digest):
+    if source.endswith(".cfg"):
+        cfg = parse_config(os.path.join(CONFIGS, source))
+    else:
+        cfg = parse_config_text(source)
+    assert config_hash(cfg) == digest
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _values(key):
+    """Stored values of one key, drawn from its codec and range."""
+    kind = key.codec.kind
+    if kind == "int":
+        strategy = st.integers(min_value=-2**31 if key.ge is None else int(key.ge),
+                               max_value=2**31)
+    elif kind == "float":
+        low = key.gt if key.gt is not None else key.ge
+        strategy = st.floats(min_value=low, max_value=key.le, exclude_min=key.gt is not None,
+                             allow_nan=False, allow_infinity=False)
+    elif kind == "str":
+        strategy = st.text(string.ascii_letters + string.digits + "-_./", max_size=12)
+    elif kind == "bool":
+        strategy = st.booleans()
+    elif kind == "vec2":
+        strategy = st.tuples(_FINITE, _FINITE)
+    else:
+        assert kind == "bumps"
+        width = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+        bump = st.builds(GaussianBump, _FINITE, _FINITE, _FINITE, width)
+        strategy = st.lists(bump, max_size=3).map(tuple)
+    return st.none() | strategy if key.none else strategy
+
+
+_SECTIONS = {"ins": InsParams, "gravimeter": GravimeterParams, "pmht": PmhtParams,
+             "fusion": FusionParams, "init": InitParams, "monte_carlo": MonteCarloParams,
+             "divergence": DivergenceParams}
+
+
+@st.composite
+def configs(draw):
+    fields = {}
+    for key in KEYS:
+        fields.setdefault(key.section, {})[key.field] = draw(_values(key))
+    if draw(st.booleans()):
+        source = MapSource(file=fields["map"]["file"])
+    else:
+        source = MapSource(gen=MapGenParams(**fields["map.gen"]))
+    return ScenarioConfig(map=source, **fields[""],
+                          **{name: cls(**fields[name]) for name, cls in _SECTIONS.items()})
+
+
+@given(configs())
+def test_parse_inverts_serialize(cfg):
+    assert parse_config_text(serialize_config(cfg)) == cfg

@@ -15,7 +15,6 @@ from gravnav.geomap import feature_variability, lookup_candidates, search_window
 from gravnav.harness import (
     detect_divergence,
     gen_synthetic_map,
-    geodetic_to_planar,
     run_campaign,
     run_scenario,
     write_campaign_outputs,
@@ -218,30 +217,6 @@ class TestRunScenario:
         rep = run_scenario(cfg, 0)
         assert rep.failed and rep.diverged
         assert np.isnan(rep.error_series[-1])
-
-
-class TestGeodeticToPlanar:
-    def test_origin_maps_to_zero(self):
-        assert geodetic_to_planar(-37.0, 145.0, -37.0, 145.0) == pytest.approx([0.0, 0.0])
-
-    def test_one_degree_north(self):
-        xy = geodetic_to_planar(-36.0, 145.0, -37.0, 145.0)
-        assert xy[0] == pytest.approx(0.0)
-        assert xy[1] == pytest.approx(6371008.8 * np.pi / 180.0, rel=1e-12)
-
-    def test_east_scaled_by_cos_lat(self):
-        xy = geodetic_to_planar(-37.0, 146.0, -37.0, 145.0)
-        expected = 6371008.8 * np.cos(np.radians(-37.0)) * np.pi / 180.0
-        assert xy[0] == pytest.approx(expected, rel=1e-12)
-        assert xy[1] == pytest.approx(0.0)
-
-    def test_vectorized_waypoints(self):
-        lats = np.array([-38.0, -36.5, -35.0])
-        lons = np.array([144.5, 147.0, 150.0])
-        xy = geodetic_to_planar(lats, lons, -36.5, 147.25)
-        assert xy.shape == (3, 2)
-        assert xy[1] == pytest.approx(
-            [6371008.8 * np.cos(np.radians(-36.5)) * np.radians(-0.25), 0.0])
 
 
 class TestRunCampaign:

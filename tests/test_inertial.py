@@ -29,20 +29,10 @@ class TestGradePresets:
         assert g.accel_bias == 2e-6
         assert g.accel_noise_density == 8e-5
 
-    def test_pc_vertical_accel_row(self):
-        g = SENSOR_GRADES["PC-vertical-accel"]
-        assert g.accel_bias == 2.5e-8
-        assert g.accel_noise_density == 1.6e-6
-
     def test_pc_horizontal_gyro_row(self):
         g = SENSOR_GRADES["PC-horizontal-gyro"]
         assert g.gyro_bias == 2e-5
         assert g.gyro_noise_density == 1e-3
-
-    def test_pc_vertical_gyro_row(self):
-        g = SENSOR_GRADES["PC-vertical-gyro"]
-        assert g.gyro_bias == 1e-3
-        assert g.gyro_noise_density == 3e-2
 
     def test_quantum_rows(self):
         qa = SENSOR_GRADES["QS-accel"]
