@@ -46,6 +46,7 @@ def _cmd_genmap(args) -> int:
     cfg = _load_config(args.config)
     if cfg.map.gen is None:
         raise ConfigError("genmap needs synthetic map parameters (map.rows, map.cols, ...)")
+    cfg.validate()
     grid = build_grid(cfg)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "map.asc")

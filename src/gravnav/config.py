@@ -286,7 +286,7 @@ KEYS: tuple[Key, ...] = (
     Key("map.background", "map.gen", _FLOAT),
     Key("map.bumps", "map.gen", _BUMPS),
     Key("map.noise_scale", "map.gen", _FLOAT, ge=0),
-    Key("map.noise_corr_cells", "map.gen", _FLOAT),
+    Key("map.noise_corr_cells", "map.gen", _FLOAT, ge=0),
     Key("map.seed", "map.gen", _INT),
     Key("start", "", _VEC2),
     Key("velocity", "", _VEC2),

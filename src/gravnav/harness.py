@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .config import MapGenParams, ScenarioConfig, config_hash, serialize_config
 from .errors import (
@@ -57,35 +56,130 @@ __all__ = [
 INS_DT = 1.0  # dead-reckoning rate, samples per second
 
 
+_SMOOTH_BLOCK_ROWS = 16  # rows per smoothing block: a few hundred kB stays in cache
+
+
+def _correlate(padded: np.ndarray, taps: np.ndarray, out: np.ndarray, tmp: np.ndarray,
+               axis: int) -> None:
+    """Correlate ``padded`` along ``axis`` with a symmetric kernel into ``out``.
+
+    ``padded`` has ``len(taps) - 1`` extra cells on each side of ``axis``.
+    Each output is ``centre * taps[0]`` plus ``(before + after) * taps[j]``
+    added from the outermost tap inwards: the order of scipy's symmetric
+    ``NI_Correlate1D`` loop, so every cell gets the same bits.
+    """
+    radius = len(taps) - 1
+    n = out.shape[axis]
+
+    def shifted(k: int) -> np.ndarray:
+        return padded[k:k + n] if axis == 0 else padded[:, k:k + n]
+
+    np.multiply(shifted(radius), taps[0], out=out)
+    for j in range(radius, 0, -1):
+        np.add(shifted(radius - j), shifted(radius + j), out=tmp)
+        tmp *= taps[j]
+        out += tmp
+
+
+def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(x, sigma, mode="reflect")``, bit for bit.
+
+    The kernel is scipy's: ``exp(-0.5/sigma² · k²)`` normalised by its sum,
+    radius ``int(4·sigma + 0.5)``. It is exactly symmetric, so scipy's
+    reversal of it is a no-op. Axis 0 is filtered first, then axis 1, both
+    with reflect (numpy "symmetric") padding. Both passes run on one block
+    of rows at a time, which stays in cache, and no transposed copy is made;
+    the full-size arrays are one padded copy and the output. A ``sigma`` of
+    at most 1e-15 returns a copy, as scipy does.
+    """
+    if not sigma > 1e-15:
+        return x.copy()
+    radius = int(4.0 * float(sigma) + 0.5)
+    kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    taps = (kernel / kernel.sum())[radius:]
+    padded = np.pad(x, ((radius, radius), (0, 0)), mode="symmetric")
+    out = np.empty_like(x)
+    scratch = np.empty((_SMOOTH_BLOCK_ROWS, x.shape[1]))
+    for a in range(0, len(out), _SMOOTH_BLOCK_ROWS):
+        block = out[a:a + _SMOOTH_BLOCK_ROWS]
+        tmp = scratch[:len(block)]
+        # Axis 1 of these rows needs only their axis-0 result.
+        _correlate(padded[a:a + len(block) + 2 * radius], taps, block, tmp, axis=0)
+        _correlate(np.pad(block, ((0, 0), (radius, radius)), mode="symmetric"), taps,
+                   block, tmp, axis=1)
+    return out
+
+
 def gen_synthetic_map(params: MapGenParams) -> GridMap:
     """Deterministic synthetic field: background + Gaussian bumps + noise.
 
     The noise term is white noise smoothed over ``noise_corr_cells`` cells
     and rescaled to unit standard deviation before multiplying by
     ``noise_scale``, so the scale parameter reads directly as a field sigma.
+    The smoothing is a reflect-padded Gaussian filter that matches
+    ``scipy.ndimage.gaussian_filter`` to the bit, without importing scipy.
+
+    Each bump is added only over the columns where its add can change a
+    cell. Every cell stays at least ``|background| - sum(|amplitude|)``
+    (less a rounding slack) in magnitude while the bumps are summed, and
+    adding less than a quarter of the float spacing of that bound rounds
+    back to the same value. The skipped columns are therefore provably
+    unchanged, and the map is byte-identical to summing every bump over the
+    whole grid. When the bound is not positive, every column is summed.
     """
     if params.rows < 2 or params.cols < 2:
         raise ConfigError("synthetic map needs at least 2x2 cells")
     if params.cell_size <= 0:
         raise ConfigError("cell_size must be positive")
+    if any(bump.width <= 0 for bump in params.bumps):
+        raise ConfigError("bump width must be positive")
     h = params.cell_size
     xs = params.origin_x + (np.arange(params.cols) + 0.5) * h
     ys = params.origin_y + (params.rows - 1 - np.arange(params.rows) + 0.5) * h
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
 
     values = np.full((params.rows, params.cols), float(params.background))
+    background = abs(float(params.background))
+    total = sum(abs(b.amplitude) for b in params.bumps)
+    # Lower bound of every |cell| during the sum, less a slack that covers
+    # the rounding of each add and of this bound itself.
+    floor = (background - total
+             - (len(params.bumps) + 2) * np.finfo(float).eps * (background + total))
+    work = np.empty(values.size)
     for bump in params.bumps:
-        if bump.width <= 0:
-            raise ConfigError("bump width must be positive")
-        r2 = (gx - bump.cx) ** 2 + (gy - bump.cy) ** 2
-        values += bump.amplitude * np.exp(-r2 / (2.0 * bump.width ** 2))
+        dx2 = (xs - bump.cx) ** 2
+        dy2 = (ys - bump.cy) ** 2
+        denom = 2.0 * bump.width ** 2
+        c0, c1 = 0, params.cols
+        if floor > 0 and bump.amplitude != 0:
+            # Beyond this squared distance |amplitude|·exp(-dx2/denom) is
+            # below spacing(floor)/4, with an e² margin for the rounding of
+            # exp, log and the product; a NaN reach keeps every column.
+            reach = denom * (math.log(abs(bump.amplitude) / (np.spacing(floor) / 4.0)) + 2.0)
+            keep = np.flatnonzero(~(dx2 > reach))
+            if keep.size == 0:
+                continue
+            c0, c1 = int(keep[0]), int(keep[-1]) + 1
+        # Per cell these are the IEEE operations, in order, of
+        # values += amp * exp(-((x - cx)**2 + (y - cy)**2) / denom), which
+        # keeps the map byte-identical. The buffer is contiguous so that
+        # np.exp takes the same SIMD path for every call.
+        buf = work[:params.rows * (c1 - c0)].reshape(params.rows, c1 - c0)
+        np.add(dx2[None, c0:c1], dy2[:, None], out=buf)
+        np.negative(buf, out=buf)
+        np.divide(buf, denom, out=buf)
+        np.exp(buf, out=buf)
+        np.multiply(bump.amplitude, buf, out=buf)
+        values[:, c0:c1] += buf
+    del work
     if params.noise_scale > 0:
         rng = np.random.default_rng(params.seed)
-        noise = rng.standard_normal((params.rows, params.cols))
-        noise = gaussian_filter(noise, sigma=params.noise_corr_cells, mode="reflect")
+        noise = _gaussian_smooth(rng.standard_normal((params.rows, params.cols)),
+                                 params.noise_corr_cells)
         std = noise.std()
         if std > 0:
-            values += params.noise_scale * (noise / std)
+            noise /= std
+            noise *= params.noise_scale
+            values += noise
     return GridMap(
         n_rows=params.rows,
         n_cols=params.cols,
@@ -362,10 +456,10 @@ _WORKER_CFG: ScenarioConfig | None = None
 _WORKER_GRID: GridMap | None = None
 
 
-def _campaign_worker_init(cfg: ScenarioConfig) -> None:
+def _campaign_worker_init(cfg: ScenarioConfig, grid: GridMap) -> None:
     global _WORKER_CFG, _WORKER_GRID
     _WORKER_CFG = cfg
-    _WORKER_GRID = build_grid(cfg)
+    _WORKER_GRID = grid
 
 
 def _campaign_worker(seed: int) -> RunReport:
@@ -384,13 +478,15 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
     for any ``jobs`` value.
     """
     cfg.validate()
+    # Built once, before any worker starts, so a bad map fails here with its
+    # own error at any ``jobs`` value.
+    grid = build_grid(cfg)
     seeds = [cfg.monte_carlo.base_seed + i for i in range(cfg.monte_carlo.runs)]
     if jobs > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_campaign_worker_init,
-                                 initargs=(cfg,)) as pool:
+                                 initargs=(cfg, grid)) as pool:
             reports = list(pool.map(_campaign_worker, seeds))
     else:
-        grid = build_grid(cfg)
         reports = [run_scenario(cfg, seed, grid=grid) for seed in seeds]
 
     err = np.vstack([r.error_series for r in reports])

@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import pytest
 
@@ -27,6 +28,9 @@ pmht.spread_cov = true
 monte_carlo.runs = 2
 monte_carlo.base_seed = 0
 """
+
+
+DEMO_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.cfg")
 
 
 def write(path, text):
@@ -65,6 +69,15 @@ class TestGenmap:
         assert main(["genmap", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_invalid_setting_exit_2_names_key_writes_no_map(self, tmp_path, capsys):
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            text = fh.read()
+        cfg = write(tmp_path / "cfg.txt", text + "map.noise_scale = -1\n")
+        out = tmp_path / "o"
+        assert main(["genmap", "--config", cfg, "--out", str(out)]) == 2
+        assert "map.noise_scale" in capsys.readouterr().err
+        assert not (out / "map.asc").exists()
+
 
 class TestCampaign:
     def test_toy_campaign_outputs(self, tmp_path, capsys):
@@ -81,6 +94,15 @@ class TestCampaign:
         cfg = write(tmp_path / "cfg.txt",
                     "map.file = /definitely/not/here.asc\nduration = 60\n")
         assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_missing_map_file_exit_2_with_workers(self, tmp_path, capsys):
+        missing = tmp_path / "not-here.asc"
+        cfg = write(tmp_path / "cfg.txt",
+                    f"map.file = {missing}\nduration = 60\nmonte_carlo.runs = 2\n")
+        out = tmp_path / "o"
+        assert main(["campaign", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_identical_invocations_identical_summaries(self, tmp_path):
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)
@@ -110,6 +132,7 @@ class TestCampaign:
             ("fusion.template_half_width", "-1"),
             ("pmht.k_sig", "0"),
             ("fusion.nis_gate", "0"),
+            ("map.noise_corr_cells", "-3"),
         )),
     ])
     def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key, value):

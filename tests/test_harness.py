@@ -1,18 +1,26 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gravnav
 from gravnav.config import (
     GaussianBump,
     MapGenParams,
     MapSource,
     ScenarioConfig,
+    parse_config,
 )
 from gravnav.errors import ConfigError, NumericalError
 from gravnav.geomap import feature_variability, lookup_candidates, search_window, value_at
 from gravnav.harness import (
+    _gaussian_smooth,
     detect_divergence,
     gen_synthetic_map,
     run_campaign,
@@ -20,7 +28,9 @@ from gravnav.harness import (
     write_campaign_outputs,
 )
 from gravnav.inertial import SENSOR_GRADES, simulate_ins, simulate_truth
-from scenarios import corridor_config
+from scenarios import corridor_config, corridor_map_params
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def small_scenario(duration=600.0, batch_len=5, aiding=True, sigma=1e-5,
@@ -94,6 +104,130 @@ class TestGenSyntheticMap:
         a = gen_synthetic_map(gen)
         b = gen_synthetic_map(gen)
         assert (a.values == b.values).all()
+
+
+@pytest.fixture(scope="module")
+def gaussian_filter():
+    return pytest.importorskip("scipy.ndimage").gaussian_filter
+
+
+def oracle_map_values(params, gaussian_filter):
+    """The map as a full meshgrid bump sum plus scipy-smoothed noise.
+
+    This is the formulation ``gen_synthetic_map`` must reproduce bit for bit.
+    """
+    h = params.cell_size
+    xs = params.origin_x + (np.arange(params.cols) + 0.5) * h
+    ys = params.origin_y + (params.rows - 1 - np.arange(params.rows) + 0.5) * h
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    values = np.full((params.rows, params.cols), float(params.background))
+    for bump in params.bumps:
+        r2 = (gx - bump.cx) ** 2 + (gy - bump.cy) ** 2
+        values += bump.amplitude * np.exp(-r2 / (2.0 * bump.width ** 2))
+    if params.noise_scale > 0:
+        rng = np.random.default_rng(params.seed)
+        noise = rng.standard_normal((params.rows, params.cols))
+        noise = gaussian_filter(noise, sigma=params.noise_corr_cells, mode="reflect")
+        std = noise.std()
+        if std > 0:
+            values += params.noise_scale * (noise / std)
+    return values
+
+
+def assert_same_map(params, gaussian_filter):
+    with np.errstate(all="ignore"):
+        expected = oracle_map_values(params, gaussian_filter)
+        if not np.isfinite(expected).all():
+            with pytest.raises(ValueError, match="finite"):
+                gen_synthetic_map(params)
+            return
+        got = gen_synthetic_map(params).values
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
+
+
+_AMPLITUDES = st.sampled_from([0.0, -0.0, 2e-3, -1.6e-3, 1e-300, -5e-324, 3.0, -1e4, 1e12])
+_WIDTHS = st.sampled_from([1e-200, 1e-3, 0.7, 40.0, 1e6])
+_BUMPS = st.lists(st.builds(GaussianBump,
+                            cx=st.floats(-2000.0, 6000.0), cy=st.floats(-2000.0, 6000.0),
+                            amplitude=_AMPLITUDES | st.floats(-0.01, 0.01),
+                            width=_WIDTHS | st.floats(1.0, 3000.0)),
+                  max_size=4).map(tuple)
+
+
+class TestSyntheticMapExactness:
+    """``gen_synthetic_map`` equals the meshgrid + scipy formulation to the bit."""
+
+    @pytest.mark.parametrize("params", [
+        pytest.param(parse_config(os.path.join(CONFIGS, "corridor.cfg")).map.gen,
+                     id="corridor.cfg"),
+        pytest.param(parse_config(os.path.join(CONFIGS, "demo.cfg")).map.gen, id="demo.cfg"),
+        pytest.param(corridor_map_params(), id="corridor-fixture"),
+    ])
+    def test_config_maps(self, params, gaussian_filter):
+        assert_same_map(params, gaussian_filter)
+
+    @pytest.mark.parametrize("amplitude", [0.0, -0.0, -2e-3, 1e-300, -5e-324, 1e6, -1e300])
+    @pytest.mark.parametrize("width", [1e-200, 1e-3, 30.0, 1e5, 1e150])
+    @pytest.mark.parametrize("background", [9.79, -9.79, 0.0])
+    @pytest.mark.parametrize("centre", [(1025.0, 725.0), (1010.3, 700.1)],
+                             ids=["on-cell-centre", "off-centre"])
+    def test_extreme_bumps(self, amplitude, width, background, centre, gaussian_filter):
+        # On a cell centre r2 is exactly 0, so a width whose square
+        # underflows gives 0/0 there and the map is rejected as non-finite.
+        bumps = (GaussianBump(*centre, amplitude, width),
+                 GaussianBump(300.0, 900.0, 2e-3, 400.0))
+        params = MapGenParams(rows=30, cols=50, cell_size=50.0, background=background,
+                              bumps=bumps, noise_scale=1.2e-4, noise_corr_cells=3.0, seed=4)
+        assert_same_map(params, gaussian_filter)
+
+    @pytest.mark.parametrize("gap", [2.0 ** -50, 1e-12, 1e-6])
+    def test_nearly_cancelling_bumps(self, gap, gaussian_filter):
+        # Bumps that almost cancel the background drive the bound on |cell|
+        # towards zero, where skipping columns is least safe.
+        bumps = (GaussianBump(1025.0, 725.0, -0.5, 400.0),
+                 GaussianBump(1025.0, 725.0, -(0.5 - gap), 300.0),
+                 GaussianBump(200.0, 300.0, gap / 4, 200.0))
+        params = MapGenParams(rows=30, cols=50, cell_size=50.0, background=1.0,
+                              bumps=bumps, noise_scale=0.0)
+        assert_same_map(params, gaussian_filter)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(2, 40), cols=st.integers(2, 60),
+           cell_size=st.sampled_from([1.0, 50.0, 123.4]),
+           background=st.sampled_from([0.0, -3.5, 9.79]),
+           bumps=_BUMPS,
+           noise_scale=st.sampled_from([0.0, 1.2e-4, 2.0]),
+           sigma=st.sampled_from([0.0, 1e-16, 0.2, 8.0]) | st.floats(0.0, 80.0),
+           seed=st.integers(0, 2**31))
+    def test_random_maps(self, rows, cols, cell_size, background, bumps, noise_scale,
+                         sigma, seed, gaussian_filter):
+        params = MapGenParams(rows=rows, cols=cols, cell_size=cell_size,
+                              background=background, bumps=bumps, noise_scale=noise_scale,
+                              noise_corr_cells=sigma, seed=seed)
+        assert_same_map(params, gaussian_filter)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 60),
+           sigma=(st.sampled_from([-3.0, 0.0, 1e-15, 1.1e-15, 0.124, 0.125, 8])
+                  | st.floats(0.0, 80.0)),
+           seed=st.integers(0, 2**31))
+    def test_smoothing_matches_gaussian_filter(self, rows, cols, sigma, seed, gaussian_filter):
+        # Unscaled white noise: every bit of the filter output is compared.
+        x = np.random.default_rng(seed).standard_normal((rows, cols))
+        expected = gaussian_filter(x, sigma=sigma, mode="reflect")
+        got = _gaussian_smooth(x, sigma)
+        assert got.tobytes() == expected.tobytes()
+        assert got is not x
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, gravnav.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gravnav.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestDetectDivergence:
