@@ -1,17 +1,17 @@
 """Gravimetric map-matching aiding for inertial navigation.
 
-Subpackages by concern: ``geomap`` (rasters, gated lookup, variability),
+Modules by concern: ``geomap`` (rasters, gated lookup, variability),
 ``assoc`` (probabilistic data association), ``pmht`` (batch EM tracker),
 ``inertial`` (truth/dead-reckoning/field-sensor simulation), ``fusion``
 (UKF integration), ``harness`` (scenarios and Monte Carlo campaigns),
-``cli`` (command-line driver).
+``config`` (scenario configuration), ``errors`` (exception types), ``cli``
+(command-line entry point).
 """
 
 from .assoc import PdaResult, candidate_weights, pda_fuse, position_noise_cov
 from .config import ScenarioConfig, parse_config, parse_config_text, serialize_config
 from .fusion import AidingFix, FusionParams, NavBelief, apply_batch, ukf_predict, ukf_update
 from .geomap import (
-    Candidate,
     CandidateSet,
     GridMap,
     SearchWindow,

@@ -142,6 +142,11 @@ class ScenarioConfig:
             raise ConfigError("config must set either map.file or synthetic map parameters")
         for key in KEYS:
             key.check(key.get(self))
+        if self.aiding and self.pmht.T * self.gravimeter.interval > self.duration:
+            raise ConfigError(
+                f"pmht.T = {self.pmht.T} scans every gravimeter.interval = "
+                f"{self.gravimeter.interval:g} s outlast duration = {self.duration:g} s: "
+                "no batch would ever close")
         if self.fusion.mode not in ("standard", "retrodiction"):
             raise ConfigError(f"unknown fusion.mode {self.fusion.mode!r}")
         if self.mean_error_window not in ("aided", "full"):

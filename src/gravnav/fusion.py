@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError
-from .pmht import BatchEstimate, retrodict
+from .pmht import BatchEstimate, cv_model, retrodict
 
 __all__ = [
     "NavBelief",
@@ -173,13 +173,12 @@ def _sigma_points(x: np.ndarray, cov: np.ndarray, alpha: float, beta: float,
 
 @lru_cache(maxsize=32)
 def _process_noise(dt: float, q_accel: float, bias_psd: float) -> np.ndarray:
-    """Discrete process noise (read-only): white-noise acceleration plus a slow bias walk."""
+    """Discrete process noise (read-only): white-noise acceleration plus a slow bias walk.
+
+    The position/velocity block is the constant-velocity model's process noise.
+    """
     q = np.zeros((6, 6))
-    q3, q2, q1 = dt ** 3 / 3.0, dt ** 2 / 2.0, dt
-    for p, v in ((0, 2), (1, 3)):
-        q[p, p] = q_accel * q3
-        q[p, v] = q[v, p] = q_accel * q2
-        q[v, v] = q_accel * q1
+    q[:4, :4] = cv_model(dt, q_accel).Q
     q[4, 4] = q[5, 5] = bias_psd * dt
     q.flags.writeable = False
     return q

@@ -13,8 +13,7 @@ mutated and may be shared freely across worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .errors import (
 __all__ = [
     "GridMap",
     "SearchWindow",
-    "Candidate",
     "CandidateSet",
     "load_grid",
     "save_grid",
@@ -132,55 +130,39 @@ class SearchWindow:
             raise ValueError("half_extents must be positive")
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One gated map location compatible with a sensed value."""
-
-    location: np.ndarray
-    map_value: float = 0.0
-    value_residual: float = 0.0
-    grad: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    cell: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "location", np.asarray(self.location, dtype=float))
-        object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Gated candidate locations for one field measurement.
+    """Gated candidate cells for one field measurement, one row per cell.
 
-    Candidates are sorted ascending by value residual, ties broken by
-    distance to the prior mean, then by row-major cell index.
+    ``locations`` holds the cell centers, ``grads`` the finite-difference
+    field gradients there (see :func:`gradient_at`), ``residuals`` the
+    absolute value residuals against ``measurement`` and ``cells`` the
+    (row, col) indices; each column is a read-only array. Rows are sorted
+    ascending by value residual, ties broken by distance to the prior mean,
+    then by row-major cell index.
     """
 
-    candidates: tuple[Candidate, ...]
+    locations: np.ndarray
+    grads: np.ndarray
+    residuals: np.ndarray
+    cells: np.ndarray
     measurement: float
     sigma: float
-    prior_mean: np.ndarray
-    prior_cov: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        object.__setattr__(self, "prior_mean", np.asarray(self.prior_mean, dtype=float))
-        object.__setattr__(self, "prior_cov", np.asarray(self.prior_cov, dtype=float))
+        n = len(self.residuals)
+        for name, shape, dtype in (("locations", (n, 2), float), ("grads", (n, 2), float),
+                                   ("residuals", (n,), float), ("cells", (n, 2), int)):
+            column = np.array(getattr(self, name), dtype=dtype).reshape(shape)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def empty(cls, measurement: float, sigma: float) -> "CandidateSet":
+        return cls((), (), (), (), float(measurement), float(sigma))
 
     def __len__(self) -> int:
-        return len(self.candidates)
-
-    def __iter__(self):
-        return iter(self.candidates)
-
-    @cached_property
-    def locations(self) -> np.ndarray:
-        """(n, 2) read-only array of candidate positions, built on first use."""
-        if self.candidates:
-            locs = np.array([c.location for c in self.candidates])
-        else:
-            locs = np.zeros((0, 2))
-        locs.flags.writeable = False
-        return locs
+        return len(self.residuals)
 
 
 def load_grid(path) -> GridMap:
@@ -321,20 +303,28 @@ def gradient_at(grid: GridMap, pos) -> np.ndarray:
     one-sided at the map edge.
     """
     row, col = grid.cell_of(pos)
-    return _cell_gradient(grid, row, col)
+    return _cell_gradients(grid, np.array([row]), np.array([col]))[0]
 
 
-def _cell_gradient(grid: GridMap, row: int, col: int) -> np.ndarray:
+def _cell_gradients(grid: GridMap, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(n, 2) gradients of :func:`gradient_at` at the given cells.
+
+    Raises :class:`NodataError` naming the first cell, in the given order,
+    whose stencil touches a nodata cell.
+    """
     h = grid.cell_size
     v = grid.values
-    c_lo, c_hi = max(col - 1, 0), min(col + 1, grid.n_cols - 1)
-    r_n, r_s = max(row - 1, 0), min(row + 1, grid.n_rows - 1)
-    used = (v[row, c_lo], v[row, c_hi], v[r_n, col], v[r_s, col])
-    if any(u == grid.nodata for u in used):
-        raise NodataError(f"nodata cell in gradient stencil at cell ({row}, {col})")
-    gx = (v[row, c_hi] - v[row, c_lo]) / ((c_hi - c_lo) * h)
-    gy = (v[r_n, col] - v[r_s, col]) / ((r_s - r_n) * h)  # row index grows southward
-    return np.array([gx, gy])
+    c_lo, c_hi = np.maximum(cols - 1, 0), np.minimum(cols + 1, grid.n_cols - 1)
+    r_n, r_s = np.maximum(rows - 1, 0), np.minimum(rows + 1, grid.n_rows - 1)
+    west, east, north, south = v[rows, c_lo], v[rows, c_hi], v[r_n, cols], v[r_s, cols]
+    bad = np.flatnonzero((west == grid.nodata) | (east == grid.nodata)
+                         | (north == grid.nodata) | (south == grid.nodata))
+    if bad.size:
+        k = bad[0]
+        raise NodataError(f"nodata cell in gradient stencil at cell ({rows[k]}, {cols[k]})")
+    gx = (east - west) / ((c_hi - c_lo) * h)
+    gy = (north - south) / ((r_s - r_n) * h)  # row index grows southward
+    return np.column_stack([gx, gy])
 
 
 def search_window(prior_mean, prior_cov, gamma: float = DEFAULT_GAMMA) -> SearchWindow:
@@ -412,9 +402,6 @@ def lookup_candidates(
     ok &= quad <= window.gamma
 
     si, ci = np.nonzero(ok)
-    if si.size == 0:
-        return CandidateSet((), float(s), float(sigma), window.center, window.prior_cov)
-
     locs = np.column_stack([xs[ci], ys[si]])
     residuals = resid[si, ci]
     dists = np.hypot(locs[:, 0] - cx, locs[:, 1] - cy)
@@ -422,18 +409,9 @@ def lookup_candidates(
     arr_cols = cols[ci]
     rowmajor = arr_rows * grid.n_cols + arr_cols
     order = np.lexsort((rowmajor, dists, residuals))[: int(n_max)]
-
-    cands = []
-    for k in order:
-        r, c = int(arr_rows[k]), int(arr_cols[k])
-        cands.append(Candidate(
-            location=locs[k],
-            map_value=float(vals[si[k], ci[k]]),
-            value_residual=float(residuals[k]),
-            grad=_cell_gradient(grid, r, c),
-            cell=(r, c),
-        ))
-    return CandidateSet(tuple(cands), float(s), float(sigma), window.center, window.prior_cov)
+    cells = np.column_stack([arr_rows[order], arr_cols[order]])
+    return CandidateSet(locs[order], _cell_gradients(grid, cells[:, 0], cells[:, 1]),
+                        residuals[order], cells, float(s), float(sigma))
 
 
 def feature_variability(grid: GridMap, center_cell: tuple[int, int], template_half_width: int) -> float:

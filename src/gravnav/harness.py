@@ -278,11 +278,6 @@ def _initial_belief(cfg: ScenarioConfig, truth, grade_accel: SensorGrade) -> Nav
     return NavBelief(state=state, cov=cov, time=0.0)
 
 
-def _empty_scan(measurement, prior_mean) -> CandidateSet:
-    return CandidateSet((), measurement.value, measurement.sigma,
-                        np.asarray(prior_mean, dtype=float), np.eye(2))
-
-
 def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) -> RunReport:
     """Execute one seeded run of the configured scenario.
 
@@ -333,16 +328,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
 
     def close_batch(bel: NavBelief, step: int) -> NavBelief:
         ck_belief, _ck_step = checkpoint
-        t_len = len(scans)
-        x = ck_belief.state[:4].copy()
-        p = ck_belief.cov[:4, :4].copy()
-        priors = [KinematicState(x=x, cov=p)]
-        for _ in range(t_len - 1):
-            x = model.F @ x
-            p = model.F @ p @ model.F.T + model.Q
-            priors.append(KinematicState(x=x, cov=p))
         problem = BatchProblem(
-            priors=tuple(priors),
+            prior=KinematicState(x=ck_belief.state[:4], cov=ck_belief.cov[:4, :4]),
             scans=tuple(cs for _, cs in scans),
             model=model,
             max_iters=cfg.pmht.max_iters,
@@ -404,7 +391,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
                 cs = lookup_candidates(grid, meas.value, meas.sigma, window,
                                        cfg.pmht.n_max, cfg.pmht.k_sig)
             except (EmptyWindowError, CovarianceError):
-                cs = _empty_scan(meas, belief.position)
+                cs = CandidateSet.empty(meas.value, meas.sigma)
             scans.append((k, cs))
             if len(scans) == cfg.pmht.T:
                 belief = close_batch(belief, k)

@@ -19,6 +19,11 @@ only on its own candidates, its own prediction from the previous iterate and
 its own previous fused covariance, so the association step weights and fuses
 every scan at once; the backward smoother gains are one stacked solve. The
 results are bit-for-bit those of weighting and fusing scan by scan.
+
+An iterate is carried as arrays: ``(T, 4)`` means, ``(T, 4, 4)``
+covariances, and the fused pseudo-measurements by stack row. The
+:class:`KinematicState` and :class:`PdaResult` objects of a
+:class:`BatchEstimate` are built once, when the iteration ends.
 """
 
 from __future__ import annotations
@@ -105,9 +110,9 @@ def cv_model(dt: float, q_a: float = 0.01) -> KinematicModel:
 
 @dataclass(frozen=True)
 class BatchProblem:
-    """One batch of T scans with per-scan priors and a kinematic model."""
+    """One batch of T scans, the prior at the first scan and a kinematic model."""
 
-    priors: tuple[KinematicState, ...]
+    prior: KinematicState
     scans: tuple[CandidateSet, ...]
     model: KinematicModel
     max_iters: int = DEFAULT_MAX_ITERS
@@ -117,12 +122,9 @@ class BatchProblem:
     spread_cov: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "priors", tuple(self.priors))
         object.__setattr__(self, "scans", tuple(self.scans))
-        if len(self.priors) < 2:
+        if len(self.scans) < 2:
             raise ValueError("batch length must be at least 2")
-        if len(self.priors) != len(self.scans):
-            raise ValueError("priors and scans must have the same length")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -142,12 +144,14 @@ class _StackedScans:
     ``noise_covs`` holds the position-noise covariance of each candidate as
     one ``(rows, n, 2, 2)`` array per group of ``stack``; ``first_cov`` is
     the candidate-averaged covariance of each row, the measurement
-    covariance of the first iteration.
+    covariance of the first iteration. ``row_of`` maps each scan to its row,
+    -1 for an empty scan.
     """
 
     stack: ScanStack
     noise_covs: tuple[np.ndarray, ...]
     first_cov: np.ndarray
+    row_of: np.ndarray
 
     @classmethod
     def build(cls, problem: BatchProblem) -> "_StackedScans":
@@ -155,15 +159,18 @@ class _StackedScans:
         noise_covs = []
         first_cov = np.empty((len(stack), 2, 2))
         for rows, locs in stack.groups:
-            covs = np.array([[position_noise_cov(cs.sigma, c.grad, problem.grad_floor)
-                              for c in cs]
+            covs = np.array([[position_noise_cov(cs.sigma, g, problem.grad_floor)
+                              for g in cs.grads]
                              for cs in (problem.scans[t] for t in stack.scans[rows])])
             n = locs.shape[1]
             # Added in candidate order; a numpy sum over the axis may pair terms
             # differently and change the last bit.
             first_cov[rows] = sum(covs[:, j] for j in range(n)) / n
             noise_covs.append(covs)
-        return cls(stack=stack, noise_covs=tuple(noise_covs), first_cov=first_cov)
+        row_of = np.full(len(problem.scans), -1)
+        row_of[stack.scans] = np.arange(len(stack))
+        return cls(stack=stack, noise_covs=tuple(noise_covs), first_cov=first_cov,
+                   row_of=row_of)
 
 
 @dataclass(frozen=True)
@@ -210,32 +217,34 @@ def _solve_spd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(m + jitter * np.eye(m.shape[0]), rhs)
 
 
-def _predicted_positions(problem: BatchProblem, states) -> np.ndarray:
-    """(T, 2) one-step predicted positions around an iterate.
+def _predicted_positions(problem: BatchProblem, xs: np.ndarray) -> np.ndarray:
+    """(T, 2) one-step predicted positions around the ``(T, 4)`` iterate ``xs``.
 
     Scan 0 is predicted by the batch prior, scan t by state t-1 of the
     iterate. The stacked matrix-vector products equal ``F @ x`` and
     ``H @ x`` taken one state at a time.
     """
     f, h = problem.model.F, problem.model.H
-    prev = np.array([problem.priors[0].x] + [st.x for st in states[:-1]])
-    pred_x = np.concatenate([prev[:1], np.matmul(f, prev[1:, :, None])[:, :, 0]])
+    pred_x = np.concatenate([problem.prior.x[None], np.matmul(f, xs[:-1, :, None])[:, :, 0]])
     return np.matmul(h, pred_x[:, :, None])[:, :, 0]
 
 
 def em_step(
     problem: BatchProblem,
-    current: list[KinematicState] | tuple[KinematicState, ...],
-    prev_fused: list[PdaResult | None] | None = None,
-) -> tuple[list[KinematicState], list[PdaResult | None]]:
+    current: np.ndarray,
+    prev_cov: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """One association + smoothing iteration.
 
-    ``current`` is the trajectory iterate used to predict per-scan positions;
-    ``prev_fused`` supplies the previous iteration's fused covariances for
-    candidate weighting (on the first iteration the candidate-averaged
-    position-noise covariance is used instead). Returns the new smoothed
-    trajectory and this iteration's fused pseudo-measurements (``None`` for
-    scans whose candidate set is empty).
+    ``current`` is the ``(T, 4)`` trajectory iterate used to predict
+    per-scan positions; ``prev_cov`` holds the previous iteration's fused
+    covariances for candidate weighting (on the first iteration, ``None``,
+    the candidate-averaged position-noise covariance is used instead).
+    Returns the smoothed means ``(T, 4)`` and covariances ``(T, 4, 4)``, and
+    this iteration's fused positions ``(L, 2)``, fused covariances
+    ``(L, 2, 2)`` and association weights (one array per row). Fused
+    quantities run by row of ``ScanStack.build(problem.scans)``: one row
+    per non-empty scan.
 
     Every non-empty scan is weighted and fused in one stacked association
     step; the forward filter then runs scan by scan, and the backward
@@ -247,87 +256,72 @@ def em_step(
     f, q, h = problem.model.F, problem.model.Q, problem.model.H
 
     batch = problem._stacked
-    rows = batch.stack.scans
-    meas_cov = batch.first_cov
-    if prev_fused is not None:
-        meas_cov = meas_cov.copy()
-        for r, t in enumerate(rows):
-            if prev_fused[t] is not None:
-                meas_cov[r] = prev_fused[t].fused_cov
-    pred_pos = _predicted_positions(problem, current)[rows]
+    meas_cov = batch.first_cov if prev_cov is None else prev_cov
+    pred_pos = _predicted_positions(problem, current)[batch.stack.scans]
     weights = stack_weights(batch.stack, pred_pos, meas_cov)
     positions, covs = stack_fuse(batch.stack, weights, batch.noise_covs,
                                  spread_cov=problem.spread_cov)
-    row_weights = [w for group in weights for w in group]
-    fused: list[PdaResult | None] = [None] * t_len
-    for r, t in enumerate(rows):
-        fused[t] = PdaResult(fused_position=positions[r], fused_cov=covs[r],
-                             weights=row_weights[r], n_candidates=len(row_weights[r]))
 
     # Forward filter, anchored at the batch prior. The scan-1 pseudo-
     # measurement is not consumed here: the prior already plays the role of
     # the time-1 posterior.
-    y = problem.priors[0].x.copy()
-    p = _symmetrize(problem.priors[0].cov.copy())
-    ys = [y]
-    ps = [p]
-    y_preds: list[np.ndarray] = []
-    p_preds: list[np.ndarray] = []
+    xs = np.empty((t_len, 4))
+    ps = np.empty((t_len, 4, 4))
+    x_preds = np.empty((t_len - 1, 4))
+    p_preds = np.empty((t_len - 1, 4, 4))
+    xs[0] = problem.prior.x
+    ps[0] = _symmetrize(problem.prior.cov)
     for t in range(t_len - 1):
-        p_pred = _symmetrize(f @ ps[t] @ f.T + q)
-        y_pred = f @ ys[t]
-        zt = fused[t + 1]
-        if zt is None:
-            ys.append(y_pred)
-            ps.append(p_pred)
+        p_preds[t] = p_pred = _symmetrize(f @ ps[t] @ f.T + q)
+        x_preds[t] = x_pred = f @ xs[t]
+        r = batch.row_of[t + 1]
+        if r < 0:
+            xs[t + 1] = x_pred
+            ps[t + 1] = p_pred
         else:
             hp = h @ p_pred
-            s_mat = hp @ h.T + zt.fused_cov
+            s_mat = hp @ h.T + covs[r]
             k = _solve_spd(s_mat, hp).T
-            ps.append(_symmetrize(p_pred - k @ h @ p_pred))
-            ys.append(y_pred + k @ (zt.fused_position - h @ y_pred))
-        y_preds.append(y_pred)
-        p_preds.append(p_pred)
+            ps[t + 1] = _symmetrize(p_pred - k @ h @ p_pred)
+            xs[t + 1] = x_pred + k @ (positions[r] - h @ x_pred)
 
-    # Backward smoothing with the standard fixed-interval gain, all gains in
-    # one stacked solve.
-    gains = np.swapaxes(
-        _solve_spd(np.array(p_preds), np.matmul(f, np.swapaxes(np.array(ps[:-1]), 1, 2))),
-        1, 2)
-    xs: list[np.ndarray] = [np.zeros(4)] * t_len
-    smoothed: list[np.ndarray] = [np.zeros((4, 4))] * t_len
-    xs[t_len - 1] = ys[t_len - 1]
-    smoothed[t_len - 1] = ps[t_len - 1]
+    # Backward smoothing in place with the standard fixed-interval gain, all
+    # gains in one stacked solve.
+    gains = np.swapaxes(_solve_spd(p_preds, np.matmul(f, np.swapaxes(ps[:-1], 1, 2))), 1, 2)
     for t in range(t_len - 2, -1, -1):
         g = gains[t]
-        xs[t] = ys[t] + g @ (xs[t + 1] - y_preds[t])
-        smoothed[t] = _symmetrize(ps[t] + g @ (smoothed[t + 1] - p_preds[t]) @ g.T)
+        xs[t] = xs[t] + g @ (xs[t + 1] - x_preds[t])
+        ps[t] = _symmetrize(ps[t] + g @ (ps[t + 1] - p_preds[t]) @ g.T)
 
-    states = [KinematicState(x=xs[t], cov=smoothed[t]) for t in range(t_len)]
-    return states, fused
+    return xs, ps, positions, covs, [w for group in weights for w in group]
 
 
-def _weighted_fit_cost(problem: BatchProblem, states, fused) -> float:
+def _weighted_fit_cost(problem: BatchProblem, current: np.ndarray, fused_cov: np.ndarray,
+                       weights: list[np.ndarray]) -> float:
     """Weighted squared Mahalanobis cost of the candidates per scan.
 
     Candidates are measured against the same one-step predicted positions
-    the association weights were computed from (``states`` is the iterate
+    the association weights were computed from (``current`` is the iterate
     that fed the E-step), with each scan's fused covariance as the metric.
+    Scans are added in time order.
     """
-    pred = _predicted_positions(problem, states)
-    scans = [t for t, zt in enumerate(fused) if zt is not None]
-    sinvs = np.linalg.inv(np.array([fused[t].fused_cov for t in scans]))
+    pred = _predicted_positions(problem, current)
+    row_of = problem._stacked.row_of
+    scans = np.flatnonzero(row_of >= 0)
+    rows = row_of[scans]
+    sinvs = np.linalg.inv(fused_cov[rows])
     total = 0.0
-    for t, sinv in zip(scans, sinvs):
+    for t, r, sinv in zip(scans, rows, sinvs):
         diffs = problem.scans[t].locations - pred[t]
         maha2 = np.einsum("ni,ij,nj->n", diffs, sinv, diffs)
-        total += float(fused[t].weights @ maha2)
+        total += float(weights[r] @ maha2)
     return total
 
 
 def run_batch(problem: BatchProblem) -> BatchEstimate:
     """Iterate :func:`em_step` to convergence or the iteration budget.
 
+    The first iterate is the prior mean rolled forward through the model.
     Convergence is measured as the maximum per-scan position displacement
     between consecutive iterates. Raises :class:`NoFixError` when every scan
     is empty and :class:`NumericalError` when an iterate goes non-finite.
@@ -337,34 +331,36 @@ def run_batch(problem: BatchProblem) -> BatchEstimate:
     if len(skipped) == t_len:
         raise NoFixError("every scan in the batch is empty")
 
-    current: list[KinematicState] = list(problem.priors)
-    fused: list[PdaResult | None] | None = None
+    current = np.empty((t_len, 4))
+    current[0] = problem.prior.x
+    for t in range(1, t_len):
+        current[t] = problem.model.F @ current[t - 1]
+    fused_cov = None
     costs: list[float] = []
     residual = np.inf
     converged = False
     iterations = 0
     for i in range(1, problem.max_iters + 1):
-        new_states, fused = em_step(problem, current, fused)
+        xs, covs, positions, fused_cov, weights = em_step(problem, current, fused_cov)
         iterations = i
-        for st in new_states:
-            if not (np.isfinite(st.x).all() and np.isfinite(st.cov).all()):
-                raise NumericalError("non-finite batch iterate", iteration=i)
-        residual = max(
-            float(np.linalg.norm(new_states[t].position - current[t].position))
-            for t in range(t_len)
-        )
-        costs.append(_weighted_fit_cost(problem, current, fused))
-        current = new_states
+        if not (np.isfinite(xs).all() and np.isfinite(covs).all()):
+            raise NumericalError("non-finite batch iterate", iteration=i)
+        residual = max(float(np.linalg.norm(d)) for d in xs[:, :2] - current[:, :2])
+        costs.append(_weighted_fit_cost(problem, current, fused_cov, weights))
+        current = xs
         if residual <= problem.epsilon:
             converged = True
             break
 
     times = problem.start_time + np.arange(t_len) * problem.model.dt
     return BatchEstimate(
-        states=tuple(current),
+        states=tuple(KinematicState(x=x, cov=p) for x, p in zip(current, covs)),
         iterations_used=iterations,
         converged=converged,
-        per_scan_fused=tuple(fused),
+        per_scan_fused=tuple(
+            None if r < 0 else PdaResult(fused_position=positions[r], fused_cov=fused_cov[r],
+                                         weights=weights[r], n_candidates=len(weights[r]))
+            for r in problem._stacked.row_of),
         final_residual=residual,
         times=times,
         cost_trace=np.array(costs),

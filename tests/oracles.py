@@ -148,6 +148,20 @@ def brute_variability(values, row, col, half_width):
     return total / count
 
 
+def cell_gradient(values, row, col, h):
+    """(d/dEast, d/dNorth) of one cell by central differences, one-sided at edges.
+
+    Scalar arithmetic in the order of the per-cell gradient, so vectorized
+    code must match it bit for bit. Row 0 is the northern edge.
+    """
+    rows, cols = values.shape
+    c_lo, c_hi = max(col - 1, 0), min(col + 1, cols - 1)
+    r_n, r_s = max(row - 1, 0), min(row + 1, rows - 1)
+    gx = (values[row, c_hi] - values[row, c_lo]) / ((c_hi - c_lo) * h)
+    gy = (values[r_n, col] - values[r_s, col]) / ((r_s - r_n) * h)
+    return np.array([gx, gy])
+
+
 def gaussian_weights(points, center, cov):
     """Directly evaluated normalized Gaussian densities."""
     inv = np.linalg.inv(cov)

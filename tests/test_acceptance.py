@@ -76,7 +76,7 @@ def test_criterion_1_smoother_oracle():
         problem, zs, r_list = single_candidate_problem(rng, t_len)
         est = run_batch(problem)
         means, _covs = batch_map_solution(
-            problem.priors[0].x, problem.priors[0].cov, problem.model.F,
+            problem.prior.x, problem.prior.cov, problem.model.F,
             problem.model.Q, problem.model.H, [None] + zs[1:], r_list)
         for t in range(t_len):
             rel = (np.linalg.norm(est.states[t].x - means[t])
@@ -272,10 +272,10 @@ def test_criterion_9_gating_soundness():
             continue
         total_calls += 1
         sinv = np.linalg.inv(cov)
-        for cand in cs:
+        for loc, residual in zip(cs.locations, cs.residuals):
             total_candidates += 1
-            d = cand.location - center
-            if d @ sinv @ d > gamma or cand.value_residual > k_sig * sigma:
+            d = loc - center
+            if d @ sinv @ d > gamma or residual > k_sig * sigma:
                 violations += 1
     ok = violations == 0
     report("criterion 9 (gating soundness, 10^4 lookups)", ok,

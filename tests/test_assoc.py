@@ -8,14 +8,15 @@ from gravnav.assoc import (
     position_noise_cov,
 )
 from gravnav.errors import NoFixError
-from gravnav.geomap import Candidate, CandidateSet
+from gravnav.geomap import CandidateSet
 from oracles import gaussian_weights
 
 
-def make_set(points, sigma=1.0, prior=(0.0, 0.0)):
-    cands = tuple(Candidate(location=np.asarray(p, dtype=float)) for p in points)
-    return CandidateSet(cands, measurement=0.0, sigma=sigma,
-                        prior_mean=np.asarray(prior, dtype=float), prior_cov=np.eye(2))
+def make_set(points, sigma=1.0):
+    n = len(points)
+    return CandidateSet(locations=np.asarray(points, dtype=float), grads=np.zeros((n, 2)),
+                        residuals=np.zeros(n), cells=np.zeros((n, 2)), measurement=0.0,
+                        sigma=sigma)
 
 
 class TestPositionNoiseCov:

@@ -32,6 +32,14 @@ monte_carlo.base_seed = 0
 
 DEMO_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.cfg")
 
+# SHA-256 of the demo campaign's outputs at --seed 0 --jobs 1.
+DEMO_DIGESTS = {
+    "campaign.csv": "6ce820d7917b424b50c1dd1f35096ce8f0216c07265730ac61433dcebd8d3b19",
+    "summary.csv": "9c6590c229bf4001ffe87c4f2f471ba352506cc0cb6a1c4099d96412a40a86f0",
+    "runs/0.csv": "d4f9faf2a0165a4cdf2b5def0a797f6cef938f3a72ab6192da2de63a02a8a1e0",
+    "runs/1.csv": "6219393651391115da5302eca31416eeb0a61f8c2c57f22b4e3abe06988a1822",
+}
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -92,13 +100,13 @@ class TestCampaign:
 
     def test_missing_map_file_exit_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.txt",
-                    "map.file = /definitely/not/here.asc\nduration = 60\n")
+                    "map.file = /definitely/not/here.asc\nduration = 300\n")
         assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_missing_map_file_exit_2_with_workers(self, tmp_path, capsys):
         missing = tmp_path / "not-here.asc"
         cfg = write(tmp_path / "cfg.txt",
-                    f"map.file = {missing}\nduration = 60\nmonte_carlo.runs = 2\n")
+                    f"map.file = {missing}\nduration = 300\nmonte_carlo.runs = 2\n")
         out = tmp_path / "o"
         assert main(["campaign", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 2
         assert str(missing) in capsys.readouterr().err
@@ -133,6 +141,7 @@ class TestCampaign:
             ("pmht.k_sig", "0"),
             ("fusion.nis_gate", "0"),
             ("map.noise_corr_cells", "-3"),
+            ("pmht.T", "40"),
         )),
     ])
     def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key, value):
@@ -140,6 +149,13 @@ class TestCampaign:
         assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_demo_outputs_pinned(self, tmp_path):
+        # Any moved output bit fails here; a deliberate change re-records these.
+        out = tmp_path / "out"
+        assert main(["campaign", "--config", DEMO_CFG, "--out", str(out),
+                     "--seed", "0", "--jobs", "1"]) == 0
+        assert {name: sha(out / name) for name in DEMO_DIGESTS} == DEMO_DIGESTS
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)

@@ -93,6 +93,15 @@ class TestParse:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    def test_batch_longer_than_flight_names_pmht_t(self):
+        # 15 scans every 10 s span 150 s: a 149 s flight never closes a batch
+        cfg = parse_config_text(SAMPLE.replace("duration = 600", "duration = 149"))
+        with pytest.raises(ConfigError, match="pmht.T"):
+            cfg.validate()
+        parse_config_text(SAMPLE.replace("duration = 600", "duration = 150")).validate()
+        cfg.aiding = False
+        cfg.validate()
+
     def test_validation_catches_bad_mode(self):
         cfg = parse_config_text(SAMPLE + "fusion.mode = diagonal\n")
         with pytest.raises(ConfigError):

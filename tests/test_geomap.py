@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gravnav.errors import (
     CovarianceError,
@@ -10,6 +15,7 @@ from gravnav.errors import (
     UnsupportedGeometryError,
 )
 from gravnav.geomap import (
+    CandidateSet,
     GridMap,
     feature_variability,
     gradient_at,
@@ -21,7 +27,7 @@ from gravnav.geomap import (
     value_at,
     variability_field,
 )
-from oracles import brute_variability
+from oracles import brute_variability, cell_gradient
 
 
 def write_grid_text(path, text):
@@ -87,6 +93,40 @@ class TestLoadGrid:
         assert (back.origin == grid.origin).all()
         assert back.nodata == grid.nodata
         assert (back.values == grid.values).all()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Negative, subnormal and near-overflow values next to whatever hypothesis draws.
+_EDGE_VALUES = st.sampled_from([-1e300, 1e300, 5e-324, -5e-324, 1e-310, -2.5, 0.0, -0.0])
+
+
+@st.composite
+def grids(draw):
+    rows, cols = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    nodata = draw(_FINITE)
+    cells = st.one_of(_FINITE, _EDGE_VALUES)
+    values = np.array(draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols)))
+    holes = np.array(draw(st.lists(st.booleans(), min_size=rows * cols,
+                                   max_size=rows * cols)))
+    values[holes] = nodata
+    origin = np.array([draw(_FINITE), draw(_FINITE)]) + 0.375
+    cell = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return GridMap(n_rows=rows, n_cols=cols, origin=origin, cell_size=cell,
+                   values=values.reshape(rows, cols), nodata=nodata)
+
+
+@given(grids())
+def test_save_load_round_trip_is_exact(grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.asc")
+        save_grid(grid, path)
+        back = load_grid(path)
+    assert (back.n_rows, back.n_cols) == (grid.n_rows, grid.n_cols)
+    assert np.array_equal(back.origin, grid.origin)
+    assert back.cell_size == grid.cell_size
+    assert back.nodata == grid.nodata
+    assert np.array_equal(back.values, grid.values)
+    assert np.array_equal(back.values == back.nodata, grid.values == grid.nodata)
 
 
 class TestValueAt:
@@ -168,7 +208,7 @@ class TestLookupCandidates:
         w = search_window(np.array([4.5, 4.5]), cov, gamma=9.0)
         cs = lookup_candidates(grid, 5.0, sigma=1.0, window=w, n_max=20)
         assert len(cs) == 5
-        assert all(c.value_residual == 0.0 for c in cs)
+        assert (cs.residuals == 0.0).all()
 
     def test_no_cell_within_residual_gate(self):
         sigma = 0.1
@@ -205,7 +245,7 @@ class TestLookupCandidates:
                 if abs(values[r, c] - 1.0) > 3.0 * sigma:
                     continue
                 expected.add((r, c))
-        got = {c.cell for c in cs}
+        got = set(map(tuple, cs.cells.tolist()))
         assert got == expected
         # both clusters represented
         assert any(r < 10 for r, _ in got) and any(r >= 10 for r, _ in got)
@@ -229,10 +269,10 @@ class TestLookupCandidates:
             except EmptyWindowError:
                 continue
             sinv = np.linalg.inv(cov)
-            for cand in cs:
-                d = cand.location - center
+            for loc, residual in zip(cs.locations, cs.residuals):
+                d = loc - center
                 assert d @ sinv @ d <= gamma + 1e-12
-                assert cand.value_residual <= 3.0 * sigma + 1e-12
+                assert residual <= 3.0 * sigma + 1e-12
 
     def test_determinism_and_prefix_monotonicity(self):
         rng = np.random.default_rng(5)
@@ -241,10 +281,47 @@ class TestLookupCandidates:
         w = search_window(np.array([12.0, 12.0]), np.diag([30.0, 30.0]), gamma=9.21)
         a = lookup_candidates(grid, 0.0, sigma=0.5, window=w, n_max=15)
         b = lookup_candidates(grid, 0.0, sigma=0.5, window=w, n_max=15)
-        assert [c.cell for c in a] == [c.cell for c in b]
+        assert a.cells.tolist() == b.cells.tolist()
         for n in (1, 3, 7, 12):
             prefix = lookup_candidates(grid, 0.0, sigma=0.5, window=w, n_max=n)
-            assert [c.cell for c in prefix] == [c.cell for c in a][:n]
+            assert prefix.cells.tolist() == a.cells.tolist()[:n]
+
+    def test_columns_match_per_cell_reference(self):
+        # windows reaching the map edges exercise the one-sided differences
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            values = 9.79 + 2e-3 * rng.standard_normal((int(rng.integers(2, 12)),
+                                                        int(rng.integers(2, 12))))
+            grid = simple_grid(values, cell=rng.uniform(10.0, 90.0),
+                               origin=rng.uniform(-1e3, 1e3, 2))
+            extent = np.array([grid.n_cols, grid.n_rows]) * grid.cell_size
+            w = search_window(grid.origin + rng.uniform(0.0, 1.0, 2) * extent,
+                              np.diag(rng.uniform(0.05, 1.0, 2) * extent ** 2), gamma=9.21)
+            s = 9.79 + 2e-3 * rng.standard_normal()
+            cs = lookup_candidates(grid, s, sigma=1e-3, window=w, n_max=30)
+            for loc, grad, residual, (r, c) in zip(cs.locations, cs.grads, cs.residuals,
+                                                   cs.cells):
+                assert np.array_equal(loc, grid.cell_center(r, c))
+                assert np.array_equal(grad, cell_gradient(values, r, c, grid.cell_size))
+                assert np.array_equal(grad, gradient_at(grid, loc))
+                assert residual == abs(values[r, c] - s)
+
+    def test_nodata_in_gradient_stencil_names_first_candidate(self):
+        # every live cell matches; the four neighbours of the hole tie on
+        # residual and distance, so row-major order puts (2, 3) first
+        values = np.full((7, 7), 1.0)
+        values[3, 3] = -9999.0
+        grid = simple_grid(values)
+        w = search_window(grid.cell_center(3, 3), 4.0 * np.eye(2), gamma=9.0)
+        with pytest.raises(NodataError, match=r"at cell \(2, 3\)$"):
+            lookup_candidates(grid, 1.0, sigma=1.0, window=w, n_max=20)
+        with pytest.raises(NodataError, match=r"at cell \(4, 3\)$"):
+            gradient_at(grid, grid.cell_center(4, 3))
+        # only the kept candidates need a gradient: (2, 3) is gated in but cut
+        near = search_window(grid.cell_center(1, 3), 4.0 * np.eye(2), gamma=9.0)
+        kept = lookup_candidates(grid, 1.0, sigma=1.0, window=near, n_max=1)
+        assert kept.cells.tolist() == [[1, 3]]
+        assert kept.grads.tolist() == [[0.0, 0.0]]
 
     def test_locations_built_once_and_read_only(self):
         grid = simple_grid(np.full((9, 9), 5.0))
@@ -258,6 +335,13 @@ class TestLookupCandidates:
         empty = lookup_candidates(grid, 50.0, sigma=1.0, window=w, n_max=20)
         assert empty.locations.shape == (0, 2)
         assert not empty.locations.flags.writeable
+        for cset in (cs, empty, CandidateSet.empty(5.0, 1.0)):
+            n = len(cset)
+            assert cset.grads.shape == cset.cells.shape == (n, 2)
+            assert cset.residuals.shape == (n,)
+            assert cset.cells.dtype.kind == "i"
+            for column in (cset.locations, cset.grads, cset.residuals, cset.cells):
+                assert not column.flags.writeable
 
 
 class TestFeatureVariability:

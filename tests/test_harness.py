@@ -97,7 +97,7 @@ class TestGenSyntheticMap:
                 if abs(grid.values[r, c] - s) > 3.0 * sigma:
                     continue
                 expected.add((r, c))
-        assert {c.cell for c in cs} == expected
+        assert set(map(tuple, cs.cells.tolist())) == expected
 
     def test_deterministic_given_seed(self):
         gen = MapGenParams(rows=30, cols=30, cell_size=50.0, noise_scale=1e-4, seed=9)

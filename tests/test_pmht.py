@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gravnav.assoc import candidate_weights, pda_fuse, position_noise_cov
+from gravnav.assoc import ScanStack, candidate_weights, pda_fuse, position_noise_cov
 from gravnav.errors import NoFixError, NumericalError
-from gravnav.geomap import Candidate, CandidateSet
+from gravnav.geomap import CandidateSet
 from gravnav.pmht import (
     BatchProblem,
     KinematicState,
@@ -15,23 +17,30 @@ from gravnav.pmht import (
 from oracles import batch_map_solution, kalman_rts
 
 
-def rolled_priors(x0, p0, model, t_len):
-    priors = [KinematicState(x=x0, cov=p0)]
-    x, p = x0, p0
+def rolled_means(x0, model, t_len):
+    """(T, 4) prior mean rolled forward: the first EM iterate of a batch."""
+    means = [x0]
     for _ in range(t_len - 1):
-        x = model.F @ x
-        p = model.F @ p @ model.F.T + model.Q
-        priors.append(KinematicState(x=x, cov=p))
-    return priors
+        means.append(model.F @ means[-1])
+    return np.array(means)
 
 
-def scan_from_points(points, sigma, grads, prior_mean=(0.0, 0.0)):
-    cands = tuple(
-        Candidate(location=np.asarray(p, dtype=float), grad=np.asarray(g, dtype=float))
-        for p, g in zip(points, grads))
-    return CandidateSet(cands, measurement=0.0, sigma=sigma,
-                        prior_mean=np.asarray(prior_mean, dtype=float),
-                        prior_cov=np.eye(2))
+def first_iterate(problem):
+    return rolled_means(problem.prior.x, problem.model, problem.batch_len)
+
+
+def scan_rows(problem):
+    """Stack row of each scan's fused outputs in em_step, None for an empty scan."""
+    rows = [None] * problem.batch_len
+    for r, t in enumerate(ScanStack.build(problem.scans).scans):
+        rows[t] = r
+    return rows
+
+
+def scan_from_points(points, sigma, grads):
+    n = len(points)
+    return CandidateSet(locations=points, grads=grads, residuals=np.zeros(n),
+                        cells=np.zeros((n, 2)), measurement=0.0, sigma=sigma)
 
 
 def single_candidate_problem(rng, t_len, dt=10.0, q_a=0.01, sigma=1e-5, grad_mag=1e-6,
@@ -40,19 +49,19 @@ def single_candidate_problem(rng, t_len, dt=10.0, q_a=0.01, sigma=1e-5, grad_mag
     a = rng.normal(0.0, 1.0, (4, 4))
     p0 = a @ a.T + np.diag([900.0, 900.0, 1.0, 1.0])
     model = cv_model(dt, q_a)
-    priors = rolled_priors(x0, p0, model, t_len)
+    means = rolled_means(x0, model, t_len)
     scans = []
     zs = []
     grads = []
     for t in range(t_len):
-        z = priors[t].position + rng.normal(0.0, 30.0, 2)
+        z = means[t, :2] + rng.normal(0.0, 30.0, 2)
         ang = rng.uniform(0.0, 2.0 * np.pi)
         grad = grad_mag * np.array([np.cos(ang), np.sin(ang)])
-        scans.append(scan_from_points([z], sigma, [grad], prior_mean=z))
+        scans.append(scan_from_points([z], sigma, [grad]))
         zs.append(z)
         grads.append(grad)
-    problem = BatchProblem(priors=tuple(priors), scans=tuple(scans), model=model,
-                           max_iters=max_iters, epsilon=epsilon)
+    problem = BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=tuple(scans),
+                           model=model, max_iters=max_iters, epsilon=epsilon)
     r_list = [(sigma / np.linalg.norm(g)) ** 2 * np.eye(2) for g in grads]
     return problem, zs, r_list
 
@@ -66,14 +75,14 @@ def clustered_problem(rng, t_len, n_per_scan=3, cluster_std=8.0, dt=10.0,
     off = prior_offset * _unit(rng)
     x0 = np.concatenate([true0 + off, vel])
     p0 = np.diag([prior_offset ** 2, prior_offset ** 2, 1.0, 1.0])
-    priors = rolled_priors(x0, p0, model, t_len)
     scans = []
     for t in range(t_len):
         true_pos = true0 + vel * dt * t
         pts = true_pos + rng.normal(0.0, cluster_std, (n_per_scan, 2))
         grads = [grad_mag * _unit(rng) for _ in range(n_per_scan)]
-        scans.append(scan_from_points(pts, sigma, grads, prior_mean=true_pos))
-    return BatchProblem(priors=tuple(priors), scans=tuple(scans), model=model, **kw)
+        scans.append(scan_from_points(pts, sigma, grads))
+    return BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=tuple(scans), model=model,
+                        **kw)
 
 
 def _unit(rng):
@@ -86,35 +95,36 @@ class TestEmStep:
         model = cv_model(10.0, q_a=1e-18)
         x0 = np.array([0.0, 0.0, 1.0, 0.5])
         p0 = np.diag([4.0, 4.0, 0.01, 0.01])
-        priors = rolled_priors(x0, p0, model, 2)
+        means = rolled_means(x0, model, 2)
         scans = tuple(
-            scan_from_points([priors[t].position], 1e-5, [np.array([1e-6, 0.0])])
+            scan_from_points([means[t, :2]], 1e-5, [np.array([1e-6, 0.0])])
             for t in range(2))
-        problem = BatchProblem(priors=tuple(priors), scans=scans, model=model)
-        states, fused = em_step(problem, list(priors))
+        problem = BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=scans, model=model)
+        xs, _, positions, _, _ = em_step(problem, means)
         for t in range(2):
-            assert states[t].x == pytest.approx(priors[t].x, abs=1e-9)
-        assert fused[1].fused_position == pytest.approx(priors[1].position)
+            assert xs[t] == pytest.approx(means[t], abs=1e-9)
+        assert positions[scan_rows(problem)[1]] == pytest.approx(means[1, :2])
 
     def test_smoothed_covariances_psd_and_symmetric(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             problem = clustered_problem(rng, t_len=8)
-            states, _ = em_step(problem, list(problem.priors))
-            for st in states:
-                assert np.allclose(st.cov, st.cov.T, atol=1e-12)
-                assert np.linalg.eigvalsh(st.cov).min() >= -1e-10
+            _, covs, _, _, _ = em_step(problem, first_iterate(problem))
+            for cov in covs:
+                assert np.allclose(cov, cov.T, atol=1e-12)
+                assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
     def test_empty_scan_prediction_only(self):
         rng = np.random.default_rng(4)
         problem, _, _ = single_candidate_problem(rng, 5)
         scans = list(problem.scans)
-        scans[2] = CandidateSet((), 0.0, 1e-5, np.zeros(2), np.eye(2))
-        problem2 = BatchProblem(priors=problem.priors, scans=tuple(scans),
+        scans[2] = CandidateSet.empty(0.0, 1e-5)
+        problem2 = BatchProblem(prior=problem.prior, scans=tuple(scans),
                                 model=problem.model)
-        states, fused = em_step(problem2, list(problem2.priors))
-        assert fused[2] is None
-        assert all(np.isfinite(st.x).all() for st in states)
+        xs, _, positions, _, _ = em_step(problem2, first_iterate(problem2))
+        assert scan_rows(problem2)[2] is None
+        assert len(positions) == 4
+        assert np.isfinite(xs).all()
 
 
 class TestStackedAssociation:
@@ -124,33 +134,36 @@ class TestStackedAssociation:
         # 8-element threshold where numpy switches to pairwise summation
         rng = np.random.default_rng(91)
         model = cv_model(10.0)
-        priors = rolled_priors(np.array([0.0, 0.0, 20.0, 5.0]),
-                               np.diag([900.0, 900.0, 1.0, 1.0]), model, 12)
+        x0 = np.array([0.0, 0.0, 20.0, 5.0])
+        means = rolled_means(x0, model, 12)
         counts = [0, 1, 8, 20, 1, 0, 9, 15, 8, 16, 1, 20]
         scans = tuple(
-            scan_from_points(priors[t].position + rng.normal(0.0, 40.0, (n, 2)),
+            scan_from_points(means[t, :2] + rng.normal(0.0, 40.0, (n, 2)),
                              1e-5, [rng.normal(0.0, 1e-6, 2) for _ in range(n)])
             for t, n in enumerate(counts))
-        problem = BatchProblem(priors=tuple(priors), scans=scans, model=model,
-                               spread_cov=spread_cov)
+        problem = BatchProblem(
+            prior=KinematicState(x=x0, cov=np.diag([900.0, 900.0, 1.0, 1.0])),
+            scans=scans, model=model, spread_cov=spread_cov)
         f, h = model.F, model.H
-        current, prev = list(priors), None
+        rows = scan_rows(problem)
+        current, prev = means, None
         for _ in range(3):
-            states, fused = em_step(problem, current, prev)
+            xs, _, positions, covs, weights = em_step(problem, current, prev)
             for t, cs in enumerate(scans):
+                r = rows[t]
                 if len(cs) == 0:
-                    assert fused[t] is None
+                    assert r is None
                     continue
-                per_cand = [position_noise_cov(cs.sigma, c.grad) for c in cs]
+                per_cand = [position_noise_cov(cs.sigma, g) for g in cs.grads]
                 meas_cov = (sum(per_cand) / len(per_cand) if prev is None
-                            else prev[t].fused_cov)
-                pred_x = priors[0].x if t == 0 else f @ current[t - 1].x
+                            else prev[r])
+                pred_x = x0 if t == 0 else f @ current[t - 1]
                 w = candidate_weights(cs, h @ pred_x, meas_cov)
                 ref = pda_fuse(cs, w, per_cand, spread_cov=spread_cov)
-                assert np.array_equal(fused[t].weights, w)
-                assert np.array_equal(fused[t].fused_position, ref.fused_position)
-                assert np.array_equal(fused[t].fused_cov, ref.fused_cov)
-            current, prev = states, fused
+                assert np.array_equal(weights[r], w)
+                assert np.array_equal(positions[r], ref.fused_position)
+                assert np.array_equal(covs[r], ref.fused_cov)
+            current, prev = xs, covs
 
 
 class TestRunBatchOracles:
@@ -161,7 +174,7 @@ class TestRunBatchOracles:
             problem, zs, r_list = single_candidate_problem(rng, t_len)
             est = run_batch(problem)
             zs_oracle = [None] + zs[1:]
-            sm_x, sm_p = kalman_rts(problem.priors[0].x, problem.priors[0].cov,
+            sm_x, sm_p = kalman_rts(problem.prior.x, problem.prior.cov,
                                     problem.model.F, problem.model.Q, problem.model.H,
                                     zs_oracle, r_list)
             for t in range(t_len):
@@ -175,7 +188,7 @@ class TestRunBatchOracles:
         rng = np.random.default_rng(200 + t_len)
         problem, zs, r_list = single_candidate_problem(rng, t_len)
         est = run_batch(problem)
-        means, covs = batch_map_solution(problem.priors[0].x, problem.priors[0].cov,
+        means, covs = batch_map_solution(problem.prior.x, problem.prior.cov,
                                          problem.model.F, problem.model.Q,
                                          problem.model.H, [None] + zs[1:], r_list)
         for t in range(t_len):
@@ -187,10 +200,8 @@ class TestRunBatchOracles:
     def test_iteration_count_independence_single_candidate(self):
         rng = np.random.default_rng(7)
         problem, _, _ = single_candidate_problem(rng, 10)
-        one = run_batch(BatchProblem(priors=problem.priors, scans=problem.scans,
-                                     model=problem.model, max_iters=1))
-        many = run_batch(BatchProblem(priors=problem.priors, scans=problem.scans,
-                                      model=problem.model, max_iters=15))
+        one = run_batch(replace(problem, max_iters=1))
+        many = run_batch(replace(problem, max_iters=15))
         for a, b in zip(one.states, many.states):
             assert a.x == pytest.approx(b.x, abs=1e-12)
             assert np.allclose(a.cov, b.cov, atol=1e-12)
@@ -201,11 +212,12 @@ class TestRunBatch:
         model = cv_model(10.0, q_a=1e-18)
         x0 = np.array([5.0, -2.0, 2.0, 1.0])
         p0 = np.diag([1.0, 1.0, 0.01, 0.01])
-        priors = rolled_priors(x0, p0, model, 2)
+        means = rolled_means(x0, model, 2)
         scans = tuple(
-            scan_from_points([priors[t].position], 1e-5, [np.array([1e-6, 0.0])])
+            scan_from_points([means[t, :2]], 1e-5, [np.array([1e-6, 0.0])])
             for t in range(2))
-        est = run_batch(BatchProblem(priors=tuple(priors), scans=scans, model=model))
+        est = run_batch(BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=scans,
+                                     model=model))
         assert est.converged
         assert est.iterations_used == 1
         assert est.final_residual == pytest.approx(0.0, abs=1e-12)
@@ -228,17 +240,12 @@ class TestRunBatch:
         rng = np.random.default_rng(8)
         problem = clustered_problem(rng, t_len=6)
         shift = np.array([5000.0, -3000.0])
-        shifted_priors = tuple(
-            KinematicState(x=st.x + np.concatenate([shift, np.zeros(2)]), cov=st.cov)
-            for st in problem.priors)
-        shifted_scans = tuple(
-            CandidateSet(tuple(Candidate(location=c.location + shift, map_value=c.map_value,
-                                         value_residual=c.value_residual, grad=c.grad,
-                                         cell=c.cell) for c in cs.candidates),
-                         cs.measurement, cs.sigma, cs.prior_mean + shift, cs.prior_cov)
-            for cs in problem.scans)
+        shifted_prior = KinematicState(
+            x=problem.prior.x + np.concatenate([shift, np.zeros(2)]), cov=problem.prior.cov)
+        shifted_scans = tuple(replace(cs, locations=cs.locations + shift)
+                              for cs in problem.scans)
         base = run_batch(problem)
-        moved = run_batch(BatchProblem(priors=shifted_priors, scans=shifted_scans,
+        moved = run_batch(BatchProblem(prior=shifted_prior, scans=shifted_scans,
                                        model=problem.model))
         for a, b in zip(base.states, moved.states):
             assert b.position == pytest.approx(a.position + shift, abs=1e-7)
@@ -260,20 +267,19 @@ class TestRunBatch:
 
     def test_all_scans_empty_raises(self):
         model = cv_model(10.0)
-        priors = rolled_priors(np.zeros(4), np.eye(4), model, 3)
-        empty = CandidateSet((), 0.0, 1e-5, np.zeros(2), np.eye(2))
+        empty = CandidateSet.empty(0.0, 1e-5)
         with pytest.raises(NoFixError):
-            run_batch(BatchProblem(priors=tuple(priors), scans=(empty,) * 3, model=model))
+            run_batch(BatchProblem(prior=KinematicState(x=np.zeros(4), cov=np.eye(4)),
+                                   scans=(empty,) * 3, model=model))
 
     @pytest.mark.filterwarnings("ignore::gravnav.assoc.FarCandidateWarning")
     def test_nan_candidate_raises_numerical_error(self):
         model = cv_model(10.0)
-        priors = rolled_priors(np.zeros(4), np.eye(4), model, 3)
         bad = scan_from_points([(np.nan, 0.0)], 1e-5, [np.array([1e-6, 0.0])])
         good = scan_from_points([(1.0, 1.0)], 1e-5, [np.array([1e-6, 0.0])])
         with pytest.raises(NumericalError) as exc:
-            run_batch(BatchProblem(priors=tuple(priors), scans=(good, bad, good),
-                                   model=model))
+            run_batch(BatchProblem(prior=KinematicState(x=np.zeros(4), cov=np.eye(4)),
+                                   scans=(good, bad, good), model=model))
         assert exc.value.iteration == 1
 
     def test_em_cost_non_increasing_on_clustered_fixtures(self):
@@ -295,32 +301,33 @@ class TestRunBatch:
         # never score worse than the states the weights were built from
         rng = np.random.default_rng(63)
 
-        def objective(problem, states, fused):
+        def objective(problem, xs, fused_cov, weights):
             f, q, h = problem.model.F, problem.model.Q, problem.model.H
-            x0, p0 = problem.priors[0].x, problem.priors[0].cov
-            d = states[0].x - x0
+            x0, p0 = problem.prior.x, problem.prior.cov
+            d = xs[0] - x0
             total = d @ np.linalg.solve(p0, d)
-            for t in range(len(states) - 1):
-                e = states[t + 1].x - f @ states[t].x
+            for t in range(len(xs) - 1):
+                e = xs[t + 1] - f @ xs[t]
                 total += e @ np.linalg.solve(q, e)
-            for t in range(1, len(states)):
-                zt = fused[t]
-                if zt is None:
+            rows = scan_rows(problem)
+            for t in range(1, len(xs)):
+                r = rows[t]
+                if r is None:
                     continue
-                diffs = problem.scans[t].locations - h @ states[t].x
-                sinv = np.linalg.inv(zt.fused_cov)
+                diffs = problem.scans[t].locations - h @ xs[t]
+                sinv = np.linalg.inv(fused_cov[r])
                 maha2 = np.einsum("ni,ij,nj->n", diffs, sinv, diffs)
-                total += float(zt.weights @ maha2)
+                total += float(weights[r] @ maha2)
             return total
 
         for _ in range(20):
             problem = clustered_problem(rng, t_len=8, epsilon=0.0)
-            current = list(problem.priors)
-            fused = None
+            current = first_iterate(problem)
+            fused_cov = None
             for _ in range(10):
-                new, fused = em_step(problem, current, fused)
-                before = objective(problem, current, fused)
-                after = objective(problem, new, fused)
+                new, _, _, fused_cov, weights = em_step(problem, current, fused_cov)
+                before = objective(problem, current, fused_cov, weights)
+                after = objective(problem, new, fused_cov, weights)
                 assert after <= before + 1e-9 * max(abs(before), 1.0)
                 current = new
 
@@ -329,14 +336,15 @@ class TestRunBatch:
         problem = clustered_problem(rng, t_len=10, prior_offset=80.0, epsilon=0.0)
         est = run_batch(problem)
 
-        def total_gap(states):
+        def total_gap(positions):
             gap = 0.0
             for t, cs in enumerate(problem.scans):
                 mean_pt = cs.locations.mean(axis=0)
-                gap += float(np.linalg.norm(states[t].position - mean_pt))
+                gap += float(np.linalg.norm(positions[t] - mean_pt))
             return gap
 
-        assert total_gap(est.states) < total_gap(problem.priors)
+        assert (total_gap([st.position for st in est.states])
+                < total_gap(first_iterate(problem)[:, :2]))
 
 
 class TestRetrodict:
