@@ -40,6 +40,14 @@ DEMO_DIGESTS = {
     "runs/1.csv": "6219393651391115da5302eca31416eeb0a61f8c2c57f22b4e3abe06988a1822",
 }
 
+# The same, with fusion.mode = retrodiction: 29 fixes applied per run.
+DEMO_RETRO_DIGESTS = {
+    "campaign.csv": "db397fb76d6aa519d0cf08284d7485018e08ee0209cce112cc1354ce6dc5a2a8",
+    "summary.csv": "020e91a99687e8ddd890e9506c192f3069b0fc8724aeb0b67c597db870c4ee65",
+    "runs/0.csv": "351d5a049516e8d6431e12dc0f6e78ecd1dde8ff6394287eadc218ab35e388a1",
+    "runs/1.csv": "8704df1432d987ee16c0933a528337e9aa85b43a4bd4a0c9ae1abf1de7c572a9",
+}
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -156,6 +164,15 @@ class TestCampaign:
         assert main(["campaign", "--config", DEMO_CFG, "--out", str(out),
                      "--seed", "0", "--jobs", "1"]) == 0
         assert {name: sha(out / name) for name in DEMO_DIGESTS} == DEMO_DIGESTS
+
+    def test_demo_retrodiction_outputs_pinned(self, tmp_path):
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            text = fh.read()
+        cfg = write(tmp_path / "cfg.txt", text + "fusion.mode = retrodiction\n")
+        out = tmp_path / "out"
+        assert main(["campaign", "--config", cfg, "--out", str(out),
+                     "--seed", "0", "--jobs", "1"]) == 0
+        assert {name: sha(out / name) for name in DEMO_RETRO_DIGESTS} == DEMO_RETRO_DIGESTS
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)
