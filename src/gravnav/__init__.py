@@ -8,7 +8,7 @@ Modules by concern: ``geomap`` (rasters, gated lookup, variability),
 (command-line entry point).
 """
 
-from .assoc import PdaResult, candidate_weights, pda_fuse, position_noise_cov
+from .assoc import candidate_weights, position_noise_cov
 from .config import ScenarioConfig, parse_config, parse_config_text, serialize_config
 from .fusion import AidingFix, FusionParams, NavBelief, apply_batch, ukf_predict, ukf_update
 from .geomap import (
@@ -40,7 +40,6 @@ from .pmht import (
     KinematicState,
     cv_model,
     em_step,
-    retrodict,
     run_batch,
 )
 

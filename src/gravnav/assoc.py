@@ -7,9 +7,8 @@ computed in the log domain to survive large Mahalanobis distances.
 
 The kernels work on a :class:`ScanStack`, the candidate sets of many scans
 at once, so that the batch tracker weights and fuses a whole batch with one
-stacked call per candidate count. :func:`candidate_weights` and
-:func:`pda_fuse` are the one-scan case of :func:`stack_weights` and
-:func:`stack_fuse`.
+stacked call per candidate count. :func:`candidate_weights` is the
+one-scan case of :func:`stack_weights`.
 """
 
 from __future__ import annotations
@@ -23,14 +22,12 @@ from .errors import CovarianceError, NoFixError
 from .geomap import CandidateSet
 
 __all__ = [
-    "PdaResult",
     "FarCandidateWarning",
     "ScanStack",
     "position_noise_cov",
     "stack_weights",
     "stack_fuse",
     "candidate_weights",
-    "pda_fuse",
 ]
 
 # Condition number beyond which a measurement covariance gets re-regularized.
@@ -42,21 +39,6 @@ _LOG_TINY = -744.44
 
 class FarCandidateWarning(RuntimeWarning):
     """All candidate likelihoods underflowed; weights fell back to uniform."""
-
-
-@dataclass(frozen=True)
-class PdaResult:
-    """Fused pseudo-measurement produced from one candidate set."""
-
-    fused_position: np.ndarray
-    fused_cov: np.ndarray
-    weights: np.ndarray
-    n_candidates: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "fused_position", np.asarray(self.fused_position, dtype=float))
-        object.__setattr__(self, "fused_cov", np.asarray(self.fused_cov, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,26 +182,3 @@ def candidate_weights(candidates: CandidateSet, predicted_pos, meas_cov) -> np.n
     pred = np.asarray(predicted_pos, dtype=float)[None]
     cov = np.asarray(meas_cov, dtype=float)[None]
     return stack_weights(ScanStack.build([candidates]), pred, cov)[0][0]
-
-
-def pda_fuse(
-    candidates: CandidateSet,
-    weights,
-    per_candidate_cov,
-    spread_cov: bool = False,
-) -> PdaResult:
-    """Collapse one scan's candidates into a pseudo-measurement.
-
-    The one-scan case of :func:`stack_fuse`.
-    """
-    n = len(candidates)
-    if n == 0:
-        raise NoFixError("cannot fuse an empty candidate set")
-    w = np.asarray(weights, dtype=float)
-    covs = np.asarray(per_candidate_cov, dtype=float)
-    if len(w) != n or len(covs) != n:
-        raise ValueError("weights and per-candidate covariances must match the candidate count")
-    positions, fused = stack_fuse(ScanStack.build([candidates]), [w[None]], [covs[None]],
-                                  spread_cov)
-    return PdaResult(fused_position=positions[0], fused_cov=fused[0], weights=w,
-                     n_candidates=n)

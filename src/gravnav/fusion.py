@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError
-from .pmht import BatchEstimate, cv_model, retrodict
+from .pmht import BatchEstimate, cv_model
 
 __all__ = [
     "NavBelief",
@@ -128,10 +128,6 @@ class BatchApplication:
     fixes: tuple[AidingFix, ...]
     n_accepted: int
     n_nis_rejected: int
-
-    @property
-    def effective(self) -> bool:
-        return self.n_accepted > 0
 
 
 @lru_cache(maxsize=32)
@@ -279,11 +275,13 @@ def apply_batch(
 ) -> BatchApplication:
     """Feed a smoothed batch into the belief in the configured aiding mode.
 
-    ``standard`` applies a single update with the final smoothed fix (the
-    belief must already sit at the batch end time). ``retrodiction`` applies
-    every smoothed fix in time order, calling ``advance(belief, t)`` to
-    re-predict between fixes; the belief must start at or before the first
-    fix. ``variabilities`` holds one normalized variability per scan.
+    Each scan of ``estimate`` gives one position fix: its time, the position
+    rows of its smoothed mean and the position block of its covariance.
+    ``standard`` applies a single update with the last scan's fix (the belief
+    must already sit at the batch end time). ``retrodiction`` applies every
+    fix in time order, calling ``advance(belief, t)`` to re-predict between
+    fixes; the belief must start at or before the first fix.
+    ``variabilities`` holds one normalized variability per scan.
 
     The smoothed in-batch states share the batch's information, so feeding
     them in as independent measurements would count that information T
@@ -293,11 +291,13 @@ def apply_batch(
     """
     if mode not in ("standard", "retrodiction"):
         raise ValueError(f"unknown aiding mode {mode!r}")
-    raw_fixes = retrodict(estimate)
-    if len(variabilities) != len(raw_fixes):
+    times = estimate.times
+    positions = estimate.means[:, :2]
+    covs = estimate.covs[:, :2, :2]
+    if len(variabilities) != len(times):
         raise ValueError("need one variability value per scan")
     if mode == "standard":
-        raw_fixes = raw_fixes[-1:]
+        times, positions, covs = times[-1:], positions[-1:], covs[-1:]
         variabilities = list(variabilities)[-1:]
 
     gate_ok = [aiding_gate(float(v), params.variability_threshold) for v in variabilities]
@@ -306,12 +306,12 @@ def apply_batch(
     applied: list[AidingFix] = []
     n_accepted = 0
     n_nis_rejected = 0
-    for raw, var, ok in zip(raw_fixes, variabilities, gate_ok):
+    for t, position, cov, var, ok in zip(times, positions, covs, variabilities, gate_ok):
         var = float(var)
         fix = AidingFix(
-            position=raw.position,
-            cov=info_split * weight_fix_covariance(raw.cov, var, params.v_floor),
-            time=raw.time,
+            position=position,
+            cov=info_split * weight_fix_covariance(cov, var, params.v_floor),
+            time=float(t),
             variability=var,
             accepted=ok,
         )

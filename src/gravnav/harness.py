@@ -208,7 +208,6 @@ class AidingEpoch:
     n_nis_rejected: int
     iterations_used: int
     converged: bool
-    effective: bool
 
 
 @dataclass(frozen=True)
@@ -312,7 +311,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
     pos_est[0] = belief.position
 
     scans: list[tuple[int, CandidateSet]] = []
-    checkpoint: tuple[NavBelief, int] | None = None
+    checkpoint: NavBelief | None = None
     var_history: list[float] = []
     epochs: list[AidingEpoch] = []
     first_accept_step: int | None = None
@@ -327,9 +326,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
         return bel
 
     def close_batch(bel: NavBelief, step: int) -> NavBelief:
-        ck_belief, _ck_step = checkpoint
         problem = BatchProblem(
-            prior=KinematicState(x=ck_belief.state[:4], cov=ck_belief.cov[:4, :4]),
+            prior=KinematicState(x=checkpoint.state[:4], cov=checkpoint.cov[:4, :4]),
             scans=tuple(cs for _, cs in scans),
             model=model,
             max_iters=cfg.pmht.max_iters,
@@ -343,19 +341,19 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
         except NoFixError:
             epochs.append(AidingEpoch(time=step * INS_DT, fixes=(), n_accepted=0,
                                       n_nis_rejected=0, iterations_used=0,
-                                      converged=False, effective=False))
+                                      converged=False))
             return bel
         variabilities = []
-        for st in est.states:
+        for position in est.means[:, :2]:
             try:
-                raw = feature_variability(grid, grid.cell_of(st.position),
+                raw = feature_variability(grid, grid.cell_of(position),
                                           fus.template_half_width)
             except (OutOfBoundsError, NodataError, ValueError):
                 raw = 0.0
             var_history.append(raw)
             variabilities.append(normalize_variability(var_history, fus.window_len))
         if fus.mode == "retrodiction":
-            result = apply_batch(ck_belief, est, "retrodiction", variabilities, fus,
+            result = apply_batch(checkpoint, est, "retrodiction", variabilities, fus,
                                  advance=advance)
             new_belief = result.belief
             end_time = step * INS_DT
@@ -371,7 +369,6 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
             n_nis_rejected=result.n_nis_rejected,
             iterations_used=est.iterations_used,
             converged=est.converged,
-            effective=result.effective,
         ))
         return new_belief
 
@@ -384,7 +381,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
             if meas is None or not cfg.aiding:
                 continue
             if not scans:
-                checkpoint = (belief, k)
+                checkpoint = belief
             try:
                 window = search_window(belief.position, belief.cov[:2, :2],
                                        cfg.pmht.gamma)

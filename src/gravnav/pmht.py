@@ -21,9 +21,9 @@ every scan at once; the backward smoother gains are one stacked solve. The
 results are bit-for-bit those of weighting and fusing scan by scan.
 
 An iterate is carried as arrays: ``(T, 4)`` means, ``(T, 4, 4)``
-covariances, and the fused pseudo-measurements by stack row. The
-:class:`KinematicState` and :class:`PdaResult` objects of a
-:class:`BatchEstimate` are built once, when the iteration ends.
+covariances, and the fused pseudo-measurements by stack row. The final
+iterate is the :class:`BatchEstimate`, which the nav filter reads as one
+position fix per scan.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assoc import PdaResult, ScanStack, position_noise_cov, stack_fuse, stack_weights
+from .assoc import ScanStack, position_noise_cov, stack_fuse, stack_weights
 # Not called here (the E-step uses its stacked form), but perfbench's tracer
 # test patches and restores this binding, so it stays importable from pmht.
 from .assoc import candidate_weights  # noqa: F401
@@ -46,11 +46,9 @@ __all__ = [
     "KinematicModel",
     "BatchProblem",
     "BatchEstimate",
-    "PositionFix",
     "cv_model",
     "em_step",
     "run_batch",
-    "retrodict",
 ]
 
 DEFAULT_MAX_ITERS = 15
@@ -175,25 +173,17 @@ class _StackedScans:
 
 @dataclass(frozen=True)
 class BatchEstimate:
-    """Smoothed batch trajectory plus iteration diagnostics."""
+    """Smoothed batch trajectory and how the iteration ended.
 
-    states: tuple[KinematicState, ...]
+    ``means`` is ``(T, 4)`` and ``covs`` ``(T, 4, 4)``, one row per scan, at
+    the scan ``times``.
+    """
+
+    means: np.ndarray
+    covs: np.ndarray
+    times: np.ndarray
     iterations_used: int
     converged: bool
-    per_scan_fused: tuple[PdaResult | None, ...]
-    final_residual: float
-    times: np.ndarray
-    cost_trace: np.ndarray
-    skipped_scans: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PositionFix:
-    """Timestamped position fix extracted from a smoothed batch state."""
-
-    time: float
-    position: np.ndarray
-    cov: np.ndarray
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -296,28 +286,6 @@ def em_step(
     return xs, ps, positions, covs, [w for group in weights for w in group]
 
 
-def _weighted_fit_cost(problem: BatchProblem, current: np.ndarray, fused_cov: np.ndarray,
-                       weights: list[np.ndarray]) -> float:
-    """Weighted squared Mahalanobis cost of the candidates per scan.
-
-    Candidates are measured against the same one-step predicted positions
-    the association weights were computed from (``current`` is the iterate
-    that fed the E-step), with each scan's fused covariance as the metric.
-    Scans are added in time order.
-    """
-    pred = _predicted_positions(problem, current)
-    row_of = problem._stacked.row_of
-    scans = np.flatnonzero(row_of >= 0)
-    rows = row_of[scans]
-    sinvs = np.linalg.inv(fused_cov[rows])
-    total = 0.0
-    for t, r, sinv in zip(scans, rows, sinvs):
-        diffs = problem.scans[t].locations - pred[t]
-        maha2 = np.einsum("ni,ij,nj->n", diffs, sinv, diffs)
-        total += float(weights[r] @ maha2)
-    return total
-
-
 def run_batch(problem: BatchProblem) -> BatchEstimate:
     """Iterate :func:`em_step` to convergence or the iteration budget.
 
@@ -326,59 +294,30 @@ def run_batch(problem: BatchProblem) -> BatchEstimate:
     between consecutive iterates. Raises :class:`NoFixError` when every scan
     is empty and :class:`NumericalError` when an iterate goes non-finite.
     """
-    t_len = problem.batch_len
-    skipped = tuple(t for t in range(t_len) if len(problem.scans[t]) == 0)
-    if len(skipped) == t_len:
+    if len(problem._stacked.stack) == 0:
         raise NoFixError("every scan in the batch is empty")
 
+    t_len = problem.batch_len
     current = np.empty((t_len, 4))
     current[0] = problem.prior.x
     for t in range(1, t_len):
         current[t] = problem.model.F @ current[t - 1]
     fused_cov = None
-    costs: list[float] = []
-    residual = np.inf
     converged = False
-    iterations = 0
     for i in range(1, problem.max_iters + 1):
-        xs, covs, positions, fused_cov, weights = em_step(problem, current, fused_cov)
-        iterations = i
+        xs, covs, _, fused_cov, _ = em_step(problem, current, fused_cov)
         if not (np.isfinite(xs).all() and np.isfinite(covs).all()):
             raise NumericalError("non-finite batch iterate", iteration=i)
         residual = max(float(np.linalg.norm(d)) for d in xs[:, :2] - current[:, :2])
-        costs.append(_weighted_fit_cost(problem, current, fused_cov, weights))
         current = xs
         if residual <= problem.epsilon:
             converged = True
             break
 
-    times = problem.start_time + np.arange(t_len) * problem.model.dt
     return BatchEstimate(
-        states=tuple(KinematicState(x=x, cov=p) for x, p in zip(current, covs)),
-        iterations_used=iterations,
+        means=current,
+        covs=covs,
+        times=problem.start_time + np.arange(t_len) * problem.model.dt,
+        iterations_used=i,
         converged=converged,
-        per_scan_fused=tuple(
-            None if r < 0 else PdaResult(fused_position=positions[r], fused_cov=fused_cov[r],
-                                         weights=weights[r], n_candidates=len(weights[r]))
-            for r in problem._stacked.row_of),
-        final_residual=residual,
-        times=times,
-        cost_trace=np.array(costs),
-        skipped_scans=skipped,
     )
-
-
-def retrodict(estimate: BatchEstimate) -> list[PositionFix]:
-    """Expose every smoothed in-batch state as a timestamped position fix.
-
-    Standard aiding consumes only the last fix; retrodiction consumes all of
-    them, reducing the effective aiding interval to one scan period.
-    """
-    fixes = []
-    for t, state in enumerate(estimate.states):
-        fixes.append(PositionFix(
-            time=float(estimate.times[t]),
-            position=state.position.copy(),
-            cov=state.cov[:2, :2].copy(),
-        ))
-    return fixes

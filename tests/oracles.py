@@ -2,10 +2,14 @@
 
 Everything here is deliberately written from the defining equations (stacked
 least squares, textbook Kalman recursions, double loops) rather than reusing
-library code paths.
+library code paths. The one exception is :func:`em_cost_trace`, which replays
+the tracker's own EM step to score each iteration.
 """
 
 import numpy as np
+
+from gravnav.assoc import ScanStack
+from gravnav.pmht import em_step, run_batch
 
 
 # --- linear-Gaussian batch smoothing -------------------------------------
@@ -88,6 +92,48 @@ def kalman_rts(x0, p0, f_mat, q_mat, h_mat, zs, rs):
         sm_x[t] = xs[t] + gain @ (sm_x[t + 1] - x_preds[t])
         sm_p[t] = ps[t] + gain @ (sm_p[t + 1] - p_preds[t]) @ gain.T
     return sm_x, sm_p
+
+
+def em_cost_trace(problem):
+    """Weighted fit cost of each EM iteration of ``run_batch(problem)``.
+
+    Replays :func:`em_step` from the prior mean rolled forward through the
+    model, stopping as ``run_batch`` does: when no scan's position moves
+    more than ``epsilon`` between iterates, or at ``max_iters``. An
+    iteration's cost sums, over the scans in time order, the weighted
+    squared Mahalanobis distances of the scan's candidates from the one-step
+    predicted position that fed the association step (scan 0 from the prior,
+    scan t from state t-1 of the iterate), in the metric of the scan's fused
+    covariance. Asserts that the replay ends on ``run_batch``'s estimate bit
+    for bit, so the trace cannot drift from the tracker.
+    """
+    f_mat, h_mat = problem.model.F, problem.model.H
+    t_len = problem.batch_len
+    current = [problem.prior.x]
+    for _ in range(t_len - 1):
+        current.append(f_mat @ current[-1])
+    current = np.array(current)
+    row_of = {int(t): r for r, t in enumerate(ScanStack.build(problem.scans).scans)}
+    fused_cov = None
+    costs = []
+    for _ in range(problem.max_iters):
+        xs, covs, _, fused_cov, weights = em_step(problem, current, fused_cov)
+        total = 0.0
+        for t in sorted(row_of):
+            r = row_of[t]
+            prev = problem.prior.x if t == 0 else f_mat @ current[t - 1]
+            diffs = problem.scans[t].locations - h_mat @ prev
+            sinv = np.linalg.inv(fused_cov[r])
+            total += float(weights[r] @ np.einsum("ni,ij,nj->n", diffs, sinv, diffs))
+        costs.append(total)
+        residual = max(float(np.linalg.norm(d)) for d in xs[:, :2] - current[:, :2])
+        current = xs
+        if residual <= problem.epsilon:
+            break
+    est = run_batch(problem)
+    assert est.iterations_used == len(costs)
+    assert np.array_equal(current, est.means) and np.array_equal(covs, est.covs)
+    return np.array(costs)
 
 
 # --- 6-state navigation Kalman filter -------------------------------------

@@ -20,7 +20,7 @@ from gravnav.geomap import GridMap, feature_variability, lookup_candidates, sear
 from gravnav.harness import run_campaign
 from gravnav.pmht import run_batch
 from oracles import batch_map_solution, gaussian_weights, nav_kf_predict, nav_kf_update
-from oracles import brute_variability
+from oracles import brute_variability, em_cost_trace
 from scenarios import corridor_config
 from test_assoc import make_set
 from test_cli import TOY_SCENARIO
@@ -79,7 +79,7 @@ def test_criterion_1_smoother_oracle():
             problem.prior.x, problem.prior.cov, problem.model.F,
             problem.model.Q, problem.model.H, [None] + zs[1:], r_list)
         for t in range(t_len):
-            rel = (np.linalg.norm(est.states[t].x - means[t])
+            rel = (np.linalg.norm(est.means[t] - means[t])
                    / max(np.linalg.norm(means[t]), 1.0))
             worst = max(worst, rel)
     elapsed = time.monotonic() - t0
@@ -214,7 +214,7 @@ def test_criterion_7_em_iteration_budget():
         est = run_batch(problem)
         if est.iterations_used > 15:
             over_budget += 1
-        trace = est.cost_trace
+        trace = em_cost_trace(problem)
         if not (np.diff(trace) <= 1e-3 * np.maximum(trace[:-1], 1e-30)).all():
             non_monotone += 1
     ok = over_budget == 0 and non_monotone <= 5

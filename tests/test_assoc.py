@@ -3,9 +3,10 @@ import pytest
 
 from gravnav.assoc import (
     FarCandidateWarning,
+    ScanStack,
     candidate_weights,
-    pda_fuse,
     position_noise_cov,
+    stack_fuse,
 )
 from gravnav.errors import NoFixError
 from gravnav.geomap import CandidateSet
@@ -17,6 +18,14 @@ def make_set(points, sigma=1.0):
     return CandidateSet(locations=np.asarray(points, dtype=float), grads=np.zeros((n, 2)),
                         residuals=np.zeros(n), cells=np.zeros((n, 2)), measurement=0.0,
                         sigma=sigma)
+
+
+def fuse_one(points, weights, covs, spread_cov=False):
+    """Fused position and covariance of one scan, as a one-row ScanStack."""
+    positions, fused = stack_fuse(ScanStack.build([make_set(points)]),
+                                  [np.asarray(weights, dtype=float)[None]],
+                                  [np.asarray(covs, dtype=float)[None]], spread_cov)
+    return positions[0], fused[0]
 
 
 class TestPositionNoiseCov:
@@ -152,31 +161,28 @@ class TestBitExactness:
             cs = make_set(points)
             w = candidate_weights(cs, pred, cov)
             assert np.array_equal(w, reference_weights(cs.locations, pred, cov))
-            res = pda_fuse(cs, w, covs, spread_cov=spread)
+            pos, cov = fuse_one(points, w, covs, spread_cov=spread)
             z_bar, r_bar = reference_fuse(cs.locations, w, covs, spread)
-            assert np.array_equal(res.fused_position, z_bar)
-            assert np.array_equal(res.fused_cov, r_bar)
+            assert np.array_equal(pos, z_bar)
+            assert np.array_equal(cov, r_bar)
 
 
 class TestPdaFuse:
     def test_single_candidate_identity(self):
-        cs = make_set([(3.0, 4.0)])
-        res = pda_fuse(cs, [1.0], [2.0 * np.eye(2)])
-        assert res.fused_position == pytest.approx([3.0, 4.0])
-        assert np.allclose(res.fused_cov, 2.0 * np.eye(2))
-        assert res.n_candidates == 1
+        pos, cov = fuse_one([(3.0, 4.0)], [1.0], [2.0 * np.eye(2)])
+        assert pos == pytest.approx([3.0, 4.0])
+        assert np.allclose(cov, 2.0 * np.eye(2))
 
     def test_equal_weight_midpoint(self):
-        cs = make_set([(0.0, 0.0), (2.0, 0.0)])
-        res = pda_fuse(cs, [0.5, 0.5], [np.eye(2), np.eye(2)])
-        assert res.fused_position == pytest.approx([1.0, 0.0])
+        pos, _ = fuse_one([(0.0, 0.0), (2.0, 0.0)], [0.5, 0.5], [np.eye(2), np.eye(2)])
+        assert pos == pytest.approx([1.0, 0.0])
 
     def test_weighted_mean_arithmetic(self):
         # given weights, the fused position is plain weighted-mean arithmetic
-        cs = make_set([(1.0, 0.0), (0.0, 2.0), (-3.0, 0.0)])
+        points = [(1.0, 0.0), (0.0, 2.0), (-3.0, 0.0)]
         weights = [0.7054, 0.2361, 0.0585]
-        res = pda_fuse(cs, weights, [np.eye(2)] * 3)
-        assert res.fused_position == pytest.approx([0.5299, 0.4722], abs=1e-4)
+        pos, _ = fuse_one(points, weights, [np.eye(2)] * 3)
+        assert pos == pytest.approx([0.5299, 0.4722], abs=1e-4)
 
     def test_fused_position_in_convex_hull_and_cov_psd(self):
         rng = np.random.default_rng(17)
@@ -189,46 +195,42 @@ class TestPdaFuse:
             for _ in range(n):
                 m = rng.normal(0.0, 1.0, (2, 2))
                 covs.append(m @ m.T + 0.01 * np.eye(2))
-            res = pda_fuse(make_set(points), w, covs, spread_cov=bool(rng.integers(2)))
+            pos, cov = fuse_one(points, w, covs, spread_cov=bool(rng.integers(2)))
             lo = points.min(axis=0) - 1e-12
             hi = points.max(axis=0) + 1e-12
-            assert (res.fused_position >= lo).all() and (res.fused_position <= hi).all()
-            eigs = np.linalg.eigvalsh(res.fused_cov)
+            assert (pos >= lo).all() and (pos <= hi).all()
+            eigs = np.linalg.eigvalsh(cov)
             assert eigs.min() >= -1e-12
-            assert np.allclose(res.fused_cov, res.fused_cov.T)
+            assert np.allclose(cov, cov.T)
 
     def test_coincident_candidates(self):
         points = [(2.0, 2.0)] * 3
         w = [0.2, 0.5, 0.3]
         covs = [np.eye(2), 2.0 * np.eye(2), 4.0 * np.eye(2)]
-        res = pda_fuse(make_set(points), w, covs, spread_cov=True)
-        assert res.fused_position == pytest.approx([2.0, 2.0])
+        pos, cov = fuse_one(points, w, covs, spread_cov=True)
+        assert pos == pytest.approx([2.0, 2.0])
         expected = (0.2 * 1.0 + 0.5 * 2.0 + 0.3 * 4.0) * np.eye(2)
-        assert np.allclose(res.fused_cov, expected)
+        assert np.allclose(cov, expected)
 
     def test_spread_term_adds_dispersion(self):
         points = np.array([(0.0, 0.0), (10.0, 0.0)])
         w = [0.5, 0.5]
         covs = [np.eye(2)] * 2
-        plain = pda_fuse(make_set(points), w, covs, spread_cov=False)
-        spread = pda_fuse(make_set(points), w, covs, spread_cov=True)
-        assert np.allclose(plain.fused_cov, np.eye(2))
-        assert spread.fused_cov[0, 0] == pytest.approx(1.0 + 25.0)
+        _, plain = fuse_one(points, w, covs, spread_cov=False)
+        _, spread = fuse_one(points, w, covs, spread_cov=True)
+        assert np.allclose(plain, np.eye(2))
+        assert spread[0, 0] == pytest.approx(1.0 + 25.0)
 
     def test_translation_equivariance(self):
         points = np.array([(1.0, 1.0), (3.0, -2.0)])
         w = [0.25, 0.75]
         covs = [np.eye(2), 2.0 * np.eye(2)]
         shift = np.array([11.0, -7.0])
-        a = pda_fuse(make_set(points), w, covs)
-        b = pda_fuse(make_set(points + shift), w, covs)
-        assert b.fused_position == pytest.approx(a.fused_position + shift)
-        assert np.allclose(a.fused_cov, b.fused_cov)
-
-    def test_empty_raises(self):
-        with pytest.raises(NoFixError):
-            pda_fuse(make_set([]), [], [])
+        pos_a, cov_a = fuse_one(points, w, covs)
+        pos_b, cov_b = fuse_one(points + shift, w, covs)
+        assert pos_b == pytest.approx(pos_a + shift)
+        assert np.allclose(cov_a, cov_b)
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError):
-            pda_fuse(make_set([(0.0, 0.0), (1.0, 0.0)]), [0.9, 0.5], [np.eye(2)] * 2)
+            fuse_one([(0.0, 0.0), (1.0, 0.0)], [0.9, 0.5], [np.eye(2)] * 2)

@@ -14,7 +14,7 @@ from gravnav.fusion import (
     ukf_update,
     weight_fix_covariance,
 )
-from gravnav.pmht import BatchEstimate, KinematicState, cv_model
+from gravnav.pmht import BatchEstimate, cv_model
 from oracles import nav_kf_predict, nav_kf_update
 
 
@@ -31,13 +31,6 @@ def accepted_fix(position, cov, time=0.0, variability=1.0):
     return AidingFix(position=np.asarray(position, dtype=float),
                      cov=np.asarray(cov, dtype=float), time=time,
                      variability=variability, accepted=True)
-
-
-def estimate_from_states(states, times):
-    return BatchEstimate(states=tuple(states), iterations_used=1, converged=True,
-                         per_scan_fused=(None,) * len(states), final_residual=0.0,
-                         times=np.asarray(times, dtype=float), cost_trace=np.array([]),
-                         skipped_scans=())
 
 
 class TestUkfPredict:
@@ -236,12 +229,10 @@ class TestUkfUpdate:
 
 class TestApplyBatch:
     def make_estimate(self, positions, times, pos_cov=25.0):
-        states = [
-            KinematicState(x=np.array([p[0], p[1], 22.0, 0.0]),
-                           cov=np.diag([pos_cov, pos_cov, 0.01, 0.01]))
-            for p in positions
-        ]
-        return estimate_from_states(states, times)
+        means = np.array([[p[0], p[1], 22.0, 0.0] for p in positions])
+        covs = np.array([np.diag([pos_cov, pos_cov, 0.01, 0.01])] * len(positions))
+        return BatchEstimate(means=means, covs=covs, times=np.asarray(times, dtype=float),
+                             iterations_used=1, converged=True)
 
     def test_standard_applies_single_update(self):
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
@@ -250,7 +241,6 @@ class TestApplyBatch:
         res = apply_batch(b, est, "standard", [1.0, 1.0], params)
         assert len(res.fixes) == 1
         assert res.n_accepted == 1
-        assert res.effective
 
     def test_retrodiction_applies_all_fixes(self):
         est = self.make_estimate([(10.0, 0.0), (120.0, 1.0), (230.0, 2.0)],
@@ -283,7 +273,7 @@ class TestApplyBatch:
         b = belief(time=20.0)
         params = FusionParams(variability_threshold=0.5)
         res = apply_batch(b, est, "standard", [0.0, 0.01], params)
-        assert not res.effective
+        assert res.n_accepted == 0
         assert res.belief is b
         assert not res.fixes[0].accepted
 

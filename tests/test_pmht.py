@@ -3,18 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gravnav.assoc import ScanStack, candidate_weights, pda_fuse, position_noise_cov
+from gravnav.assoc import ScanStack, candidate_weights, position_noise_cov, stack_fuse
 from gravnav.errors import NoFixError, NumericalError
+from gravnav.fusion import FusionParams, NavBelief, apply_batch
 from gravnav.geomap import CandidateSet
 from gravnav.pmht import (
     BatchProblem,
     KinematicState,
     cv_model,
     em_step,
-    retrodict,
     run_batch,
 )
-from oracles import batch_map_solution, kalman_rts
+from oracles import batch_map_solution, em_cost_trace, kalman_rts
 
 
 def rolled_means(x0, model, t_len):
@@ -27,6 +27,11 @@ def rolled_means(x0, model, t_len):
 
 def first_iterate(problem):
     return rolled_means(problem.prior.x, problem.model, problem.batch_len)
+
+
+def max_displacement(means, other):
+    """Largest per-scan position move between two ``(T, 4)`` iterates."""
+    return max(float(np.linalg.norm(d)) for d in means[:, :2] - other[:, :2])
 
 
 def scan_rows(problem):
@@ -159,10 +164,11 @@ class TestStackedAssociation:
                             else prev[r])
                 pred_x = x0 if t == 0 else f @ current[t - 1]
                 w = candidate_weights(cs, h @ pred_x, meas_cov)
-                ref = pda_fuse(cs, w, per_cand, spread_cov=spread_cov)
+                ref_pos, ref_cov = stack_fuse(ScanStack.build([cs]), [w[None]],
+                                              [np.array(per_cand)[None]], spread_cov)
                 assert np.array_equal(weights[r], w)
-                assert np.array_equal(positions[r], ref.fused_position)
-                assert np.array_equal(covs[r], ref.fused_cov)
+                assert np.array_equal(positions[r], ref_pos[0])
+                assert np.array_equal(covs[r], ref_cov[0])
             current, prev = xs, covs
 
 
@@ -179,9 +185,9 @@ class TestRunBatchOracles:
                                     zs_oracle, r_list)
             for t in range(t_len):
                 denom = max(1.0, np.linalg.norm(sm_x[t]))
-                assert np.linalg.norm(est.states[t].x - sm_x[t]) / denom <= 1e-10
+                assert np.linalg.norm(est.means[t] - sm_x[t]) / denom <= 1e-10
                 pden = max(1.0, np.linalg.norm(sm_p[t]))
-                assert np.linalg.norm(est.states[t].cov - sm_p[t]) / pden <= 1e-10
+                assert np.linalg.norm(est.covs[t] - sm_p[t]) / pden <= 1e-10
 
     @pytest.mark.parametrize("t_len", [2, 15, 30])
     def test_single_candidate_matches_stacked_map(self, t_len):
@@ -193,18 +199,19 @@ class TestRunBatchOracles:
                                          problem.model.H, [None] + zs[1:], r_list)
         for t in range(t_len):
             denom = max(1.0, np.linalg.norm(means[t]))
-            assert np.linalg.norm(est.states[t].x - means[t]) / denom <= 1e-8
+            assert np.linalg.norm(est.means[t] - means[t]) / denom <= 1e-8
             pden = max(1.0, np.linalg.norm(covs[t]))
-            assert np.linalg.norm(est.states[t].cov - covs[t]) / pden <= 1e-8
+            assert np.linalg.norm(est.covs[t] - covs[t]) / pden <= 1e-8
 
     def test_iteration_count_independence_single_candidate(self):
         rng = np.random.default_rng(7)
         problem, _, _ = single_candidate_problem(rng, 10)
         one = run_batch(replace(problem, max_iters=1))
         many = run_batch(replace(problem, max_iters=15))
-        for a, b in zip(one.states, many.states):
-            assert a.x == pytest.approx(b.x, abs=1e-12)
-            assert np.allclose(a.cov, b.cov, atol=1e-12)
+        for xa, xb in zip(one.means, many.means):
+            assert xa == pytest.approx(xb, abs=1e-12)
+        for pa, pb in zip(one.covs, many.covs):
+            assert np.allclose(pa, pb, atol=1e-12)
 
 
 class TestRunBatch:
@@ -220,7 +227,8 @@ class TestRunBatch:
                                      model=model))
         assert est.converged
         assert est.iterations_used == 1
-        assert est.final_residual == pytest.approx(0.0, abs=1e-12)
+        # one iteration: the final residual is the move from the first iterate
+        assert max_displacement(est.means, means) == pytest.approx(0.0, abs=1e-12)
 
     def test_iteration_budget_respected(self):
         rng = np.random.default_rng(12)
@@ -234,7 +242,9 @@ class TestRunBatch:
         problem = clustered_problem(rng, t_len=10, epsilon=0.01)
         est = run_batch(problem)
         assert est.converged
-        assert est.final_residual <= 0.01
+        # the final residual is the move from the iterate one iteration back
+        prev = run_batch(replace(problem, max_iters=est.iterations_used - 1))
+        assert max_displacement(est.means, prev.means) <= 0.01
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(8)
@@ -247,9 +257,9 @@ class TestRunBatch:
         base = run_batch(problem)
         moved = run_batch(BatchProblem(prior=shifted_prior, scans=shifted_scans,
                                        model=problem.model))
-        for a, b in zip(base.states, moved.states):
-            assert b.position == pytest.approx(a.position + shift, abs=1e-7)
-            assert b.velocity == pytest.approx(a.velocity, abs=1e-9)
+        for a, b in zip(base.means, moved.means):
+            assert b[:2] == pytest.approx(a[:2] + shift, abs=1e-7)
+            assert b[2:] == pytest.approx(a[2:], abs=1e-9)
 
     def test_determinism_bitwise(self):
         rng1 = np.random.default_rng(77)
@@ -259,11 +269,16 @@ class TestRunBatch:
         a = run_batch(p1)
         b = run_batch(p2)
         assert a.iterations_used == b.iterations_used
-        for sa, sb in zip(a.states, b.states):
-            assert (sa.x == sb.x).all()
-            assert (sa.cov == sb.cov).all()
-        for fa, fb in zip(a.per_scan_fused, b.per_scan_fused):
-            assert (fa.weights == fb.weights).all()
+        assert (a.means == b.means).all()
+        assert (a.covs == b.covs).all()
+        # the association weights of every iteration
+        cur1, cur2 = first_iterate(p1), first_iterate(p2)
+        cov1 = cov2 = None
+        for _ in range(a.iterations_used):
+            cur1, _, _, cov1, w1 = em_step(p1, cur1, cov1)
+            cur2, _, _, cov2, w2 = em_step(p2, cur2, cov2)
+            for wa, wb in zip(w1, w2, strict=True):
+                assert (wa == wb).all()
 
     def test_all_scans_empty_raises(self):
         model = cv_model(10.0)
@@ -289,8 +304,7 @@ class TestRunBatch:
         bad = 0
         for _ in range(20):
             problem = clustered_problem(rng, t_len=8, epsilon=0.0)
-            est = run_batch(problem)
-            trace = est.cost_trace
+            trace = em_cost_trace(problem)
             if not (np.diff(trace) <= 1e-3 * np.maximum(trace[:-1], 1e-30)).all():
                 bad += 1
         assert bad <= 1
@@ -343,8 +357,7 @@ class TestRunBatch:
                 gap += float(np.linalg.norm(positions[t] - mean_pt))
             return gap
 
-        assert (total_gap([st.position for st in est.states])
-                < total_gap(first_iterate(problem)[:, :2]))
+        assert total_gap(est.means[:, :2]) < total_gap(first_iterate(problem)[:, :2])
 
 
 class TestRetrodict:
@@ -352,9 +365,23 @@ class TestRetrodict:
         rng = np.random.default_rng(23)
         problem, _, _ = single_candidate_problem(rng, 30, dt=10.0)
         est = run_batch(problem)
-        fixes = retrodict(est)
-        assert len(fixes) == 30
-        gaps = np.diff([f.time for f in fixes])
-        assert gaps == pytest.approx(np.full(29, 10.0))
-        assert fixes[-1].position == pytest.approx(est.states[-1].position)
-        assert np.allclose(fixes[-1].cov, est.states[-1].cov[:2, :2])
+        assert len(est.times) == 30
+        assert np.diff(est.times) == pytest.approx(np.full(29, 10.0))
+
+        params = FusionParams(nis_gate=None)
+        start = NavBelief(state=np.concatenate([problem.prior.x, np.zeros(2)]),
+                          cov=np.eye(6), time=float(est.times[0]))
+
+        def advance(bel, t_target):
+            return NavBelief(state=bel.state, cov=bel.cov, time=t_target)
+
+        retro = apply_batch(start, est, "retrodiction", [1.0] * 30, params, advance=advance)
+        assert len(retro.fixes) == 30
+        assert [f.time for f in retro.fixes] == pytest.approx(est.times)
+        for fix, mean in zip(retro.fixes, est.means):
+            assert np.array_equal(fix.position, mean[:2])
+
+        end = NavBelief(state=start.state, cov=start.cov, time=float(est.times[-1]))
+        (fix,) = apply_batch(end, est, "standard", [1.0] * 30, params).fixes
+        assert fix.position == pytest.approx(est.means[-1, :2])
+        assert np.allclose(fix.cov, est.covs[-1, :2, :2])
