@@ -83,6 +83,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.monte_carlo.base_seed = args.seed

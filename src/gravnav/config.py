@@ -43,6 +43,8 @@ __all__ = [
     "config_hash",
 ]
 
+INS_DT = 1.0  # dead-reckoning step, seconds; gravimeter samples land on these steps
+
 
 @dataclass(frozen=True)
 class GaussianBump:
@@ -142,6 +144,11 @@ class ScenarioConfig:
             raise ConfigError("config must set either map.file or synthetic map parameters")
         for key in KEYS:
             key.check(key.get(self))
+        steps = self.gravimeter.interval / INS_DT
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ConfigError(
+                f"gravimeter.interval must be a whole number of {INS_DT:g} s INS steps, "
+                f"got {_fmt(self.gravimeter.interval)}")
         if self.aiding and self.pmht.T * self.gravimeter.interval > self.duration:
             raise ConfigError(
                 f"pmht.T = {self.pmht.T} scans every gravimeter.interval = "
@@ -298,7 +305,7 @@ KEYS: tuple[Key, ...] = (
     Key("duration", "", _FLOAT, gt=0),
     Key("ins.accel_grade", "ins", _STR),
     Key("ins.gyro_grade", "ins", _STR),
-    Key("gravimeter.sigma", "gravimeter", _FLOAT, ge=0),
+    Key("gravimeter.sigma", "gravimeter", _FLOAT, gt=0),
     Key("gravimeter.interval", "gravimeter", _FLOAT, gt=0),
     Key("pmht.T", "pmht", _INT, ge=2),
     Key("pmht.max_iters", "pmht", _INT, ge=1),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import MapGenParams, ScenarioConfig, config_hash, serialize_config
+from .config import INS_DT, MapGenParams, ScenarioConfig, config_hash, serialize_config
 from .errors import (
     ConfigError,
     CovarianceError,
@@ -52,9 +52,6 @@ __all__ = [
     "write_campaign_outputs",
     "write_run_csv",
 ]
-
-INS_DT = 1.0  # dead-reckoning rate, samples per second
-
 
 _SMOOTH_BLOCK_ROWS = 16  # rows per smoothing block: a few hundred kB stays in cache
 
@@ -459,15 +456,16 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
     """Run ``monte_carlo.runs`` seeded scenarios and aggregate the metrics.
 
     Results are keyed and reduced in seed order, so the report is identical
-    for any ``jobs`` value.
+    for any ``jobs`` value. At most one worker process is started per run.
     """
     cfg.validate()
     # Built once, before any worker starts, so a bad map fails here with its
     # own error at any ``jobs`` value.
     grid = build_grid(cfg)
     seeds = [cfg.monte_carlo.base_seed + i for i in range(cfg.monte_carlo.runs)]
-    if jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_campaign_worker_init,
+    workers = min(jobs, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_campaign_worker_init,
                                  initargs=(cfg, grid)) as pool:
             reports = list(pool.map(_campaign_worker, seeds))
     else:

@@ -144,6 +144,9 @@ class TestCampaign:
             ("fusion.variability_threshold", "1.5"),
             ("pmht.grad_floor", "0"),
             ("gravimeter.sigma", "-1"),
+            ("gravimeter.sigma", "0"),
+            ("gravimeter.interval", "2.5"),
+            ("gravimeter.interval", "inf"),
             ("fusion.alpha", "0"),
             ("fusion.template_half_width", "-1"),
             ("pmht.k_sig", "0"),
@@ -157,6 +160,45 @@ class TestCampaign:
         assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2_names_flag(self, tmp_path, capsys, jobs):
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)
+        out = tmp_path / "o"
+        assert main(["campaign", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runs, started", [(2, [2]), (1, [])])
+    def test_workers_capped_at_run_count(self, tmp_path, monkeypatch, runs, started):
+        import gravnav.harness as harness
+
+        pools = []
+
+        class RecordingPool:
+            """Records the worker count asked for; maps in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_WORKER_CFG", None)
+        monkeypatch.setattr(harness, "_WORKER_GRID", None)
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + f"monte_carlo.runs = {runs}\n")
+        out = tmp_path / "o"
+        assert main(["campaign", "--config", cfg, "--out", str(out), "--jobs", "8"]) == 0
+        assert pools == started
+        assert len(list((out / "runs").iterdir())) == runs
 
     def test_demo_outputs_pinned(self, tmp_path):
         # Any moved output bit fails here; a deliberate change re-records these.
