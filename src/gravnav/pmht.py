@@ -66,14 +66,6 @@ class KinematicState:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
 
-    @property
-    def position(self) -> np.ndarray:
-        return self.x[:2]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.x[2:4]
-
 
 @dataclass(frozen=True)
 class KinematicModel:
