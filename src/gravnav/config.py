@@ -144,6 +144,8 @@ class ScenarioConfig:
             raise ConfigError("config must set either map.file or synthetic map parameters")
         for key in KEYS:
             key.check(key.get(self))
+        if not math.isfinite(self.duration):
+            raise ConfigError(f"duration must be finite, got {_fmt(self.duration)}")
         steps = self.gravimeter.interval / INS_DT
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
             raise ConfigError(

@@ -46,10 +46,14 @@ class NumericalError(GravNavError):
     """Numerical failure (NaN/Inf) inside an iterative estimator.
 
     ``iteration`` holds the iteration index at which the failure surfaced.
+    ``rows`` names the failed rows when the input was a stack (one row per
+    seed) and the others came through.
     """
 
-    def __init__(self, message: str, iteration: int | None = None):
+    def __init__(self, message: str, iteration: int | None = None,
+                 rows: tuple[int, ...] | None = None):
         self.iteration = iteration
+        self.rows = rows
         if iteration is not None:
             message = f"iteration {iteration}: {message}"
         super().__init__(message)

@@ -10,10 +10,22 @@ wrong-cluster fixes.
 Sigma-point machinery follows the scaled unscented transform. The dynamics
 and measurement models here are linear, so the filter is exactly equivalent
 to a Kalman filter; the sigma-point form is kept for the nonlinear
-extensions the aiding pathway anticipates. Prediction propagates all sigma
-points with one set of array operations; the unscented weights and the
+extensions the aiding pathway anticipates. The unscented weights and the
 discrete process noise depend only on the filter parameters and the step,
 so they are computed once per distinct argument set and shared read-only.
+
+Prediction moves a stack of beliefs with a leading seed axis: state
+``(R, 6)``, covariance ``(R, 6, 6)``, one row per seed of a campaign block,
+all at one time. One call advances every sigma point of every seed with one
+set of array operations; a lone belief is the R = 1 stack. Each seed gets
+the bits it would get alone, because numpy's stacked ``cholesky`` and
+``matmul`` repeat the one-matrix call per matrix. That holds only while
+every matmul operand has the same per-matrix strides as in the one-matrix
+form: C-ordered matrices, and their transposed views where that form
+transposes. An operand built by ``np.concatenate`` along the last axis, or
+by ``np.empty_like`` of one, is F-strided per matrix and moves the last bit,
+so the sigma points and their propagated copy are allocated with
+``np.empty`` and filled by slice. Updates stay per seed.
 """
 
 from __future__ import annotations
@@ -47,7 +59,11 @@ CHI2_99P9_2DOF = 13.815510557964274
 
 @dataclass(frozen=True)
 class NavBelief:
-    """Aided-INS state [pE, pN, vE, vN, bE, bN] with covariance and time."""
+    """Aided-INS state [pE, pN, vE, vN, bE, bN] with covariance and time.
+
+    ``state`` may also be a stack ``(R, 6)`` with ``cov`` ``(R, 6, 6)``: the
+    beliefs of R seeds at one time.
+    """
 
     state: np.ndarray
     cov: np.ndarray
@@ -59,15 +75,15 @@ class NavBelief:
 
     @property
     def position(self) -> np.ndarray:
-        return self.state[:2]
+        return self.state[..., :2]
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.state[2:4]
+        return self.state[..., 2:4]
 
     @property
     def bias(self) -> np.ndarray:
-        return self.state[4:6]
+        return self.state[..., 4:6]
 
 
 @dataclass(frozen=True)
@@ -144,26 +160,54 @@ def _unscented_weights(n: int, alpha: float, beta: float,
     return c, wm, wc
 
 
-def _sigma_points(x: np.ndarray, cov: np.ndarray, alpha: float, beta: float,
-                  kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled unscented sigma points and their mean/cov weights."""
-    n = x.size
-    c, wm, wc = _unscented_weights(n, alpha, beta, kappa)
-    scaled = c * 0.5 * (cov + cov.T)
+def _cholesky(scaled: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``scaled``, one matrix or a stack of them.
+
+    A matrix that is not positive definite gets a trace-scaled jitter and a
+    warning. In a stack only those matrices do: the others keep the factor
+    of the stacked call, which is the factor each gets alone. Raises
+    :class:`NumericalError` when a matrix still fails after the jitter; for
+    a stack its ``rows`` names every matrix that failed.
+    """
     try:
-        root = np.linalg.cholesky(scaled)
+        return np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
+        if scaled.ndim > 2:
+            root = np.empty_like(scaled)
+            failed = []
+            for i, matrix in enumerate(scaled):
+                try:
+                    root[i] = _cholesky(matrix)
+                except NumericalError:
+                    failed.append(i)
+            if failed:
+                raise NumericalError("covariance square root failed after regularization",
+                                     rows=tuple(failed)) from None
+            return root
         warnings.warn("belief covariance lost positive definiteness; regularized",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)
         jitter = max(np.trace(scaled), 1.0) * 1e-12
         try:
-            root = np.linalg.cholesky(scaled + jitter * np.eye(n))
+            return np.linalg.cholesky(scaled + jitter * np.eye(len(scaled)))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("covariance square root failed after regularization") from exc
-    points = np.empty((2 * n + 1, n))
-    points[0] = x
-    points[1:n + 1] = x + root.T
-    points[n + 1:] = x - root.T
+
+
+def _sigma_points(x: np.ndarray, cov: np.ndarray, alpha: float, beta: float,
+                  kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled unscented sigma points and their mean/cov weights.
+
+    ``x`` is ``(..., n)`` and ``cov`` ``(..., n, n)``; the points are
+    ``(..., 2n + 1, n)``, C-ordered.
+    """
+    n = x.shape[-1]
+    c, wm, wc = _unscented_weights(n, alpha, beta, kappa)
+    scaled = c * 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    root_t = np.swapaxes(_cholesky(scaled), -1, -2)
+    points = np.empty((*x.shape[:-1], 2 * n + 1, n))
+    points[..., 0, :] = x
+    points[..., 1:n + 1, :] = x[..., None, :] + root_t
+    points[..., n + 1:, :] = x[..., None, :] - root_t
     return points, wm, wc
 
 
@@ -186,29 +230,39 @@ def ukf_predict(
     dt: float,
     params: FusionParams,
 ) -> NavBelief:
-    """Propagate the belief one step with the indicated acceleration.
+    """Propagate a stack of beliefs one step with their indicated accelerations.
 
-    Dynamics per sigma point: position advances by ``v*dt + (a-b)*dt^2/2``,
-    velocity by ``(a-b)*dt``, the bias stays put; process noise covers the
-    accelerometer white noise and the bias random walk. All sigma points
-    advance together as rows of one array.
+    ``belief.state`` is ``(R, 6)`` and ``belief.cov`` ``(R, 6, 6)``, one row
+    per seed; ``indicated_accel`` is ``(R, 2)``. Dynamics per sigma point:
+    position advances by ``v*dt + (a-b)*dt^2/2``, velocity by ``(a-b)*dt``,
+    the bias stays put; process noise covers the accelerometer white noise
+    and the bias random walk. All sigma points of all seeds advance together,
+    and each seed's result has the bits of its own R = 1 call.
+
+    A seed whose covariance has no square root even after regularization
+    raises :class:`NumericalError`, whose ``rows`` names the failed seeds;
+    the other seeds give the same bits when predicted without them.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if belief.state.ndim != 2:
+        raise ValueError("ukf_predict takes a stack of beliefs: state (R, 6), cov (R, 6, 6)")
     a = np.asarray(indicated_accel, dtype=float)
     q_accel = params.q_accel if params.q_accel is not None else 0.0
     points, wm, wc = _sigma_points(belief.state, belief.cov, params.alpha,
                                    params.beta, params.kappa)
-    pos, vel, bias = points[:, 0:2], points[:, 2:4], points[:, 4:6]
-    acc = a - bias
-    prop = np.empty_like(points)
-    prop[:, 0:2] = pos + vel * dt + 0.5 * acc * dt * dt
-    prop[:, 2:4] = vel + acc * dt
-    prop[:, 4:6] = bias
+    pos, vel, bias = points[..., 0:2], points[..., 2:4], points[..., 4:6]
+    acc = a[:, None, :] - bias
+    prop = np.empty(points.shape)
+    prop[..., 0:2] = pos + vel * dt + 0.5 * acc * dt * dt
+    prop[..., 2:4] = vel + acc * dt
+    prop[..., 4:6] = bias
     mean = wm @ prop
-    dev = prop - mean
-    cov = (wc[:, None] * dev).T @ dev + _process_noise(dt, q_accel, params.bias_psd)
-    return NavBelief(state=mean, cov=0.5 * (cov + cov.T), time=belief.time + dt)
+    dev = prop - mean[:, None, :]
+    cov = np.swapaxes(wc[:, None] * dev, 1, 2) @ dev + _process_noise(dt, q_accel,
+                                                                       params.bias_psd)
+    return NavBelief(state=mean, cov=0.5 * (cov + np.swapaxes(cov, 1, 2)),
+                     time=belief.time + dt)
 
 
 def weight_fix_covariance(raw_cov, variability: float, v_floor: float = 0.01) -> np.ndarray:

@@ -3,9 +3,23 @@
 A run wires the full aiding loop together: dead reckoning at 1 Hz drives the
 navigation belief, the field sensor samples the map every few seconds, each
 sample is gated into a candidate set around the current belief, and every T
-scans a batch is smoothed and fed back as position fixes. Campaigns fan runs
-out over seeds and aggregate the error metrics; aggregation is keyed and
-ordered by seed so reports are byte-stable for any worker count.
+scans a batch is smoothed and fed back as position fixes.
+
+Runs go in blocks of seeds (:func:`run_block`). Every seed of a block flies
+the same truth route and scans at the same steps, so the block simulates the
+truth once and keeps the nav beliefs of its live seeds as one stack with a
+leading seed axis: one stacked predict per second moves them all. Lookup,
+association, the batch smoother, variability and the fix updates stay per
+seed, and so does the retrodiction replay, as an R = 1 stack. Stacked
+numpy ``cholesky`` and ``matmul`` give each seed the bits of its own run as
+long as every operand keeps its per-matrix C order (see :mod:`.fusion`),
+so a seed's outputs do not depend on which block it runs in; a single run
+(:func:`run_scenario`) is the block of one seed.
+
+A campaign splits its seeds into ``min(jobs, runs)`` contiguous blocks, one
+per worker process (one block at ``--jobs 1``), and aggregates the error
+metrics keyed and ordered by seed, so reports are byte-stable for any
+worker count.
 """
 
 from __future__ import annotations
@@ -46,6 +60,7 @@ __all__ = [
     "CampaignReport",
     "gen_synthetic_map",
     "build_grid",
+    "run_block",
     "run_scenario",
     "detect_divergence",
     "run_campaign",
@@ -274,71 +289,106 @@ def _initial_belief(cfg: ScenarioConfig, truth, grade_accel: SensorGrade) -> Nav
     return NavBelief(state=state, cov=cov, time=0.0)
 
 
-def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) -> RunReport:
-    """Execute one seeded run of the configured scenario.
+def _check_route(cfg: ScenarioConfig, grid: GridMap) -> None:
+    """Reject a route that leaves the map, before the truth is simulated.
 
-    Raises :class:`ConfigError` before any simulation when the trajectory
-    leaves the map. A numerical failure inside the tracker marks the run
-    failed/diverged and truncates the error series with NaNs rather than
-    raising, so campaigns keep going.
+    The truth is ``start + t * velocity`` at every whole INS step up to the
+    duration. Each coordinate of it is monotone in ``t``, rounding included,
+    so the route stays on the map exactly when both of its end points do.
     """
-    cfg.validate()
-    if grid is None:
-        grid = build_grid(cfg)
-    truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, INS_DT)
+    start = np.asarray(cfg.start, dtype=float)
+    end = start + round(cfg.duration / INS_DT) * INS_DT * np.asarray(cfg.velocity, dtype=float)
     xmin, xmax, ymin, ymax = grid.extent
-    pos = truth.positions
-    if not ((pos[:, 0] >= xmin) & (pos[:, 0] <= xmax)
-            & (pos[:, 1] >= ymin) & (pos[:, 1] <= ymax)).all():
+    ends = np.array([start, end])
+    if not ((ends[:, 0] >= xmin) & (ends[:, 0] <= xmax)
+            & (ends[:, 1] >= ymin) & (ends[:, 1] <= ymax)).all():
         raise ConfigError("trajectory leaves the map extent")
 
-    grade_accel, grade_gyro = _resolve_grades(cfg)
-    fus = _resolve_fusion(cfg, grade_accel)
-    seed_ins, seed_grav = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-    ins = simulate_ins(truth, grade_accel, grade_gyro, seed_ins)
-    measurements = sample_gravimeter(grid, truth, cfg.gravimeter.interval,
-                                     cfg.gravimeter.sigma, seed_grav)
-    meas_at = {int(round(m.time / INS_DT)): m for m in measurements}
-    accels = np.diff(ins.velocities, axis=0) / INS_DT
 
-    model = cv_model(cfg.gravimeter.interval, cfg.pmht.q_a)
-    belief = _initial_belief(cfg, truth, grade_accel)
-    n = len(truth)
-    pos_est = np.empty((n, 2))
-    pos_est[0] = belief.position
+class _SeedRun:
+    """One seed of a block: its sensor record, its open batch and its diagnostics.
 
-    scans: list[tuple[int, CandidateSet]] = []
-    checkpoint: NavBelief | None = None
-    var_history: list[float] = []
-    epochs: list[AidingEpoch] = []
-    first_accept_step: int | None = None
-    failed = False
+    The block predicts every seed's belief together; at a scan step it hands
+    each seed its own row through :meth:`scan`. ``pos`` is this seed's
+    ``(n, 2)`` row of the block's position estimates.
+    """
 
-    def advance(bel: NavBelief, t_target: float) -> NavBelief:
-        k0 = int(round(bel.time / INS_DT))
-        k1 = int(round(t_target / INS_DT))
-        for kk in range(k0, k1):
-            bel = ukf_predict(bel, accels[kk], INS_DT, fus)
-            pos_est[kk + 1] = bel.position
+    def __init__(self, cfg: ScenarioConfig, fus: FusionParams, grid: GridMap, truth,
+                 grades: tuple[SensorGrade, SensorGrade], seed: int, pos: np.ndarray):
+        self.cfg, self.fus, self.grid = cfg, fus, grid
+        self.model = cv_model(cfg.gravimeter.interval, cfg.pmht.q_a)
+        self.seed = int(seed)
+        seed_ins, seed_grav = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+        ins = simulate_ins(truth, *grades, seed_ins)
+        measurements = sample_gravimeter(grid, truth, cfg.gravimeter.interval,
+                                         cfg.gravimeter.sigma, seed_grav)
+        self.meas_at = {int(round(m.time / INS_DT)): m for m in measurements}
+        self.accels = np.diff(ins.velocities, axis=0) / INS_DT
+        self.pos = pos
+        self.scans: list[tuple[int, CandidateSet]] = []
+        self.checkpoint: NavBelief | None = None
+        self.var_history: list[float] = []
+        self.epochs: list[AidingEpoch] = []
+        self.first_accept_step: int | None = None
+        self.failed = False
+
+    def fail(self, step: int) -> None:
+        """Mark the run failed at ``step``: its estimates from there on are NaN."""
+        self.failed = True
+        self.pos[step:] = np.nan
+
+    def advance(self, bel: NavBelief, t_target: float) -> NavBelief:
+        """Replay the predicts from ``bel.time`` to ``t_target`` as an R = 1 stack."""
+        stack = NavBelief(state=bel.state[None], cov=bel.cov[None], time=bel.time)
+        for kk in range(int(round(bel.time / INS_DT)), int(round(t_target / INS_DT))):
+            stack = ukf_predict(stack, self.accels[kk:kk + 1], INS_DT, self.fus)
+            self.pos[kk + 1] = stack.position[0]
+        return NavBelief(state=stack.state[0], cov=stack.cov[0], time=stack.time)
+
+    def scan(self, step: int, bel: NavBelief) -> NavBelief | None:
+        """Gate this step's measurement into the batch; close the batch when full.
+
+        Returns the aided belief when a batch closed, else ``None``.
+        """
+        cfg, meas = self.cfg, self.meas_at[step]
+        if not self.scans:
+            self.checkpoint = NavBelief(state=bel.state.copy(), cov=bel.cov.copy(),
+                                        time=bel.time)
+        try:
+            window = search_window(bel.position, bel.cov[:2, :2], cfg.pmht.gamma)
+            cs = lookup_candidates(self.grid, meas.value, meas.sigma, window,
+                                   cfg.pmht.n_max, cfg.pmht.k_sig)
+        except (EmptyWindowError, CovarianceError):
+            cs = CandidateSet.empty(meas.value, meas.sigma)
+        self.scans.append((step, cs))
+        if len(self.scans) < cfg.pmht.T:
+            return None
+        bel = self._close_batch(bel, step)
+        if self.first_accept_step is None and self.epochs[-1].n_accepted > 0:
+            self.first_accept_step = step
+        self.scans = []
+        self.checkpoint = None
         return bel
 
-    def close_batch(bel: NavBelief, step: int) -> NavBelief:
+    def _close_batch(self, bel: NavBelief, step: int) -> NavBelief:
+        cfg, fus, grid = self.cfg, self.fus, self.grid
+        checkpoint = self.checkpoint
         problem = BatchProblem(
             prior=KinematicState(x=checkpoint.state[:4], cov=checkpoint.cov[:4, :4]),
-            scans=tuple(cs for _, cs in scans),
-            model=model,
+            scans=tuple(cs for _, cs in self.scans),
+            model=self.model,
             max_iters=cfg.pmht.max_iters,
             epsilon=cfg.pmht.epsilon,
-            start_time=scans[0][0] * INS_DT,
+            start_time=self.scans[0][0] * INS_DT,
             grad_floor=cfg.pmht.grad_floor,
             spread_cov=cfg.pmht.spread_cov,
         )
         try:
             est = run_batch(problem)
         except NoFixError:
-            epochs.append(AidingEpoch(time=step * INS_DT, fixes=(), n_accepted=0,
-                                      n_nis_rejected=0, iterations_used=0,
-                                      converged=False))
+            self.epochs.append(AidingEpoch(time=step * INS_DT, fixes=(), n_accepted=0,
+                                           n_nis_rejected=0, iterations_used=0,
+                                           converged=False))
             return bel
         variabilities = []
         for position in est.means[:, :2]:
@@ -347,19 +397,19 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
                                           fus.template_half_width)
             except (OutOfBoundsError, NodataError, ValueError):
                 raw = 0.0
-            var_history.append(raw)
-            variabilities.append(normalize_variability(var_history, fus.window_len))
+            self.var_history.append(raw)
+            variabilities.append(normalize_variability(self.var_history, fus.window_len))
         if fus.mode == "retrodiction":
             result = apply_batch(checkpoint, est, "retrodiction", variabilities, fus,
-                                 advance=advance)
+                                 advance=self.advance)
             new_belief = result.belief
             end_time = step * INS_DT
             if new_belief.time < end_time - 1e-9:
-                new_belief = advance(new_belief, end_time)
+                new_belief = self.advance(new_belief, end_time)
         else:
             result = apply_batch(bel, est, "standard", variabilities, fus)
             new_belief = result.belief
-        epochs.append(AidingEpoch(
+        self.epochs.append(AidingEpoch(
             time=step * INS_DT,
             fixes=result.fixes,
             n_accepted=result.n_accepted,
@@ -369,55 +419,108 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
         ))
         return new_belief
 
-    k = 1
-    try:
-        for k in range(1, n):
-            belief = ukf_predict(belief, accels[k - 1], INS_DT, fus)
-            pos_est[k] = belief.position
-            meas = meas_at.get(k)
-            if meas is None or not cfg.aiding:
-                continue
-            if not scans:
-                checkpoint = belief
-            try:
-                window = search_window(belief.position, belief.cov[:2, :2],
-                                       cfg.pmht.gamma)
-                cs = lookup_candidates(grid, meas.value, meas.sigma, window,
-                                       cfg.pmht.n_max, cfg.pmht.k_sig)
-            except (EmptyWindowError, CovarianceError):
-                cs = CandidateSet.empty(meas.value, meas.sigma)
-            scans.append((k, cs))
-            if len(scans) == cfg.pmht.T:
-                belief = close_batch(belief, k)
-                pos_est[k] = belief.position
-                if first_accept_step is None and epochs and epochs[-1].n_accepted > 0:
-                    first_accept_step = k
-                scans = []
-                checkpoint = None
-    except NumericalError:
-        failed = True
-        pos_est[k:] = np.nan
+    def report(self, truth) -> RunReport:
+        errors = np.linalg.norm(self.pos - truth.positions, axis=1)
+        series = errors[1:]
+        aided = np.zeros(len(series), dtype=bool)
+        if self.first_accept_step is not None:
+            aided[self.first_accept_step - 1:] = True
+        div = self.cfg.divergence
+        diverged = self.failed or detect_divergence(series, div.error_threshold_m,
+                                                    div.sustain_s, INS_DT)
+        terminal = float(series[-1]) if np.isfinite(series[-1]) else float("inf")
+        return RunReport(
+            seed=self.seed,
+            times=truth.times[1:],
+            error_series=series,
+            positions=self.pos[1:],
+            aided_flags=aided,
+            epochs=tuple(self.epochs),
+            diverged=bool(diverged),
+            terminal_error=terminal,
+            failed=self.failed,
+        )
 
-    errors = np.linalg.norm(pos_est - truth.positions, axis=1)
-    times = truth.times[1:]
-    series = errors[1:]
-    aided = np.zeros(len(series), dtype=bool)
-    if first_accept_step is not None:
-        aided[first_accept_step - 1:] = True
-    diverged = failed or detect_divergence(series, cfg.divergence.error_threshold_m,
-                                           cfg.divergence.sustain_s, INS_DT)
-    terminal = float(series[-1]) if np.isfinite(series[-1]) else float("inf")
-    return RunReport(
-        seed=int(seed),
-        times=times,
-        error_series=series,
-        positions=pos_est[1:],
-        aided_flags=aided,
-        epochs=tuple(epochs),
-        diverged=bool(diverged),
-        terminal_error=terminal,
-        failed=failed,
-    )
+
+def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[RunReport]:
+    """Execute seeded runs of the configured scenario in lock-step, in seed order.
+
+    The truth is simulated once; each seed has its own INS, gravimeter and
+    belief. Every second one stacked predict moves the beliefs of all live
+    seeds, and each seed's result has the bits of its own one-seed run. At
+    scan and batch steps each seed is handled alone.
+
+    Raises :class:`ConfigError` before any simulation when the trajectory
+    leaves the map. A numerical failure, or a candidate gradient that touches
+    nodata, marks that seed's run failed/diverged and fills its series with
+    NaN from that step; the seed leaves the block and the others go on.
+    """
+    cfg.validate()
+    if grid is None:
+        grid = build_grid(cfg)
+    _check_route(cfg, grid)
+    truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, INS_DT)
+    grades = _resolve_grades(cfg)
+    fus = _resolve_fusion(cfg, grades[0])
+    start = _initial_belief(cfg, truth, grades[0])
+    pos_est = np.empty((len(seeds), len(truth), 2))
+    pos_est[:, 0] = start.position
+    runs = [_SeedRun(cfg, fus, grid, truth, grades, seed, pos)
+            for seed, pos in zip(seeds, pos_est)]
+    scan_steps = runs[0].meas_at.keys() if cfg.aiding else ()
+
+    # Row i of the belief and of ``accels[k]`` is seed ``live[i]``.
+    live = np.arange(len(runs))
+    accels = np.stack([run.accels for run in runs], axis=1)
+    belief = NavBelief(state=np.tile(start.state, (len(runs), 1)),
+                       cov=np.tile(start.cov, (len(runs), 1, 1)), time=start.time)
+
+    def drop(failed: list[int], step: int) -> None:
+        nonlocal live, accels, belief
+        for i in failed:
+            runs[live[i]].fail(step)
+        keep = np.setdiff1d(np.arange(len(live)), failed)
+        live, accels = live[keep], accels[:, keep]
+        belief = NavBelief(state=belief.state[keep], cov=belief.cov[keep], time=belief.time)
+
+    for k in range(1, len(truth)):
+        try:
+            belief = ukf_predict(belief, accels[k - 1], INS_DT, fus)
+        except NumericalError as exc:
+            drop(list(exc.rows), k)
+            if not len(live):
+                break
+            belief = ukf_predict(belief, accels[k - 1], INS_DT, fus)
+        pos_est[live, k] = belief.position
+        if k not in scan_steps:
+            continue
+        failed = []
+        for i, r in enumerate(live):
+            try:
+                closed = runs[r].scan(k, NavBelief(state=belief.state[i], cov=belief.cov[i],
+                                                   time=belief.time))
+            except (NumericalError, NodataError):
+                failed.append(i)
+                continue
+            if closed is not None:
+                belief.state[i], belief.cov[i] = closed.state, closed.cov
+                pos_est[r, k] = closed.position
+        if failed:
+            drop(failed, k)
+            if not len(live):
+                break
+    return [run.report(truth) for run in runs]
+
+
+def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) -> RunReport:
+    """Execute one seeded run of the configured scenario: a block of one seed.
+
+    Raises :class:`ConfigError` before any simulation when the trajectory
+    leaves the map. A numerical failure inside the tracker marks the run
+    failed/diverged and truncates the error series with NaNs rather than
+    raising, so campaigns keep going.
+    """
+    return run_block(cfg, [seed], grid)[0]
 
 
 def detect_divergence(series, threshold_m: float, sustain_s: float, dt: float = 1.0) -> bool:
@@ -443,8 +546,8 @@ def _campaign_worker_init(cfg: ScenarioConfig, grid: GridMap) -> None:
     _WORKER_GRID = grid
 
 
-def _campaign_worker(seed: int) -> RunReport:
-    return run_scenario(_WORKER_CFG, seed, grid=_WORKER_GRID)
+def _campaign_worker(seeds: list[int]) -> list[RunReport]:
+    return run_block(_WORKER_CFG, seeds, grid=_WORKER_GRID)
 
 
 def aided_phase_start(cfg: ScenarioConfig) -> float:
@@ -455,8 +558,10 @@ def aided_phase_start(cfg: ScenarioConfig) -> float:
 def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
     """Run ``monte_carlo.runs`` seeded scenarios and aggregate the metrics.
 
-    Results are keyed and reduced in seed order, so the report is identical
-    for any ``jobs`` value. At most one worker process is started per run.
+    The seeds go out in ``min(jobs, runs)`` contiguous blocks, one per
+    worker process, and each block runs in lock-step (:func:`run_block`).
+    Every seed gets the bits of its own one-seed run, and the reports are
+    reduced in seed order, so the report is identical for any ``jobs`` value.
     """
     cfg.validate()
     # Built once, before any worker starts, so a bad map fails here with its
@@ -465,11 +570,12 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
     seeds = [cfg.monte_carlo.base_seed + i for i in range(cfg.monte_carlo.runs)]
     workers = min(jobs, len(seeds))
     if workers > 1:
+        blocks = [block.tolist() for block in np.array_split(seeds, workers)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_campaign_worker_init,
                                  initargs=(cfg, grid)) as pool:
-            reports = list(pool.map(_campaign_worker, seeds))
+            reports = [r for block in pool.map(_campaign_worker, blocks) for r in block]
     else:
-        reports = [run_scenario(cfg, seed, grid=grid) for seed in seeds]
+        reports = run_block(cfg, seeds, grid=grid)
 
     err = np.vstack([r.error_series for r in reports])
     with np.errstate(invalid="ignore"):

@@ -2,13 +2,18 @@
 
 Everything here is deliberately written from the defining equations (stacked
 least squares, textbook Kalman recursions, double loops) rather than reusing
-library code paths. The one exception is :func:`em_cost_trace`, which replays
-the tracker's own EM step to score each iteration.
+library code paths. Two exceptions: :func:`em_cost_trace`, which replays
+the tracker's own EM step to score each iteration, and :func:`ukf_predict_one`,
+the nav filter's one-belief predict kept as it was before the seed axis.
 """
+
+import warnings
 
 import numpy as np
 
 from gravnav.assoc import ScanStack
+from gravnav.errors import NumericalError
+from gravnav.fusion import NavBelief, _process_noise, _unscented_weights
 from gravnav.pmht import em_step, run_batch
 
 
@@ -175,6 +180,51 @@ def nav_kf_update(x, p, z, r):
     x_new = x + gain @ (z - h_mat @ x)
     p_new = p - gain @ s_mat @ gain.T
     return x_new, 0.5 * (p_new + p_new.T)
+
+
+# --- one-belief unscented predict -----------------------------------------
+# The bodies of ``fusion._sigma_points`` and ``fusion.ukf_predict`` as they
+# were for one belief (state (6,), cov (6, 6)), before the seed axis. The
+# stacked predict must give every seed these bits, regularization included.
+
+def _sigma_points_one(x, cov, alpha, beta, kappa):
+    n = x.size
+    c, wm, wc = _unscented_weights(n, alpha, beta, kappa)
+    scaled = c * 0.5 * (cov + cov.T)
+    try:
+        root = np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
+        warnings.warn("belief covariance lost positive definiteness; regularized",
+                      RuntimeWarning, stacklevel=3)
+        jitter = max(np.trace(scaled), 1.0) * 1e-12
+        try:
+            root = np.linalg.cholesky(scaled + jitter * np.eye(n))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("covariance square root failed after regularization") from exc
+    points = np.empty((2 * n + 1, n))
+    points[0] = x
+    points[1:n + 1] = x + root.T
+    points[n + 1:] = x - root.T
+    return points, wm, wc
+
+
+def ukf_predict_one(belief, indicated_accel, dt, params):
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    a = np.asarray(indicated_accel, dtype=float)
+    q_accel = params.q_accel if params.q_accel is not None else 0.0
+    points, wm, wc = _sigma_points_one(belief.state, belief.cov, params.alpha,
+                                       params.beta, params.kappa)
+    pos, vel, bias = points[:, 0:2], points[:, 2:4], points[:, 4:6]
+    acc = a - bias
+    prop = np.empty_like(points)
+    prop[:, 0:2] = pos + vel * dt + 0.5 * acc * dt * dt
+    prop[:, 2:4] = vel + acc * dt
+    prop[:, 4:6] = bias
+    mean = wm @ prop
+    dev = prop - mean
+    cov = (wc[:, None] * dev).T @ dev + _process_noise(dt, q_accel, params.bias_psd)
+    return NavBelief(state=mean, cov=0.5 * (cov + cov.T), time=belief.time + dt)
 
 
 # --- map statistics --------------------------------------------------------

@@ -153,6 +153,7 @@ class TestCampaign:
             ("fusion.nis_gate", "0"),
             ("map.noise_corr_cells", "-3"),
             ("pmht.T", "40"),
+            ("duration", "inf"),
         )),
     ])
     def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key, value):
@@ -160,6 +161,16 @@ class TestCampaign:
         assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    def test_route_off_the_map_exit_2_before_simulation(self, tmp_path, capsys, command):
+        # A 1e12 s flight would need terabytes for its truth alone; the route's
+        # end point is checked against the map first.
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + "duration = 1e12\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "trajectory leaves the map extent" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2_names_flag(self, tmp_path, capsys, jobs):

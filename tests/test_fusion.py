@@ -1,6 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gravnav.errors import NumericalError
 from gravnav.fusion import (
     CHI2_99P9_2DOF,
     AidingFix,
@@ -15,7 +21,7 @@ from gravnav.fusion import (
     weight_fix_covariance,
 )
 from gravnav.pmht import BatchEstimate, cv_model
-from oracles import nav_kf_predict, nav_kf_update
+from oracles import nav_kf_predict, nav_kf_update, ukf_predict_one
 
 
 def belief(x=None, cov=None, time=0.0):
@@ -33,56 +39,67 @@ def accepted_fix(position, cov, time=0.0, variability=1.0):
                      variability=variability, accepted=True)
 
 
+def stack(*beliefs):
+    """The beliefs as one stack of seeds, in order; they share the first one's time."""
+    return NavBelief(state=np.array([b.state for b in beliefs]),
+                     cov=np.array([b.cov for b in beliefs]), time=beliefs[0].time)
+
+
 class TestUkfPredict:
     def test_deterministic_linear_advance(self):
         params = FusionParams(q_accel=0.0, bias_psd=0.0)
-        b = belief(x=[1.0, 2.0, 3.0, -4.0, 0.0, 0.0])
-        out = ukf_predict(b, np.zeros(2), 1.0, params)
-        assert out.position == pytest.approx([4.0, -2.0], abs=1e-9)
-        assert out.velocity == pytest.approx([3.0, -4.0], abs=1e-12)
+        b = stack(belief(x=[1.0, 2.0, 3.0, -4.0, 0.0, 0.0]))
+        out = ukf_predict(b, np.zeros((1, 2)), 1.0, params)
+        assert out.position[0] == pytest.approx([4.0, -2.0], abs=1e-9)
+        assert out.velocity[0] == pytest.approx([3.0, -4.0], abs=1e-12)
         assert out.time == 1.0
         # bias block untouched by prediction without bias noise
-        assert out.cov[4:, 4:] == pytest.approx(b.cov[4:, 4:], abs=1e-20)
+        assert out.cov[0, 4:, 4:] == pytest.approx(b.cov[0, 4:, 4:], abs=1e-20)
 
     def test_matches_kf_oracle(self):
         rng = np.random.default_rng(1)
         params = FusionParams(q_accel=1e-8, bias_psd=1e-12)
-        b = belief()
-        kx, kp = b.state.copy(), b.cov.copy()
+        b = stack(belief())
+        kx, kp = b.state[0].copy(), b.cov[0].copy()
         for _ in range(30):
             a = rng.normal(0.0, 1e-3, 2)
-            b = ukf_predict(b, a, 1.0, params)
+            b = ukf_predict(b, a[None], 1.0, params)
             kx, kp = nav_kf_predict(kx, kp, a, 1.0, 1e-8, 1e-12)
-            assert np.linalg.norm(b.state - kx) / max(np.linalg.norm(kx), 1.0) <= 1e-10
-            assert np.linalg.norm(b.cov - kp) / max(np.linalg.norm(kp), 1.0) <= 1e-10
+            assert np.linalg.norm(b.state[0] - kx) / max(np.linalg.norm(kx), 1.0) <= 1e-10
+            assert np.linalg.norm(b.cov[0] - kp) / max(np.linalg.norm(kp), 1.0) <= 1e-10
 
     def test_cov_trace_grows_under_prediction(self):
         params = FusionParams(q_accel=1e-8, bias_psd=1e-12)
-        b = belief()
-        traces = [np.trace(b.cov)]
+        b = stack(belief())
+        traces = [np.trace(b.cov[0])]
         for _ in range(20):
-            b = ukf_predict(b, np.array([0.1, -0.2]), 1.0, params)
-            traces.append(np.trace(b.cov))
+            b = ukf_predict(b, np.array([[0.1, -0.2]]), 1.0, params)
+            traces.append(np.trace(b.cov[0]))
         assert (np.diff(traces) > 0).all()
 
     def test_cov_stays_symmetric(self):
         params = FusionParams(q_accel=1e-8, bias_psd=1e-12)
-        b = belief()
+        b = stack(belief())
         for _ in range(10):
-            b = ukf_predict(b, np.array([1.0, 2.0]), 1.0, params)
-            assert (b.cov == b.cov.T).all()
+            b = ukf_predict(b, np.array([[1.0, 2.0]]), 1.0, params)
+            assert (b.cov[0] == b.cov[0].T).all()
 
     def test_bit_identical_to_point_by_point_propagation(self):
         rng = np.random.default_rng(5)
         for alpha, dt in ((1.0, 1.0), (0.5, 0.37)):
             params = FusionParams(q_accel=2.5e-9, bias_psd=1e-12, alpha=alpha)
-            b = r = belief()
+            r = belief()
+            b = stack(r)
             for _ in range(50):
                 a = rng.normal(0.0, 1e-3, 2)
-                b = ukf_predict(b, a, dt, params)
+                b = ukf_predict(b, a[None], dt, params)
                 r = sigma_point_loop_predict(r, a, dt, params)
-                assert np.array_equal(b.state, r.state)
-                assert np.array_equal(b.cov, r.cov)
+                assert np.array_equal(b.state[0], r.state)
+                assert np.array_equal(b.cov[0], r.cov)
+
+    def test_lone_belief_rejected(self):
+        with pytest.raises(ValueError, match="stack"):
+            ukf_predict(belief(), np.zeros(2), 1.0, FusionParams(q_accel=1e-8))
 
     def test_cached_weights_and_process_noise_are_read_only(self):
         _, wm, wc = _unscented_weights(6, 1.0, 2.0, 0.0)
@@ -100,12 +117,92 @@ class TestUkfPredict:
         assert not q[:4, 4:].any() and not q[4:, :4].any()
 
     def test_process_noise_cache_keys_on_every_parameter(self):
-        b = belief()
-        base = ukf_predict(b, np.zeros(2), 1.0, FusionParams(q_accel=1e-8, bias_psd=1e-12))
+        b = stack(belief())
+        base = ukf_predict(b, np.zeros((1, 2)), 1.0,
+                           FusionParams(q_accel=1e-8, bias_psd=1e-12))
         for changed in (FusionParams(q_accel=2e-8, bias_psd=1e-12),
                         FusionParams(q_accel=1e-8, bias_psd=2e-12)):
-            out = ukf_predict(b, np.zeros(2), 1.0, changed)
+            out = ukf_predict(b, np.zeros((1, 2)), 1.0, changed)
             assert not np.array_equal(out.cov, base.cov)
+
+
+@st.composite
+def spd_stacks(draw, r):
+    """``r`` beliefs with random SPD covariances, each state's sigma drawn
+    over nine decades, and ``r`` indicated accelerations."""
+    a = draw(hnp.arrays(np.float64, (r, 6, 6), elements=st.floats(-3.0, 3.0)))
+    log_sigma = draw(hnp.arrays(np.float64, (r, 6), elements=st.floats(-6.0, 3.0)))
+    states = draw(hnp.arrays(np.float64, (r, 6), elements=st.floats(-1e5, 1e5)))
+    accels = draw(hnp.arrays(np.float64, (r, 2), elements=st.floats(-1.0, 1.0)))
+    sigma = 10.0 ** log_sigma
+    m = a @ np.swapaxes(a, 1, 2) + 6.0 * np.eye(6)
+    cov = sigma[:, :, None] * m * sigma[:, None, :]
+    return NavBelief(state=states, cov=cov, time=0.0), accels
+
+
+def solo(b, i):
+    return NavBelief(state=b.state[i].copy(), cov=b.cov[i].copy(), time=b.time)
+
+
+class TestStackedPredict:
+    """The stacked predict against the one-belief reference, bit for bit."""
+
+    PARAMS = (FusionParams(q_accel=2.5e-9, bias_psd=1e-12),
+              FusionParams(q_accel=1e-4, bias_psd=1e-10, alpha=0.5))
+
+    @pytest.mark.parametrize("r", [1, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_each_seed_gets_its_solo_bits(self, r, data):
+        b, accels = data.draw(spd_stacks(r))
+        params = data.draw(st.sampled_from(self.PARAMS))
+        dt = data.draw(st.sampled_from([1.0, 0.37]))
+        for _ in range(3):
+            out = ukf_predict(b, accels, dt, params)
+            for i in range(r):
+                ref = ukf_predict_one(solo(b, i), accels[i], dt, params)
+                assert np.array_equal(out.state[i], ref.state)
+                assert np.array_equal(out.cov[i], ref.cov)
+                assert out.time == ref.time
+            b = out
+
+    def test_one_non_pd_seed_regularized_alone(self):
+        params = FusionParams(q_accel=2.5e-9, bias_psd=1e-12)
+        rng = np.random.default_rng(7)
+        b = stack(*(belief(x=rng.normal(0.0, 100.0, 6)) for _ in range(5)))
+        b.cov[2, 4:, :] = b.cov[2, :, 4:] = 0.0  # singular: no bias uncertainty
+        accels = rng.normal(0.0, 1e-3, (5, 2))
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            out = ukf_predict(b, accels, 1.0, params)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            ref = ukf_predict_one(solo(b, 2), accels[2], 1.0, params)
+        assert [(w.category, str(w.message)) for w in got] == \
+            [(w.category, str(w.message)) for w in want]
+        assert len(got) == 1
+        assert np.array_equal(out.state[2], ref.state) and np.array_equal(out.cov[2], ref.cov)
+        for i in (0, 1, 3, 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ref = ukf_predict_one(solo(b, i), accels[i], 1.0, params)
+            assert np.array_equal(out.state[i], ref.state)
+            assert np.array_equal(out.cov[i], ref.cov)
+
+    def test_seed_failing_after_regularization_named_in_rows(self):
+        params = FusionParams(q_accel=2.5e-9, bias_psd=1e-12)
+        b = stack(*(belief() for _ in range(4)))
+        b.cov[1] = -np.eye(6)
+        b.cov[3] = -2.0 * np.eye(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError) as exc:
+                ukf_predict(b, np.zeros((4, 2)), 1.0, params)
+        assert exc.value.rows == (1, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError):
+                ukf_predict_one(solo(b, 1), np.zeros(2), 1.0, params)
 
 
 def sigma_point_loop_predict(b, accel, dt, params):

@@ -18,16 +18,25 @@ from gravnav.config import (
     parse_config,
 )
 from gravnav.errors import ConfigError, NumericalError
-from gravnav.geomap import feature_variability, lookup_candidates, search_window, value_at
+from gravnav.geomap import (
+    CandidateSet,
+    feature_variability,
+    lookup_candidates,
+    save_grid,
+    search_window,
+    value_at,
+)
 from gravnav.harness import (
     _gaussian_smooth,
+    build_grid,
     detect_divergence,
     gen_synthetic_map,
+    run_block,
     run_campaign,
     run_scenario,
     write_campaign_outputs,
 )
-from gravnav.inertial import SENSOR_GRADES, simulate_ins, simulate_truth
+from gravnav.inertial import SENSOR_GRADES, sample_gravimeter, simulate_ins, simulate_truth
 from scenarios import corridor_config, corridor_map_params
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -436,6 +445,150 @@ class TestRunCampaign:
         lo = run_campaign(cfg_for(1e-5), jobs=1)
         hi = run_campaign(cfg_for(2e-4), jobs=1)
         assert hi.mean_error > lo.mean_error
+
+
+def seed_streams(cfg, grid, seed):
+    """A seed's indicated accelerations (n - 1, 2) and measurement values, as a run draws them."""
+    truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, 1.0)
+    seed_ins, seed_grav = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
+    ins = simulate_ins(truth, SENSOR_GRADES[cfg.ins.accel_grade],
+                       SENSOR_GRADES[cfg.ins.gyro_grade], seed_ins)
+    meas = sample_gravimeter(grid, truth, cfg.gravimeter.interval, cfg.gravimeter.sigma,
+                             seed_grav)
+    return np.diff(ins.velocities, axis=0), [m.value for m in meas]
+
+
+def epoch_key(epochs):
+    return [(e.time, e.n_accepted, e.n_nis_rejected, e.iterations_used, e.converged,
+             [(f.position.tobytes(), f.cov.tobytes(), f.time, f.variability, f.accepted)
+              for f in e.fixes]) for e in epochs]
+
+
+def assert_block_matches_solo(cfg, seeds, grid=None):
+    """Run ``seeds`` as one block and each alone; every output must be identical."""
+    block = run_block(cfg, seeds, grid)
+    assert [r.seed for r in block] == list(seeds)
+    for rep in block:
+        alone = run_scenario(cfg, rep.seed, grid)
+        assert np.array_equal(rep.error_series, alone.error_series, equal_nan=True)
+        assert np.array_equal(rep.positions, alone.positions, equal_nan=True)
+        assert np.array_equal(rep.aided_flags, alone.aided_flags)
+        assert epoch_key(rep.epochs) == epoch_key(alone.epochs)
+        assert (rep.diverged, rep.failed) == (alone.diverged, alone.failed)
+    return block
+
+
+SEEDS = [0, 1, 2, 3, 4]
+
+
+class TestBlock:
+    """A lock-step block of seeds against each seed's own R = 1 run."""
+
+    @pytest.mark.parametrize("mode, aiding", [("standard", True), ("retrodiction", True),
+                                              ("standard", False)])
+    def test_block_matches_solo_runs(self, mode, aiding):
+        cfg = small_scenario(duration=600.0, batch_len=5, aiding=aiding)
+        cfg.fusion = replace(cfg.fusion, mode=mode)
+        block = assert_block_matches_solo(cfg, SEEDS)
+        assert not any(r.failed for r in block)
+        accepted = [sum(e.n_accepted for e in r.epochs) for r in block]
+        assert all(accepted) if aiding else not any(accepted)
+
+    @pytest.mark.parametrize("where", ["lookup", "predict"])
+    def test_seed_failing_mid_run_leaves_the_others(self, monkeypatch, where):
+        import gravnav.harness as harness
+
+        cfg = small_scenario(duration=600.0, batch_len=5)
+        grid = build_grid(cfg)
+        accels, values = seed_streams(cfg, grid, 2)
+        if where == "lookup":
+            real = harness.lookup_candidates
+            seen = set()
+
+            def flaky(grid, s, *args):
+                if s in values:
+                    seen.add(s)
+                    if len(seen) == 12:  # mid-batch: the 12th scan, at 120 s
+                        raise NumericalError("forced")
+                return real(grid, s, *args)
+
+            monkeypatch.setattr(harness, "lookup_candidates", flaky)
+            step = 120
+        else:
+            real = harness.ukf_predict
+            seen = None
+
+            def flaky(belief, accel, dt, params):
+                hit = [i for i, a in enumerate(accel) if np.array_equal(a, accels[276])]
+                if belief.time == 276.0 and hit:
+                    raise NumericalError("forced", rows=tuple(hit))
+                return real(belief, accel, dt, params)
+
+            monkeypatch.setattr(harness, "ukf_predict", flaky)
+            step = 277
+        block = run_block(cfg, SEEDS, grid)
+        for rep in block:
+            if seen is not None:
+                seen.clear()
+            alone = run_scenario(cfg, rep.seed, grid)
+            assert np.array_equal(rep.error_series, alone.error_series, equal_nan=True)
+            assert np.array_equal(rep.positions, alone.positions, equal_nan=True)
+            assert epoch_key(rep.epochs) == epoch_key(alone.epochs)
+            assert (rep.diverged, rep.failed) == (alone.diverged, alone.failed) \
+                == (rep.seed == 2,) * 2
+        failed = block[2].error_series
+        assert np.isfinite(failed[:step - 1]).all() and np.isnan(failed[step - 1:]).all()
+        assert all(np.isfinite(r.error_series).all() for r in block if r.seed != 2)
+
+    def test_batch_of_empty_scans(self, monkeypatch):
+        import gravnav.harness as harness
+
+        cfg = small_scenario(duration=300.0, batch_len=5)
+        grid = build_grid(cfg)
+        _, values = seed_streams(cfg, grid, 1)
+        real = harness.lookup_candidates
+
+        def blind(grid, s, sigma, *args):
+            # Seed 1 finds nothing in its second batch (scans 6-10).
+            if s in values[5:10]:
+                return CandidateSet.empty(s, sigma)
+            return real(grid, s, sigma, *args)
+
+        monkeypatch.setattr(harness, "lookup_candidates", blind)
+        block = assert_block_matches_solo(cfg, SEEDS, grid)
+        empty = block[1].epochs[1]
+        assert (empty.time, empty.fixes, empty.iterations_used) == (100.0, (), 0)
+        assert all(r.epochs[1].fixes for r in block if r.seed != 1)
+
+    def test_nodata_next_to_route_fails_only_the_seeds_that_touch_it(self, tmp_path):
+        cfg = small_scenario(duration=600.0, runs=8)
+        grid = build_grid(cfg)
+        row, col = grid.cell_of(np.array([8000.0, 2100.0]))  # two cells north of the route
+        values = grid.values.copy()
+        values[row - 1:row + 2, col - 1:col + 2] = grid.nodata
+        save_grid(replace(grid, values=values), tmp_path / "holed.asc")
+        cfg.map = MapSource(file=str(tmp_path / "holed.asc"))
+        camp = run_campaign(cfg, jobs=1)
+        failed = [r.seed for r in camp.reports if r.failed]
+        assert 0 < len(failed) < len(camp.reports)
+        for rep in camp.reports:
+            bad = ~np.isfinite(rep.error_series)
+            assert bad.any() == rep.failed == rep.diverged
+            if rep.failed:
+                first = int(np.argmax(bad))
+                assert bad[first:].all()
+        assert_block_matches_solo(cfg, list(camp.seeds), build_grid(cfg))
+
+    def test_campaign_outputs_identical_for_uneven_blocks(self, tmp_path):
+        cfg = small_scenario(duration=300.0, runs=5)
+        digests = []
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"j{jobs}"
+            write_campaign_outputs(run_campaign(cfg, jobs=jobs), out)
+            digests.append({p.relative_to(out).as_posix(): p.read_bytes()
+                            for p in sorted(out.rglob("*.csv"))})
+        assert len(digests[0]) == 7  # campaign, summary and five runs
+        assert digests[0] == digests[1] == digests[2]
 
 
 class TestCampaignOutputs:
