@@ -25,7 +25,8 @@ form: C-ordered matrices, and their transposed views where that form
 transposes. An operand built by ``np.concatenate`` along the last axis, or
 by ``np.empty_like`` of one, is F-strided per matrix and moves the last bit,
 so the sigma points and their propagated copy are allocated with
-``np.empty`` and filled by slice. Updates stay per seed.
+``np.empty`` and filled by slice. Updates stay per seed: an update forms
+its seed's sigma points as an R = 1 stack.
 """
 
 from __future__ import annotations
@@ -160,54 +161,52 @@ def _unscented_weights(n: int, alpha: float, beta: float,
     return c, wm, wc
 
 
-def _cholesky(scaled: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``scaled``, one matrix or a stack of them.
+def _regularized_cholesky(scaled: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack ``(R, n, n)`` whose stacked factoring failed.
 
-    A matrix that is not positive definite gets a trace-scaled jitter and a
-    warning. In a stack only those matrices do: the others keep the factor
-    of the stacked call, which is the factor each gets alone. Raises
-    :class:`NumericalError` when a matrix still fails after the jitter; for
-    a stack its ``rows`` names every matrix that failed.
+    Each matrix is factored alone, which gives it the bits of the stacked
+    call. Only a matrix that is not positive definite gets a trace-scaled
+    jitter and the warning. Raises :class:`NumericalError` whose ``rows``
+    names every matrix that still fails after the jitter.
     """
-    try:
-        return np.linalg.cholesky(scaled)
-    except np.linalg.LinAlgError:
-        if scaled.ndim > 2:
-            root = np.empty_like(scaled)
-            failed = []
-            for i, matrix in enumerate(scaled):
-                try:
-                    root[i] = _cholesky(matrix)
-                except NumericalError:
-                    failed.append(i)
-            if failed:
-                raise NumericalError("covariance square root failed after regularization",
-                                     rows=tuple(failed)) from None
-            return root
-        warnings.warn("belief covariance lost positive definiteness; regularized",
-                      RuntimeWarning, stacklevel=4)
-        jitter = max(np.trace(scaled), 1.0) * 1e-12
+    root = np.empty_like(scaled)
+    failed = []
+    for i, matrix in enumerate(scaled):
         try:
-            return np.linalg.cholesky(scaled + jitter * np.eye(len(scaled)))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("covariance square root failed after regularization") from exc
+            root[i] = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            warnings.warn("belief covariance lost positive definiteness; regularized",
+                          RuntimeWarning, stacklevel=4)
+            jitter = max(np.trace(matrix), 1.0) * 1e-12
+            try:
+                root[i] = np.linalg.cholesky(matrix + jitter * np.eye(len(matrix)))
+            except np.linalg.LinAlgError:
+                failed.append(i)
+    if failed:
+        raise NumericalError("covariance square root failed after regularization",
+                             rows=tuple(failed))
+    return root
 
 
 def _sigma_points(x: np.ndarray, cov: np.ndarray, alpha: float, beta: float,
                   kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled unscented sigma points and their mean/cov weights.
+    """Scaled unscented sigma points of a stack and their mean/cov weights.
 
-    ``x`` is ``(..., n)`` and ``cov`` ``(..., n, n)``; the points are
-    ``(..., 2n + 1, n)``, C-ordered.
+    ``x`` is ``(R, n)`` and ``cov`` ``(R, n, n)``; the points are
+    ``(R, 2n + 1, n)``, C-ordered.
     """
-    n = x.shape[-1]
+    n = x.shape[1]
     c, wm, wc = _unscented_weights(n, alpha, beta, kappa)
-    scaled = c * 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    root_t = np.swapaxes(_cholesky(scaled), -1, -2)
-    points = np.empty((*x.shape[:-1], 2 * n + 1, n))
-    points[..., 0, :] = x
-    points[..., 1:n + 1, :] = x[..., None, :] + root_t
-    points[..., n + 1:, :] = x[..., None, :] - root_t
+    scaled = c * 0.5 * (cov + cov.transpose(0, 2, 1))
+    try:
+        root = np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
+        root = _regularized_cholesky(scaled)
+    root_t = root.transpose(0, 2, 1)
+    points = np.empty((len(x), 2 * n + 1, n))
+    points[:, 0] = x
+    points[:, 1:n + 1] = x[:, None] + root_t
+    points[:, n + 1:] = x[:, None] - root_t
     return points, wm, wc
 
 
@@ -251,17 +250,17 @@ def ukf_predict(
     q_accel = params.q_accel if params.q_accel is not None else 0.0
     points, wm, wc = _sigma_points(belief.state, belief.cov, params.alpha,
                                    params.beta, params.kappa)
-    pos, vel, bias = points[..., 0:2], points[..., 2:4], points[..., 4:6]
-    acc = a[:, None, :] - bias
+    pos, vel, bias = points[:, :, 0:2], points[:, :, 2:4], points[:, :, 4:6]
+    acc = a[:, None] - bias
     prop = np.empty(points.shape)
-    prop[..., 0:2] = pos + vel * dt + 0.5 * acc * dt * dt
-    prop[..., 2:4] = vel + acc * dt
-    prop[..., 4:6] = bias
+    prop[:, :, 0:2] = pos + vel * dt + 0.5 * acc * dt * dt
+    prop[:, :, 2:4] = vel + acc * dt
+    prop[:, :, 4:6] = bias
     mean = wm @ prop
-    dev = prop - mean[:, None, :]
-    cov = np.swapaxes(wc[:, None] * dev, 1, 2) @ dev + _process_noise(dt, q_accel,
-                                                                       params.bias_psd)
-    return NavBelief(state=mean, cov=0.5 * (cov + np.swapaxes(cov, 1, 2)),
+    dev = prop - mean[:, None]
+    cov = (wc[:, None] * dev).transpose(0, 2, 1) @ dev + _process_noise(dt, q_accel,
+                                                                         params.bias_psd)
+    return NavBelief(state=mean, cov=0.5 * (cov + cov.transpose(0, 2, 1)),
                      time=belief.time + dt)
 
 
@@ -298,8 +297,9 @@ def ukf_update(
     """
     if not fix.accepted:
         raise ValueError("refusing to apply a fix that failed the aiding gate")
-    points, wm, wc = _sigma_points(belief.state, belief.cov, params.alpha,
+    points, wm, wc = _sigma_points(belief.state[None], belief.cov[None], params.alpha,
                                    params.beta, params.kappa)
+    points = points[0]
     z_pts = points[:, 0:2]
     z_hat = wm @ z_pts
     dz = z_pts - z_hat
