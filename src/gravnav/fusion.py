@@ -22,11 +22,11 @@ the bits it would get alone, because numpy's stacked ``cholesky`` and
 ``matmul`` repeat the one-matrix call per matrix. That holds only while
 every matmul operand has the same per-matrix strides as in the one-matrix
 form: C-ordered matrices, and their transposed views where that form
-transposes. An operand built by ``np.concatenate`` along the last axis, or
-by ``np.empty_like`` of one, is F-strided per matrix and moves the last bit,
-so the sigma points and their propagated copy are allocated with
-``np.empty`` and filled by slice. Updates stay per seed: an update forms
-its seed's sigma points as an R = 1 stack.
+transposes. An F-ordered operand takes another BLAS path and moves the
+last bit of nearly every covariance, so the sigma points and their
+propagated copy are allocated C-ordered with ``np.empty`` and filled by
+slice. Updates stay per seed: an update forms its seed's sigma points as an
+R = 1 stack.
 """
 
 from __future__ import annotations
