@@ -443,7 +443,9 @@ class _SeedRun:
 
 
 def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[RunReport]:
-    """Execute seeded runs of the configured scenario in lock-step, in seed order.
+    """Execute seeded runs of the configured scenario in lock-step.
+
+    Returns one report per seed, in the order of ``seeds``.
 
     The truth is simulated once; each seed has its own INS, gravimeter and
     belief. Every second one stacked predict moves the beliefs of all live
@@ -520,9 +522,9 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
     """Execute one seeded run of the configured scenario: a block of one seed.
 
     Raises :class:`ConfigError` before any simulation when the trajectory
-    leaves the map. A numerical failure inside the tracker marks the run
-    failed/diverged and truncates the error series with NaNs rather than
-    raising, so campaigns keep going.
+    leaves the map. A numerical failure inside the tracker, or a candidate
+    lookup that touches nodata, marks the run failed/diverged and truncates
+    the error series with NaNs rather than raising, so campaigns keep going.
     """
     return run_block(cfg, [seed], grid)[0]
 

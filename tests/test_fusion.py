@@ -158,9 +158,16 @@ class TestStackedPredict:
         params = data.draw(st.sampled_from(self.PARAMS))
         dt = data.draw(st.sampled_from([1.0, 0.37]))
         for _ in range(3):
-            out = ukf_predict(b, accels, dt, params)
-            for i in range(r):
-                ref = ukf_predict_one(solo(b, i), accels[i], dt, params)
+            # Ill-conditioned draws can need the jitter: the stack must warn
+            # exactly where the solo calls do.
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                out = ukf_predict(b, accels, dt, params)
+            with warnings.catch_warnings(record=True) as want:
+                warnings.simplefilter("always")
+                refs = [ukf_predict_one(solo(b, i), accels[i], dt, params) for i in range(r)]
+            assert [str(w.message) for w in got] == [str(w.message) for w in want]
+            for i, ref in enumerate(refs):
                 assert np.array_equal(out.state[i], ref.state)
                 assert np.array_equal(out.cov[i], ref.cov)
                 assert out.time == ref.time
