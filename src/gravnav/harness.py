@@ -24,8 +24,11 @@ worker count.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -68,7 +71,68 @@ __all__ = [
     "write_run_csv",
 ]
 
-_SMOOTH_BLOCK_ROWS = 16  # rows per smoothing block: a few hundred kB stays in cache
+_BLOCK_ROWS = 16  # rows per block of the map build: a few hundred kB stays in cache
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _in_row_blocks(n_rows: int, job) -> None:
+    """Call ``job(a, b)`` on runs of rows that together cover ``[0, n_rows)``.
+
+    Each run is a contiguous range of whole ``_BLOCK_ROWS`` blocks, one per
+    worker, with as many workers as usable CPUs but no more than blocks. The
+    calling thread does the first run and a thread each does the rest; the
+    threads are joined before this returns, and the first exception a run
+    raised is raised here. Each thread runs in a copy of the caller's
+    context, so the caller's numpy error state holds there too.
+
+    ``job`` must call no name in a module's ``__all__``: perfbench's tracer
+    wraps those names and keeps one span stack, which threads would corrupt.
+    """
+    n_blocks = -(-n_rows // _BLOCK_ROWS)
+    workers = max(1, min(_usable_cpus(), n_blocks))
+    cuts = [min(i * n_blocks // workers * _BLOCK_ROWS, n_rows) for i in range(workers + 1)]
+    errors: list[Exception] = []
+
+    def run(a: int, b: int) -> None:
+        try:
+            job(a, b)
+        except Exception as exc:  # raised again by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, a, b))
+               for a, b in zip(cuts[1:-1], cuts[2:])]
+    for thread in threads:
+        thread.start()
+    try:
+        job(cuts[0], cuts[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _reflect_pad(buf: np.ndarray, radius: int, axis: int) -> None:
+    """Fill the ``radius`` cells at each end of ``axis`` from the cells between.
+
+    The result is ``np.pad(inner, radius, mode="symmetric")`` along ``axis``,
+    including its repeated reflection when the ``n`` inner cells are fewer
+    than ``radius``: the padded line continues the inner cells with period
+    ``2n``, every other period reversed.
+    """
+    n = buf.shape[axis] - 2 * radius
+    dst = np.r_[0:radius, radius + n:2 * radius + n]
+    i = (dst - radius) % (2 * n)
+    src = radius + np.minimum(i, 2 * n - 1 - i)
+    lead = (slice(None),) * axis
+    buf[lead + (dst,)] = buf[lead + (src,)]
 
 
 def _correlate(padded: np.ndarray, taps: np.ndarray, out: np.ndarray, tmp: np.ndarray,
@@ -93,33 +157,94 @@ def _correlate(padded: np.ndarray, taps: np.ndarray, out: np.ndarray, tmp: np.nd
         out += tmp
 
 
+def _gaussian_taps(sigma: float) -> np.ndarray:
+    """Centre and right half of scipy's Gaussian kernel for ``sigma``.
+
+    The kernel is ``exp(-0.5/sigma² · k²)`` normalised by its sum, radius
+    ``int(4·sigma + 0.5)``; it is exactly symmetric, so scipy's reversal of
+    it is a no-op. A ``sigma`` of at most 1e-15 gives the single tap 1.0,
+    which leaves every cell as it is, as scipy does.
+    """
+    if not sigma > 1e-15:
+        return np.ones(1)
+    radius = int(4.0 * float(sigma) + 0.5)
+    kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    return (kernel / kernel.sum())[radius:]
+
+
+def _smooth_rows(padded: np.ndarray, taps: np.ndarray, out: np.ndarray, a: int, b: int) -> None:
+    """Both passes of the separable filter, for rows ``[a, b)`` of ``out``.
+
+    ``padded`` is the input with ``len(taps) - 1`` reflected rows on each
+    side. One block of rows at a time is filtered along axis 0 into a buffer
+    with room for its column padding, and then along axis 1 into ``out``:
+    axis 1 of these rows needs only their axis-0 result. Only ``padded`` is
+    read and only ``out[a:b]`` written.
+    """
+    radius = len(taps) - 1
+    cols = out.shape[1]
+    wide = np.empty((_BLOCK_ROWS, cols + 2 * radius))
+    scratch = np.empty((_BLOCK_ROWS, cols))
+    for r0 in range(a, b, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, b)
+        block, tmp = wide[:r1 - r0], scratch[:r1 - r0]
+        _correlate(padded[r0:r1 + 2 * radius], taps, block[:, radius:radius + cols], tmp,
+                   axis=0)
+        _reflect_pad(block, radius, axis=1)
+        _correlate(block, taps, out[r0:r1], tmp, axis=1)
+
+
 def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
     """``scipy.ndimage.gaussian_filter(x, sigma, mode="reflect")``, bit for bit.
 
-    The kernel is scipy's: ``exp(-0.5/sigma² · k²)`` normalised by its sum,
-    radius ``int(4·sigma + 0.5)``. It is exactly symmetric, so scipy's
-    reversal of it is a no-op. Axis 0 is filtered first, then axis 1, both
-    with reflect (numpy "symmetric") padding. Both passes run on one block
-    of rows at a time, which stays in cache, and no transposed copy is made;
-    the full-size arrays are one padded copy and the output. A ``sigma`` of
-    at most 1e-15 returns a copy, as scipy does.
+    Axis 0 is filtered first, then axis 1, both with reflect (numpy
+    "symmetric") padding and scipy's kernel (:func:`_gaussian_taps`). The
+    rows are split across the usable CPUs (:func:`_in_row_blocks`); each
+    worker filters whole blocks of rows, reading the shared row-padded input
+    and writing its own rows. Every cell gets the same IEEE operations in the
+    same order whichever worker computes it, so the result does not depend
+    on the worker count. The full-size arrays are the row-padded input and
+    the output.
     """
-    if not sigma > 1e-15:
-        return x.copy()
-    radius = int(4.0 * float(sigma) + 0.5)
-    kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
-    taps = (kernel / kernel.sum())[radius:]
-    padded = np.pad(x, ((radius, radius), (0, 0)), mode="symmetric")
+    taps = _gaussian_taps(sigma)
+    radius = len(taps) - 1
+    padded = np.empty((len(x) + 2 * radius, x.shape[1]))
+    padded[radius:radius + len(x)] = x
+    _reflect_pad(padded, radius, axis=0)
     out = np.empty_like(x)
-    scratch = np.empty((_SMOOTH_BLOCK_ROWS, x.shape[1]))
-    for a in range(0, len(out), _SMOOTH_BLOCK_ROWS):
-        block = out[a:a + _SMOOTH_BLOCK_ROWS]
-        tmp = scratch[:len(block)]
-        # Axis 1 of these rows needs only their axis-0 result.
-        _correlate(padded[a:a + len(block) + 2 * radius], taps, block, tmp, axis=0)
-        _correlate(np.pad(block, ((0, 0), (radius, radius)), mode="symmetric"), taps,
-                   block, tmp, axis=1)
+    _in_row_blocks(len(x), functools.partial(_smooth_rows, padded, taps, out))
     return out
+
+
+def _sum_bumps(values: np.ndarray, background: float, bumps: list, a: int, b: int) -> None:
+    """Rows ``[a, b)`` of ``values``: the background plus every bump, in order.
+
+    ``bumps`` holds per bump its amplitude, ``2·width²``, first kept column,
+    squared x distances over its kept columns and squared y distances. Per
+    cell these are the IEEE operations, in order, of
+    ``values += amp * exp(-((x - cx)**2 + (y - cy)**2) / denom)``. The buffer
+    is contiguous so that ``np.exp`` takes the same SIMD path for every call.
+    """
+    work = np.empty(_BLOCK_ROWS * values.shape[1])
+    for r0 in range(a, b, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, b)
+        rows = values[r0:r1]
+        rows.fill(background)
+        for amplitude, denom, c0, dx2, dy2 in bumps:
+            buf = work[:(r1 - r0) * len(dx2)].reshape(r1 - r0, len(dx2))
+            np.add(dx2[None, :], dy2[r0:r1, None], out=buf)
+            np.negative(buf, out=buf)
+            np.divide(buf, denom, out=buf)
+            np.exp(buf, out=buf)
+            np.multiply(amplitude, buf, out=buf)
+            rows[:, c0:c0 + len(dx2)] += buf
+
+
+def _map_rows(values, background, bumps, padded, taps, noise, a: int, b: int) -> None:
+    """Rows ``[a, b)`` of the bump sum and, with noise on, of the smoothed noise."""
+    _sum_bumps(values, background, bumps, a, b)
+    if noise is not None:
+        _smooth_rows(padded, taps, noise, a, b)
 
 
 def gen_synthetic_map(params: MapGenParams) -> GridMap:
@@ -130,6 +255,17 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
     ``noise_scale``, so the scale parameter reads directly as a field sigma.
     The smoothing is a reflect-padded Gaussian filter that matches
     ``scipy.ndimage.gaussian_filter`` to the bit, without importing scipy.
+
+    The map is built on the CPUs this process may use: the rows are split
+    into one contiguous run of whole blocks per worker
+    (:func:`_in_row_blocks`), and each worker sums the bumps over its rows
+    and then smooths the noise of the same rows. Every cell gets the same
+    IEEE operations in the same order whichever thread computes it, so the
+    map does not depend on the worker count. The calling thread draws the
+    white noise, straight into the inside of the row-padded buffer the
+    filter reads, and after the workers are joined it takes the one
+    ``std`` over the whole smoothed noise, because a reduction's pairing
+    must not change, then scales the noise and adds it.
 
     Each bump is added only over the columns where its add can change a
     cell. Every cell stays at least ``|background| - sum(|amplitude|)``
@@ -149,17 +285,15 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
     xs = params.origin_x + (np.arange(params.cols) + 0.5) * h
     ys = params.origin_y + (params.rows - 1 - np.arange(params.rows) + 0.5) * h
 
-    values = np.full((params.rows, params.cols), float(params.background))
     background = abs(float(params.background))
     total = sum(abs(b.amplitude) for b in params.bumps)
     # Lower bound of every |cell| during the sum, less a slack that covers
     # the rounding of each add and of this bound itself.
     floor = (background - total
              - (len(params.bumps) + 2) * np.finfo(float).eps * (background + total))
-    work = np.empty(values.size)
+    bumps = []
     for bump in params.bumps:
         dx2 = (xs - bump.cx) ** 2
-        dy2 = (ys - bump.cy) ** 2
         denom = 2.0 * bump.width ** 2
         c0, c1 = 0, params.cols
         if floor > 0 and bump.amplitude != 0:
@@ -171,22 +305,22 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
             if keep.size == 0:
                 continue
             c0, c1 = int(keep[0]), int(keep[-1]) + 1
-        # Per cell these are the IEEE operations, in order, of
-        # values += amp * exp(-((x - cx)**2 + (y - cy)**2) / denom), which
-        # keeps the map byte-identical. The buffer is contiguous so that
-        # np.exp takes the same SIMD path for every call.
-        buf = work[:params.rows * (c1 - c0)].reshape(params.rows, c1 - c0)
-        np.add(dx2[None, c0:c1], dy2[:, None], out=buf)
-        np.negative(buf, out=buf)
-        np.divide(buf, denom, out=buf)
-        np.exp(buf, out=buf)
-        np.multiply(bump.amplitude, buf, out=buf)
-        values[:, c0:c1] += buf
-    del work
+        bumps.append((bump.amplitude, denom, c0, dx2[c0:c1], (ys - bump.cy) ** 2))
+
+    values = np.empty((params.rows, params.cols))
+    padded = taps = noise = None
     if params.noise_scale > 0:
+        taps = _gaussian_taps(params.noise_corr_cells)
+        radius = len(taps) - 1
+        padded = np.empty((params.rows + 2 * radius, params.cols))
         rng = np.random.default_rng(params.seed)
-        noise = _gaussian_smooth(rng.standard_normal((params.rows, params.cols)),
-                                 params.noise_corr_cells)
+        rng.standard_normal(out=padded[radius:radius + params.rows])
+        _reflect_pad(padded, radius, axis=0)
+        noise = np.empty_like(values)
+    _in_row_blocks(params.rows, functools.partial(
+        _map_rows, values, float(params.background), bumps, padded, taps, noise))
+    del padded  # before std's full-size temporary
+    if noise is not None:
         std = noise.std()
         if std > 0:
             noise /= std

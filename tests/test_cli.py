@@ -1,9 +1,13 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gravnav
 from gravnav.cli import main
+from gravnav.config import MAX_INS_STEPS
 from gravnav.errors import NumericalError
 from gravnav.geomap import load_grid
 
@@ -49,6 +53,20 @@ DEMO_RETRO_DIGESTS = {
 }
 
 
+# SHA-256 of map.asc from `gravnav genmap --config configs/demo.cfg`, recorded
+# from the one-thread map build: the rows a worker builds must not move a bit.
+DEMO_MAP_DIGEST = "c1ecaa21bafc6f48148dd05599bd13aecde1f3c41354ad9d467e5dc6dbf3c498"
+
+# Runs the CLI with ``argv[2:]``, first pinned to one CPU when ``argv[1]`` is "pin".
+PINNABLE_CLI = """\
+import os, sys
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from gravnav.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -75,6 +93,18 @@ class TestGenmap:
         assert main(["genmap", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["genmap", "--config", cfg, "--out", str(out2)]) == 0
         assert sha(out1 / "map.asc") == sha(out2 / "map.asc")
+
+    @pytest.mark.parametrize("cpus", ["pin", "all"], ids=["one-cpu", "all-cpus"])
+    def test_demo_map_pinned(self, tmp_path, cpus):
+        if cpus == "pin" and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gravnav.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "out"
+        subprocess.run([sys.executable, "-c", PINNABLE_CLI, cpus, "genmap",
+                        "--config", DEMO_CFG, "--out", str(out)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        assert sha(out / "map.asc") == DEMO_MAP_DIGEST
 
     def test_malformed_key_exit_2_names_key(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.txt", TOY_MAP_KEYS + "map.rowz = 10\n")
@@ -164,12 +194,29 @@ class TestCampaign:
 
     @pytest.mark.parametrize("command", ["run", "campaign"])
     def test_route_off_the_map_exit_2_before_simulation(self, tmp_path, capsys, command):
-        # A 1e12 s flight would need terabytes for its truth alone; the route's
-        # end point is checked against the map first.
-        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + "duration = 1e12\n")
+        # The longest allowed flight would need gigabytes for its truth and
+        # INS records; the route's end point is checked against the map first.
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + f"duration = {MAX_INS_STEPS}\n")
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "trajectory leaves the map extent" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    @pytest.mark.parametrize("settings", [
+        pytest.param("aiding = false\nduration = 0.5\n", id="shorter-than-one-ins-step"),
+        # A standing route never leaves the map: only the step cap stops the
+        # multi-terabyte truth this flight would ask for.
+        pytest.param("velocity = 0,0\nduration = 1e12\n", id="past-the-step-cap"),
+    ])
+    def test_duration_out_of_range_exit_2_names_duration(self, tmp_path, capsys, command,
+                                                         settings):
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            text = fh.read()
+        cfg = write(tmp_path / "cfg.txt", text + settings)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "duration" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gravnav.config import (
     KEYS,
+    MAX_INS_STEPS,
     DivergenceParams,
     GaussianBump,
     GravimeterParams,
@@ -101,6 +102,21 @@ class TestParse:
         parse_config_text(SAMPLE.replace("duration = 600", "duration = 150")).validate()
         cfg.aiding = False
         cfg.validate()
+
+    @pytest.mark.parametrize("duration, ok", [
+        ("0.5", False), ("1", True), (f"{MAX_INS_STEPS}", True),
+        (f"{MAX_INS_STEPS + 0.5}", False), ("1e12", False), ("nan", False),
+    ])
+    def test_duration_from_one_ins_step_to_the_step_cap(self, duration, ok):
+        # A standing flight stays on the map however long it is, so only the
+        # cap stops it; validate() must not build the route to find that out.
+        cfg = parse_config_text(SAMPLE.replace("duration = 600", f"duration = {duration}")
+                                + "velocity = 0,0\naiding = false\n")
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match="duration"):
+                cfg.validate()
 
     def test_validation_catches_bad_mode(self):
         cfg = parse_config_text(SAMPLE + "fusion.mode = diagonal\n")

@@ -2,7 +2,10 @@ import csv
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gravnav
+import gravnav.harness as harness
 from gravnav.config import (
     GaussianBump,
     MapGenParams,
@@ -237,6 +241,98 @@ class TestSyntheticMapExactness:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert out.stdout.strip() == "[]"
+
+
+CORRIDOR_MAP = parse_config(os.path.join(CONFIGS, "corridor.cfg")).map.gen
+DEMO_MAP = parse_config(os.path.join(CONFIGS, "demo.cfg")).map.gen
+
+
+def map_with_workers(params, workers):
+    with mock.patch.object(harness, "_usable_cpus", lambda: workers):
+        return gen_synthetic_map(params).values
+
+
+class TestMapBuildWorkers:
+    """The map build splits its rows over the usable CPUs, bit for bit."""
+
+    @pytest.mark.parametrize("params", [
+        pytest.param(DEMO_MAP, id="demo.cfg"),
+        pytest.param(replace(DEMO_MAP, rows=37, cols=23, noise_corr_cells=2.5),
+                     id="rows-not-a-multiple-of-16"),
+        # 40 rows against a 320-row kernel radius: the row padding reflects
+        # the map several times over, and the rows still make three blocks.
+        pytest.param(replace(DEMO_MAP, rows=40, cols=30, noise_corr_cells=80.0),
+                     id="fewer-rows-than-kernel-radius"),
+        pytest.param(replace(DEMO_MAP, rows=2, cols=2), id="2x2"),
+        pytest.param(replace(DEMO_MAP, noise_scale=0.0), id="noise_scale=0"),
+        pytest.param(replace(DEMO_MAP, noise_corr_cells=0.0), id="noise_corr_cells=0"),
+    ])
+    def test_same_bits_at_any_worker_count(self, params):
+        one = map_with_workers(params, 1)
+        # 64 workers are more than any of these maps has row blocks.
+        for workers in (2, 3, 64):
+            assert map_with_workers(params, workers).tobytes() == one.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(2, 70), cols=st.integers(2, 40),
+           sigma=st.sampled_from([0.0, 0.2, 8.0]) | st.floats(0.0, 40.0),
+           workers=st.integers(1, 6), seed=st.integers(0, 2**31))
+    def test_random_maps_at_any_worker_count(self, rows, cols, sigma, workers, seed,
+                                             gaussian_filter):
+        params = MapGenParams(rows=rows, cols=cols, cell_size=50.0, background=9.79,
+                              bumps=(GaussianBump(700.0, 400.0, 2e-3, 300.0),),
+                              noise_scale=1.2e-4, noise_corr_cells=sigma, seed=seed)
+        with mock.patch.object(harness, "_usable_cpus", lambda: workers):
+            assert_same_map(params, gaussian_filter)
+
+    @pytest.mark.parametrize("n_rows, cpus, runs", [
+        (480, 2, [(0, 240), (240, 480)]),
+        (37, 2, [(0, 16), (16, 37)]),
+        (37, 8, [(0, 16), (16, 32), (32, 37)]),
+        (5, 4, [(0, 5)]),
+        (100, 3, [(0, 32), (32, 64), (64, 100)]),
+    ])
+    def test_rows_split_into_whole_blocks(self, monkeypatch, n_rows, cpus, runs):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        seen = []
+        harness._in_row_blocks(n_rows, lambda a, b: seen.append((a, b)))
+        assert sorted(seen) == runs
+
+    def test_worker_error_is_raised_by_the_caller(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+
+        def job(a, b):
+            if a > 0:
+                raise MemoryError(f"rows {a}-{b}")
+
+        with pytest.raises(MemoryError, match="rows"):
+            harness._in_row_blocks(48, job)
+
+    def test_corridor_peak_memory_below_four_maps(self):
+        # The parent's build peaked at 5.2 map-sized arrays: the bump buffer,
+        # the white noise and its padded copy besides the map and the output.
+        tracemalloc.start()
+        try:
+            gen_synthetic_map(CORRIDOR_MAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * CORRIDOR_MAP.rows * CORRIDOR_MAP.cols * 8
+
+    def test_build_grid_joins_its_worker_threads(self, monkeypatch):
+        started = []
+        thread = threading.Thread
+
+        def recording_thread(*args, **kwargs):
+            started.append(thread(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(harness.threading, "Thread", recording_thread)
+        before = threading.active_count()
+        build_grid(parse_config(os.path.join(CONFIGS, "demo.cfg")))
+        assert threading.active_count() == before
+        assert len(started) == 2 and not any(t.is_alive() for t in started)
 
 
 class TestDetectDivergence:
