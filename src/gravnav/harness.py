@@ -72,21 +72,28 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 16  # rows per block of the map build: a few hundred kB stays in cache
+# Most threads of the map build. Its numpy calls are short (20-50k elements),
+# so threads also queue for the interpreter lock between calls: two threads
+# build the corridor map about 1.35x as fast as one on a 2-CPU host, and no
+# count above two has been timed on a host with more CPUs.
+_MAX_MAP_WORKERS = 2
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+def _map_workers() -> int:
+    """Threads for the map build: the CPUs this process may run on, at most
+    ``_MAX_MAP_WORKERS``."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_MAP_WORKERS)
 
 
 def _in_row_blocks(n_rows: int, job) -> None:
     """Call ``job(a, b)`` on runs of rows that together cover ``[0, n_rows)``.
 
     Each run is a contiguous range of whole ``_BLOCK_ROWS`` blocks, one per
-    worker, with as many workers as usable CPUs but no more than blocks. The
+    worker, with :func:`_map_workers` workers but no more than blocks. The
     calling thread does the first run and a thread each does the rest; the
     threads are joined before this returns, and the first exception a run
     raised is raised here. Each thread runs in a copy of the caller's
@@ -96,7 +103,7 @@ def _in_row_blocks(n_rows: int, job) -> None:
     wraps those names and keeps one span stack, which threads would corrupt.
     """
     n_blocks = -(-n_rows // _BLOCK_ROWS)
-    workers = max(1, min(_usable_cpus(), n_blocks))
+    workers = max(1, min(_map_workers(), n_blocks))
     cuts = [min(i * n_blocks // workers * _BLOCK_ROWS, n_rows) for i in range(workers + 1)]
     errors: list[Exception] = []
 
@@ -194,25 +201,31 @@ def _smooth_rows(padded: np.ndarray, taps: np.ndarray, out: np.ndarray, a: int, 
         _correlate(block, taps, out[r0:r1], tmp, axis=1)
 
 
-def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
-    """``scipy.ndimage.gaussian_filter(x, sigma, mode="reflect")``, bit for bit.
+def _smoothed_noise(rng: np.random.Generator, rows: int, cols: int,
+                    sigma: float) -> np.ndarray:
+    """White noise from ``rng``, Gaussian-smoothed, bit for bit as scipy does it.
 
-    Axis 0 is filtered first, then axis 1, both with reflect (numpy
-    "symmetric") padding and scipy's kernel (:func:`_gaussian_taps`). The
-    rows are split across the usable CPUs (:func:`_in_row_blocks`); each
-    worker filters whole blocks of rows, reading the shared row-padded input
-    and writing its own rows. Every cell gets the same IEEE operations in the
-    same order whichever worker computes it, so the result does not depend
-    on the worker count. The full-size arrays are the row-padded input and
-    the output.
+    The result is ``scipy.ndimage.gaussian_filter(rng.standard_normal((rows,
+    cols)), sigma, mode="reflect")``: axis 0 is filtered first, then axis 1,
+    both with reflect (numpy "symmetric") padding and scipy's kernel
+    (:func:`_gaussian_taps`). The noise is drawn straight into the inside of
+    the row-padded filter input, which gives the same stream, and the pad
+    rows are filled by copying (:func:`_reflect_pad`).
+
+    The rows are split across the map-build workers (:func:`_in_row_blocks`);
+    each worker filters whole blocks of rows (:func:`_smooth_rows`), reading
+    the shared row-padded input and writing its own rows. Every cell gets the
+    same IEEE operations in the same order whichever worker computes it, so
+    the result does not depend on the worker count. The full-size arrays are
+    the row-padded input and the output.
     """
     taps = _gaussian_taps(sigma)
     radius = len(taps) - 1
-    padded = np.empty((len(x) + 2 * radius, x.shape[1]))
-    padded[radius:radius + len(x)] = x
+    padded = np.empty((rows + 2 * radius, cols))
+    rng.standard_normal(out=padded[radius:radius + rows])
     _reflect_pad(padded, radius, axis=0)
-    out = np.empty_like(x)
-    _in_row_blocks(len(x), functools.partial(_smooth_rows, padded, taps, out))
+    out = np.empty((rows, cols))
+    _in_row_blocks(rows, functools.partial(_smooth_rows, padded, taps, out))
     return out
 
 
@@ -240,13 +253,6 @@ def _sum_bumps(values: np.ndarray, background: float, bumps: list, a: int, b: in
             rows[:, c0:c0 + len(dx2)] += buf
 
 
-def _map_rows(values, background, bumps, padded, taps, noise, a: int, b: int) -> None:
-    """Rows ``[a, b)`` of the bump sum and, with noise on, of the smoothed noise."""
-    _sum_bumps(values, background, bumps, a, b)
-    if noise is not None:
-        _smooth_rows(padded, taps, noise, a, b)
-
-
 def gen_synthetic_map(params: MapGenParams) -> GridMap:
     """Deterministic synthetic field: background + Gaussian bumps + noise.
 
@@ -254,18 +260,19 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
     and rescaled to unit standard deviation before multiplying by
     ``noise_scale``, so the scale parameter reads directly as a field sigma.
     The smoothing is a reflect-padded Gaussian filter that matches
-    ``scipy.ndimage.gaussian_filter`` to the bit, without importing scipy.
+    ``scipy.ndimage.gaussian_filter`` to the bit, without importing scipy
+    (:func:`_smoothed_noise`).
 
-    The map is built on the CPUs this process may use: the rows are split
-    into one contiguous run of whole blocks per worker
-    (:func:`_in_row_blocks`), and each worker sums the bumps over its rows
-    and then smooths the noise of the same rows. Every cell gets the same
-    IEEE operations in the same order whichever thread computes it, so the
-    map does not depend on the worker count. The calling thread draws the
-    white noise, straight into the inside of the row-padded buffer the
-    filter reads, and after the workers are joined it takes the one
-    ``std`` over the whole smoothed noise, because a reduction's pairing
-    must not change, then scales the noise and adds it.
+    The map is built on the CPUs this process may use (at most
+    ``_MAX_MAP_WORKERS``): the rows are split into one contiguous run of
+    whole blocks per worker (:func:`_in_row_blocks`), first to sum the bumps
+    and then to smooth the noise. Every cell gets the same IEEE operations in
+    the same order whichever thread computes it, so the map does not depend
+    on the worker count. The workers call only private helpers and numpy,
+    never a traced ``__all__`` name (:func:`_in_row_blocks`). The calling
+    thread draws the white noise, and after the workers are joined it takes
+    the one ``std`` over the whole smoothed noise, because a reduction's
+    pairing must not change, then scales the noise and adds it.
 
     Each bump is added only over the columns where its add can change a
     cell. Every cell stays at least ``|background| - sum(|amplitude|)``
@@ -308,19 +315,11 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
         bumps.append((bump.amplitude, denom, c0, dx2[c0:c1], (ys - bump.cy) ** 2))
 
     values = np.empty((params.rows, params.cols))
-    padded = taps = noise = None
-    if params.noise_scale > 0:
-        taps = _gaussian_taps(params.noise_corr_cells)
-        radius = len(taps) - 1
-        padded = np.empty((params.rows + 2 * radius, params.cols))
-        rng = np.random.default_rng(params.seed)
-        rng.standard_normal(out=padded[radius:radius + params.rows])
-        _reflect_pad(padded, radius, axis=0)
-        noise = np.empty_like(values)
     _in_row_blocks(params.rows, functools.partial(
-        _map_rows, values, float(params.background), bumps, padded, taps, noise))
-    del padded  # before std's full-size temporary
-    if noise is not None:
+        _sum_bumps, values, float(params.background), bumps))
+    if params.noise_scale > 0:
+        noise = _smoothed_noise(np.random.default_rng(params.seed), params.rows,
+                                params.cols, params.noise_corr_cells)
         std = noise.std()
         if std > 0:
             noise /= std

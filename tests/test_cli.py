@@ -6,8 +6,8 @@ import sys
 import pytest
 
 import gravnav
+import gravnav.harness as harness
 from gravnav.cli import main
-from gravnav.config import MAX_INS_STEPS
 from gravnav.errors import NumericalError
 from gravnav.geomap import load_grid
 
@@ -184,6 +184,8 @@ class TestCampaign:
             ("map.noise_corr_cells", "-3"),
             ("pmht.T", "40"),
             ("duration", "inf"),
+            ("duration", "0.5"),
+            ("duration", "1e12"),
         )),
     ])
     def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key, value):
@@ -193,30 +195,18 @@ class TestCampaign:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "campaign"])
-    def test_route_off_the_map_exit_2_before_simulation(self, tmp_path, capsys, command):
-        # The longest allowed flight would need gigabytes for its truth and
-        # INS records; the route's end point is checked against the map first.
-        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + f"duration = {MAX_INS_STEPS}\n")
+    def test_route_off_the_map_exit_2_before_simulation(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        # The route's end point is checked against the map before the truth
+        # of this long flight is simulated.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the truth was simulated before the route check")
+
+        monkeypatch.setattr(harness, "simulate_truth", no_simulation)
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + "duration = 1e6\n")
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "trajectory leaves the map extent" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["run", "campaign"])
-    @pytest.mark.parametrize("settings", [
-        pytest.param("aiding = false\nduration = 0.5\n", id="shorter-than-one-ins-step"),
-        # A standing route never leaves the map: only the step cap stops the
-        # multi-terabyte truth this flight would ask for.
-        pytest.param("velocity = 0,0\nduration = 1e12\n", id="past-the-step-cap"),
-    ])
-    def test_duration_out_of_range_exit_2_names_duration(self, tmp_path, capsys, command,
-                                                         settings):
-        with open(DEMO_CFG, encoding="utf-8") as fh:
-            text = fh.read()
-        cfg = write(tmp_path / "cfg.txt", text + settings)
-        out = tmp_path / "o"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert "duration" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

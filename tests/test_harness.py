@@ -31,7 +31,6 @@ from gravnav.geomap import (
     value_at,
 )
 from gravnav.harness import (
-    _gaussian_smooth,
     build_grid,
     detect_divergence,
     gen_synthetic_map,
@@ -226,12 +225,12 @@ class TestSyntheticMapExactness:
                   | st.floats(0.0, 80.0)),
            seed=st.integers(0, 2**31))
     def test_smoothing_matches_gaussian_filter(self, rows, cols, sigma, seed, gaussian_filter):
-        # Unscaled white noise: every bit of the filter output is compared.
+        # Unscaled white noise, drawn into the row-padded buffer as the map
+        # build draws it: every bit of the filter output is compared.
         x = np.random.default_rng(seed).standard_normal((rows, cols))
         expected = gaussian_filter(x, sigma=sigma, mode="reflect")
-        got = _gaussian_smooth(x, sigma)
+        got = harness._smoothed_noise(np.random.default_rng(seed), rows, cols, sigma)
         assert got.tobytes() == expected.tobytes()
-        assert got is not x
 
     def test_import_loads_no_scipy(self):
         code = ("import sys, gravnav.cli; "
@@ -248,7 +247,7 @@ DEMO_MAP = parse_config(os.path.join(CONFIGS, "demo.cfg")).map.gen
 
 
 def map_with_workers(params, workers):
-    with mock.patch.object(harness, "_usable_cpus", lambda: workers):
+    with mock.patch.object(harness, "_map_workers", lambda: workers):
         return gen_synthetic_map(params).values
 
 
@@ -282,7 +281,7 @@ class TestMapBuildWorkers:
         params = MapGenParams(rows=rows, cols=cols, cell_size=50.0, background=9.79,
                               bumps=(GaussianBump(700.0, 400.0, 2e-3, 300.0),),
                               noise_scale=1.2e-4, noise_corr_cells=sigma, seed=seed)
-        with mock.patch.object(harness, "_usable_cpus", lambda: workers):
+        with mock.patch.object(harness, "_map_workers", lambda: workers):
             assert_same_map(params, gaussian_filter)
 
     @pytest.mark.parametrize("n_rows, cpus, runs", [
@@ -293,13 +292,13 @@ class TestMapBuildWorkers:
         (100, 3, [(0, 32), (32, 64), (64, 100)]),
     ])
     def test_rows_split_into_whole_blocks(self, monkeypatch, n_rows, cpus, runs):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "_map_workers", lambda: cpus)
         seen = []
         harness._in_row_blocks(n_rows, lambda a, b: seen.append((a, b)))
         assert sorted(seen) == runs
 
     def test_worker_error_is_raised_by_the_caller(self, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(harness, "_map_workers", lambda: 3)
 
         def job(a, b):
             if a > 0:
@@ -327,12 +326,19 @@ class TestMapBuildWorkers:
             started.append(thread(*args, **kwargs))
             return started[-1]
 
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(harness, "_map_workers", lambda: 3)
         monkeypatch.setattr(harness.threading, "Thread", recording_thread)
         before = threading.active_count()
         build_grid(parse_config(os.path.join(CONFIGS, "demo.cfg")))
         assert threading.active_count() == before
-        assert len(started) == 2 and not any(t.is_alive() for t in started)
+        # The bump sum and the smoothing each split demo.cfg's four row
+        # blocks three ways: the caller's share and two threads.
+        assert len(started) == 4 and not any(t.is_alive() for t in started)
+
+    def test_workers_capped_at_the_timed_count(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        assert harness._map_workers() == harness._MAX_MAP_WORKERS == 2
 
 
 class TestDetectDivergence:
