@@ -6,9 +6,10 @@ mirror the configuration field names with dots for nesting (``pmht.T = 30``,
 ``cx,cy,amplitude,width`` quadruples separated by semicolons.
 
 :data:`KEYS` lists every key once, with the field that holds its value, its
-codec and its allowed range. Parsing, :func:`serialize_config` (which writes
-the keys in table order) and :meth:`ScenarioConfig.validate` all walk it; a
-value out of range raises :class:`ConfigError` naming the key.
+codec and its allowed range or choices. Parsing, :func:`serialize_config`
+(which writes the keys in table order) and :meth:`ScenarioConfig.validate`
+all walk it; a value out of range, or not one of the key's choices, raises
+:class:`ConfigError` naming the key.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Collection
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import NamedTuple
 
 from .errors import ConfigError
-from .fusion import FusionParams
+from .inertial import SENSOR_GRADES
 
 __all__ = [
     "GaussianBump",
@@ -30,6 +31,7 @@ __all__ = [
     "MapSource",
     "GravimeterParams",
     "PmhtParams",
+    "FusionParams",
     "InsParams",
     "InitParams",
     "MonteCarloParams",
@@ -48,6 +50,8 @@ INS_DT = 1.0  # dead-reckoning step, seconds; gravimeter samples land on these s
 # Both route end points are checked against the map, but a zero velocity keeps
 # them at the start however long the flight, so the step count is capped here.
 MAX_INS_STEPS = 10**7
+# 99.9% quantile of a 2-dof chi-square, the default innovation gate.
+CHI2_99P9_2DOF = 13.815510557964274
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,32 @@ class PmhtParams:
     k_sig: float = 3.0
     grad_floor: float = 1e-9
     spread_cov: bool = False
+
+
+@dataclass
+class FusionParams:
+    """Knobs of the aiding filter.
+
+    ``nis_gate`` set to ``None`` disables the innovation guard, leaving the
+    plain ungated update; the default keeps the guard on. ``q_accel`` is the
+    velocity-driving white-noise PSD in (m/s^2)^2/Hz; when ``None`` the
+    harness fills it from the accelerometer grade.
+    """
+
+    mode: str = "standard"
+    variability_threshold: float = 0.05
+    window_len: int = 100
+    v_floor: float = 0.01
+    nis_gate: float | None = CHI2_99P9_2DOF
+    # alpha = 1 is the classical symmetric sigma set. Small alpha values
+    # (e.g. 1e-3) put a ~1e6 magnitude weight on the center point, which
+    # amplifies float rounding past the 1e-10 KF-equivalence budget.
+    alpha: float = 1.0
+    beta: float = 2.0
+    kappa: float = 0.0
+    bias_psd: float = 1e-12
+    q_accel: float | None = None
+    template_half_width: int = 8
 
 
 @dataclass
@@ -158,10 +188,6 @@ class ScenarioConfig:
                 f"pmht.T = {self.pmht.T} scans every gravimeter.interval = "
                 f"{self.gravimeter.interval:g} s outlast duration = {self.duration:g} s: "
                 "no batch would ever close")
-        if self.fusion.mode not in ("standard", "retrodiction"):
-            raise ConfigError(f"unknown fusion.mode {self.fusion.mode!r}")
-        if self.mean_error_window not in ("aided", "full"):
-            raise ConfigError(f"unknown mean_error_window {self.mean_error_window!r}")
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -247,9 +273,11 @@ class Key:
 
     ``section`` is the dotted attribute path from :class:`ScenarioConfig` to
     the object holding the value (``""`` for top-level fields); the field is
-    the last part of ``name``. ``gt``/``ge``/``le`` bound the value. ``none``
-    lists the words read as ``None``, the first being the one written; an
-    unset value skips the range check.
+    the last part of ``name``. ``gt``/``ge``/``le`` bound the value, and
+    ``choices``, when set, is the collection it must be in; a live mapping
+    such as :data:`~.inertial.SENSOR_GRADES` admits its keys as they are when
+    the value is checked. ``none`` lists the words read as ``None``, the
+    first being the one written; an unset value skips the checks.
     """
 
     name: str
@@ -259,6 +287,7 @@ class Key:
     ge: float | None = None
     le: float | None = None
     none: tuple[str, ...] = ()
+    choices: Collection[str] | None = None
 
     @property
     def field(self) -> str:
@@ -274,20 +303,20 @@ class Key:
 
     def set(self, cfg: ScenarioConfig, text: str) -> None:
         value = None if text.lower() in self.none else self.codec.parse(text, self.name)
-        if self.section == "fusion":  # FusionParams is frozen
-            cfg.fusion = replace(cfg.fusion, **{self.field: value})
-            return
-        if self.section == "map.gen" and cfg.map.gen is None:
-            cfg.map.gen = MapGenParams()
         setattr(self._owner(cfg), self.field, value)
 
     def text(self, value) -> str:
         return self.none[0] if value is None else self.codec.fmt(value)
 
     def check(self, value) -> None:
+        if value is None:
+            return
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(f"{self.name} must be one of {', '.join(self.choices)}, "
+                              f"got {value!r}")
         for cmp, op, bound in ((operator.gt, ">", self.gt), (operator.ge, ">=", self.ge),
                                (operator.le, "<=", self.le)):
-            if value is not None and bound is not None and not cmp(value, bound):
+            if bound is not None and not cmp(value, bound):
                 raise ConfigError(f"{self.name} must be {op} {bound}, got {_fmt(value)}")
 
 
@@ -307,8 +336,8 @@ KEYS: tuple[Key, ...] = (
     Key("start", "", _VEC2),
     Key("velocity", "", _VEC2),
     Key("duration", "", _FLOAT, ge=INS_DT, le=MAX_INS_STEPS * INS_DT),
-    Key("ins.accel_grade", "ins", _STR),
-    Key("ins.gyro_grade", "ins", _STR),
+    Key("ins.accel_grade", "ins", _STR, choices=SENSOR_GRADES),
+    Key("ins.gyro_grade", "ins", _STR, choices=SENSOR_GRADES),
     Key("gravimeter.sigma", "gravimeter", _FLOAT, gt=0),
     Key("gravimeter.interval", "gravimeter", _FLOAT, gt=0),
     Key("pmht.T", "pmht", _INT, ge=2),
@@ -320,7 +349,7 @@ KEYS: tuple[Key, ...] = (
     Key("pmht.k_sig", "pmht", _FLOAT, gt=0),
     Key("pmht.grad_floor", "pmht", _FLOAT, gt=0),
     Key("pmht.spread_cov", "pmht", _BOOL),
-    Key("fusion.mode", "fusion", _STR),
+    Key("fusion.mode", "fusion", _STR, choices=("standard", "retrodiction")),
     Key("fusion.variability_threshold", "fusion", _FLOAT, ge=0, le=1),
     Key("fusion.window_len", "fusion", _INT, ge=1),
     Key("fusion.v_floor", "fusion", _FLOAT, gt=0),
@@ -339,7 +368,7 @@ KEYS: tuple[Key, ...] = (
     Key("divergence.error_threshold_m", "divergence", _FLOAT, gt=0),
     Key("divergence.sustain_s", "divergence", _FLOAT, gt=0),
     Key("aiding", "", _BOOL),
-    Key("mean_error_window", "", _STR),
+    Key("mean_error_window", "", _STR, choices=("aided", "full")),
     Key("include_diverged", "", _BOOL),
 )
 
@@ -347,8 +376,12 @@ _BY_NAME = {key.name: key for key in KEYS}
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
-    """Build a :class:`ScenarioConfig` from ``key = value`` lines."""
-    cfg = ScenarioConfig()
+    """Build a :class:`ScenarioConfig` from ``key = value`` lines.
+
+    The synthetic map section is kept only when the text sets one of its keys.
+    """
+    cfg = ScenarioConfig(map=MapSource(gen=MapGenParams()))
+    synthetic = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -356,9 +389,13 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
         name, value = (part.strip() for part in line.split("=", 1))
-        if name not in _BY_NAME:
+        key = _BY_NAME.get(name)
+        if key is None:
             raise ConfigError(f"unknown config key {name!r}")
-        _BY_NAME[name].set(cfg, value)
+        key.set(cfg, value)
+        synthetic |= key.section == "map.gen"
+    if not synthetic:
+        cfg.map.gen = None
     if cfg.map.file is not None and cfg.map.gen is not None:
         raise ConfigError("config sets both map.file and synthetic map parameters")
     return cfg

@@ -5,14 +5,18 @@ bias. Prediction propagates the belief through the dead-reckoning dynamics
 driven by the indicated acceleration; updates apply position fixes from the
 batch tracker, with the fix covariance inflated by the inverse of the local
 map feature variability and a normalized-innovation gate guarding against
-wrong-cluster fixes.
+wrong-cluster fixes. :func:`apply_batch` owns the aiding decision: it reads
+the mode from the parameters, gates and weights the fixes of one smoothed
+batch, applies them, and records the batch as an :class:`AidingEpoch`.
 
 Sigma-point machinery follows the scaled unscented transform. The dynamics
 and measurement models here are linear, so the filter is exactly equivalent
-to a Kalman filter; the sigma-point form is kept for the nonlinear
-extensions the aiding pathway anticipates. The unscented weights and the
-discrete process noise depend only on the filter parameters and the step,
-so they are computed once per distinct argument set and shared read-only.
+to a Kalman filter. The sigma-point form stays because the closed-form
+filter rounds differently and moves the last bits of every output, so
+replacing it needs a declared re-baseline of the pinned output digests.
+The unscented weights and the discrete process noise depend only on the
+filter parameters and the step, so they are computed once per distinct
+argument set and shared read-only.
 
 Prediction moves a stack of beliefs with a leading seed axis: state
 ``(R, 6)``, covariance ``(R, 6, 6)``, one row per seed of a campaign block,
@@ -37,26 +41,21 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import FusionParams
 from .errors import NumericalError
 from .pmht import BatchEstimate, cv_model
 
 __all__ = [
     "NavBelief",
     "AidingFix",
-    "FusionParams",
     "UpdateDiag",
-    "BatchApplication",
-    "CHI2_99P9_2DOF",
+    "AidingEpoch",
     "ukf_predict",
     "ukf_update",
     "weight_fix_covariance",
     "aiding_gate",
     "apply_batch",
 ]
-
-# 99.9% quantile of a 2-dof chi-square, used as the innovation gate.
-CHI2_99P9_2DOF = 13.815510557964274
-
 
 @dataclass(frozen=True)
 class NavBelief:
@@ -103,48 +102,23 @@ class AidingFix:
 
 
 @dataclass(frozen=True)
-class FusionParams:
-    """Knobs of the aiding filter.
-
-    ``nis_gate`` set to ``None`` disables the innovation guard, leaving the
-    plain ungated update; the default keeps the guard on. ``q_accel`` is the
-    velocity-driving white-noise PSD in (m/s^2)^2/Hz; when ``None`` the
-    harness fills it from the accelerometer grade.
-    """
-
-    mode: str = "standard"
-    variability_threshold: float = 0.05
-    window_len: int = 100
-    v_floor: float = 0.01
-    nis_gate: float | None = CHI2_99P9_2DOF
-    # alpha = 1 is the classical symmetric sigma set. Small alpha values
-    # (e.g. 1e-3) put a ~1e6 magnitude weight on the center point, which
-    # amplifies float rounding past the 1e-10 KF-equivalence budget.
-    alpha: float = 1.0
-    beta: float = 2.0
-    kappa: float = 0.0
-    bias_psd: float = 1e-12
-    q_accel: float | None = None
-    template_half_width: int = 8
-
-
-@dataclass(frozen=True)
 class UpdateDiag:
     """Innovation diagnostics of one measurement update."""
 
-    innovation: np.ndarray
     nis: float
     accepted: bool
 
 
 @dataclass(frozen=True)
-class BatchApplication:
-    """Outcome of applying one batch of fixes to the belief."""
+class AidingEpoch:
+    """One batch-aiding event: the fixes offered, their outcomes and the batch's EM run."""
 
-    belief: NavBelief
+    time: float
     fixes: tuple[AidingFix, ...]
     n_accepted: int
     n_nis_rejected: int
+    iterations_used: int
+    converged: bool
 
 
 @lru_cache(maxsize=32)
@@ -311,51 +285,58 @@ def ukf_update(
     s_inv_innov = np.linalg.solve(s, innovation)
     nis = float(innovation @ s_inv_innov)
     if params.nis_gate is not None and nis > params.nis_gate:
-        return belief, UpdateDiag(innovation=innovation, nis=nis, accepted=False)
+        return belief, UpdateDiag(nis=nis, accepted=False)
     gain = np.linalg.solve(s, cross.T).T
     state = belief.state + gain @ innovation
     cov = belief.cov - gain @ s @ gain.T
     return (NavBelief(state=state, cov=0.5 * (cov + cov.T), time=belief.time),
-            UpdateDiag(innovation=innovation, nis=nis, accepted=True))
+            UpdateDiag(nis=nis, accepted=True))
 
 
 def apply_batch(
     belief: NavBelief,
     estimate: BatchEstimate,
-    mode: str,
     variabilities,
     params: FusionParams,
     advance=None,
-) -> BatchApplication:
-    """Feed a smoothed batch into the belief in the configured aiding mode.
+) -> tuple[NavBelief, AidingEpoch]:
+    """Feed a smoothed batch into the belief in the aiding mode ``params.mode``.
 
     Each scan of ``estimate`` gives one position fix: its time, the position
     rows of its smoothed mean and the position block of its covariance.
-    ``standard`` applies a single update with the last scan's fix (the belief
-    must already sit at the batch end time). ``retrodiction`` applies every
-    fix in time order, calling ``advance(belief, t)`` to re-predict between
-    fixes; the belief must start at or before the first fix.
-    ``variabilities`` holds one normalized variability per scan.
+    ``standard`` applies a single update with the last scan's fix.
+    ``retrodiction`` applies every fix in time order; the belief must start
+    at or before the first fix. ``advance(belief, t)`` re-predicts a belief
+    to time ``t``: up to each fix that lies ahead of it, and then up to the
+    last scan time. ``variabilities`` holds one normalized variability per
+    scan.
 
     The smoothed in-batch states share the batch's information, so feeding
     them in as independent measurements would count that information T
     times over. In retrodiction mode each applied fix covariance is
     therefore inflated by the number of gate-accepted fixes, keeping the
     net batch information on par with a single final-state update.
+
+    Returns the belief at the last scan time and the batch's epoch record.
     """
-    if mode not in ("standard", "retrodiction"):
-        raise ValueError(f"unknown aiding mode {mode!r}")
     times = estimate.times
     positions = estimate.means[:, :2]
     covs = estimate.covs[:, :2, :2]
     if len(variabilities) != len(times):
         raise ValueError("need one variability value per scan")
-    if mode == "standard":
+    if params.mode == "standard":
         times, positions, covs = times[-1:], positions[-1:], covs[-1:]
         variabilities = list(variabilities)[-1:]
 
+    def advance_to(bel: NavBelief, t: float) -> NavBelief:
+        if t <= bel.time + 1e-9:
+            return bel
+        if advance is None:
+            raise ValueError("belief lags the batch and no advance callback was given")
+        return advance(bel, t)
+
     gate_ok = [aiding_gate(float(v), params.variability_threshold) for v in variabilities]
-    info_split = float(max(sum(gate_ok), 1)) if mode == "retrodiction" else 1.0
+    info_split = float(max(sum(gate_ok), 1)) if params.mode == "retrodiction" else 1.0
 
     applied: list[AidingFix] = []
     n_accepted = 0
@@ -372,10 +353,7 @@ def apply_batch(
         applied.append(fix)
         if not fix.accepted:
             continue
-        if fix.time > belief.time + 1e-9:
-            if advance is None:
-                raise ValueError("belief lags the fix time and no advance callback was given")
-            belief = advance(belief, fix.time)
+        belief = advance_to(belief, fix.time)
         if abs(belief.time - fix.time) > 1e-6:
             raise ValueError(
                 f"belief time {belief.time} does not match fix time {fix.time}")
@@ -384,9 +362,12 @@ def apply_batch(
             n_accepted += 1
         else:
             n_nis_rejected += 1
-    return BatchApplication(
-        belief=belief,
+    end_time = float(estimate.times[-1])
+    return advance_to(belief, end_time), AidingEpoch(
+        time=end_time,
         fixes=tuple(applied),
         n_accepted=n_accepted,
         n_nis_rejected=n_nis_rejected,
+        iterations_used=estimate.iterations_used,
+        converged=estimate.converged,
     )

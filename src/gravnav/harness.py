@@ -34,7 +34,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import INS_DT, MapGenParams, ScenarioConfig, config_hash, serialize_config
+from .config import (
+    INS_DT,
+    FusionParams,
+    MapGenParams,
+    ScenarioConfig,
+    config_hash,
+    serialize_config,
+)
 from .errors import (
     ConfigError,
     CovarianceError,
@@ -44,7 +51,7 @@ from .errors import (
     NumericalError,
     OutOfBoundsError,
 )
-from .fusion import AidingFix, FusionParams, NavBelief, apply_batch, ukf_predict
+from .fusion import AidingEpoch, NavBelief, apply_batch, ukf_predict
 from .geomap import (
     CandidateSet,
     GridMap,
@@ -58,7 +65,6 @@ from .inertial import SENSOR_GRADES, SensorGrade, sample_gravimeter, simulate_in
 from .pmht import BatchProblem, KinematicState, cv_model, run_batch
 
 __all__ = [
-    "AidingEpoch",
     "RunReport",
     "CampaignReport",
     "gen_synthetic_map",
@@ -344,18 +350,6 @@ def build_grid(cfg: ScenarioConfig) -> GridMap:
 
 
 @dataclass(frozen=True)
-class AidingEpoch:
-    """Diagnostics of one batch-aiding event."""
-
-    time: float
-    fixes: tuple[AidingFix, ...]
-    n_accepted: int
-    n_nis_rejected: int
-    iterations_used: int
-    converged: bool
-
-
-@dataclass(frozen=True)
 class RunReport:
     """Per-second error series and aiding diagnostics of one run.
 
@@ -388,18 +382,6 @@ class CampaignReport:
     reports: tuple[RunReport, ...]
     config_text: str
     config_digest: str
-
-
-def _resolve_grades(cfg: ScenarioConfig) -> tuple[SensorGrade, SensorGrade]:
-    try:
-        ga = SENSOR_GRADES[cfg.ins.accel_grade]
-    except KeyError:
-        raise ConfigError(f"unknown accel grade {cfg.ins.accel_grade!r}") from None
-    try:
-        gg = SENSOR_GRADES[cfg.ins.gyro_grade]
-    except KeyError:
-        raise ConfigError(f"unknown gyro grade {cfg.ins.gyro_grade!r}") from None
-    return ga, gg
 
 
 def _resolve_fusion(cfg: ScenarioConfig, grade_accel: SensorGrade) -> FusionParams:
@@ -453,8 +435,10 @@ class _SeedRun:
         self.seed = int(seed)
         seed_ins, seed_grav = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
         ins = simulate_ins(truth, *grades, seed_ins)
-        measurements = sample_gravimeter(grid, truth, cfg.gravimeter.interval,
-                                         cfg.gravimeter.sigma, seed_grav)
+        measurements = ()
+        if cfg.aiding:  # the gravimeter's own seed stream: skipping it changes no other draw
+            measurements = sample_gravimeter(grid, truth, cfg.gravimeter.interval,
+                                             cfg.gravimeter.sigma, seed_grav)
         self.meas_at = {int(round(m.time / INS_DT)): m for m in measurements}
         self.accels = np.diff(ins.velocities, axis=0) / INS_DT
         self.pos = pos
@@ -532,25 +516,12 @@ class _SeedRun:
                 raw = 0.0
             self.var_history.append(raw)
             variabilities.append(normalize_variability(self.var_history, fus.window_len))
-        if fus.mode == "retrodiction":
-            result = apply_batch(checkpoint, est, "retrodiction", variabilities, fus,
-                                 advance=self.advance)
-            new_belief = result.belief
-            end_time = step * INS_DT
-            if new_belief.time < end_time - 1e-9:
-                new_belief = self.advance(new_belief, end_time)
-        else:
-            result = apply_batch(bel, est, "standard", variabilities, fus)
-            new_belief = result.belief
-        self.epochs.append(AidingEpoch(
-            time=step * INS_DT,
-            fixes=result.fixes,
-            n_accepted=result.n_accepted,
-            n_nis_rejected=result.n_nis_rejected,
-            iterations_used=est.iterations_used,
-            converged=est.converged,
-        ))
-        return new_belief
+        # Retrodiction replays the batch from its start; standard mode aids
+        # the live belief at the batch end.
+        start = checkpoint if fus.mode == "retrodiction" else bel
+        bel, epoch = apply_batch(start, est, variabilities, fus, self.advance)
+        self.epochs.append(epoch)
+        return bel
 
     def report(self, truth) -> RunReport:
         errors = np.linalg.norm(self.pos - truth.positions, axis=1)
@@ -595,14 +566,14 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
         grid = build_grid(cfg)
     _check_route(cfg, grid)
     truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, INS_DT)
-    grades = _resolve_grades(cfg)
+    grades = SENSOR_GRADES[cfg.ins.accel_grade], SENSOR_GRADES[cfg.ins.gyro_grade]
     fus = _resolve_fusion(cfg, grades[0])
     start = _initial_belief(cfg, truth, grades[0])
     pos_est = np.empty((len(seeds), len(truth), 2))
     pos_est[:, 0] = start.position
     runs = [_SeedRun(cfg, fus, grid, truth, grades, seed, pos)
             for seed, pos in zip(seeds, pos_est)]
-    scan_steps = runs[0].meas_at.keys() if cfg.aiding else ()
+    scan_steps = runs[0].meas_at.keys()
 
     # Row i of the belief and of ``accels[k]`` is seed ``live[i]``, whose
     # estimates are row ``rows[i]`` of ``pos_est``. ``rows`` stays a slice

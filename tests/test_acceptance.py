@@ -14,8 +14,9 @@ import pytest
 
 from gravnav.assoc import candidate_weights
 from gravnav.cli import main as cli_main
+from gravnav.config import FusionParams
 from gravnav.errors import EmptyWindowError
-from gravnav.fusion import AidingFix, FusionParams, NavBelief, ukf_predict, ukf_update
+from gravnav.fusion import AidingFix, NavBelief, ukf_predict, ukf_update
 from gravnav.geomap import GridMap, feature_variability, lookup_candidates, search_window
 from gravnav.harness import run_campaign
 from gravnav.pmht import run_batch

@@ -209,6 +209,23 @@ class TestCampaign:
         assert "trajectory leaves the map extent" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["fusion.mode", "mean_error_window", "ins.accel_grade",
+                                     "ins.gyro_grade"])
+    @pytest.mark.parametrize("command", [["campaign", "--jobs", "1"],
+                                         ["campaign", "--jobs", "2"], ["run"]],
+                             ids=["campaign-j1", "campaign-j2", "run"])
+    def test_unknown_choice_exit_2_before_the_map(self, tmp_path, capsys, monkeypatch, key,
+                                                  command):
+        def no_map(cfg):
+            raise AssertionError("the map was built before the config was checked")
+
+        monkeypatch.setattr(harness, "build_grid", no_map)
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + f"{key} = sideways\n")
+        out = tmp_path / "o"
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2_names_flag(self, tmp_path, capsys, jobs):
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)

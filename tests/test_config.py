@@ -9,6 +9,7 @@ from gravnav.config import (
     KEYS,
     MAX_INS_STEPS,
     DivergenceParams,
+    FusionParams,
     GaussianBump,
     GravimeterParams,
     InitParams,
@@ -24,7 +25,6 @@ from gravnav.config import (
     serialize_config,
 )
 from gravnav.errors import ConfigError
-from gravnav.fusion import FusionParams
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -162,6 +162,17 @@ class TestRanges:
         with pytest.raises(ConfigError, match=key.name):
             cfg.validate()
 
+    @pytest.mark.parametrize("key", [k for k in KEYS if k.choices is not None],
+                             ids=lambda k: k.name)
+    def test_unknown_choice_names_key(self, key):
+        cfg = parse_config_text(SAMPLE)
+        for choice in key.choices:
+            key.set(cfg, choice)
+            cfg.validate()
+        key.set(cfg, "sideways")
+        with pytest.raises(ConfigError, match=key.name):
+            cfg.validate()
+
     @pytest.mark.parametrize("text", ["fusion.nis_gate = off", "fusion.q_accel = auto",
                                       "init.bias_sigma = auto"])
     def test_unset_sentinel_skips_range(self, text):
@@ -201,6 +212,8 @@ def _values(key):
         low = key.gt if key.gt is not None else key.ge
         strategy = st.floats(min_value=low, max_value=key.le, exclude_min=key.gt is not None,
                              allow_nan=False, allow_infinity=False)
+    elif key.choices is not None:
+        strategy = st.sampled_from(list(key.choices))
     elif kind == "str":
         strategy = st.text(string.ascii_letters + string.digits + "-_./", max_size=12)
     elif kind == "bool":

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gravnav.config import CHI2_99P9_2DOF, FusionParams
 from gravnav.errors import NumericalError
 from gravnav.fusion import (
-    CHI2_99P9_2DOF,
     AidingFix,
-    FusionParams,
     NavBelief,
     _process_noise,
     _unscented_weights,
@@ -342,52 +342,71 @@ class TestApplyBatch:
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
         b = belief(time=20.0)
         params = FusionParams(nis_gate=None)
-        res = apply_batch(b, est, "standard", [1.0, 1.0], params)
-        assert len(res.fixes) == 1
-        assert res.n_accepted == 1
+        out, epoch = apply_batch(b, est, [1.0, 1.0], params)
+        assert len(epoch.fixes) == 1
+        assert epoch.n_accepted == 1
+        assert out.time == epoch.time == 20.0
+        assert (epoch.iterations_used, epoch.converged) == (1, True)
 
     def test_retrodiction_applies_all_fixes(self):
         est = self.make_estimate([(10.0, 0.0), (120.0, 1.0), (230.0, 2.0)],
                                  [10.0, 20.0, 30.0])
         b = belief(time=10.0)
-        params = FusionParams(nis_gate=None)
+        params = FusionParams(mode="retrodiction", nis_gate=None)
         calls = []
 
         def advance(bel, t_target):
             calls.append(t_target)
             return NavBelief(state=bel.state, cov=bel.cov, time=t_target)
 
-        res = apply_batch(b, est, "retrodiction", [1.0, 1.0, 1.0], params,
-                          advance=advance)
-        assert res.n_accepted == 3
+        out, epoch = apply_batch(b, est, [1.0, 1.0, 1.0], params, advance)
+        assert epoch.n_accepted == 3
         assert calls == [20.0, 30.0]
-        assert res.belief.time == 30.0
+        assert out.time == 30.0
+
+    def test_retrodiction_replays_to_batch_end(self):
+        # the last fix is gated out, so the belief is re-predicted past it
+        est = self.make_estimate([(10.0, 0.0), (120.0, 1.0), (230.0, 2.0)],
+                                 [10.0, 20.0, 30.0])
+        params = FusionParams(mode="retrodiction", nis_gate=None)
+        calls = []
+
+        def advance(bel, t_target):
+            calls.append(t_target)
+            return NavBelief(state=bel.state, cov=bel.cov, time=t_target)
+
+        out, epoch = apply_batch(belief(time=10.0), est, [1.0, 1.0, 0.0], params, advance)
+        assert epoch.n_accepted == 2
+        assert not epoch.fixes[2].accepted
+        assert calls == [20.0, 30.0]
+        assert out.time == epoch.time == 30.0
+
+    def test_belief_behind_the_batch_needs_advance(self):
+        est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
+        with pytest.raises(ValueError, match="advance"):
+            apply_batch(belief(time=10.0), est, [1.0, 1.0], FusionParams(nis_gate=None))
 
     def test_modes_agree_on_single_effective_fix(self):
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
         params = FusionParams(nis_gate=None, variability_threshold=0.05)
         variabilities = [0.0, 1.0]  # first fix gated out
-        std = apply_batch(belief(time=20.0), est, "standard", variabilities, params)
-        retro = apply_batch(belief(time=20.0), est, "retrodiction", variabilities, params)
-        assert (std.belief.state == retro.belief.state).all()
-        assert (std.belief.cov == retro.belief.cov).all()
+        std, _ = apply_batch(belief(time=20.0), est, variabilities, params)
+        retro, _ = apply_batch(belief(time=20.0), est, variabilities,
+                               replace(params, mode="retrodiction"))
+        assert (std.state == retro.state).all()
+        assert (std.cov == retro.cov).all()
 
     def test_all_fixes_rejected_leaves_belief_unchanged(self):
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
         b = belief(time=20.0)
         params = FusionParams(variability_threshold=0.5)
-        res = apply_batch(b, est, "standard", [0.0, 0.01], params)
-        assert res.n_accepted == 0
-        assert res.belief is b
-        assert not res.fixes[0].accepted
+        out, epoch = apply_batch(b, est, [0.0, 0.01], params)
+        assert epoch.n_accepted == 0
+        assert out is b
+        assert not epoch.fixes[0].accepted
 
     def test_variability_inflates_fix_cov(self):
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
         params = FusionParams(nis_gate=None)
-        res = apply_batch(belief(time=20.0), est, "standard", [1.0, 0.5], params)
-        assert np.allclose(res.fixes[0].cov, 2.0 * 25.0 * np.eye(2))
-
-    def test_unknown_mode_rejected(self):
-        est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
-        with pytest.raises(ValueError):
-            apply_batch(belief(time=20.0), est, "sideways", [1.0, 1.0], FusionParams())
+        _, epoch = apply_batch(belief(time=20.0), est, [1.0, 0.5], params)
+        assert np.allclose(epoch.fixes[0].cov, 2.0 * 25.0 * np.eye(2))

@@ -379,6 +379,17 @@ class TestRunScenario:
         ins_err = np.linalg.norm(ins.positions - truth.positions, axis=1)[1:]
         assert np.abs(rep.error_series - ins_err).max() < 1e-6
 
+    def test_unaided_run_flies_over_nodata_under_the_route(self):
+        # no scan is processed, so the gravimeter is never sampled there
+        cfg = small_scenario(duration=300.0, aiding=False)
+        grid = build_grid(cfg)
+        row, col = grid.cell_of(np.asarray(cfg.start) + np.array([2000.0, 0.0]))
+        values = grid.values.copy()
+        values[row - 2:row + 3, col - 2:col + 3] = grid.nodata
+        rep = run_scenario(cfg, 3, grid=replace(grid, values=values))
+        assert not rep.failed
+        assert np.array_equal(rep.error_series, run_scenario(cfg, 3).error_series)
+
     def test_off_map_trajectory_rejected_before_simulation(self):
         cfg = small_scenario(duration=2000.0)  # runs off the 20 km map
         with pytest.raises(ConfigError):

@@ -5,7 +5,8 @@ import pytest
 
 from gravnav.assoc import ScanStack, candidate_weights, position_noise_cov, stack_fuse
 from gravnav.errors import NoFixError, NumericalError
-from gravnav.fusion import FusionParams, NavBelief, apply_batch
+from gravnav.config import FusionParams
+from gravnav.fusion import NavBelief, apply_batch
 from gravnav.geomap import CandidateSet
 from gravnav.pmht import (
     BatchProblem,
@@ -375,13 +376,14 @@ class TestRetrodict:
         def advance(bel, t_target):
             return NavBelief(state=bel.state, cov=bel.cov, time=t_target)
 
-        retro = apply_batch(start, est, "retrodiction", [1.0] * 30, params, advance=advance)
+        _, retro = apply_batch(start, est, [1.0] * 30, replace(params, mode="retrodiction"),
+                               advance)
         assert len(retro.fixes) == 30
         assert [f.time for f in retro.fixes] == pytest.approx(est.times)
         for fix, mean in zip(retro.fixes, est.means):
             assert np.array_equal(fix.position, mean[:2])
 
         end = NavBelief(state=start.state, cov=start.cov, time=float(est.times[-1]))
-        (fix,) = apply_batch(end, est, "standard", [1.0] * 30, params).fixes
+        (fix,) = apply_batch(end, est, [1.0] * 30, params)[1].fixes
         assert fix.position == pytest.approx(est.means[-1, :2])
         assert np.allclose(fix.cov, est.covs[-1, :2, :2])
