@@ -75,17 +75,13 @@ class ScanStack:
         return len(self.scans)
 
 
-def position_noise_cov(sigma: float, grad, grad_floor: float = 1e-9) -> np.ndarray:
+def position_noise_cov(sigma: float, grad, grad_floor: float) -> np.ndarray:
     """Isotropic position covariance implied by field noise on a map slope.
 
     First-order propagation: a field error of one sigma moves the matched
     position by ``sigma / |grad|`` meters along the slope. The gradient norm
     is floored so flat map patches yield a large but finite covariance.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    if not grad_floor > 0:
-        raise ValueError("grad_floor must be positive")
     g = float(np.linalg.norm(np.asarray(grad, dtype=float)))
     scale = sigma / max(g, grad_floor)
     return (scale * scale) * np.eye(2)
@@ -141,7 +137,7 @@ def stack_weights(stack: ScanStack, predicted_pos, meas_cov) -> list[np.ndarray]
 
 
 def stack_fuse(stack: ScanStack, weights, per_candidate_cov,
-               spread_cov: bool = False) -> tuple[np.ndarray, np.ndarray]:
+               spread_cov: bool) -> tuple[np.ndarray, np.ndarray]:
     """Collapse every row of ``stack`` into one pseudo-measurement.
 
     ``weights`` and ``per_candidate_cov`` hold one ``(rows, n)`` and one

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import ScenarioConfig, parse_config
+from .config import FusionParams, ScenarioConfig, parse_config
 from .errors import ConfigError, GravNavError, NumericalError
 from .geomap import (
     feature_variability,
@@ -100,6 +100,9 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_inspect_map(args) -> int:
+    if args.template_half_width < 1:
+        raise ConfigError(
+            f"--template-half-width must be at least 1, got {args.template_half_width}")
     grid = load_grid(args.map)
     try:
         x, y = (float(p) for p in args.point.split(","))
@@ -150,8 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ins = sub.add_parser("inspect-map", help="print field diagnostics at a point")
     p_ins.add_argument("map", help="ASCII grid file")
     p_ins.add_argument("--point", required=True, help="query position as 'x,y' meters")
-    p_ins.add_argument("--template-half-width", type=int, default=8,
-                       dest="template_half_width")
+    p_ins.add_argument("--template-half-width", type=int,
+                       default=FusionParams.template_half_width, dest="template_half_width")
     p_ins.set_defaults(func=_cmd_inspect_map)
     return parser
 

@@ -359,7 +359,7 @@ KEYS: tuple[Key, ...] = (
     Key("fusion.kappa", "fusion", _FLOAT),
     Key("fusion.bias_psd", "fusion", _FLOAT, ge=0),
     Key("fusion.q_accel", "fusion", _FLOAT, ge=0, none=("auto",)),
-    Key("fusion.template_half_width", "fusion", _INT, ge=0),
+    Key("fusion.template_half_width", "fusion", _INT, ge=1),
     Key("init.pos_sigma", "init", _FLOAT, gt=0),
     Key("init.vel_sigma", "init", _FLOAT, gt=0),
     Key("init.bias_sigma", "init", _FLOAT, gt=0, none=("auto",)),

@@ -3,11 +3,12 @@
 The navigation belief carries planar position, velocity and accelerometer
 bias. Prediction propagates the belief through the dead-reckoning dynamics
 driven by the indicated acceleration; updates apply position fixes from the
-batch tracker, with the fix covariance inflated by the inverse of the local
-map feature variability and a normalized-innovation gate guarding against
+batch tracker, with a normalized-innovation gate guarding against
 wrong-cluster fixes. :func:`apply_batch` owns the aiding decision: it reads
-the mode from the parameters, gates and weights the fixes of one smoothed
-batch, applies them, and records the batch as an :class:`AidingEpoch`.
+the mode, the variability gate and its floor from the parameters, drops the
+fixes where the local map feature variability is below the gate, inflates
+the covariance of the others by its inverse, applies them, and records the
+batch as an :class:`AidingEpoch`.
 
 Sigma-point machinery follows the scaled unscented transform. The dynamics
 and measurement models here are linear, so the filter is exactly equivalent
@@ -52,8 +53,6 @@ __all__ = [
     "AidingEpoch",
     "ukf_predict",
     "ukf_update",
-    "weight_fix_covariance",
-    "aiding_gate",
     "apply_batch",
 ]
 
@@ -238,26 +237,6 @@ def ukf_predict(
                      time=belief.time + dt)
 
 
-def weight_fix_covariance(raw_cov, variability: float, v_floor: float = 0.01) -> np.ndarray:
-    """Inflate a fix covariance by the inverse normalized variability.
-
-    Low variability means the local map carries little position information,
-    so the fix is trusted less; the floor caps the inflation.
-    """
-    if not 0.0 <= variability <= 1.0:
-        raise ValueError("variability must lie in [0, 1]")
-    if not v_floor > 0:
-        raise ValueError("v_floor must be positive")
-    return np.asarray(raw_cov, dtype=float) / max(variability, v_floor)
-
-
-def aiding_gate(variability: float, threshold: float = 0.05) -> bool:
-    """Accept a fix only where the map is informative enough."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    return variability >= threshold
-
-
 def ukf_update(
     belief: NavBelief,
     fix: AidingFix,
@@ -311,6 +290,11 @@ def apply_batch(
     last scan time. ``variabilities`` holds one normalized variability per
     scan.
 
+    A fix passes the aiding gate only where its variability ``v`` reaches
+    ``params.variability_threshold``. Low variability means the local map
+    carries little position information, so each fix covariance is divided
+    by ``max(v, params.v_floor)``: the floor caps the inflation.
+
     The smoothed in-batch states share the batch's information, so feeding
     them in as independent measurements would count that information T
     times over. In retrodiction mode each applied fix covariance is
@@ -335,7 +319,7 @@ def apply_batch(
             raise ValueError("belief lags the batch and no advance callback was given")
         return advance(bel, t)
 
-    gate_ok = [aiding_gate(float(v), params.variability_threshold) for v in variabilities]
+    gate_ok = [float(v) >= params.variability_threshold for v in variabilities]
     info_split = float(max(sum(gate_ok), 1)) if params.mode == "retrodiction" else 1.0
 
     applied: list[AidingFix] = []
@@ -345,7 +329,7 @@ def apply_batch(
         var = float(var)
         fix = AidingFix(
             position=position,
-            cov=info_split * weight_fix_covariance(cov, var, params.v_floor),
+            cov=info_split * (cov / max(var, params.v_floor)),
             time=float(t),
             variability=var,
             accepted=ok,

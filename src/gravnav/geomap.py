@@ -2,9 +2,10 @@
 
 A :class:`GridMap` stores a scalar field (e.g. vertical gravity in m/s^2) on a
 uniform square grid in a local planar East-North frame. Candidate lookup scans
-the cells of a gated search region for values compatible with a sensed scalar
-and returns them in a deterministic order. The module also provides the local
-feature-variability statistic used to judge how informative a map region is.
+the cells inside the gating ellipse of a position prior for values compatible
+with a sensed scalar and returns them in a deterministic order. The module
+also provides the local feature-variability statistic used to judge how
+informative a map region is.
 
 All operations are pure functions of their inputs; a loaded map is never
 mutated and may be shared freely across worker processes.
@@ -28,13 +29,11 @@ from .errors import (
 
 __all__ = [
     "GridMap",
-    "SearchWindow",
     "CandidateSet",
     "load_grid",
     "save_grid",
     "value_at",
     "gradient_at",
-    "search_window",
     "lookup_candidates",
     "feature_variability",
     "variability_field",
@@ -42,11 +41,6 @@ __all__ = [
 ]
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
-
-# Gate threshold covering 99% of a 2-dof chi-square (see search_window).
-DEFAULT_GAMMA = 9.21
-# Residual gate width in units of the field-noise sigma.
-DEFAULT_K_SIG = 3.0
 
 
 @dataclass(frozen=True)
@@ -107,27 +101,6 @@ class GridMap:
         col = min(int((float(pos[0]) - x0) / h), self.n_cols - 1)
         row_s = min(int((float(pos[1]) - y0) / h), self.n_rows - 1)
         return self.n_rows - 1 - row_s, col
-
-
-@dataclass(frozen=True)
-class SearchWindow:
-    """Axis-aligned rectangle circumscribing a gating ellipse.
-
-    ``prior_cov`` keeps the full 2x2 prior covariance so that candidate
-    lookup can enforce the ellipsoidal gate inside the rectangle.
-    """
-
-    center: np.ndarray
-    half_extents: np.ndarray
-    gamma: float
-    prior_cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "half_extents", np.asarray(self.half_extents, dtype=float))
-        object.__setattr__(self, "prior_cov", np.asarray(self.prior_cov, dtype=float))
-        if not (self.half_extents > 0).all():
-            raise ValueError("half_extents must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,54 +300,41 @@ def _cell_gradients(grid: GridMap, rows: np.ndarray, cols: np.ndarray) -> np.nda
     return np.column_stack([gx, gy])
 
 
-def search_window(prior_mean, prior_cov, gamma: float = DEFAULT_GAMMA) -> SearchWindow:
-    """Axis-aligned rectangle circumscribing the gating ellipse.
+def lookup_candidates(
+    grid: GridMap,
+    value: float,
+    sigma: float,
+    prior_mean,
+    prior_cov,
+    gamma: float,
+    n_max: int,
+    k_sig: float,
+) -> CandidateSet:
+    """Collect map cells compatible with the sensed ``value``.
 
-    The ellipse is ``{z : (z - m)' C^-1 (z - m) <= gamma}``; the tight
-    axis-aligned bounding box has half extents ``sqrt(gamma * C_jj)``.
+    The search region is the gating ellipse of the position prior,
+    ``{z : (z - m)' C^-1 (z - m) <= gamma}``; the cells scanned are those
+    whose centers lie in its tight axis-aligned bounding box, of half extents
+    ``sqrt(gamma * C_jj)``. A cell qualifies when its center passes the
+    ellipse gate and its value is within ``k_sig * sigma`` of ``value``. At
+    most ``n_max`` candidates are returned, best residual first, with
+    deterministic tie-breaking.
+
+    ``prior_cov`` must be symmetric, as the nav filter keeps its
+    covariances; only its positive definiteness is checked. Raises
+    :class:`CovarianceError` when it is not positive definite, and
+    :class:`EmptyWindowError` when the box does not contain any cell
+    center; a box that contains cells but no compatible values yields an
+    empty :class:`CandidateSet`.
     """
-    mean = np.asarray(prior_mean, dtype=float)
+    cx, cy = np.asarray(prior_mean, dtype=float)
     cov = np.asarray(prior_cov, dtype=float)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if cov.shape != (2, 2):
-        raise CovarianceError(f"prior covariance must be 2x2, got {cov.shape}")
-    if not np.allclose(cov, cov.T, rtol=0, atol=1e-9 * max(1.0, abs(cov).max())):
-        raise CovarianceError("prior covariance is not symmetric")
     eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
     if eigvals.min() <= 0:
         raise CovarianceError(f"prior covariance is not positive definite (eigs {eigvals})")
-    half = np.sqrt(gamma * np.diag(cov))
-    return SearchWindow(center=mean, half_extents=half, gamma=float(gamma), prior_cov=cov)
-
-
-def lookup_candidates(
-    grid: GridMap,
-    s: float,
-    sigma: float,
-    window: SearchWindow,
-    n_max: int,
-    k_sig: float = DEFAULT_K_SIG,
-) -> CandidateSet:
-    """Collect map cells compatible with the sensed value ``s``.
-
-    A cell qualifies when its center lies inside the window rectangle,
-    passes the ellipsoidal gate of the window's prior, and its value is
-    within ``k_sig * sigma`` of ``s``. At most ``n_max`` candidates are
-    returned, best residual first, with deterministic tie-breaking.
-
-    Raises :class:`EmptyWindowError` when the window does not contain any
-    cell center; a window that contains cells but no compatible values
-    yields an empty :class:`CandidateSet`.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    hx, hy = np.sqrt(gamma * np.diag(cov))
     x0, y0 = grid.origin
     h = grid.cell_size
-    cx, cy = window.center
-    hx, hy = window.half_extents
 
     c_lo = max(int(math.ceil((cx - hx - x0) / h - 0.5)), 0)
     c_hi = min(int(math.floor((cx + hx - x0) / h - 0.5)), grid.n_cols - 1)
@@ -391,15 +351,15 @@ def lookup_candidates(
     vals = grid.values[np.ix_(rows, cols)]
 
     live = np.isfinite(vals) & (vals != grid.nodata)
-    resid = np.abs(vals - s)
+    resid = np.abs(vals - value)
     ok = live & (resid <= k_sig * sigma)
 
     # Ellipsoidal gate inside the rectangle (stricter than the rectangle alone).
     gx, gy = np.meshgrid(xs - cx, ys - cy, indexing="xy")
-    sinv = np.linalg.inv(window.prior_cov)
+    sinv = np.linalg.inv(cov)
     quad = (sinv[0, 0] * gx * gx + (sinv[0, 1] + sinv[1, 0]) * gx * gy
             + sinv[1, 1] * gy * gy)
-    ok &= quad <= window.gamma
+    ok &= quad <= gamma
 
     si, ci = np.nonzero(ok)
     locs = np.column_stack([xs[ci], ys[si]])
@@ -411,7 +371,7 @@ def lookup_candidates(
     order = np.lexsort((rowmajor, dists, residuals))[: int(n_max)]
     cells = np.column_stack([arr_rows[order], arr_cols[order]])
     return CandidateSet(locs[order], _cell_gradients(grid, cells[:, 0], cells[:, 1]),
-                        residuals[order], cells, float(s), float(sigma))
+                        residuals[order], cells, float(value), float(sigma))
 
 
 def feature_variability(grid: GridMap, center_cell: tuple[int, int], template_half_width: int) -> float:

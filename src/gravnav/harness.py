@@ -59,10 +59,9 @@ from .geomap import (
     load_grid,
     lookup_candidates,
     normalize_variability,
-    search_window,
 )
 from .inertial import SENSOR_GRADES, SensorGrade, sample_gravimeter, simulate_ins, simulate_truth
-from .pmht import BatchProblem, KinematicState, cv_model, run_batch
+from .pmht import BatchProblem, KinematicState, run_batch
 
 __all__ = [
     "RunReport",
@@ -431,7 +430,6 @@ class _SeedRun:
     def __init__(self, cfg: ScenarioConfig, fus: FusionParams, grid: GridMap, truth,
                  grades: tuple[SensorGrade, SensorGrade], seed: int, pos: np.ndarray):
         self.cfg, self.fus, self.grid = cfg, fus, grid
-        self.model = cv_model(cfg.gravimeter.interval, cfg.pmht.q_a)
         self.seed = int(seed)
         seed_ins, seed_grav = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
         ins = simulate_ins(truth, *grades, seed_ins)
@@ -472,9 +470,9 @@ class _SeedRun:
             self.checkpoint = NavBelief(state=bel.state.copy(), cov=bel.cov.copy(),
                                         time=bel.time)
         try:
-            window = search_window(bel.position, bel.cov[:2, :2], cfg.pmht.gamma)
-            cs = lookup_candidates(self.grid, meas.value, meas.sigma, window,
-                                   cfg.pmht.n_max, cfg.pmht.k_sig)
+            cs = lookup_candidates(self.grid, meas.value, meas.sigma, bel.position,
+                                   bel.cov[:2, :2], cfg.pmht.gamma, cfg.pmht.n_max,
+                                   cfg.pmht.k_sig)
         except (EmptyWindowError, CovarianceError):
             cs = CandidateSet.empty(meas.value, meas.sigma)
         self.scans.append((step, cs))
@@ -493,12 +491,9 @@ class _SeedRun:
         problem = BatchProblem(
             prior=KinematicState(x=checkpoint.state[:4], cov=checkpoint.cov[:4, :4]),
             scans=tuple(cs for _, cs in self.scans),
-            model=self.model,
-            max_iters=cfg.pmht.max_iters,
-            epsilon=cfg.pmht.epsilon,
+            params=cfg.pmht,
+            dt=cfg.gravimeter.interval,
             start_time=self.scans[0][0] * INS_DT,
-            grad_floor=cfg.pmht.grad_floor,
-            spread_cov=cfg.pmht.spread_cov,
         )
         try:
             est = run_batch(problem)

@@ -4,7 +4,10 @@ Works on a window of T measurement scans. Each iteration alternates an
 association step, which collapses every scan's candidate set into a fused
 pseudo-measurement around the current trajectory iterate, with an estimation
 step that runs a forward Kalman filter and backward fixed-interval smoother
-over those pseudo-measurements under a constant-velocity model.
+over those pseudo-measurements under a constant-velocity model. A
+:class:`BatchProblem` carries the :class:`~gravnav.config.PmhtParams` it
+runs under: the iteration budget, the stopping tolerance, the gradient
+floor, the spread term and the process noise are read from there alone.
 
 The forward pass is anchored at the fixed batch prior every iteration; the
 trajectory iterate feeds back only through the predicted positions used to
@@ -38,6 +41,7 @@ from .assoc import ScanStack, position_noise_cov, stack_fuse, stack_weights
 # Not called here (the E-step uses its stacked form), but perfbench's tracer
 # test patches and restores this binding, so it stays importable from pmht.
 from .assoc import candidate_weights  # noqa: F401
+from .config import PmhtParams
 from .errors import NoFixError, NumericalError
 from .geomap import CandidateSet
 
@@ -50,10 +54,6 @@ __all__ = [
     "em_step",
     "run_batch",
 ]
-
-DEFAULT_MAX_ITERS = 15
-DEFAULT_EPSILON = 0.1
-
 
 @dataclass(frozen=True)
 class KinematicState:
@@ -77,7 +77,7 @@ class KinematicModel:
     dt: float
 
 
-def cv_model(dt: float, q_a: float = 0.01) -> KinematicModel:
+def cv_model(dt: float, q_a: float) -> KinematicModel:
     """Constant-velocity model with white-noise-acceleration process noise.
 
     ``q_a`` is the acceleration power spectral density in m^2/s^3; the
@@ -100,23 +100,26 @@ def cv_model(dt: float, q_a: float = 0.01) -> KinematicModel:
 
 @dataclass(frozen=True)
 class BatchProblem:
-    """One batch of T scans, the prior at the first scan and a kinematic model."""
+    """One batch of T scans ``dt`` seconds apart and the prior at the first scan.
+
+    ``params`` holds the tracker settings; the kinematic model is the
+    constant-velocity model of ``dt`` and ``params.q_a``.
+    """
 
     prior: KinematicState
     scans: tuple[CandidateSet, ...]
-    model: KinematicModel
-    max_iters: int = DEFAULT_MAX_ITERS
-    epsilon: float = DEFAULT_EPSILON
+    params: PmhtParams
+    dt: float
     start_time: float = 0.0
-    grad_floor: float = 1e-9
-    spread_cov: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "scans", tuple(self.scans))
         if len(self.scans) < 2:
             raise ValueError("batch length must be at least 2")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+
+    @cached_property
+    def model(self) -> KinematicModel:
+        return cv_model(self.dt, self.params.q_a)
 
     @property
     def batch_len(self) -> int:
@@ -149,7 +152,7 @@ class _StackedScans:
         noise_covs = []
         first_cov = np.empty((len(stack), 2, 2))
         for rows, locs in stack.groups:
-            covs = np.array([[position_noise_cov(cs.sigma, g, problem.grad_floor)
+            covs = np.array([[position_noise_cov(cs.sigma, g, problem.params.grad_floor)
                               for g in cs.grads]
                              for cs in (problem.scans[t] for t in stack.scans[rows])])
             n = locs.shape[1]
@@ -242,7 +245,7 @@ def em_step(
     pred_pos = _predicted_positions(problem, current)[batch.stack.scans]
     weights = stack_weights(batch.stack, pred_pos, meas_cov)
     positions, covs = stack_fuse(batch.stack, weights, batch.noise_covs,
-                                 spread_cov=problem.spread_cov)
+                                 problem.params.spread_cov)
 
     # Forward filter, anchored at the batch prior. The scan-1 pseudo-
     # measurement is not consumed here: the prior already plays the role of
@@ -296,13 +299,13 @@ def run_batch(problem: BatchProblem) -> BatchEstimate:
         current[t] = problem.model.F @ current[t - 1]
     fused_cov = None
     converged = False
-    for i in range(1, problem.max_iters + 1):
+    for i in range(1, problem.params.max_iters + 1):
         xs, covs, _, fused_cov, _ = em_step(problem, current, fused_cov)
         if not (np.isfinite(xs).all() and np.isfinite(covs).all()):
             raise NumericalError("non-finite batch iterate", iteration=i)
         residual = max(float(np.linalg.norm(d)) for d in xs[:, :2] - current[:, :2])
         current = xs
-        if residual <= problem.epsilon:
+        if residual <= problem.params.epsilon:
             converged = True
             break
 

@@ -104,8 +104,8 @@ def em_cost_trace(problem):
 
     Replays :func:`em_step` from the prior mean rolled forward through the
     model, stopping as ``run_batch`` does: when no scan's position moves
-    more than ``epsilon`` between iterates, or at ``max_iters``. An
-    iteration's cost sums, over the scans in time order, the weighted
+    more than ``params.epsilon`` between iterates, or at ``params.max_iters``.
+    An iteration's cost sums, over the scans in time order, the weighted
     squared Mahalanobis distances of the scan's candidates from the one-step
     predicted position that fed the association step (scan 0 from the prior,
     scan t from state t-1 of the iterate), in the metric of the scan's fused
@@ -121,7 +121,7 @@ def em_cost_trace(problem):
     row_of = {int(t): r for r, t in enumerate(ScanStack.build(problem.scans).scans)}
     fused_cov = None
     costs = []
-    for _ in range(problem.max_iters):
+    for _ in range(problem.params.max_iters):
         xs, covs, _, fused_cov, weights = em_step(problem, current, fused_cov)
         total = 0.0
         for t in sorted(row_of):
@@ -133,7 +133,7 @@ def em_cost_trace(problem):
         costs.append(total)
         residual = max(float(np.linalg.norm(d)) for d in xs[:, :2] - current[:, :2])
         current = xs
-        if residual <= problem.epsilon:
+        if residual <= problem.params.epsilon:
             break
     est = run_batch(problem)
     assert est.iterations_used == len(costs)

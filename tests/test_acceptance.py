@@ -17,7 +17,7 @@ from gravnav.cli import main as cli_main
 from gravnav.config import FusionParams
 from gravnav.errors import EmptyWindowError
 from gravnav.fusion import AidingFix, NavBelief, ukf_predict, ukf_update
-from gravnav.geomap import GridMap, feature_variability, lookup_candidates, search_window
+from gravnav.geomap import GridMap, feature_variability, lookup_candidates
 from gravnav.harness import run_campaign
 from gravnav.pmht import run_batch
 from oracles import batch_map_solution, gaussian_weights, nav_kf_predict, nav_kf_update
@@ -265,12 +265,11 @@ def test_criterion_9_gating_soundness():
         rho = rng.uniform(-0.6, 0.6) * np.sqrt(a * b)
         cov = np.array([[a, rho], [rho, b]])
         gamma = rng.uniform(3.0, 12.0)
-        window = search_window(center, cov, gamma)
         s = 9.79 + 2e-3 * rng.standard_normal()
         sigma = rng.uniform(1e-4, 2e-3)
         try:
-            cs = lookup_candidates(grid, s, sigma, window,
-                                   n_max=int(rng.integers(1, 30)), k_sig=k_sig)
+            cs = lookup_candidates(grid, s, sigma, center, cov, gamma,
+                                   int(rng.integers(1, 30)), k_sig)
         except EmptyWindowError:
             continue
         total_calls += 1

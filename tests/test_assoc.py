@@ -34,7 +34,7 @@ class TestPositionNoiseCov:
         assert np.allclose(r, np.eye(2))
 
     def test_half_slope(self):
-        r = position_noise_cov(2.0, np.array([0.0, 4.0]))
+        r = position_noise_cov(2.0, np.array([0.0, 4.0]), grad_floor=1e-9)
         assert np.allclose(r, 0.25 * np.eye(2))
 
     def test_floor_engages_on_flat_map(self):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import gravnav
+import gravnav.cli as cli
 import gravnav.harness as harness
 from gravnav.cli import main
 from gravnav.errors import NumericalError
@@ -179,6 +180,7 @@ class TestCampaign:
             ("gravimeter.interval", "inf"),
             ("fusion.alpha", "0"),
             ("fusion.template_half_width", "-1"),
+            ("fusion.template_half_width", "0"),
             ("pmht.k_sig", "0"),
             ("fusion.nis_gate", "0"),
             ("map.noise_corr_cells", "-3"),
@@ -224,6 +226,22 @@ class TestCampaign:
         out = tmp_path / "o"
         assert main([*command, "--config", cfg, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["genmap", "run", "campaign"])
+    def test_template_without_neighbours_exit_2_before_the_map(self, tmp_path, capsys,
+                                                               monkeypatch, command):
+        # A zero half width leaves the template no cell but its center, so no
+        # fix would ever pass the variability gate.
+        def no_map(cfg):
+            raise AssertionError("the map was built before the config was checked")
+
+        monkeypatch.setattr(harness, "build_grid", no_map)
+        monkeypatch.setattr(cli, "build_grid", no_map)
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + "fusion.template_half_width = 0\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "fusion.template_half_width" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -354,6 +372,14 @@ class TestInspectMap:
         keys = [line.split(":")[0] for line in lines]
         assert keys == ["point", "cell", "value", "gradient_mag",
                         "variability_raw", "variability_norm"]
+
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_template_half_width_below_one_exit_2_names_flag(self, tmp_path, capsys, width):
+        path = self.make_map(tmp_path)
+        capsys.readouterr()
+        assert main(["inspect-map", str(path), "--point", "5000,1500",
+                     "--template-half-width", width]) == 2
+        assert "--template-half-width" in capsys.readouterr().err
 
     def test_off_map_point_exit_2(self, tmp_path, capsys):
         path = self.make_map(tmp_path)

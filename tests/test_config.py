@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import string
 
@@ -25,6 +27,7 @@ from gravnav.config import (
     serialize_config,
 )
 from gravnav.errors import ConfigError
+from gravnav import assoc, fusion, geomap, pmht
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -249,3 +252,24 @@ def configs(draw):
 @given(configs())
 def test_parse_inverts_serialize(cfg):
     assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+def test_tracker_and_gate_settings_have_one_default():
+    """No library parameter or field restates a PmhtParams or FusionParams default."""
+    names = {f.name for cls in (PmhtParams, FusionParams) for f in dataclasses.fields(cls)}
+    copies = []
+    for module in (geomap, assoc, pmht, fusion):
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if dataclasses.is_dataclass(obj):
+                defaulted = [f.name for f in dataclasses.fields(obj)
+                             if f.default is not dataclasses.MISSING
+                             or f.default_factory is not dataclasses.MISSING]
+            elif inspect.isfunction(obj):
+                defaulted = [p.name for p in inspect.signature(obj).parameters.values()
+                             if p.default is not p.empty]
+            else:
+                continue
+            copies += [f"{module.__name__}.{attr}: {name}" for name in defaulted
+                       if name in names]
+    assert copies == []

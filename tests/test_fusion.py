@@ -14,11 +14,9 @@ from gravnav.fusion import (
     NavBelief,
     _process_noise,
     _unscented_weights,
-    aiding_gate,
     apply_batch,
     ukf_predict,
     ukf_update,
-    weight_fix_covariance,
 )
 from gravnav.pmht import BatchEstimate, cv_model
 from oracles import nav_kf_predict, nav_kf_update, ukf_predict_one
@@ -246,33 +244,57 @@ def sigma_point_loop_predict(b, accel, dt, params):
     return NavBelief(state=mean, cov=0.5 * (cov + cov.T), time=b.time + dt)
 
 
+def offered_fix(variability, cov=np.diag([4.0, 9.0]), **params):
+    """The fix ``apply_batch`` records for a one-scan batch in standard mode.
+
+    The scan's smoothed position covariance is ``cov`` and its normalized
+    variability ``variability``; ``params`` override the fusion settings.
+    """
+    covs = np.zeros((1, 4, 4))
+    covs[0, :2, :2] = cov
+    covs[0, 2:, 2:] = 0.01 * np.eye(2)
+    est = BatchEstimate(means=np.array([[0.0, 0.0, 22.0, 0.0]]), covs=covs,
+                        times=np.array([0.0]), iterations_used=1, converged=True)
+    _, epoch = apply_batch(belief(), est, [variability],
+                           FusionParams(nis_gate=None, **params))
+    (fix,) = epoch.fixes
+    assert epoch.n_accepted == int(fix.accepted)
+    return fix
+
+
 class TestWeightFixCovariance:
+    """``apply_batch`` divides each fix covariance by ``max(v, v_floor)``."""
+
     def test_full_confidence_identity(self):
         cov = np.diag([4.0, 9.0])
-        assert (weight_fix_covariance(cov, 1.0) == cov).all()
+        assert (offered_fix(1.0, cov).cov == cov).all()
 
     def test_half_variability_doubles(self):
         cov = np.diag([4.0, 9.0])
-        assert np.allclose(weight_fix_covariance(cov, 0.5), 2.0 * cov)
+        assert np.allclose(offered_fix(0.5, cov).cov, 2.0 * cov)
+        # above the floor the variability itself scales the covariance
+        assert np.allclose(offered_fix(0.25, cov, v_floor=0.2).cov, 4.0 * cov)
 
     def test_floor_caps_inflation(self):
         cov = np.eye(2)
-        assert np.allclose(weight_fix_covariance(cov, 0.0), 100.0 * cov)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            weight_fix_covariance(np.eye(2), 1.5)
+        assert np.allclose(offered_fix(0.0, cov).cov, 100.0 * cov)
+        assert np.allclose(offered_fix(0.1, cov, v_floor=0.2).cov, 5.0 * cov)
 
 
 class TestAidingGate:
+    """``apply_batch`` takes a fix only where ``v >= variability_threshold``."""
+
     def test_accepts_above_threshold(self):
-        assert aiding_gate(0.5, 0.05)
+        assert offered_fix(0.5, variability_threshold=0.05).accepted
+
+    def test_accepts_at_threshold(self):
+        assert offered_fix(0.05, variability_threshold=0.05).accepted
 
     def test_rejects_below_threshold(self):
-        assert not aiding_gate(0.01, 0.05)
+        assert not offered_fix(0.01, variability_threshold=0.05).accepted
 
     def test_zero_threshold_always_accepts(self):
-        assert aiding_gate(0.0, 0.0)
+        assert offered_fix(0.0, variability_threshold=0.0).accepted
 
 
 class TestUkfUpdate:

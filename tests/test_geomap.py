@@ -23,7 +23,6 @@ from gravnav.geomap import (
     lookup_candidates,
     normalize_variability,
     save_grid,
-    search_window,
     value_at,
     variability_field,
 )
@@ -176,28 +175,53 @@ class TestGradientAt:
         assert g[1] > 0
 
 
+def gated(grid, center, cov, gamma, value=0.0, sigma=1.0, n_max=10_000, k_sig=3.0):
+    """Candidates of ``grid`` in the gating ellipse of the prior ``(center, cov)``."""
+    return lookup_candidates(grid, value, sigma, np.asarray(center, dtype=float),
+                             np.asarray(cov, dtype=float), gamma, n_max, k_sig)
+
+
 class TestSearchWindow:
+    """The search region of :func:`lookup_candidates`: the prior's gating ellipse.
+
+    On a flat map every cell passes the residual gate, so the candidates are
+    exactly the cell centers inside the ellipse, which reaches
+    ``sqrt(gamma * C_jj)`` from the center along each axis.
+    """
+
+    def flat(self, cell=0.25):
+        return simple_grid(np.zeros((81, 81)), cell=cell, origin=(-10.125, -10.125))
+
     def test_unit_cov_three_sigma(self):
-        w = search_window(np.zeros(2), np.eye(2), gamma=9.0)
-        assert w.half_extents == pytest.approx([3.0, 3.0])
+        grid = self.flat()
+        cs = gated(grid, np.zeros(2), np.eye(2), gamma=9.0)
+        reach = np.abs(cs.locations).max(axis=0)
+        assert (reach <= 3.0).all() and (reach > 3.0 - grid.cell_size).all()
+        assert (np.hypot(*cs.locations.T) <= 3.0 + 1e-12).all()
 
     def test_diagonal_cov(self):
-        w = search_window(np.zeros(2), np.diag([4.0, 1.0]), gamma=1.0)
-        assert w.half_extents == pytest.approx([2.0, 1.0])
+        grid = self.flat()
+        cs = gated(grid, np.zeros(2), np.diag([4.0, 1.0]), gamma=1.0)
+        reach = np.abs(cs.locations).max(axis=0)
+        assert (reach <= [2.0, 1.0]).all() and (reach > np.array([2.0, 1.0]) - 0.25).all()
 
     def test_correlated_cov_contains_ellipse(self):
+        # the scanned box holds the whole ellipse: the lookup finds every cell
+        # center of the map that lies inside it
+        grid = self.flat(cell=0.1)
+        center = grid.cell_center(40, 40) + np.array([0.03, -0.02])
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-        w = search_window(np.array([2.0, -1.0]), cov, gamma=9.0)
-        assert w.half_extents == pytest.approx([3.0, 3.0])
-        chol = np.linalg.cholesky(cov)
-        theta = np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)
-        boundary = w.center + np.sqrt(9.0) * (chol @ np.vstack([np.cos(theta), np.sin(theta)])).T
-        inside = np.abs(boundary - w.center) <= w.half_extents + 1e-12
-        assert inside.all()
+        cs = gated(grid, center, cov, gamma=9.0)
+        sinv = np.linalg.inv(cov)
+        inside = {(r, c) for r in range(grid.n_rows) for c in range(grid.n_cols)
+                  if (d := grid.cell_center(r, c) - center) @ sinv @ d <= 9.0}
+        assert set(map(tuple, cs.cells.tolist())) == inside
+        reach = np.abs(cs.locations - center).max(axis=0)
+        assert (reach <= 3.0).all() and (reach > 3.0 - 2 * grid.cell_size).all()
 
     def test_rejects_non_pd(self):
         with pytest.raises(CovarianceError):
-            search_window(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), gamma=9.0)
+            gated(self.flat(), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), gamma=9.0)
 
 
 class TestLookupCandidates:
@@ -205,23 +229,20 @@ class TestLookupCandidates:
         grid = simple_grid(np.full((9, 9), 5.0))
         # strip window: 5 columns wide, 1 row tall, centered on a cell center
         cov = np.diag([(2.4 / 3.0) ** 2, (0.4 / 3.0) ** 2])
-        w = search_window(np.array([4.5, 4.5]), cov, gamma=9.0)
-        cs = lookup_candidates(grid, 5.0, sigma=1.0, window=w, n_max=20)
+        cs = gated(grid, [4.5, 4.5], cov, 9.0, value=5.0, n_max=20)
         assert len(cs) == 5
         assert (cs.residuals == 0.0).all()
 
     def test_no_cell_within_residual_gate(self):
         sigma = 0.1
         grid = simple_grid(np.full((5, 5), 5.0 + 100.0 * 3.0 * sigma))
-        w = search_window(np.array([2.5, 2.5]), np.eye(2), gamma=9.0)
-        cs = lookup_candidates(grid, 5.0, sigma=sigma, window=w, n_max=20)
+        cs = gated(grid, [2.5, 2.5], np.eye(2), 9.0, value=5.0, sigma=sigma, n_max=20)
         assert len(cs) == 0
 
     def test_empty_window_raises(self):
         grid = simple_grid(np.full((5, 5), 1.0))
-        w = search_window(np.array([100.0, 100.0]), 1e-4 * np.eye(2), gamma=9.0)
         with pytest.raises(EmptyWindowError):
-            lookup_candidates(grid, 1.0, sigma=1.0, window=w, n_max=20)
+            gated(grid, [100.0, 100.0], 1e-4 * np.eye(2), 9.0, value=1.0, n_max=20)
 
     def test_two_cluster_map_equals_exhaustive_scan(self):
         values = np.zeros((20, 20))
@@ -229,18 +250,15 @@ class TestLookupCandidates:
         values[14:17, 15:18] = 1.0
         grid = simple_grid(values)
         sigma = 0.01
-        w = search_window(np.array([10.0, 10.0]), np.diag([40.0, 40.0]), gamma=9.0)
-        cs = lookup_candidates(grid, 1.0, sigma=sigma, window=w, n_max=500)
+        center, cov = np.array([10.0, 10.0]), np.diag([40.0, 40.0])
+        cs = gated(grid, center, cov, 9.0, value=1.0, sigma=sigma, n_max=500)
 
         expected = set()
-        sinv = np.linalg.inv(w.prior_cov)
+        sinv = np.linalg.inv(cov)
         for r in range(20):
             for c in range(20):
-                center = grid.cell_center(r, c)
-                d = center - w.center
-                if abs(d[0]) > w.half_extents[0] or abs(d[1]) > w.half_extents[1]:
-                    continue
-                if d @ sinv @ d > w.gamma:
+                d = grid.cell_center(r, c) - center
+                if d @ sinv @ d > 9.0:
                     continue
                 if abs(values[r, c] - 1.0) > 3.0 * sigma:
                     continue
@@ -261,11 +279,10 @@ class TestLookupCandidates:
             rho = rng.uniform(-0.6, 0.6) * np.sqrt(a * b)
             cov = np.array([[a, rho], [rho, b]]) * grid.cell_size ** 2 * 4.0
             gamma = rng.uniform(4.0, 12.0)
-            w = search_window(center, cov, gamma)
             s = rng.normal(0.0, 1.0)
             sigma = rng.uniform(0.1, 1.0)
             try:
-                cs = lookup_candidates(grid, s, sigma, w, n_max=10)
+                cs = lookup_candidates(grid, s, sigma, center, cov, gamma, 10, 3.0)
             except EmptyWindowError:
                 continue
             sinv = np.linalg.inv(cov)
@@ -278,12 +295,12 @@ class TestLookupCandidates:
         rng = np.random.default_rng(5)
         values = np.round(rng.normal(0.0, 1.0, (25, 25)), 1)  # force residual ties
         grid = simple_grid(values)
-        w = search_window(np.array([12.0, 12.0]), np.diag([30.0, 30.0]), gamma=9.21)
-        a = lookup_candidates(grid, 0.0, sigma=0.5, window=w, n_max=15)
-        b = lookup_candidates(grid, 0.0, sigma=0.5, window=w, n_max=15)
+        center, cov = np.array([12.0, 12.0]), np.diag([30.0, 30.0])
+        a = gated(grid, center, cov, 9.21, sigma=0.5, n_max=15)
+        b = gated(grid, center, cov, 9.21, sigma=0.5, n_max=15)
         assert a.cells.tolist() == b.cells.tolist()
         for n in (1, 3, 7, 12):
-            prefix = lookup_candidates(grid, 0.0, sigma=0.5, window=w, n_max=n)
+            prefix = gated(grid, center, cov, 9.21, sigma=0.5, n_max=n)
             assert prefix.cells.tolist() == a.cells.tolist()[:n]
 
     def test_columns_match_per_cell_reference(self):
@@ -295,10 +312,10 @@ class TestLookupCandidates:
             grid = simple_grid(values, cell=rng.uniform(10.0, 90.0),
                                origin=rng.uniform(-1e3, 1e3, 2))
             extent = np.array([grid.n_cols, grid.n_rows]) * grid.cell_size
-            w = search_window(grid.origin + rng.uniform(0.0, 1.0, 2) * extent,
-                              np.diag(rng.uniform(0.05, 1.0, 2) * extent ** 2), gamma=9.21)
+            center = grid.origin + rng.uniform(0.0, 1.0, 2) * extent
+            cov = np.diag(rng.uniform(0.05, 1.0, 2) * extent ** 2)
             s = 9.79 + 2e-3 * rng.standard_normal()
-            cs = lookup_candidates(grid, s, sigma=1e-3, window=w, n_max=30)
+            cs = gated(grid, center, cov, 9.21, value=s, sigma=1e-3, n_max=30)
             for loc, grad, residual, (r, c) in zip(cs.locations, cs.grads, cs.residuals,
                                                    cs.cells):
                 assert np.array_equal(loc, grid.cell_center(r, c))
@@ -312,27 +329,24 @@ class TestLookupCandidates:
         values = np.full((7, 7), 1.0)
         values[3, 3] = -9999.0
         grid = simple_grid(values)
-        w = search_window(grid.cell_center(3, 3), 4.0 * np.eye(2), gamma=9.0)
         with pytest.raises(NodataError, match=r"at cell \(2, 3\)$"):
-            lookup_candidates(grid, 1.0, sigma=1.0, window=w, n_max=20)
+            gated(grid, grid.cell_center(3, 3), 4.0 * np.eye(2), 9.0, value=1.0, n_max=20)
         with pytest.raises(NodataError, match=r"at cell \(4, 3\)$"):
             gradient_at(grid, grid.cell_center(4, 3))
         # only the kept candidates need a gradient: (2, 3) is gated in but cut
-        near = search_window(grid.cell_center(1, 3), 4.0 * np.eye(2), gamma=9.0)
-        kept = lookup_candidates(grid, 1.0, sigma=1.0, window=near, n_max=1)
+        kept = gated(grid, grid.cell_center(1, 3), 4.0 * np.eye(2), 9.0, value=1.0, n_max=1)
         assert kept.cells.tolist() == [[1, 3]]
         assert kept.grads.tolist() == [[0.0, 0.0]]
 
     def test_locations_built_once_and_read_only(self):
         grid = simple_grid(np.full((9, 9), 5.0))
-        w = search_window(np.array([4.5, 4.5]), np.eye(2), gamma=9.0)
-        cs = lookup_candidates(grid, 5.0, sigma=1.0, window=w, n_max=20)
+        cs = gated(grid, [4.5, 4.5], np.eye(2), 9.0, value=5.0, n_max=20)
         locs = cs.locations
         assert locs.shape == (len(cs), 2)
         assert cs.locations is locs
         with pytest.raises(ValueError):
             locs[0, 0] = 0.0
-        empty = lookup_candidates(grid, 50.0, sigma=1.0, window=w, n_max=20)
+        empty = gated(grid, [4.5, 4.5], np.eye(2), 9.0, value=50.0, n_max=20)
         assert empty.locations.shape == (0, 2)
         assert not empty.locations.flags.writeable
         for cset in (cs, empty, CandidateSet.empty(5.0, 1.0)):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import os
 import subprocess
 import sys
@@ -27,7 +28,6 @@ from gravnav.geomap import (
     feature_variability,
     lookup_candidates,
     save_grid,
-    search_window,
     value_at,
 )
 from gravnav.harness import (
@@ -40,6 +40,7 @@ from gravnav.harness import (
     write_campaign_outputs,
 )
 from gravnav.inertial import SENSOR_GRADES, sample_gravimeter, simulate_ins, simulate_truth
+from gravnav.pmht import cv_model
 from scenarios import corridor_config, corridor_map_params
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -89,22 +90,19 @@ class TestGenSyntheticMap:
         grid = gen_synthetic_map(gen)
         s = 9.79 + 1e-3  # level set circling both bump centers
         sigma = 1e-4  # residual band wider than a cell so the rings populate
-        window = search_window(np.array([4000.0, 2000.0]),
-                               np.diag([2000.0 ** 2, 800.0 ** 2]), gamma=9.21)
-        cs = lookup_candidates(grid, s, sigma, window, n_max=500)
+        center = np.array([4000.0, 2000.0])
+        cov = np.diag([2000.0 ** 2, 800.0 ** 2])
+        cs = lookup_candidates(grid, s, sigma, center, cov, 9.21, 500, 3.0)
         assert len(cs) > 0
         xs = cs.locations[:, 0]
         assert (xs < 4000.0).any() and (xs > 4000.0).any()
         # exhaustive-scan equality
         expected = set()
-        sinv = np.linalg.inv(window.prior_cov)
+        sinv = np.linalg.inv(cov)
         for r in range(grid.n_rows):
             for c in range(grid.n_cols):
-                center = grid.cell_center(r, c)
-                d = center - window.center
-                if (np.abs(d) > window.half_extents).any():
-                    continue
-                if d @ sinv @ d > window.gamma:
+                d = grid.cell_center(r, c) - center
+                if d @ sinv @ d > 9.21:
                     continue
                 if abs(grid.values[r, c] - s) > 3.0 * sigma:
                     continue
@@ -389,6 +387,42 @@ class TestRunScenario:
         rep = run_scenario(cfg, 3, grid=replace(grid, values=values))
         assert not rep.failed
         assert np.array_equal(rep.error_series, run_scenario(cfg, 3).error_series)
+
+    def test_tracker_settings_reach_lookup_and_batch(self, monkeypatch):
+        # every pmht key off its default (spread_cov as the demo sets it), so
+        # a value dropped on the way to the tracker cannot pass unseen
+        cfg = parse_config(os.path.join(CONFIGS, "demo.cfg"))
+        cfg.pmht = replace(cfg.pmht, gamma=12.5, n_max=7, k_sig=2.5, max_iters=4,
+                           epsilon=0.05, grad_floor=2e-9, q_a=0.03)
+        lookups, problems, estimates = [], [], []
+        signature = inspect.signature(harness.lookup_candidates)
+        real_lookup, real_batch = harness.lookup_candidates, harness.run_batch
+
+        def recording_lookup(*args, **kwargs):
+            lookups.append(signature.bind(*args, **kwargs).arguments)
+            return real_lookup(*args, **kwargs)
+
+        def recording_batch(problem):
+            problems.append(problem)
+            estimates.append(real_batch(problem))
+            return estimates[-1]
+
+        monkeypatch.setattr(harness, "lookup_candidates", recording_lookup)
+        monkeypatch.setattr(harness, "run_batch", recording_batch)
+        rep = run_scenario(cfg, 0)
+        assert not rep.failed
+        assert len(lookups) == cfg.duration / cfg.gravimeter.interval
+        for args in lookups:
+            assert (args["gamma"], args["n_max"], args["k_sig"]) == (12.5, 7, 2.5)
+        assert len(problems) == len(rep.epochs) > 0
+        model = cv_model(cfg.gravimeter.interval, 0.03)
+        for problem, est in zip(problems, estimates):
+            params = problem.params
+            assert (params.max_iters, params.epsilon, params.grad_floor, params.spread_cov,
+                    params.q_a) == (4, 0.05, 2e-9, True, 0.03)
+            assert np.array_equal(problem.model.Q, model.Q)
+            assert problem.model.dt == cfg.gravimeter.interval
+            assert est.iterations_used <= 4
 
     def test_off_map_trajectory_rejected_before_simulation(self):
         cfg = small_scenario(duration=2000.0)  # runs off the 20 km map

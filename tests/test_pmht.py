@@ -5,7 +5,7 @@ import pytest
 
 from gravnav.assoc import ScanStack, candidate_weights, position_noise_cov, stack_fuse
 from gravnav.errors import NoFixError, NumericalError
-from gravnav.config import FusionParams
+from gravnav.config import FusionParams, PmhtParams
 from gravnav.fusion import NavBelief, apply_batch
 from gravnav.geomap import CandidateSet
 from gravnav.pmht import (
@@ -28,6 +28,11 @@ def rolled_means(x0, model, t_len):
 
 def first_iterate(problem):
     return rolled_means(problem.prior.x, problem.model, problem.batch_len)
+
+
+def with_params(problem, **changes):
+    """``problem`` under tracker settings changed by ``changes``."""
+    return replace(problem, params=replace(problem.params, **changes))
 
 
 def max_displacement(means, other):
@@ -67,7 +72,8 @@ def single_candidate_problem(rng, t_len, dt=10.0, q_a=0.01, sigma=1e-5, grad_mag
         zs.append(z)
         grads.append(grad)
     problem = BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=tuple(scans),
-                           model=model, max_iters=max_iters, epsilon=epsilon)
+                           params=PmhtParams(q_a=q_a, max_iters=max_iters, epsilon=epsilon),
+                           dt=dt)
     r_list = [(sigma / np.linalg.norm(g)) ** 2 * np.eye(2) for g in grads]
     return problem, zs, r_list
 
@@ -75,7 +81,6 @@ def single_candidate_problem(rng, t_len, dt=10.0, q_a=0.01, sigma=1e-5, grad_mag
 def clustered_problem(rng, t_len, n_per_scan=3, cluster_std=8.0, dt=10.0,
                       prior_offset=60.0, sigma=1e-5, grad_mag=5e-7, **kw):
     """Candidates form one cluster around a true path; priors start offset."""
-    model = cv_model(dt, kw.pop("q_a", 0.01))
     vel = rng.normal(0.0, 3.0, 2)
     true0 = rng.normal(0.0, 100.0, 2)
     off = prior_offset * _unit(rng)
@@ -87,8 +92,8 @@ def clustered_problem(rng, t_len, n_per_scan=3, cluster_std=8.0, dt=10.0,
         pts = true_pos + rng.normal(0.0, cluster_std, (n_per_scan, 2))
         grads = [grad_mag * _unit(rng) for _ in range(n_per_scan)]
         scans.append(scan_from_points(pts, sigma, grads))
-    return BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=tuple(scans), model=model,
-                        **kw)
+    return BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=tuple(scans),
+                        params=PmhtParams(**kw), dt=dt)
 
 
 def _unit(rng):
@@ -105,7 +110,8 @@ class TestEmStep:
         scans = tuple(
             scan_from_points([means[t, :2]], 1e-5, [np.array([1e-6, 0.0])])
             for t in range(2))
-        problem = BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=scans, model=model)
+        problem = BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=scans,
+                               params=PmhtParams(q_a=1e-18), dt=10.0)
         xs, _, positions, _, _ = em_step(problem, means)
         for t in range(2):
             assert xs[t] == pytest.approx(means[t], abs=1e-9)
@@ -125,8 +131,7 @@ class TestEmStep:
         problem, _, _ = single_candidate_problem(rng, 5)
         scans = list(problem.scans)
         scans[2] = CandidateSet.empty(0.0, 1e-5)
-        problem2 = BatchProblem(prior=problem.prior, scans=tuple(scans),
-                                model=problem.model)
+        problem2 = replace(problem, scans=tuple(scans))
         xs, _, positions, _, _ = em_step(problem2, first_iterate(problem2))
         assert scan_rows(problem2)[2] is None
         assert len(positions) == 4
@@ -139,7 +144,7 @@ class TestStackedAssociation:
         # empty scans, one-candidate scans, and counts on both sides of the
         # 8-element threshold where numpy switches to pairwise summation
         rng = np.random.default_rng(91)
-        model = cv_model(10.0)
+        model = cv_model(10.0, 0.01)
         x0 = np.array([0.0, 0.0, 20.0, 5.0])
         means = rolled_means(x0, model, 12)
         counts = [0, 1, 8, 20, 1, 0, 9, 15, 8, 16, 1, 20]
@@ -149,7 +154,7 @@ class TestStackedAssociation:
             for t, n in enumerate(counts))
         problem = BatchProblem(
             prior=KinematicState(x=x0, cov=np.diag([900.0, 900.0, 1.0, 1.0])),
-            scans=scans, model=model, spread_cov=spread_cov)
+            scans=scans, params=PmhtParams(spread_cov=spread_cov), dt=10.0)
         f, h = model.F, model.H
         rows = scan_rows(problem)
         current, prev = means, None
@@ -160,7 +165,8 @@ class TestStackedAssociation:
                 if len(cs) == 0:
                     assert r is None
                     continue
-                per_cand = [position_noise_cov(cs.sigma, g) for g in cs.grads]
+                per_cand = [position_noise_cov(cs.sigma, g, problem.params.grad_floor)
+                            for g in cs.grads]
                 meas_cov = (sum(per_cand) / len(per_cand) if prev is None
                             else prev[r])
                 pred_x = x0 if t == 0 else f @ current[t - 1]
@@ -207,8 +213,8 @@ class TestRunBatchOracles:
     def test_iteration_count_independence_single_candidate(self):
         rng = np.random.default_rng(7)
         problem, _, _ = single_candidate_problem(rng, 10)
-        one = run_batch(replace(problem, max_iters=1))
-        many = run_batch(replace(problem, max_iters=15))
+        one = run_batch(with_params(problem, max_iters=1))
+        many = run_batch(with_params(problem, max_iters=15))
         for xa, xb in zip(one.means, many.means):
             assert xa == pytest.approx(xb, abs=1e-12)
         for pa, pb in zip(one.covs, many.covs):
@@ -225,7 +231,7 @@ class TestRunBatch:
             scan_from_points([means[t, :2]], 1e-5, [np.array([1e-6, 0.0])])
             for t in range(2))
         est = run_batch(BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=scans,
-                                     model=model))
+                                     params=PmhtParams(q_a=1e-18), dt=10.0))
         assert est.converged
         assert est.iterations_used == 1
         # one iteration: the final residual is the move from the first iterate
@@ -236,7 +242,7 @@ class TestRunBatch:
         for _ in range(10):
             problem = clustered_problem(rng, t_len=6, epsilon=0.0)
             est = run_batch(problem)
-            assert est.iterations_used <= problem.max_iters == 15
+            assert est.iterations_used <= problem.params.max_iters == 15
 
     def test_seeded_instance_converges(self):
         rng = np.random.default_rng(42)
@@ -244,7 +250,7 @@ class TestRunBatch:
         est = run_batch(problem)
         assert est.converged
         # the final residual is the move from the iterate one iteration back
-        prev = run_batch(replace(problem, max_iters=est.iterations_used - 1))
+        prev = run_batch(with_params(problem, max_iters=est.iterations_used - 1))
         assert max_displacement(est.means, prev.means) <= 0.01
 
     def test_gauge_invariance(self):
@@ -256,8 +262,7 @@ class TestRunBatch:
         shifted_scans = tuple(replace(cs, locations=cs.locations + shift)
                               for cs in problem.scans)
         base = run_batch(problem)
-        moved = run_batch(BatchProblem(prior=shifted_prior, scans=shifted_scans,
-                                       model=problem.model))
+        moved = run_batch(replace(problem, prior=shifted_prior, scans=shifted_scans))
         for a, b in zip(base.means, moved.means):
             assert b[:2] == pytest.approx(a[:2] + shift, abs=1e-7)
             assert b[2:] == pytest.approx(a[2:], abs=1e-9)
@@ -282,20 +287,18 @@ class TestRunBatch:
                 assert (wa == wb).all()
 
     def test_all_scans_empty_raises(self):
-        model = cv_model(10.0)
         empty = CandidateSet.empty(0.0, 1e-5)
         with pytest.raises(NoFixError):
             run_batch(BatchProblem(prior=KinematicState(x=np.zeros(4), cov=np.eye(4)),
-                                   scans=(empty,) * 3, model=model))
+                                   scans=(empty,) * 3, params=PmhtParams(), dt=10.0))
 
     @pytest.mark.filterwarnings("ignore::gravnav.assoc.FarCandidateWarning")
     def test_nan_candidate_raises_numerical_error(self):
-        model = cv_model(10.0)
         bad = scan_from_points([(np.nan, 0.0)], 1e-5, [np.array([1e-6, 0.0])])
         good = scan_from_points([(1.0, 1.0)], 1e-5, [np.array([1e-6, 0.0])])
         with pytest.raises(NumericalError) as exc:
             run_batch(BatchProblem(prior=KinematicState(x=np.zeros(4), cov=np.eye(4)),
-                                   scans=(good, bad, good), model=model))
+                                   scans=(good, bad, good), params=PmhtParams(), dt=10.0))
         assert exc.value.iteration == 1
 
     def test_em_cost_non_increasing_on_clustered_fixtures(self):
