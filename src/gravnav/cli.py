@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GravNavError, FileNotFoundError) as exc:
+    except (GravNavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

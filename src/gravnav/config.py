@@ -403,7 +403,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 def parse_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: "
+                              f"byte {exc.start} cannot be decoded") from None
+    return parse_config_text(text)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

@@ -80,10 +80,6 @@ class NavBelief:
     def velocity(self) -> np.ndarray:
         return self.state[..., 2:4]
 
-    @property
-    def bias(self) -> np.ndarray:
-        return self.state[..., 4:6]
-
 
 @dataclass(frozen=True)
 class AidingFix:
@@ -190,7 +186,7 @@ def _process_noise(dt: float, q_accel: float, bias_psd: float) -> np.ndarray:
     The position/velocity block is the constant-velocity model's process noise.
     """
     q = np.zeros((6, 6))
-    q[:4, :4] = cv_model(dt, q_accel).Q
+    q[:4, :4] = cv_model(dt, q_accel)[1]
     q[4, 4] = q[5, 5] = bias_psd * dt
     q.flags.writeable = False
     return q

@@ -146,7 +146,11 @@ def load_grid(path) -> GridMap:
     whitespace-separated floats, north row first.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise GridFormatError(f"grid file {path} is not UTF-8 text: "
+                                  f"byte {exc.start} cannot be decoded") from None
 
     header: dict[str, float] = {}
     idx = 0

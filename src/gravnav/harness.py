@@ -40,7 +40,6 @@ from .config import (
     MapGenParams,
     ScenarioConfig,
     config_hash,
-    serialize_config,
 )
 from .errors import (
     ConfigError,
@@ -61,7 +60,7 @@ from .geomap import (
     normalize_variability,
 )
 from .inertial import SENSOR_GRADES, SensorGrade, sample_gravimeter, simulate_ins, simulate_truth
-from .pmht import BatchProblem, KinematicState, run_batch
+from .pmht import BatchProblem, run_batch
 
 __all__ = [
     "RunReport",
@@ -379,7 +378,6 @@ class CampaignReport:
     divergence_rate: float
     seeds: tuple[int, ...]
     reports: tuple[RunReport, ...]
-    config_text: str
     config_digest: str
 
 
@@ -489,7 +487,8 @@ class _SeedRun:
         cfg, fus, grid = self.cfg, self.fus, self.grid
         checkpoint = self.checkpoint
         problem = BatchProblem(
-            prior=KinematicState(x=checkpoint.state[:4], cov=checkpoint.cov[:4, :4]),
+            prior_mean=checkpoint.state[:4],
+            prior_cov=checkpoint.cov[:4, :4],
             scans=tuple(cs for _, cs in self.scans),
             params=cfg.pmht,
             dt=cfg.gravimeter.interval,
@@ -710,7 +709,6 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
         divergence_rate=float(divergence_rate),
         seeds=tuple(seeds),
         reports=tuple(reports),
-        config_text=serialize_config(cfg),
         config_digest=config_hash(cfg),
     )
 

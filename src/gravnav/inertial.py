@@ -33,6 +33,7 @@ __all__ = [
 GRAVITY = 9.80665  # m/s^2, standard gravity used for tilt leakage
 
 _DEG_PER_HOUR = math.pi / 180.0 / 3600.0  # deg/h -> rad/s
+_SIGMA_FLOOR = 1e-12  # sigma stored on a noise-free measurement
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,16 @@ class SensorGrade:
 
     A grade carries both accelerometer fields (m/s^2, m/s^2/sqrt(Hz)) and
     gyroscope fields (deg/h, deg/h/sqrt(Hz)); consumers read whichever pair
-    matches the role the grade is passed in. Each preset's label names the
-    sensor type whose fields it defines; the complementary pair is filled
-    from the matching preset of the same grade family.
+    matches the role the grade is passed in. Each preset's key in
+    :data:`SENSOR_GRADES` names the sensor type whose fields it defines; the
+    complementary pair is filled from the matching preset of the same grade
+    family.
     """
 
     accel_bias: float
     accel_noise_density: float
     gyro_bias: float
     gyro_noise_density: float
-    label: str
 
     def __post_init__(self):
         for name in ("accel_bias", "accel_noise_density", "gyro_bias", "gyro_noise_density"):
@@ -58,27 +59,26 @@ class SensorGrade:
                 raise ValueError(f"{name} must be positive")
 
 
-def _grade(ab, an, gb, gn, label) -> SensorGrade:
+def _grade(ab, an, gb, gn) -> SensorGrade:
     return SensorGrade(accel_bias=ab, accel_noise_density=an,
-                       gyro_bias=gb, gyro_noise_density=gn, label=label)
+                       gyro_bias=gb, gyro_noise_density=gn)
 
 
 SENSOR_GRADES: dict[str, SensorGrade] = {
-    "PC-horizontal-accel": _grade(2e-6, 8e-5, 2e-5, 1e-3, "PC-horizontal-accel"),
-    "PC-horizontal-gyro": _grade(2e-6, 8e-5, 2e-5, 1e-3, "PC-horizontal-gyro"),
-    "QS-accel": _grade(1e-8, 3e-8, 1e-5, 1.2e-4, "QS-accel"),
-    "QS-gyro": _grade(1e-8, 3e-8, 1e-5, 1.2e-4, "QS-gyro"),
+    "PC-horizontal-accel": _grade(2e-6, 8e-5, 2e-5, 1e-3),
+    "PC-horizontal-gyro": _grade(2e-6, 8e-5, 2e-5, 1e-3),
+    "QS-accel": _grade(1e-8, 3e-8, 1e-5, 1.2e-4),
+    "QS-gyro": _grade(1e-8, 3e-8, 1e-5, 1.2e-4),
 }
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled planar path at constant height."""
+    """Uniformly sampled planar path."""
 
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
-    height: float = 100.0
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -170,7 +170,7 @@ def simulate_ins(
     increments = velocities[:-1] * dt + 0.5 * a_ind * dt * dt
     positions[1:] = truth.positions[0] + np.cumsum(increments, axis=0)
     return Trajectory(times=truth.times.copy(), positions=positions,
-                      velocities=velocities, height=truth.height)
+                      velocities=velocities)
 
 
 def sample_gravimeter(
@@ -179,7 +179,6 @@ def sample_gravimeter(
     interval: float,
     sigma: float,
     seed: int,
-    sigma_floor: float = 1e-12,
 ) -> list[FieldMeasurement]:
     """Sample the map along the true path every ``interval`` seconds.
 
@@ -187,7 +186,7 @@ def sample_gravimeter(
     zero-mean Gaussian noise of standard deviation ``sigma``; the first
     sample lands one interval after the start. A zero ``sigma`` adds no noise
     at all; the sigma *stored* on each measurement is floored at
-    ``sigma_floor`` so downstream gating stays well defined.
+    ``_SIGMA_FLOOR`` so downstream gating stays well defined.
     """
     dt = truth.dt
     steps_per = interval / dt
@@ -197,7 +196,7 @@ def sample_gravimeter(
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     rng = np.random.default_rng(seed)
-    stored_sigma = max(float(sigma), float(sigma_floor))
+    stored_sigma = max(float(sigma), _SIGMA_FLOOR)
     out: list[FieldMeasurement] = []
     for k in range(steps_per, len(truth), steps_per):
         pos = truth.positions[k]

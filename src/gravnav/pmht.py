@@ -4,10 +4,13 @@ Works on a window of T measurement scans. Each iteration alternates an
 association step, which collapses every scan's candidate set into a fused
 pseudo-measurement around the current trajectory iterate, with an estimation
 step that runs a forward Kalman filter and backward fixed-interval smoother
-over those pseudo-measurements under a constant-velocity model. A
-:class:`BatchProblem` carries the :class:`~gravnav.config.PmhtParams` it
-runs under: the iteration budget, the stopping tolerance, the gradient
-floor, the spread term and the process noise are read from there alone.
+over those pseudo-measurements under a constant-velocity model. The state
+is [pE, pN, vE, vN] and a pseudo-measurement observes its first two entries,
+so the filter takes slices where the textbook form multiplies by a 2x4
+selection matrix. A :class:`BatchProblem` holds the prior as a mean and a
+covariance array, and the :class:`~gravnav.config.PmhtParams` it runs under:
+the iteration budget, the stopping tolerance, the gradient floor, the spread
+term and the process noise are read from there alone.
 
 The forward pass is anchored at the fixed batch prior every iteration; the
 trajectory iterate feeds back only through the predicted positions used to
@@ -46,8 +49,6 @@ from .errors import NoFixError, NumericalError
 from .geomap import CandidateSet
 
 __all__ = [
-    "KinematicState",
-    "KinematicModel",
     "BatchProblem",
     "BatchEstimate",
     "cv_model",
@@ -55,33 +56,13 @@ __all__ = [
     "run_batch",
 ]
 
-@dataclass(frozen=True)
-class KinematicState:
-    """Planar position/velocity state [pE, pN, vE, vN] with covariance."""
 
-    x: np.ndarray
-    cov: np.ndarray
+def cv_model(dt: float, q_a: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(F, Q)`` of the constant-velocity model over one step of ``dt`` seconds.
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-
-
-@dataclass(frozen=True)
-class KinematicModel:
-    """Constant-velocity transition/observation matrices for one scan step."""
-
-    F: np.ndarray
-    Q: np.ndarray
-    H: np.ndarray
-    dt: float
-
-
-def cv_model(dt: float, q_a: float) -> KinematicModel:
-    """Constant-velocity model with white-noise-acceleration process noise.
-
-    ``q_a`` is the acceleration power spectral density in m^2/s^3; the
-    discrete process noise is its exact integral over one step.
+    The state is [pE, pN, vE, vN]. ``q_a`` is the acceleration power spectral
+    density in m^2/s^3; the discrete process noise is its exact integral over
+    one step.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -93,32 +74,35 @@ def cv_model(dt: float, q_a: float) -> KinematicModel:
         q[p, p] = q_a * q3
         q[p, v] = q[v, p] = q_a * q2
         q[v, v] = q_a * q1
-    h = np.zeros((2, 4))
-    h[0, 0] = h[1, 1] = 1.0
-    return KinematicModel(F=f, Q=q, H=h, dt=float(dt))
+    return f, q
 
 
 @dataclass(frozen=True)
 class BatchProblem:
     """One batch of T scans ``dt`` seconds apart and the prior at the first scan.
 
-    ``params`` holds the tracker settings; the kinematic model is the
-    constant-velocity model of ``dt`` and ``params.q_a``.
+    ``prior_mean`` (4,) and ``prior_cov`` (4, 4) are the planar state
+    [pE, pN, vE, vN] and its covariance. ``params`` holds the tracker
+    settings; ``model`` is the ``(F, Q)`` pair of :func:`cv_model` for ``dt``
+    and ``params.q_a``.
     """
 
-    prior: KinematicState
+    prior_mean: np.ndarray
+    prior_cov: np.ndarray
     scans: tuple[CandidateSet, ...]
     params: PmhtParams
     dt: float
     start_time: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "prior_mean", np.asarray(self.prior_mean, dtype=float))
+        object.__setattr__(self, "prior_cov", np.asarray(self.prior_cov, dtype=float))
         object.__setattr__(self, "scans", tuple(self.scans))
         if len(self.scans) < 2:
             raise ValueError("batch length must be at least 2")
 
     @cached_property
-    def model(self) -> KinematicModel:
+    def model(self) -> tuple[np.ndarray, np.ndarray]:
         return cv_model(self.dt, self.params.q_a)
 
     @property
@@ -206,12 +190,13 @@ def _predicted_positions(problem: BatchProblem, xs: np.ndarray) -> np.ndarray:
     """(T, 2) one-step predicted positions around the ``(T, 4)`` iterate ``xs``.
 
     Scan 0 is predicted by the batch prior, scan t by state t-1 of the
-    iterate. The stacked matrix-vector products equal ``F @ x`` and
-    ``H @ x`` taken one state at a time.
+    iterate. The stacked matrix-vector product equals ``F @ x`` taken one
+    state at a time; the positions are the first two entries of each
+    predicted state.
     """
-    f, h = problem.model.F, problem.model.H
-    pred_x = np.concatenate([problem.prior.x[None], np.matmul(f, xs[:-1, :, None])[:, :, 0]])
-    return np.matmul(h, pred_x[:, :, None])[:, :, 0]
+    f = problem.model[0]
+    pred_x = np.concatenate([problem.prior_mean[None], np.matmul(f, xs[:-1, :, None])[:, :, 0]])
+    return pred_x[:, :2]
 
 
 def em_step(
@@ -238,7 +223,7 @@ def em_step(
     t_len = problem.batch_len
     if len(current) != t_len:
         raise ValueError("current iterate length must equal the batch length")
-    f, q, h = problem.model.F, problem.model.Q, problem.model.H
+    f, q = problem.model
 
     batch = problem._stacked
     meas_cov = batch.first_cov if prev_cov is None else prev_cov
@@ -254,8 +239,8 @@ def em_step(
     ps = np.empty((t_len, 4, 4))
     x_preds = np.empty((t_len - 1, 4))
     p_preds = np.empty((t_len - 1, 4, 4))
-    xs[0] = problem.prior.x
-    ps[0] = _symmetrize(problem.prior.cov)
+    xs[0] = problem.prior_mean
+    ps[0] = _symmetrize(problem.prior_cov)
     for t in range(t_len - 1):
         p_preds[t] = p_pred = _symmetrize(f @ ps[t] @ f.T + q)
         x_preds[t] = x_pred = f @ xs[t]
@@ -264,11 +249,12 @@ def em_step(
             xs[t + 1] = x_pred
             ps[t + 1] = p_pred
         else:
-            hp = h @ p_pred
-            s_mat = hp @ h.T + covs[r]
-            k = _solve_spd(s_mat, hp).T
-            ps[t + 1] = _symmetrize(p_pred - k @ h @ p_pred)
-            xs[t + 1] = x_pred + k @ (positions[r] - h @ x_pred)
+            # The measurement picks the position: H P is P[:2], H P H^T is
+            # P[:2, :2] and H x is x[:2], equal bit for bit to the products.
+            hp = p_pred[:2]
+            k = _solve_spd(p_pred[:2, :2] + covs[r], hp).T
+            ps[t + 1] = _symmetrize(p_pred - k @ hp)
+            xs[t + 1] = x_pred + k @ (positions[r] - x_pred[:2])
 
     # Backward smoothing in place with the standard fixed-interval gain, all
     # gains in one stacked solve.
@@ -294,9 +280,10 @@ def run_batch(problem: BatchProblem) -> BatchEstimate:
 
     t_len = problem.batch_len
     current = np.empty((t_len, 4))
-    current[0] = problem.prior.x
+    current[0] = problem.prior_mean
+    f = problem.model[0]
     for t in range(1, t_len):
-        current[t] = problem.model.F @ current[t - 1]
+        current[t] = f @ current[t - 1]
     fused_cov = None
     converged = False
     for i in range(1, problem.params.max_iters + 1):
@@ -312,7 +299,7 @@ def run_batch(problem: BatchProblem) -> BatchEstimate:
     return BatchEstimate(
         means=current,
         covs=covs,
-        times=problem.start_time + np.arange(t_len) * problem.model.dt,
+        times=problem.start_time + np.arange(t_len) * problem.dt,
         iterations_used=i,
         converged=converged,
     )

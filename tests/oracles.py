@@ -112,9 +112,9 @@ def em_cost_trace(problem):
     covariance. Asserts that the replay ends on ``run_batch``'s estimate bit
     for bit, so the trace cannot drift from the tracker.
     """
-    f_mat, h_mat = problem.model.F, problem.model.H
+    f_mat = problem.model[0]
     t_len = problem.batch_len
-    current = [problem.prior.x]
+    current = [problem.prior_mean]
     for _ in range(t_len - 1):
         current.append(f_mat @ current[-1])
     current = np.array(current)
@@ -126,8 +126,8 @@ def em_cost_trace(problem):
         total = 0.0
         for t in sorted(row_of):
             r = row_of[t]
-            prev = problem.prior.x if t == 0 else f_mat @ current[t - 1]
-            diffs = problem.scans[t].locations - h_mat @ prev
+            prev = problem.prior_mean if t == 0 else f_mat @ current[t - 1]
+            diffs = problem.scans[t].locations - prev[:2]
             sinv = np.linalg.inv(fused_cov[r])
             total += float(weights[r] @ np.einsum("ni,ij,nj->n", diffs, sinv, diffs))
         costs.append(total)

@@ -25,7 +25,7 @@ from oracles import brute_variability, em_cost_trace
 from scenarios import corridor_config
 from test_assoc import make_set
 from test_cli import TOY_SCENARIO
-from test_pmht import clustered_problem, single_candidate_problem
+from test_pmht import H_POS, clustered_problem, single_candidate_problem
 
 JOBS = max(os.cpu_count() or 1, 1)
 
@@ -77,8 +77,8 @@ def test_criterion_1_smoother_oracle():
         problem, zs, r_list = single_candidate_problem(rng, t_len)
         est = run_batch(problem)
         means, _covs = batch_map_solution(
-            problem.prior.x, problem.prior.cov, problem.model.F,
-            problem.model.Q, problem.model.H, [None] + zs[1:], r_list)
+            problem.prior_mean, problem.prior_cov, *problem.model, H_POS,
+            [None] + zs[1:], r_list)
         for t in range(t_len):
             rel = (np.linalg.norm(est.means[t] - means[t])
                    / max(np.linalg.norm(means[t]), 1.0))

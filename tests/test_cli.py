@@ -327,6 +327,18 @@ class TestRun:
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)
         assert main(["run", "--config", cfg, "--seed", "0"]) == 3
 
+    def test_config_directory_exit_2_names_path(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "Traceback" not in err
+
+    def test_config_not_utf8_exit_2_names_path(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(TOY_SCENARIO.encode("utf-8") + b"# \xff\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "Traceback" not in err
+
 
 class TestInspectMap:
     def make_map(self, tmp_path, extra=""):
@@ -380,6 +392,19 @@ class TestInspectMap:
         assert main(["inspect-map", str(path), "--point", "5000,1500",
                      "--template-half-width", width]) == 2
         assert "--template-half-width" in capsys.readouterr().err
+
+    def test_map_directory_exit_2_names_path(self, tmp_path, capsys):
+        assert main(["inspect-map", str(tmp_path), "--point", "1,1"]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "Traceback" not in err
+
+    def test_map_not_utf8_exit_2_names_path(self, tmp_path, capsys):
+        path = self.make_map(tmp_path)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        capsys.readouterr()
+        assert main(["inspect-map", str(path), "--point", "5000,1500"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
     def test_off_map_point_exit_2(self, tmp_path, capsys):
         path = self.make_map(tmp_path)

@@ -110,7 +110,7 @@ class TestUkfPredict:
     @pytest.mark.parametrize("dt, q_accel", [(1.0, 1e-8), (10.0, 0.01), (0.3, 2.5e-9)])
     def test_process_noise_kinematic_block_is_cv_model_noise(self, dt, q_accel):
         q = _process_noise(dt, q_accel, 1e-12)
-        assert np.array_equal(q[:4, :4], cv_model(dt, q_accel).Q)
+        assert np.array_equal(q[:4, :4], cv_model(dt, q_accel)[1])
         assert np.array_equal(q[4:, 4:], 1e-12 * dt * np.eye(2))
         assert not q[:4, 4:].any() and not q[4:, :4].any()
 

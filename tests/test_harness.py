@@ -415,13 +415,13 @@ class TestRunScenario:
         for args in lookups:
             assert (args["gamma"], args["n_max"], args["k_sig"]) == (12.5, 7, 2.5)
         assert len(problems) == len(rep.epochs) > 0
-        model = cv_model(cfg.gravimeter.interval, 0.03)
+        _, q = cv_model(cfg.gravimeter.interval, 0.03)
         for problem, est in zip(problems, estimates):
             params = problem.params
             assert (params.max_iters, params.epsilon, params.grad_floor, params.spread_cov,
                     params.q_a) == (4, 0.05, 2e-9, True, 0.03)
-            assert np.array_equal(problem.model.Q, model.Q)
-            assert problem.model.dt == cfg.gravimeter.interval
+            assert np.array_equal(problem.model[1], q)
+            assert problem.dt == cfg.gravimeter.interval
             assert est.iterations_used <= 4
 
     def test_off_map_trajectory_rejected_before_simulation(self):
@@ -456,8 +456,7 @@ class TestRunScenario:
             type(SENSOR_GRADES["QS-accel"])(accel_bias=1e-3,
                                             accel_noise_density=8e-5,
                                             gyro_bias=2e-5,
-                                            gyro_noise_density=1e-3,
-                                            label="test-coarse-accel"))
+                                            gyro_noise_density=1e-3))
         cfg_on = small_scenario(duration=600.0, batch_len=10)
         cfg_on.ins.accel_grade = "test-coarse-accel"
         cfg_off = small_scenario(duration=600.0, batch_len=10, aiding=False)
@@ -581,8 +580,7 @@ class TestRunCampaign:
             type(SENSOR_GRADES["QS-accel"])(accel_bias=1e-3,
                                             accel_noise_density=8e-5,
                                             gyro_bias=2e-5,
-                                            gyro_noise_density=1e-3,
-                                            label="test-coarse-accel"))
+                                            gyro_noise_density=1e-3))
 
         def cfg_for(sigma):
             cfg = small_scenario(duration=600.0, batch_len=10, sigma=sigma, runs=4)

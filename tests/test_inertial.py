@@ -14,8 +14,7 @@ from gravnav.inertial import (
 
 def tiny_grade(accel_bias=1e-30, accel_noise=1e-30, gyro_bias=1e-30, gyro_noise=1e-30):
     return SensorGrade(accel_bias=accel_bias, accel_noise_density=accel_noise,
-                       gyro_bias=gyro_bias, gyro_noise_density=gyro_noise,
-                       label="test")
+                       gyro_bias=gyro_bias, gyro_noise_density=gyro_noise)
 
 
 def constant_grid(value, rows=10, cols=10, cell=100.0):
@@ -52,7 +51,7 @@ class TestGradePresets:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             SensorGrade(accel_bias=0.0, accel_noise_density=1.0, gyro_bias=1.0,
-                        gyro_noise_density=1.0, label="bad")
+                        gyro_noise_density=1.0)
 
 
 class TestSimulateTruth:

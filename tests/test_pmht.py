@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gravnav.assoc import ScanStack, candidate_weights, position_noise_cov, stack_fuse
 from gravnav.errors import NoFixError, NumericalError
@@ -10,24 +13,27 @@ from gravnav.fusion import NavBelief, apply_batch
 from gravnav.geomap import CandidateSet
 from gravnav.pmht import (
     BatchProblem,
-    KinematicState,
     cv_model,
     em_step,
     run_batch,
 )
 from oracles import batch_map_solution, em_cost_trace, kalman_rts
 
+# The textbook observation matrix for the reference oracles: a pseudo-
+# measurement observes the position entries of [pE, pN, vE, vN].
+H_POS = np.eye(2, 4)
 
-def rolled_means(x0, model, t_len):
-    """(T, 4) prior mean rolled forward: the first EM iterate of a batch."""
+
+def rolled_means(x0, f, t_len):
+    """(T, 4) prior mean rolled forward by ``f``: the first EM iterate of a batch."""
     means = [x0]
     for _ in range(t_len - 1):
-        means.append(model.F @ means[-1])
+        means.append(f @ means[-1])
     return np.array(means)
 
 
 def first_iterate(problem):
-    return rolled_means(problem.prior.x, problem.model, problem.batch_len)
+    return rolled_means(problem.prior_mean, problem.model[0], problem.batch_len)
 
 
 def with_params(problem, **changes):
@@ -59,8 +65,7 @@ def single_candidate_problem(rng, t_len, dt=10.0, q_a=0.01, sigma=1e-5, grad_mag
     x0 = np.concatenate([rng.normal(0.0, 1000.0, 2), rng.normal(0.0, 10.0, 2)])
     a = rng.normal(0.0, 1.0, (4, 4))
     p0 = a @ a.T + np.diag([900.0, 900.0, 1.0, 1.0])
-    model = cv_model(dt, q_a)
-    means = rolled_means(x0, model, t_len)
+    means = rolled_means(x0, cv_model(dt, q_a)[0], t_len)
     scans = []
     zs = []
     grads = []
@@ -71,7 +76,7 @@ def single_candidate_problem(rng, t_len, dt=10.0, q_a=0.01, sigma=1e-5, grad_mag
         scans.append(scan_from_points([z], sigma, [grad]))
         zs.append(z)
         grads.append(grad)
-    problem = BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=tuple(scans),
+    problem = BatchProblem(prior_mean=x0, prior_cov=p0, scans=tuple(scans),
                            params=PmhtParams(q_a=q_a, max_iters=max_iters, epsilon=epsilon),
                            dt=dt)
     r_list = [(sigma / np.linalg.norm(g)) ** 2 * np.eye(2) for g in grads]
@@ -92,7 +97,7 @@ def clustered_problem(rng, t_len, n_per_scan=3, cluster_std=8.0, dt=10.0,
         pts = true_pos + rng.normal(0.0, cluster_std, (n_per_scan, 2))
         grads = [grad_mag * _unit(rng) for _ in range(n_per_scan)]
         scans.append(scan_from_points(pts, sigma, grads))
-    return BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=tuple(scans),
+    return BatchProblem(prior_mean=x0, prior_cov=p0, scans=tuple(scans),
                         params=PmhtParams(**kw), dt=dt)
 
 
@@ -101,16 +106,46 @@ def _unit(rng):
     return np.array([np.cos(ang), np.sin(ang)])
 
 
+def scaled(shape):
+    """Arrays whose entries have magnitudes from 1e-3 to 1e4 and either sign."""
+    exps = hnp.arrays(float, shape, elements=st.floats(-3.0, 4.0))
+    signs = hnp.arrays(float, shape, elements=st.sampled_from([-1.0, 1.0]))
+    return st.tuples(exps, signs).map(lambda es: es[1] * 10.0 ** es[0])
+
+
+class TestSelectionSlices:
+    """The slices em_step takes equal the selection-matrix products bit for bit.
+
+    The filter reads positions as ``P[:2]``, ``P[:2, :2]`` and ``x[:2]`` where
+    the textbook form multiplies by H. Should a numpy or BLAS change ever make
+    a product differ from its slice, this names the cause before the output
+    digests do.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=scaled((4, 4)), k_t=scaled((2, 4)), x=scaled(4), xs=scaled((7, 4)))
+    def test_products_equal_slices(self, a, k_t, x, xs):
+        p = a @ a.T + 1e-6 * np.eye(4)
+        assert np.linalg.eigvalsh(p).min() > 0.0
+        k = k_t.T  # em_step's gain is the transpose of a solve, as here
+        hp = H_POS @ p
+        assert np.array_equal(hp, p[:2])
+        assert np.array_equal(hp @ H_POS.T, p[:2, :2])
+        assert np.array_equal(k @ H_POS @ p, k @ p[:2])
+        assert np.array_equal(H_POS @ x, x[:2])
+        assert np.array_equal(np.matmul(H_POS, xs[:, :, None])[:, :, 0], xs[:, :2])
+
+
 class TestEmStep:
     def test_zero_innovation_fixed_point(self):
-        model = cv_model(10.0, q_a=1e-18)
+        f, _ = cv_model(10.0, q_a=1e-18)
         x0 = np.array([0.0, 0.0, 1.0, 0.5])
         p0 = np.diag([4.0, 4.0, 0.01, 0.01])
-        means = rolled_means(x0, model, 2)
+        means = rolled_means(x0, f, 2)
         scans = tuple(
             scan_from_points([means[t, :2]], 1e-5, [np.array([1e-6, 0.0])])
             for t in range(2))
-        problem = BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=scans,
+        problem = BatchProblem(prior_mean=x0, prior_cov=p0, scans=scans,
                                params=PmhtParams(q_a=1e-18), dt=10.0)
         xs, _, positions, _, _ = em_step(problem, means)
         for t in range(2):
@@ -144,18 +179,17 @@ class TestStackedAssociation:
         # empty scans, one-candidate scans, and counts on both sides of the
         # 8-element threshold where numpy switches to pairwise summation
         rng = np.random.default_rng(91)
-        model = cv_model(10.0, 0.01)
+        f, _ = cv_model(10.0, 0.01)
         x0 = np.array([0.0, 0.0, 20.0, 5.0])
-        means = rolled_means(x0, model, 12)
+        means = rolled_means(x0, f, 12)
         counts = [0, 1, 8, 20, 1, 0, 9, 15, 8, 16, 1, 20]
         scans = tuple(
             scan_from_points(means[t, :2] + rng.normal(0.0, 40.0, (n, 2)),
                              1e-5, [rng.normal(0.0, 1e-6, 2) for _ in range(n)])
             for t, n in enumerate(counts))
         problem = BatchProblem(
-            prior=KinematicState(x=x0, cov=np.diag([900.0, 900.0, 1.0, 1.0])),
+            prior_mean=x0, prior_cov=np.diag([900.0, 900.0, 1.0, 1.0]),
             scans=scans, params=PmhtParams(spread_cov=spread_cov), dt=10.0)
-        f, h = model.F, model.H
         rows = scan_rows(problem)
         current, prev = means, None
         for _ in range(3):
@@ -170,7 +204,7 @@ class TestStackedAssociation:
                 meas_cov = (sum(per_cand) / len(per_cand) if prev is None
                             else prev[r])
                 pred_x = x0 if t == 0 else f @ current[t - 1]
-                w = candidate_weights(cs, h @ pred_x, meas_cov)
+                w = candidate_weights(cs, H_POS @ pred_x, meas_cov)
                 ref_pos, ref_cov = stack_fuse(ScanStack.build([cs]), [w[None]],
                                               [np.array(per_cand)[None]], spread_cov)
                 assert np.array_equal(weights[r], w)
@@ -187,8 +221,8 @@ class TestRunBatchOracles:
             problem, zs, r_list = single_candidate_problem(rng, t_len)
             est = run_batch(problem)
             zs_oracle = [None] + zs[1:]
-            sm_x, sm_p = kalman_rts(problem.prior.x, problem.prior.cov,
-                                    problem.model.F, problem.model.Q, problem.model.H,
+            sm_x, sm_p = kalman_rts(problem.prior_mean, problem.prior_cov,
+                                    *problem.model, H_POS,
                                     zs_oracle, r_list)
             for t in range(t_len):
                 denom = max(1.0, np.linalg.norm(sm_x[t]))
@@ -201,9 +235,9 @@ class TestRunBatchOracles:
         rng = np.random.default_rng(200 + t_len)
         problem, zs, r_list = single_candidate_problem(rng, t_len)
         est = run_batch(problem)
-        means, covs = batch_map_solution(problem.prior.x, problem.prior.cov,
-                                         problem.model.F, problem.model.Q,
-                                         problem.model.H, [None] + zs[1:], r_list)
+        means, covs = batch_map_solution(problem.prior_mean, problem.prior_cov,
+                                         *problem.model, H_POS,
+                                         [None] + zs[1:], r_list)
         for t in range(t_len):
             denom = max(1.0, np.linalg.norm(means[t]))
             assert np.linalg.norm(est.means[t] - means[t]) / denom <= 1e-8
@@ -223,14 +257,14 @@ class TestRunBatchOracles:
 
 class TestRunBatch:
     def test_fixed_point_converges_first_iteration(self):
-        model = cv_model(10.0, q_a=1e-18)
+        f, _ = cv_model(10.0, q_a=1e-18)
         x0 = np.array([5.0, -2.0, 2.0, 1.0])
         p0 = np.diag([1.0, 1.0, 0.01, 0.01])
-        means = rolled_means(x0, model, 2)
+        means = rolled_means(x0, f, 2)
         scans = tuple(
             scan_from_points([means[t, :2]], 1e-5, [np.array([1e-6, 0.0])])
             for t in range(2))
-        est = run_batch(BatchProblem(prior=KinematicState(x=x0, cov=p0), scans=scans,
+        est = run_batch(BatchProblem(prior_mean=x0, prior_cov=p0, scans=scans,
                                      params=PmhtParams(q_a=1e-18), dt=10.0))
         assert est.converged
         assert est.iterations_used == 1
@@ -257,12 +291,11 @@ class TestRunBatch:
         rng = np.random.default_rng(8)
         problem = clustered_problem(rng, t_len=6)
         shift = np.array([5000.0, -3000.0])
-        shifted_prior = KinematicState(
-            x=problem.prior.x + np.concatenate([shift, np.zeros(2)]), cov=problem.prior.cov)
+        shifted_mean = problem.prior_mean + np.concatenate([shift, np.zeros(2)])
         shifted_scans = tuple(replace(cs, locations=cs.locations + shift)
                               for cs in problem.scans)
         base = run_batch(problem)
-        moved = run_batch(replace(problem, prior=shifted_prior, scans=shifted_scans))
+        moved = run_batch(replace(problem, prior_mean=shifted_mean, scans=shifted_scans))
         for a, b in zip(base.means, moved.means):
             assert b[:2] == pytest.approx(a[:2] + shift, abs=1e-7)
             assert b[2:] == pytest.approx(a[2:], abs=1e-9)
@@ -289,7 +322,7 @@ class TestRunBatch:
     def test_all_scans_empty_raises(self):
         empty = CandidateSet.empty(0.0, 1e-5)
         with pytest.raises(NoFixError):
-            run_batch(BatchProblem(prior=KinematicState(x=np.zeros(4), cov=np.eye(4)),
+            run_batch(BatchProblem(prior_mean=np.zeros(4), prior_cov=np.eye(4),
                                    scans=(empty,) * 3, params=PmhtParams(), dt=10.0))
 
     @pytest.mark.filterwarnings("ignore::gravnav.assoc.FarCandidateWarning")
@@ -297,7 +330,7 @@ class TestRunBatch:
         bad = scan_from_points([(np.nan, 0.0)], 1e-5, [np.array([1e-6, 0.0])])
         good = scan_from_points([(1.0, 1.0)], 1e-5, [np.array([1e-6, 0.0])])
         with pytest.raises(NumericalError) as exc:
-            run_batch(BatchProblem(prior=KinematicState(x=np.zeros(4), cov=np.eye(4)),
+            run_batch(BatchProblem(prior_mean=np.zeros(4), prior_cov=np.eye(4),
                                    scans=(good, bad, good), params=PmhtParams(), dt=10.0))
         assert exc.value.iteration == 1
 
@@ -320,8 +353,8 @@ class TestRunBatch:
         rng = np.random.default_rng(63)
 
         def objective(problem, xs, fused_cov, weights):
-            f, q, h = problem.model.F, problem.model.Q, problem.model.H
-            x0, p0 = problem.prior.x, problem.prior.cov
+            (f, q), h = problem.model, H_POS
+            x0, p0 = problem.prior_mean, problem.prior_cov
             d = xs[0] - x0
             total = d @ np.linalg.solve(p0, d)
             for t in range(len(xs) - 1):
@@ -373,7 +406,7 @@ class TestRetrodict:
         assert np.diff(est.times) == pytest.approx(np.full(29, 10.0))
 
         params = FusionParams(nis_gate=None)
-        start = NavBelief(state=np.concatenate([problem.prior.x, np.zeros(2)]),
+        start = NavBelief(state=np.concatenate([problem.prior_mean, np.zeros(2)]),
                           cov=np.eye(6), time=float(est.times[0]))
 
         def advance(bel, t_target):
