@@ -64,7 +64,13 @@ def _cmd_genmap(args) -> int:
     return 0
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_run(args) -> int:
+    _check_seed(args.seed)
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.monte_carlo.base_seed
     report = run_scenario(cfg, seed)
@@ -85,6 +91,7 @@ def _cmd_run(args) -> int:
 def _cmd_campaign(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_seed(args.seed)
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.monte_carlo.base_seed = args.seed

@@ -332,7 +332,7 @@ KEYS: tuple[Key, ...] = (
     Key("map.bumps", "map.gen", _BUMPS),
     Key("map.noise_scale", "map.gen", _FLOAT, ge=0),
     Key("map.noise_corr_cells", "map.gen", _FLOAT, ge=0),
-    Key("map.seed", "map.gen", _INT),
+    Key("map.seed", "map.gen", _INT, ge=0),
     Key("start", "", _VEC2),
     Key("velocity", "", _VEC2),
     Key("duration", "", _FLOAT, ge=INS_DT, le=MAX_INS_STEPS * INS_DT),
@@ -364,7 +364,7 @@ KEYS: tuple[Key, ...] = (
     Key("init.vel_sigma", "init", _FLOAT, gt=0),
     Key("init.bias_sigma", "init", _FLOAT, gt=0, none=("auto",)),
     Key("monte_carlo.runs", "monte_carlo", _INT, ge=1),
-    Key("monte_carlo.base_seed", "monte_carlo", _INT),
+    Key("monte_carlo.base_seed", "monte_carlo", _INT, ge=0),
     Key("divergence.error_threshold_m", "divergence", _FLOAT, gt=0),
     Key("divergence.sustain_s", "divergence", _FLOAT, gt=0),
     Key("aiding", "", _BOOL),

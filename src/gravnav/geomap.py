@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+_CHECK_CELLS = 1 << 16  # cells per chunk of the finiteness check: no map-sized temporary
+
+
+def plain_point(pos) -> tuple[float, ...]:
+    """``pos`` as a tuple of Python floats, which print as plain numbers in
+    a message (a numpy 2 scalar prints as ``np.float64(...)``)."""
+    return tuple(map(float, pos))
 
 
 @dataclass(frozen=True)
@@ -68,14 +75,16 @@ class GridMap:
             raise ValueError("grid must be at least 2x2")
         if not self.cell_size > 0:
             raise ValueError("cell_size must be positive")
-        live = vals != self.nodata
-        if not np.isfinite(vals[live]).all():
-            raise ValueError("non-nodata values must be finite")
+        step = max(1, _CHECK_CELLS // self.n_cols)
+        for r0 in range(0, self.n_rows, step):
+            rows = vals[r0:r0 + step]
+            if not (np.isfinite(rows) | (rows == self.nodata)).all():
+                raise ValueError("non-nodata values must be finite")
 
     @property
     def extent(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) outer bounds in meters."""
-        x0, y0 = self.origin
+        x0, y0 = plain_point(self.origin)
         return (x0, x0 + self.n_cols * self.cell_size,
                 y0, y0 + self.n_rows * self.cell_size)
 
@@ -95,7 +104,8 @@ class GridMap:
     def cell_of(self, pos) -> tuple[int, int]:
         """(row, col) of the cell containing ``pos`` (clamped to the grid)."""
         if not self.in_bounds(pos):
-            raise OutOfBoundsError(f"position {tuple(pos)} outside map extent {self.extent}")
+            raise OutOfBoundsError(
+                f"position {plain_point(pos)} outside map extent {self.extent}")
         x0, y0 = self.origin
         h = self.cell_size
         col = min(int((float(pos[0]) - x0) / h), self.n_cols - 1)
@@ -252,7 +262,7 @@ def value_at(grid: GridMap, pos) -> float:
     stored value.
     """
     if not grid.in_bounds(pos):
-        raise OutOfBoundsError(f"position {tuple(pos)} outside map extent {grid.extent}")
+        raise OutOfBoundsError(f"position {plain_point(pos)} outside map extent {grid.extent}")
     x0, y0 = grid.origin
     h = grid.cell_size
     gx = (float(pos[0]) - x0) / h - 0.5
@@ -268,7 +278,7 @@ def value_at(grid: GridMap, pos) -> float:
     v = grid.values
     corners = (v[r_lo, c0], v[r_lo, c0 + 1], v[r_hi, c0], v[r_hi, c0 + 1])
     if any(c == grid.nodata for c in corners):
-        raise NodataError(f"nodata cell touches interpolation stencil at {tuple(pos)}")
+        raise NodataError(f"nodata cell touches interpolation stencil at {plain_point(pos)}")
     sw, se, nw, ne = corners
     return float((1 - fy) * ((1 - fx) * sw + fx * se) + fy * ((1 - fx) * nw + fx * ne))
 

@@ -76,6 +76,7 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 16  # rows per block of the map build: a few hundred kB stays in cache
+_SUM_LEAF = 1 << 16  # elements per chunk of the map's std: 512 kB of float64
 # Most threads of the map build. Its numpy calls are short (20-50k elements),
 # so threads also queue for the interpreter lock between calls: two threads
 # build the corridor map about 1.35x as fast as one on a 2-CPU host, and no
@@ -93,22 +94,27 @@ def _map_workers() -> int:
     return min(cpus, _MAX_MAP_WORKERS)
 
 
-def _in_row_blocks(n_rows: int, job) -> None:
-    """Call ``job(a, b)`` on runs of rows that together cover ``[0, n_rows)``.
+def _row_runs(n_rows: int) -> list[tuple[int, int]]:
+    """Split ``[0, n_rows)`` into one run of whole ``_BLOCK_ROWS`` blocks per
+    worker, with :func:`_map_workers` workers but no more than blocks."""
+    n_blocks = -(-n_rows // _BLOCK_ROWS)
+    workers = max(1, min(_map_workers(), n_blocks))
+    cuts = [min(i * n_blocks // workers * _BLOCK_ROWS, n_rows) for i in range(workers + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
-    Each run is a contiguous range of whole ``_BLOCK_ROWS`` blocks, one per
-    worker, with :func:`_map_workers` workers but no more than blocks. The
-    calling thread does the first run and a thread each does the rest; the
-    threads are joined before this returns, and the first exception a run
-    raised is raised here. Each thread runs in a copy of the caller's
+
+def _in_row_blocks(n_rows: int, job) -> None:
+    """Call ``job(a, b)`` on each run ``(a, b)`` of :func:`_row_runs`.
+
+    The calling thread does the first run and a thread each does the rest;
+    the threads are joined before this returns, and the first exception a
+    run raised is raised here. Each thread runs in a copy of the caller's
     context, so the caller's numpy error state holds there too.
 
     ``job`` must call no name in a module's ``__all__``: perfbench's tracer
     wraps those names and keeps one span stack, which threads would corrupt.
     """
-    n_blocks = -(-n_rows // _BLOCK_ROWS)
-    workers = max(1, min(_map_workers(), n_blocks))
-    cuts = [min(i * n_blocks // workers * _BLOCK_ROWS, n_rows) for i in range(workers + 1)]
+    (a0, b0), *rest = _row_runs(n_rows)
     errors: list[Exception] = []
 
     def run(a: int, b: int) -> None:
@@ -118,11 +124,11 @@ def _in_row_blocks(n_rows: int, job) -> None:
             errors.append(exc)
 
     threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, a, b))
-               for a, b in zip(cuts[1:-1], cuts[2:])]
+               for a, b in rest]
     for thread in threads:
         thread.start()
     try:
-        job(cuts[0], cuts[1])
+        job(a0, b0)
     finally:
         for thread in threads:
             thread.join()
@@ -130,20 +136,23 @@ def _in_row_blocks(n_rows: int, job) -> None:
         raise errors[0]
 
 
-def _reflect_pad(buf: np.ndarray, radius: int, axis: int) -> None:
-    """Fill the ``radius`` cells at each end of ``axis`` from the cells between.
+def _reflected(n: int, radius: int) -> np.ndarray:
+    """The cell, of ``n``, behind each cell of their padding by ``radius``.
 
-    The result is ``np.pad(inner, radius, mode="symmetric")`` along ``axis``,
-    including its repeated reflection when the ``n`` inner cells are fewer
-    than ``radius``: the padded line continues the inner cells with period
-    ``2n``, every other period reversed.
+    This is ``np.pad(np.arange(n), radius, mode="symmetric")``, including its
+    repeated reflection when ``n`` is less than ``radius``: the padded line
+    continues the ``n`` cells with period ``2n``, every other period reversed.
     """
-    n = buf.shape[axis] - 2 * radius
+    i = np.arange(-radius, n + radius) % (2 * n)
+    return np.minimum(i, 2 * n - 1 - i)
+
+
+def _reflect_pad(buf: np.ndarray, radius: int) -> None:
+    """Fill the ``radius`` columns at each end of ``buf`` from the columns
+    between, as :func:`_reflected` pads them."""
+    n = buf.shape[1] - 2 * radius
     dst = np.r_[0:radius, radius + n:2 * radius + n]
-    i = (dst - radius) % (2 * n)
-    src = radius + np.minimum(i, 2 * n - 1 - i)
-    lead = (slice(None),) * axis
-    buf[lead + (dst,)] = buf[lead + (src,)]
+    buf[:, dst] = buf[:, radius + _reflected(n, radius)[dst]]
 
 
 def _correlate(padded: np.ndarray, taps: np.ndarray, out: np.ndarray, tmp: np.ndarray,
@@ -183,26 +192,55 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     return (kernel / kernel.sum())[radius:]
 
 
-def _smooth_rows(padded: np.ndarray, taps: np.ndarray, out: np.ndarray, a: int, b: int) -> None:
-    """Both passes of the separable filter, for rows ``[a, b)`` of ``out``.
+def _smooth_rows(values: np.ndarray, taps: np.ndarray, halo: dict, a: int, b: int) -> None:
+    """Both passes of the separable filter over rows ``[a, b)`` of ``values``, in place.
 
-    ``padded`` is the input with ``len(taps) - 1`` reflected rows on each
-    side. One block of rows at a time is filtered along axis 0 into a buffer
-    with room for its column padding, and then along axis 1 into ``out``:
-    axis 1 of these rows needs only their axis-0 result. Only ``padded`` is
-    read and only ``out[a:b]`` written.
+    Output row ``i`` reads the padded input rows ``i`` to ``i + 2·radius``;
+    :func:`_reflected` gives the input row behind each. A block of output
+    rows is filtered from a window of its padded rows, along axis 0 into a
+    buffer with room for its column padding and then along axis 1 back into
+    ``values``: axis 1 of these rows needs only their axis-0 result.
+
+    The window slides down one block at a time. The rows that two windows
+    share move up, and each padded row is fetched once, when it enters: from
+    ``values`` while that row still holds the input, from ``halo`` when
+    another run owns it, and otherwise from a copy of the row taken just
+    before its block overwrote it. Such a copy is kept only until the last
+    window that fetches it; only reflection at a map edge reads a row after
+    its block, and when the map has fewer rows than the kernel radius that
+    can be every row. Only ``values[a:b]`` is written.
     """
     radius = len(taps) - 1
-    cols = out.shape[1]
-    wide = np.empty((_BLOCK_ROWS, cols + 2 * radius))
+    span = 2 * radius
+    cols = values.shape[1]
+    src = _reflected(len(values), radius).tolist()
+
+    def entering(r0: int) -> range:  # padded rows the window of block r0 fetches
+        return range(r0 if r0 == a else r0 + span, min(r0 + _BLOCK_ROWS, b) + span)
+
+    last_fetch = {}  # row of this run -> the last block that fetches it after overwriting it
+    for r0 in range(a, b, _BLOCK_ROWS):
+        for p in entering(r0):
+            if a <= src[p] < r0:
+                last_fetch[src[p]] = r0
+    kept: dict[int, np.ndarray] = {}
+    window = np.empty((_BLOCK_ROWS + span, cols))
+    flat = window.reshape(-1)  # one stride, so the overlapping move below is safe in place
+    wide = np.empty((_BLOCK_ROWS, cols + span))
     scratch = np.empty((_BLOCK_ROWS, cols))
     for r0 in range(a, b, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, b)
+        if r0 > a:
+            flat[:span * cols] = flat[_BLOCK_ROWS * cols:(_BLOCK_ROWS + span) * cols]
+        for p in entering(r0):
+            j = src[p]
+            window[p - r0] = kept[j] if a <= j < r0 else values[j] if a <= j < b else halo[j]
+        kept = {j: row for j, row in kept.items() if last_fetch[j] > r0}
+        kept.update((j, values[j].copy()) for j in range(r0, r1) if j in last_fetch)
         block, tmp = wide[:r1 - r0], scratch[:r1 - r0]
-        _correlate(padded[r0:r1 + 2 * radius], taps, block[:, radius:radius + cols], tmp,
-                   axis=0)
-        _reflect_pad(block, radius, axis=1)
-        _correlate(block, taps, out[r0:r1], tmp, axis=1)
+        _correlate(window[:r1 - r0 + span], taps, block[:, radius:radius + cols], tmp, axis=0)
+        _reflect_pad(block, radius)
+        _correlate(block, taps, values[r0:r1], tmp, axis=1)
 
 
 def _smoothed_noise(rng: np.random.Generator, rows: int, cols: int,
@@ -212,41 +250,94 @@ def _smoothed_noise(rng: np.random.Generator, rows: int, cols: int,
     The result is ``scipy.ndimage.gaussian_filter(rng.standard_normal((rows,
     cols)), sigma, mode="reflect")``: axis 0 is filtered first, then axis 1,
     both with reflect (numpy "symmetric") padding and scipy's kernel
-    (:func:`_gaussian_taps`). The noise is drawn straight into the inside of
-    the row-padded filter input, which gives the same stream, and the pad
-    rows are filled by copying (:func:`_reflect_pad`).
+    (:func:`_gaussian_taps`). The noise is drawn straight into the array
+    that is returned, which gives the same stream, and is smoothed there in
+    place.
 
     The rows are split across the map-build workers (:func:`_in_row_blocks`);
-    each worker filters whole blocks of rows (:func:`_smooth_rows`), reading
-    the shared row-padded input and writing its own rows. Every cell gets the
+    each worker filters whole blocks of its own rows in order through a
+    sliding window (:func:`_smooth_rows`). The rows a worker reads but
+    another owns are copied before the workers start. Every cell gets the
     same IEEE operations in the same order whichever worker computes it, so
-    the result does not depend on the worker count. The full-size arrays are
-    the row-padded input and the output.
+    the result does not depend on the worker count. Besides the result, the
+    build holds only a window and a few row blocks per worker.
     """
     taps = _gaussian_taps(sigma)
     radius = len(taps) - 1
-    padded = np.empty((rows + 2 * radius, cols))
-    rng.standard_normal(out=padded[radius:radius + rows])
-    _reflect_pad(padded, radius, axis=0)
-    out = np.empty((rows, cols))
-    _in_row_blocks(rows, functools.partial(_smooth_rows, padded, taps, out))
-    return out
+    values = np.empty((rows, cols))
+    rng.standard_normal(out=values)
+    # The runs are those _in_row_blocks hands out; a row missing here would
+    # fail the worker with a KeyError, never with wrong bits.
+    src = _reflected(rows, radius)
+    halo = {}
+    for a, b in _row_runs(rows):
+        for j in set(src[a:b + 2 * radius].tolist()).difference(range(a, b)):
+            halo.setdefault(j, values[j].copy())
+    _in_row_blocks(rows, functools.partial(_smooth_rows, values, taps, halo))
+    return values
 
 
-def _sum_bumps(values: np.ndarray, background: float, bumps: list, a: int, b: int) -> None:
-    """Rows ``[a, b)`` of ``values``: the background plus every bump, in order.
+def _pairwise_sum(leaf, start: int, n: int) -> float:
+    """``leaf(a, b)`` added up over ``[start, start + n)`` in numpy's pairing.
+
+    numpy adds a contiguous run of ``n > 128`` float64 elements as the sum of
+    its first ``n2 = n//2 - (n//2) % 8`` elements plus the sum of the rest,
+    recursively. This follows that tree down to runs of at most
+    ``_SUM_LEAF`` elements; when ``leaf`` is ``np.add.reduce`` over a run,
+    the result has the bits of one ``np.add.reduce`` over the whole.
+    """
+    if n <= _SUM_LEAF:
+        return leaf(start, start + n)
+    n2 = n // 2 - (n // 2) % 8
+    return _pairwise_sum(leaf, start, n2) + _pairwise_sum(leaf, start + n2, n - n2)
+
+
+def _chunked_std(values: np.ndarray) -> float:
+    """``values.std()`` of a C-contiguous float64 array, bit for bit, with
+    no temporary larger than ``_SUM_LEAF`` elements.
+
+    numpy's ``std`` is ``sqrt(sum((x - mean)²) / n)`` with ``mean = sum(x)
+    / n``, each sum one reduction over the whole array; both go through
+    :func:`_pairwise_sum`, the squared deviations one leaf at a time.
+    """
+    flat = values.reshape(-1)
+    n = flat.size
+    mean = _pairwise_sum(lambda a, b: np.add.reduce(flat[a:b]), 0, n) / n
+
+    def squared_deviations(a: int, b: int) -> float:
+        dev = flat[a:b] - mean
+        np.multiply(dev, dev, out=dev)
+        return np.add.reduce(dev)
+
+    return np.sqrt(_pairwise_sum(squared_deviations, 0, n) / n)
+
+
+def _sum_bumps(values: np.ndarray, background: float, bumps: list, std: float,
+               noise_scale: float, a: int, b: int) -> None:
+    """Rows ``[a, b)`` of the map: the background plus every bump, in order,
+    plus the scaled noise.
 
     ``bumps`` holds per bump its amplitude, ``2·width²``, first kept column,
     squared x distances over its kept columns and squared y distances. Per
     cell these are the IEEE operations, in order, of
     ``values += amp * exp(-((x - cx)**2 + (y - cy)**2) / denom)``. The buffer
     is contiguous so that ``np.exp`` takes the same SIMD path for every call.
+
+    With a positive ``std`` the rows hold the smoothed noise: the bumps are
+    summed per block in a buffer of the worker's, and each row becomes
+    ``noise / std * noise_scale + bump_sum`` (IEEE addition commutes, so this
+    is the bump sum plus the scaled noise). Otherwise there is no noise term
+    and the bumps are summed in the rows themselves: adding zeros would turn
+    a ``-0.0`` sum into ``+0.0``.
     """
-    work = np.empty(_BLOCK_ROWS * values.shape[1])
+    cols = values.shape[1]
+    work = np.empty(_BLOCK_ROWS * cols)
+    sums = np.empty((_BLOCK_ROWS, cols)) if std > 0 else None
     for r0 in range(a, b, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, b)
         rows = values[r0:r1]
-        rows.fill(background)
+        total = rows if sums is None else sums[:r1 - r0]
+        total.fill(background)
         for amplitude, denom, c0, dx2, dy2 in bumps:
             buf = work[:(r1 - r0) * len(dx2)].reshape(r1 - r0, len(dx2))
             np.add(dx2[None, :], dy2[r0:r1, None], out=buf)
@@ -254,7 +345,11 @@ def _sum_bumps(values: np.ndarray, background: float, bumps: list, a: int, b: in
             np.divide(buf, denom, out=buf)
             np.exp(buf, out=buf)
             np.multiply(amplitude, buf, out=buf)
-            rows[:, c0:c0 + len(dx2)] += buf
+            total[:, c0:c0 + len(dx2)] += buf
+        if sums is not None:
+            rows /= std
+            rows *= noise_scale
+            rows += total
 
 
 def gen_synthetic_map(params: MapGenParams) -> GridMap:
@@ -267,16 +362,17 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
     ``scipy.ndimage.gaussian_filter`` to the bit, without importing scipy
     (:func:`_smoothed_noise`).
 
-    The map is built on the CPUs this process may use (at most
-    ``_MAX_MAP_WORKERS``): the rows are split into one contiguous run of
-    whole blocks per worker (:func:`_in_row_blocks`), first to sum the bumps
-    and then to smooth the noise. Every cell gets the same IEEE operations in
-    the same order whichever thread computes it, so the map does not depend
-    on the worker count. The workers call only private helpers and numpy,
-    never a traced ``__all__`` name (:func:`_in_row_blocks`). The calling
-    thread draws the white noise, and after the workers are joined it takes
-    the one ``std`` over the whole smoothed noise, because a reduction's
-    pairing must not change, then scales the noise and adds it.
+    The map is built in one map-sized array, on the CPUs this process may
+    use (at most ``_MAX_MAP_WORKERS``): the rows are split into one
+    contiguous run of whole blocks per worker (:func:`_in_row_blocks`). The
+    white noise is drawn into the array and smoothed there in place. The
+    calling thread then takes its ``std`` (:func:`_chunked_std`, the bits
+    of ``ndarray.std()``: a reduction's pairing must not change), and the
+    workers scale the noise and add the bumps block by block
+    (:func:`_sum_bumps`). Every cell gets the same IEEE operations in the
+    same order whichever thread computes it, so the map does not depend on
+    the worker count. The workers call only private helpers and numpy,
+    never a traced ``__all__`` name (:func:`_in_row_blocks`).
 
     Each bump is added only over the columns where its add can change a
     cell. Every cell stays at least ``|background| - sum(|amplitude|)``
@@ -318,17 +414,14 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
             c0, c1 = int(keep[0]), int(keep[-1]) + 1
         bumps.append((bump.amplitude, denom, c0, dx2[c0:c1], (ys - bump.cy) ** 2))
 
-    values = np.empty((params.rows, params.cols))
-    _in_row_blocks(params.rows, functools.partial(
-        _sum_bumps, values, float(params.background), bumps))
     if params.noise_scale > 0:
-        noise = _smoothed_noise(np.random.default_rng(params.seed), params.rows,
-                                params.cols, params.noise_corr_cells)
-        std = noise.std()
-        if std > 0:
-            noise /= std
-            noise *= params.noise_scale
-            values += noise
+        values = _smoothed_noise(np.random.default_rng(params.seed), params.rows,
+                                 params.cols, params.noise_corr_cells)
+        std = _chunked_std(values)
+    else:
+        values, std = np.empty((params.rows, params.cols)), 0.0
+    _in_row_blocks(params.rows, functools.partial(
+        _sum_bumps, values, float(params.background), bumps, std, params.noise_scale))
     return GridMap(
         n_rows=params.rows,
         n_cols=params.cols,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfBoundsError
-from .geomap import GridMap, value_at
+from .geomap import GridMap, plain_point, value_at
 
 __all__ = [
     "SensorGrade",
@@ -202,7 +202,7 @@ def sample_gravimeter(
         pos = truth.positions[k]
         if not grid.in_bounds(pos):
             raise OutOfBoundsError(
-                f"true position {tuple(pos)} at t={truth.times[k]:.1f}s is off the map")
+                f"true position {plain_point(pos)} at t={truth.times[k]:.1f}s is off the map")
         value = value_at(grid, pos) + (rng.standard_normal() * sigma if sigma > 0 else 0.0)
         out.append(FieldMeasurement(time=float(truth.times[k]), value=float(value),
                                     sigma=stored_sigma))

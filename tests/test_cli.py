@@ -252,6 +252,27 @@ class TestCampaign:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, argv, named", [
+        ("monte_carlo.base_seed = -3\n", ["campaign"], "monte_carlo.base_seed"),
+        ("map.seed = -1\n", ["campaign"], "map.seed"),
+        ("map.seed = -1\n", ["genmap"], "map.seed"),
+        ("", ["run", "--seed", "-1"], "--seed"),
+        ("", ["campaign", "--seed", "-5"], "--seed"),
+    ], ids=["base_seed", "map.seed", "genmap-map.seed", "run--seed", "campaign--seed"])
+    def test_negative_seed_exit_2_names_it_before_the_map(self, tmp_path, capsys, monkeypatch,
+                                                           extra, argv, named):
+        def no_map(cfg):
+            raise AssertionError("the map was built before the seed was checked")
+
+        monkeypatch.setattr(harness, "build_grid", no_map)
+        monkeypatch.setattr(cli, "build_grid", no_map)
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + extra)
+        out = tmp_path / "o"
+        assert main([argv[0], "--config", cfg, "--out", str(out), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("runs, started", [(2, [2]), (1, [])])
     def test_workers_capped_at_run_count(self, tmp_path, monkeypatch, runs, started):
         import gravnav.harness as harness
@@ -405,6 +426,14 @@ class TestInspectMap:
         assert main(["inspect-map", str(path), "--point", "5000,1500"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
+
+    def test_off_map_point_prints_plain_numbers(self, tmp_path, capsys):
+        path = self.make_map(tmp_path)
+        capsys.readouterr()
+        assert main(["inspect-map", str(path), "--point", "1e9,1"]) == 2
+        err = capsys.readouterr().err
+        assert "np.float64" not in err
+        assert "position (1000000000.0, 1.0) outside map extent (0.0, 15000.0, 0.0, 3000.0)" in err
 
     def test_off_map_point_exit_2(self, tmp_path, capsys):
         path = self.make_map(tmp_path)

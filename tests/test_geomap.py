@@ -128,6 +128,47 @@ def test_save_load_round_trip_is_exact(grid):
     assert np.array_equal(back.values == back.nodata, grid.values == grid.nodata)
 
 
+class TestGridMapCheck:
+    """The finiteness check in row chunks accepts exactly the maps that the
+    one-pass ``isfinite(values[values != nodata]).all()`` accepts."""
+
+    @pytest.mark.parametrize("nodata", [-9999.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -9999.0])
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 5), (39, 4099)],
+                             ids=["first", "second-row", "last-chunk"])
+    def test_chunked_check_matches_one_pass(self, nodata, bad, cell):
+        # 4100 columns give 15 rows per chunk, so the last cell is in chunk 3.
+        values = np.ones((40, 4100))
+        values[cell] = bad
+        live = values != nodata
+        if np.isfinite(values[live]).all():
+            simple_grid(values, nodata=nodata)
+        else:
+            with pytest.raises(ValueError, match="non-nodata values must be finite"):
+                simple_grid(values, nodata=nodata)
+
+
+class TestPlainNumbersInMessages:
+    def test_cell_of_out_of_bounds(self):
+        grid = simple_grid(np.ones((2, 2)), origin=(0.0, 0.0))
+        with pytest.raises(OutOfBoundsError) as exc:
+            grid.cell_of(np.array([1e9, 1.0]))
+        assert str(exc.value) == ("position (1000000000.0, 1.0) outside map extent "
+                                  "(0.0, 2.0, 0.0, 2.0)")
+
+    def test_value_at_out_of_bounds(self):
+        grid = simple_grid(np.ones((2, 2)))
+        with pytest.raises(OutOfBoundsError) as exc:
+            value_at(grid, np.array([5.0, 0.5]))
+        assert str(exc.value) == "position (5.0, 0.5) outside map extent (0.0, 2.0, 0.0, 2.0)"
+
+    def test_value_at_nodata(self):
+        grid = simple_grid([[0.0, -9999.0], [1.0, 2.0]])
+        with pytest.raises(NodataError) as exc:
+            value_at(grid, np.array([1.0, 1.0]))
+        assert str(exc.value) == "nodata cell touches interpolation stencil at (1.0, 1.0)"
+
+
 class TestValueAt:
     def test_cell_center_identity(self):
         grid = simple_grid([[5.0, 6.0], [7.0, 8.0]])

@@ -202,6 +202,37 @@ class TestSyntheticMapExactness:
                               bumps=bumps, noise_scale=0.0)
         assert_same_map(params, gaussian_filter)
 
+    def test_negative_zero_background_without_noise(self, gaussian_filter):
+        # A bump too narrow to reach most cells adds -0.0 there, so those
+        # cells stay -0.0: the bump sum must not be added to a zero noise term.
+        params = MapGenParams(rows=20, cols=30, cell_size=50.0, background=-0.0,
+                              bumps=(GaussianBump(300.0, 400.0, -2e-3, 20.0),),
+                              noise_scale=0.0)
+        assert_same_map(params, gaussian_filter)
+        values = gen_synthetic_map(params).values
+        assert ((values == 0) & np.signbit(values)).any()
+
+    def test_negative_zero_background_with_zero_std(self, monkeypatch, gaussian_filter):
+        # White noise of zeros smooths to zeros, whose std is 0: the map is
+        # then the bump sum alone, -0.0 cells included.
+        class ZeroNoise:
+            def __init__(self, seed=None):
+                pass
+
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return np.zeros(size)
+                out.fill(0.0)
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroNoise)
+        params = MapGenParams(rows=20, cols=30, cell_size=50.0, background=-0.0,
+                              bumps=(GaussianBump(300.0, 400.0, -2e-3, 20.0),),
+                              noise_scale=1.2e-4, noise_corr_cells=3.0)
+        assert_same_map(params, gaussian_filter)
+        values = gen_synthetic_map(params).values
+        assert ((values == 0) & np.signbit(values)).any()
+
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(2, 40), cols=st.integers(2, 60),
            cell_size=st.sampled_from([1.0, 50.0, 123.4]),
@@ -238,6 +269,37 @@ class TestSyntheticMapExactness:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert out.stdout.strip() == "[]"
+
+
+def assert_std_bits(x):
+    flat = x.reshape(-1)
+    total = harness._pairwise_sum(lambda a, b: np.add.reduce(flat[a:b]), 0, flat.size)
+    assert total.tobytes() == np.add.reduce(x, axis=None).tobytes(), x.shape
+    assert harness._chunked_std(x).tobytes() == x.std().tobytes(), x.shape
+
+
+class TestChunkedStd:
+    """The map's std taken leaf by leaf has the bits of numpy's one-pass
+    reductions. A numpy whose summation tree differs fails here, naming the
+    cause before the map digests change."""
+
+    @pytest.mark.parametrize("lengths", [
+        pytest.param(range(1, 301), id="1-300"),
+        pytest.param([2 ** 16 + d for d in (-9, -8, -1, 0, 1, 7, 8, 9)], id="around-2^16"),
+        pytest.param([2 ** 17 + d for d in (-17, -16, -1, 0, 1, 15, 16, 17)], id="around-2^17"),
+    ])
+    def test_every_length(self, lengths):
+        for n in lengths:
+            assert_std_bits(np.random.default_rng(n).standard_normal(n) * 1e3 + 7.0)
+
+    @pytest.mark.parametrize("shape", [(480, 3240), (37, 23), (2, 2), (3, 70001), (70001, 3),
+                                       (257, 511)], ids=lambda shape: "x".join(map(str, shape)))
+    def test_2d_shapes(self, shape):
+        assert_std_bits(np.random.default_rng(shape[0]).standard_normal(shape))
+
+    @pytest.mark.parametrize("value", [9.79, 0.0, -0.0])
+    def test_constant_maps(self, value):
+        assert_std_bits(np.full((300, 400), value))
 
 
 CORRIDOR_MAP = parse_config(os.path.join(CONFIGS, "corridor.cfg")).map.gen
@@ -305,16 +367,43 @@ class TestMapBuildWorkers:
         with pytest.raises(MemoryError, match="rows"):
             harness._in_row_blocks(48, job)
 
-    def test_corridor_peak_memory_below_four_maps(self):
-        # The parent's build peaked at 5.2 map-sized arrays: the bump buffer,
-        # the white noise and its padded copy besides the map and the output.
+    def test_corridor_build_grid_peak_memory_below_two_maps(self):
+        # The map is built and checked in place: besides it, only halo rows,
+        # a sliding window and a few row blocks per worker (about 1.7 maps).
+        cfg = parse_config(os.path.join(CONFIGS, "corridor.cfg"))
         tracemalloc.start()
         try:
-            gen_synthetic_map(CORRIDOR_MAP)
+            build_grid(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * CORRIDOR_MAP.rows * CORRIDOR_MAP.cols * 8
+        assert peak < 2 * CORRIDOR_MAP.rows * CORRIDOR_MAP.cols * 8
+
+    def test_corridor_run_peak_rss_below_two_maps_above_import(self, tmp_path):
+        # The whole process, threads and allocator included: the peak
+        # resident size of a short corridor run, against one that only
+        # imports the CLI, each measured as the only child of a parent. A
+        # 60 s flight closes a batch only with pmht.T * interval <= 60.
+        cfg = tmp_path / "corridor60.cfg"
+        with open(os.path.join(CONFIGS, "corridor.cfg"), encoding="utf-8") as fh:
+            cfg.write_text(fh.read() + "duration = 60\npmht.T = 6\n", encoding="utf-8")
+        measure = ("import resource, subprocess, sys; "
+                   "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True, "
+                   "stdout=subprocess.DEVNULL); "
+                   "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gravnav.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def peak_kib(code):
+            out = subprocess.run([sys.executable, "-c", measure, code], env=env,
+                                 capture_output=True, text=True, timeout=300, check=True)
+            return int(out.stdout)
+
+        base = peak_kib("import gravnav.cli")
+        run = peak_kib("import sys; from gravnav.cli import main; "
+                       f"sys.exit(main(['run', '--config', {str(cfg)!r}]))")
+        map_kib = CORRIDOR_MAP.rows * CORRIDOR_MAP.cols * 8 / 1024
+        assert run - base < 2 * map_kib
 
     def test_build_grid_joins_its_worker_threads(self, monkeypatch):
         started = []

@@ -173,6 +173,7 @@ class TestSampleGravimeter:
         with pytest.raises(OutOfBoundsError) as exc:
             sample_gravimeter(grid, traj, interval=10.0, sigma=0.0, seed=0)
         assert "t=" in str(exc.value)
+        assert "np.float64" not in str(exc.value)
 
     def test_interval_must_divide_dt(self):
         grid = constant_grid(1.0)
