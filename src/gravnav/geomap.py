@@ -217,20 +217,17 @@ def load_grid(path) -> GridMap:
     if trailing:
         raise GridFormatError("trailing data after grid rows", line=idx + n_rows + 1)
 
-    values = np.array(rows, dtype=float)
-    nodata = header["nodata_value"]
-    live = values != nodata
-    if not np.isfinite(values[live]).all():
-        raise GridFormatError("non-nodata values must be finite")
-
-    return GridMap(
-        n_rows=n_rows,
-        n_cols=n_cols,
-        origin=np.array([header["xllcorner"], header["yllcorner"]]),
-        cell_size=header["cellsize"],
-        values=values,
-        nodata=nodata,
-    )
+    try:
+        return GridMap(
+            n_rows=n_rows,
+            n_cols=n_cols,
+            origin=np.array([header["xllcorner"], header["yllcorner"]]),
+            cell_size=header["cellsize"],
+            values=np.array(rows, dtype=float),
+            nodata=header["nodata_value"],
+        )
+    except ValueError as exc:
+        raise GridFormatError(str(exc)) from None
 
 
 def save_grid(grid: GridMap, path) -> None:

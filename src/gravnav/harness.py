@@ -20,6 +20,12 @@ A campaign splits its seeds into ``min(jobs, runs)`` contiguous blocks, one
 per worker process (one block at ``--jobs 1``), and aggregates the error
 metrics keyed and ordered by seed, so reports are byte-stable for any
 worker count.
+
+A synthetic map (:func:`gen_synthetic_map`) is built in place in one
+map-sized array. Each of its passes (column strips of the smoothing, then
+row blocks of the smoothing and of the bump sum) is split over at most
+``_MAX_MAP_WORKERS`` threads by :func:`_in_blocks`, and the map has the
+same bits at any thread count.
 """
 
 from __future__ import annotations
@@ -76,6 +82,9 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 16  # rows per block of the map build: a few hundred kB stays in cache
+# Columns per strip of the smoothing's axis-0 pass. The strip is filtered into
+# a contiguous buffer: 128 timed best of 32 to 512 on the corridor map.
+_STRIP_COLS = 128
 _SUM_LEAF = 1 << 16  # elements per chunk of the map's std: 512 kB of float64
 # Most threads of the map build. Its numpy calls are short (20-50k elements),
 # so threads also queue for the interpreter lock between calls: two threads
@@ -94,17 +103,10 @@ def _map_workers() -> int:
     return min(cpus, _MAX_MAP_WORKERS)
 
 
-def _row_runs(n_rows: int) -> list[tuple[int, int]]:
-    """Split ``[0, n_rows)`` into one run of whole ``_BLOCK_ROWS`` blocks per
-    worker, with :func:`_map_workers` workers but no more than blocks."""
-    n_blocks = -(-n_rows // _BLOCK_ROWS)
-    workers = max(1, min(_map_workers(), n_blocks))
-    cuts = [min(i * n_blocks // workers * _BLOCK_ROWS, n_rows) for i in range(workers + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _in_row_blocks(n_rows: int, job) -> None:
-    """Call ``job(a, b)`` on each run ``(a, b)`` of :func:`_row_runs`.
+def _in_blocks(n: int, block: int, job) -> None:
+    """Split ``[0, n)`` into one run ``(a, b)`` of whole ``block``-sized
+    blocks per worker, with :func:`_map_workers` workers but no more than
+    blocks, and call ``job(a, b)`` on each.
 
     The calling thread does the first run and a thread each does the rest;
     the threads are joined before this returns, and the first exception a
@@ -114,7 +116,10 @@ def _in_row_blocks(n_rows: int, job) -> None:
     ``job`` must call no name in a module's ``__all__``: perfbench's tracer
     wraps those names and keeps one span stack, which threads would corrupt.
     """
-    (a0, b0), *rest = _row_runs(n_rows)
+    n_blocks = -(-n // block)
+    workers = max(1, min(_map_workers(), n_blocks))
+    cuts = [min(i * n_blocks // workers * block, n) for i in range(workers + 1)]
+    (a0, b0), *rest = zip(cuts[:-1], cuts[1:])
     errors: list[Exception] = []
 
     def run(a: int, b: int) -> None:
@@ -145,14 +150,6 @@ def _reflected(n: int, radius: int) -> np.ndarray:
     """
     i = np.arange(-radius, n + radius) % (2 * n)
     return np.minimum(i, 2 * n - 1 - i)
-
-
-def _reflect_pad(buf: np.ndarray, radius: int) -> None:
-    """Fill the ``radius`` columns at each end of ``buf`` from the columns
-    between, as :func:`_reflected` pads them."""
-    n = buf.shape[1] - 2 * radius
-    dst = np.r_[0:radius, radius + n:2 * radius + n]
-    buf[:, dst] = buf[:, radius + _reflected(n, radius)[dst]]
 
 
 def _correlate(padded: np.ndarray, taps: np.ndarray, out: np.ndarray, tmp: np.ndarray,
@@ -192,55 +189,33 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     return (kernel / kernel.sum())[radius:]
 
 
-def _smooth_rows(values: np.ndarray, taps: np.ndarray, halo: dict, a: int, b: int) -> None:
-    """Both passes of the separable filter over rows ``[a, b)`` of ``values``, in place.
+def _smooth_columns(values: np.ndarray, taps: np.ndarray, a: int, b: int) -> None:
+    """The axis-0 pass of the filter over columns ``[a, b)`` of ``values``,
+    in place: each strip of ``_STRIP_COLS`` columns is copied out with its
+    reflected row padding, filtered into a contiguous buffer and copied back."""
+    rows = len(values)
+    src = _reflected(rows, len(taps) - 1)
+    out = np.empty((rows, _STRIP_COLS))
+    tmp = np.empty((rows, _STRIP_COLS))
+    for c0 in range(a, b, _STRIP_COLS):
+        c1 = min(c0 + _STRIP_COLS, b)
+        strip = out[:, :c1 - c0]
+        _correlate(values[src, c0:c1], taps, strip, tmp[:, :c1 - c0], axis=0)
+        values[:, c0:c1] = strip
 
-    Output row ``i`` reads the padded input rows ``i`` to ``i + 2·radius``;
-    :func:`_reflected` gives the input row behind each. A block of output
-    rows is filtered from a window of its padded rows, along axis 0 into a
-    buffer with room for its column padding and then along axis 1 back into
-    ``values``: axis 1 of these rows needs only their axis-0 result.
 
-    The window slides down one block at a time. The rows that two windows
-    share move up, and each padded row is fetched once, when it enters: from
-    ``values`` while that row still holds the input, from ``halo`` when
-    another run owns it, and otherwise from a copy of the row taken just
-    before its block overwrote it. Such a copy is kept only until the last
-    window that fetches it; only reflection at a map edge reads a row after
-    its block, and when the map has fewer rows than the kernel radius that
-    can be every row. Only ``values[a:b]`` is written.
-    """
-    radius = len(taps) - 1
-    span = 2 * radius
-    cols = values.shape[1]
-    src = _reflected(len(values), radius).tolist()
-
-    def entering(r0: int) -> range:  # padded rows the window of block r0 fetches
-        return range(r0 if r0 == a else r0 + span, min(r0 + _BLOCK_ROWS, b) + span)
-
-    last_fetch = {}  # row of this run -> the last block that fetches it after overwriting it
-    for r0 in range(a, b, _BLOCK_ROWS):
-        for p in entering(r0):
-            if a <= src[p] < r0:
-                last_fetch[src[p]] = r0
-    kept: dict[int, np.ndarray] = {}
-    window = np.empty((_BLOCK_ROWS + span, cols))
-    flat = window.reshape(-1)  # one stride, so the overlapping move below is safe in place
-    wide = np.empty((_BLOCK_ROWS, cols + span))
-    scratch = np.empty((_BLOCK_ROWS, cols))
+def _smooth_rows(values: np.ndarray, taps: np.ndarray, a: int, b: int) -> None:
+    """The axis-1 pass of the filter over rows ``[a, b)`` of ``values``, in
+    place: each block of ``_BLOCK_ROWS`` rows is copied out with its
+    reflected column padding and filtered back into ``values``."""
+    src = _reflected(values.shape[1], len(taps) - 1)
+    padded = np.empty((_BLOCK_ROWS, len(src)))
+    tmp = np.empty((_BLOCK_ROWS, values.shape[1]))
     for r0 in range(a, b, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, b)
-        if r0 > a:
-            flat[:span * cols] = flat[_BLOCK_ROWS * cols:(_BLOCK_ROWS + span) * cols]
-        for p in entering(r0):
-            j = src[p]
-            window[p - r0] = kept[j] if a <= j < r0 else values[j] if a <= j < b else halo[j]
-        kept = {j: row for j, row in kept.items() if last_fetch[j] > r0}
-        kept.update((j, values[j].copy()) for j in range(r0, r1) if j in last_fetch)
-        block, tmp = wide[:r1 - r0], scratch[:r1 - r0]
-        _correlate(window[:r1 - r0 + span], taps, block[:, radius:radius + cols], tmp, axis=0)
-        _reflect_pad(block, radius)
-        _correlate(block, taps, values[r0:r1], tmp, axis=1)
+        # Every index is in range; "clip" writes straight into the buffer.
+        np.take(values[r0:r1], src, axis=1, out=padded[:r1 - r0], mode="clip")
+        _correlate(padded[:r1 - r0], taps, values[r0:r1], tmp[:r1 - r0], axis=1)
 
 
 def _smoothed_noise(rng: np.random.Generator, rows: int, cols: int,
@@ -254,26 +229,19 @@ def _smoothed_noise(rng: np.random.Generator, rows: int, cols: int,
     that is returned, which gives the same stream, and is smoothed there in
     place.
 
-    The rows are split across the map-build workers (:func:`_in_row_blocks`);
-    each worker filters whole blocks of its own rows in order through a
-    sliding window (:func:`_smooth_rows`). The rows a worker reads but
-    another owns are copied before the workers start. Every cell gets the
-    same IEEE operations in the same order whichever worker computes it, so
-    the result does not depend on the worker count. Besides the result, the
-    build holds only a window and a few row blocks per worker.
+    Each pass runs over the map-build workers (:func:`_in_blocks`): axis 0
+    by column strips (:func:`_smooth_columns`), then axis 1 by row blocks
+    (:func:`_smooth_rows`). A strip or a block reads only its own cells, so
+    it can be written back in place. Every cell gets the same IEEE
+    operations in the same order whichever worker computes it, so the
+    result does not depend on the worker count. Besides the result, the
+    build holds only a padded strip or block and its buffers per worker.
     """
     taps = _gaussian_taps(sigma)
-    radius = len(taps) - 1
     values = np.empty((rows, cols))
     rng.standard_normal(out=values)
-    # The runs are those _in_row_blocks hands out; a row missing here would
-    # fail the worker with a KeyError, never with wrong bits.
-    src = _reflected(rows, radius)
-    halo = {}
-    for a, b in _row_runs(rows):
-        for j in set(src[a:b + 2 * radius].tolist()).difference(range(a, b)):
-            halo.setdefault(j, values[j].copy())
-    _in_row_blocks(rows, functools.partial(_smooth_rows, values, taps, halo))
+    _in_blocks(cols, _STRIP_COLS, functools.partial(_smooth_columns, values, taps))
+    _in_blocks(rows, _BLOCK_ROWS, functools.partial(_smooth_rows, values, taps))
     return values
 
 
@@ -363,16 +331,16 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
     (:func:`_smoothed_noise`).
 
     The map is built in one map-sized array, on the CPUs this process may
-    use (at most ``_MAX_MAP_WORKERS``): the rows are split into one
-    contiguous run of whole blocks per worker (:func:`_in_row_blocks`). The
-    white noise is drawn into the array and smoothed there in place. The
-    calling thread then takes its ``std`` (:func:`_chunked_std`, the bits
-    of ``ndarray.std()``: a reduction's pairing must not change), and the
+    use (at most ``_MAX_MAP_WORKERS``), each pass split into one contiguous
+    run of whole blocks per worker (:func:`_in_blocks`). The white noise is
+    drawn into the array and smoothed there in place. The calling thread
+    then takes its ``std`` (:func:`_chunked_std`, the bits of
+    ``ndarray.std()``: a reduction's pairing must not change), and the
     workers scale the noise and add the bumps block by block
     (:func:`_sum_bumps`). Every cell gets the same IEEE operations in the
     same order whichever thread computes it, so the map does not depend on
     the worker count. The workers call only private helpers and numpy,
-    never a traced ``__all__`` name (:func:`_in_row_blocks`).
+    never a traced ``__all__`` name (:func:`_in_blocks`).
 
     Each bump is added only over the columns where its add can change a
     cell. Every cell stays at least ``|background| - sum(|amplitude|)``
@@ -381,6 +349,9 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
     back to the same value. The skipped columns are therefore provably
     unchanged, and the map is byte-identical to summing every bump over the
     whole grid. When the bound is not positive, every column is summed.
+
+    A map with a non-finite cell raises :class:`ConfigError` naming the
+    keys that feed the cell values.
     """
     if params.rows < 2 or params.cols < 2:
         raise ConfigError("synthetic map needs at least 2x2 cells")
@@ -420,15 +391,19 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
         std = _chunked_std(values)
     else:
         values, std = np.empty((params.rows, params.cols)), 0.0
-    _in_row_blocks(params.rows, functools.partial(
+    _in_blocks(params.rows, _BLOCK_ROWS, functools.partial(
         _sum_bumps, values, float(params.background), bumps, std, params.noise_scale))
-    return GridMap(
-        n_rows=params.rows,
-        n_cols=params.cols,
-        origin=np.array([params.origin_x, params.origin_y]),
-        cell_size=h,
-        values=values,
-    )
+    try:
+        return GridMap(
+            n_rows=params.rows,
+            n_cols=params.cols,
+            origin=np.array([params.origin_x, params.origin_y]),
+            cell_size=h,
+            values=values,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"synthetic map: {exc}; check map.background, map.bumps, "
+                          "map.origin_x/origin_y and map.noise_scale") from None
 
 
 def build_grid(cfg: ScenarioConfig) -> GridMap:

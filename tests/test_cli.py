@@ -273,6 +273,26 @@ class TestCampaign:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        "map.origin_x = nan\n",
+        "map.bumps = 3000,1500,2e-3,nan\n",
+        "map.background = inf\n",
+        "map.bumps = 3000,1500,1e308,1200; 3000,1500,1e308,1200\n",
+    ], ids=["origin_x-nan", "bump-width-nan", "background-inf", "bump-sum-overflows"])
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["campaign", "--jobs", "1"], ["campaign", "--jobs", "2"], ["genmap"],
+    ], ids=["run", "campaign-j1", "campaign-j2", "genmap"])
+    def test_non_finite_map_exit_2_names_the_map_keys(self, tmp_path, capsys, extra, argv):
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            cfg = write(tmp_path / "cfg.txt", fh.read() + extra)
+        out = tmp_path / "o"
+        assert main([argv[0], "--config", cfg, "--out", str(out), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        for key in ("map.background", "map.bumps", "map.origin_x", "map.noise_scale"):
+            assert key in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("runs, started", [(2, [2]), (1, [])])
     def test_workers_capped_at_run_count(self, tmp_path, monkeypatch, runs, started):
         import gravnav.harness as harness
@@ -367,6 +387,15 @@ class TestInspectMap:
         out = tmp_path / "m"
         assert main(["genmap", "--config", cfg, "--out", str(out)]) == 0
         return out / "map.asc"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_grid_file_exit_2(self, tmp_path, capsys, token):
+        path = tmp_path / "g.asc"
+        path.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                        f"nodata_value -9999\n1 2\n3 {token}\n", encoding="utf-8")
+        assert main(["inspect-map", str(path), "--point", "0.5,0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "non-nodata values must be finite" in err and "Traceback" not in err
 
     def test_constant_map_zero_variability(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.txt",

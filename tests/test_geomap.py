@@ -80,6 +80,14 @@ class TestLoadGrid:
         with pytest.raises(GridFormatError):
             load_grid(p)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_data(self, tmp_path, token):
+        p = write_grid_text(tmp_path / "g.asc", "\n".join([
+            "ncols 2", "nrows 2", "xllcorner 0", "yllcorner 0",
+            "cellsize 1.0", "nodata_value -9999", f"1 {token}", "3 4", ""]))
+        with pytest.raises(GridFormatError, match="^non-nodata values must be finite$"):
+            load_grid(p)
+
     def test_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
         values = 9.79 + 1e-3 * rng.standard_normal((100, 100))

@@ -1,16 +1,19 @@
 import csv
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gravnav
@@ -148,7 +151,7 @@ def assert_same_map(params, gaussian_filter):
     with np.errstate(all="ignore"):
         expected = oracle_map_values(params, gaussian_filter)
         if not np.isfinite(expected).all():
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ConfigError, match="finite.*map.background, map.bumps"):
                 gen_synthetic_map(params)
             return
         got = gen_synthetic_map(params).values
@@ -253,9 +256,14 @@ class TestSyntheticMapExactness:
            sigma=(st.sampled_from([-3.0, 0.0, 1e-15, 1.1e-15, 0.124, 0.125, 8])
                   | st.floats(0.0, 80.0)),
            seed=st.integers(0, 2**31))
+    # Two and a bit column strips, so the last strip is narrower; at sigma
+    # 80 the 320-cell padding reflects the 7 rows many times over and the
+    # 261 columns twice.
+    @example(rows=37, cols=2 * harness._STRIP_COLS + 5, sigma=8.0, seed=11)
+    @example(rows=7, cols=2 * harness._STRIP_COLS + 5, sigma=80.0, seed=12)
     def test_smoothing_matches_gaussian_filter(self, rows, cols, sigma, seed, gaussian_filter):
-        # Unscaled white noise, drawn into the row-padded buffer as the map
-        # build draws it: every bit of the filter output is compared.
+        # Unscaled white noise, drawn into the map array as the map build
+        # draws it: every bit of the filter output is compared.
         x = np.random.default_rng(seed).standard_normal((rows, cols))
         expected = gaussian_filter(x, sigma=sigma, mode="reflect")
         got = harness._smoothed_noise(np.random.default_rng(seed), rows, cols, sigma)
@@ -312,7 +320,7 @@ def map_with_workers(params, workers):
 
 
 class TestMapBuildWorkers:
-    """The map build splits its rows over the usable CPUs, bit for bit."""
+    """The map build splits each pass over the usable CPUs, bit for bit."""
 
     @pytest.mark.parametrize("params", [
         pytest.param(DEMO_MAP, id="demo.cfg"),
@@ -325,6 +333,12 @@ class TestMapBuildWorkers:
         pytest.param(replace(DEMO_MAP, rows=2, cols=2), id="2x2"),
         pytest.param(replace(DEMO_MAP, noise_scale=0.0), id="noise_scale=0"),
         pytest.param(replace(DEMO_MAP, noise_corr_cells=0.0), id="noise_corr_cells=0"),
+        # Three column strips, the last of 5 columns; at sigma 80 the column
+        # padding reflects the map twice on each side.
+        pytest.param(replace(DEMO_MAP, cols=2 * harness._STRIP_COLS + 5, noise_corr_cells=8.0),
+                     id="uneven-last-strip-sigma-8"),
+        pytest.param(replace(DEMO_MAP, cols=2 * harness._STRIP_COLS + 5, noise_corr_cells=80.0),
+                     id="uneven-last-strip-sigma-80"),
     ])
     def test_same_bits_at_any_worker_count(self, params):
         one = map_with_workers(params, 1)
@@ -354,7 +368,19 @@ class TestMapBuildWorkers:
     def test_rows_split_into_whole_blocks(self, monkeypatch, n_rows, cpus, runs):
         monkeypatch.setattr(harness, "_map_workers", lambda: cpus)
         seen = []
-        harness._in_row_blocks(n_rows, lambda a, b: seen.append((a, b)))
+        harness._in_blocks(n_rows, harness._BLOCK_ROWS, lambda a, b: seen.append((a, b)))
+        assert sorted(seen) == runs
+
+    @pytest.mark.parametrize("n_cols, cpus, runs", [
+        (3240, 2, [(0, 1664), (1664, 3240)]),
+        (300, 3, [(0, 128), (128, 256), (256, 300)]),
+        (261, 2, [(0, 128), (128, 261)]),
+        (128, 2, [(0, 128)]),
+    ])
+    def test_columns_split_into_whole_strips(self, monkeypatch, n_cols, cpus, runs):
+        monkeypatch.setattr(harness, "_map_workers", lambda: cpus)
+        seen = []
+        harness._in_blocks(n_cols, harness._STRIP_COLS, lambda a, b: seen.append((a, b)))
         assert sorted(seen) == runs
 
     def test_worker_error_is_raised_by_the_caller(self, monkeypatch):
@@ -365,11 +391,12 @@ class TestMapBuildWorkers:
                 raise MemoryError(f"rows {a}-{b}")
 
         with pytest.raises(MemoryError, match="rows"):
-            harness._in_row_blocks(48, job)
+            harness._in_blocks(48, harness._BLOCK_ROWS, job)
 
-    def test_corridor_build_grid_peak_memory_below_two_maps(self):
-        # The map is built and checked in place: besides it, only halo rows,
-        # a sliding window and a few row blocks per worker (about 1.7 maps).
+    def test_corridor_build_grid_peak_memory_below_1_6_maps(self):
+        # The map is built and checked in place: besides it, each worker
+        # holds only a padded column strip or row block and its buffers
+        # (about 1.4 maps in all).
         cfg = parse_config(os.path.join(CONFIGS, "corridor.cfg"))
         tracemalloc.start()
         try:
@@ -377,7 +404,7 @@ class TestMapBuildWorkers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * CORRIDOR_MAP.rows * CORRIDOR_MAP.cols * 8
+        assert peak < 1.6 * CORRIDOR_MAP.rows * CORRIDOR_MAP.cols * 8
 
     def test_corridor_run_peak_rss_below_two_maps_above_import(self, tmp_path):
         # The whole process, threads and allocator included: the peak
@@ -418,9 +445,47 @@ class TestMapBuildWorkers:
         before = threading.active_count()
         build_grid(parse_config(os.path.join(CONFIGS, "demo.cfg")))
         assert threading.active_count() == before
-        # The bump sum and the smoothing each split demo.cfg's four row
-        # blocks three ways: the caller's share and two threads.
-        assert len(started) == 4 and not any(t.is_alive() for t in started)
+        # Both smoothing passes and the bump sum each split three ways
+        # (demo.cfg's three column strips, then its four row blocks twice):
+        # the caller's share and two threads.
+        assert len(started) == 6 and not any(t.is_alive() for t in started)
+
+    def test_thread_jobs_call_no_traced_name(self, monkeypatch):
+        # perfbench's tracer wraps every name in a module's __all__ and keeps
+        # one span stack, which the map-build threads would corrupt. So no
+        # job handed to _in_blocks, nor a private helper it reaches, may
+        # name one: not as a global and not as an attribute.
+        traced = set()
+        for module in pkgutil.iter_modules(gravnav.__path__):
+            traced.update(getattr(importlib.import_module(f"gravnav.{module.name}"),
+                                  "__all__", ()))
+        jobs = []
+        in_blocks = harness._in_blocks
+
+        def recording(n, block, job):
+            jobs.append(job)
+            in_blocks(n, block, job)
+
+        monkeypatch.setattr(harness, "_in_blocks", recording)
+        build_grid(parse_config(os.path.join(CONFIGS, "demo.cfg")))
+        funcs = [job.func for job in jobs]
+        assert len(funcs) == 3
+        walked, names = set(), set()
+        while funcs:
+            func = funcs.pop()
+            if func in walked:
+                continue
+            walked.add(func)
+            codes = [func.__code__]
+            while codes:
+                code = codes.pop()
+                names.update(code.co_names)
+                codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+                funcs.extend(f for name in code.co_names
+                             if name.startswith("_")
+                             and isinstance(f := func.__globals__.get(name), types.FunctionType))
+        assert {harness._correlate, harness._reflected} <= walked
+        assert not names & traced
 
     def test_workers_capped_at_the_timed_count(self, monkeypatch):
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)),
