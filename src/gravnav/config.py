@@ -8,8 +8,8 @@ mirror the configuration field names with dots for nesting (``pmht.T = 30``,
 :data:`KEYS` lists every key once, with the field that holds its value, its
 codec and its allowed range or choices. Parsing, :func:`serialize_config`
 (which writes the keys in table order) and :meth:`ScenarioConfig.validate`
-all walk it; a value out of range, or not one of the key's choices, raises
-:class:`ConfigError` naming the key.
+all walk it; a value out of range, not finite, or not one of the key's
+choices raises :class:`ConfigError` naming the key.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import hashlib
 import math
 import operator
 from collections.abc import Callable, Collection
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import reduce
 from typing import NamedTuple
 
@@ -50,6 +50,8 @@ INS_DT = 1.0  # dead-reckoning step, seconds; gravimeter samples land on these s
 # Both route end points are checked against the map, but a zero velocity keeps
 # them at the start however long the flight, so the step count is capped here.
 MAX_INS_STEPS = 10**7
+# Most cells of a synthetic map: 400 MB of float64, about 32 corridor maps.
+MAX_MAP_CELLS = 5 * 10**7
 # 99.9% quantile of a 2-dof chi-square, the default innovation gate.
 CHI2_99P9_2DOF = 13.815510557964274
 
@@ -178,8 +180,12 @@ class ScenarioConfig:
             raise ConfigError("config must set either map.file or synthetic map parameters")
         for key in KEYS:
             key.check(key.get(self))
+        gen = self.map.gen
+        if gen is not None and gen.rows * gen.cols > MAX_MAP_CELLS:
+            raise ConfigError(f"map.rows * map.cols must be <= {MAX_MAP_CELLS}, "
+                              f"got {gen.rows} * {gen.cols}")
         steps = self.gravimeter.interval / INS_DT
-        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+        if abs(steps - round(steps)) > 1e-9:
             raise ConfigError(
                 f"gravimeter.interval must be a whole number of {INS_DT:g} s INS steps, "
                 f"got {_fmt(self.gravimeter.interval)}")
@@ -251,20 +257,23 @@ def _fmt(value) -> str:
 
 
 class _Codec(NamedTuple):
-    """How a key's value is read from and written to text."""
+    """How a key's value is read from and written to text, and the real
+    numbers it holds, which must be finite."""
 
     kind: str
     parse: Callable[[str, str], object]
     fmt: Callable[[object], str]
+    reals: Callable[[object], tuple] = lambda value: ()
 
 
 _INT = _Codec("int", _intval, _fmt)
-_FLOAT = _Codec("float", _num, _fmt)
+_FLOAT = _Codec("float", _num, _fmt, lambda value: (value,))
 _STR = _Codec("str", lambda text, key: text, _fmt)
 _BOOL = _Codec("bool", _parse_bool, _fmt)
-_VEC2 = _Codec("vec2", _parse_vec2, lambda vec: ",".join(map(_fmt, vec)))
+_VEC2 = _Codec("vec2", _parse_vec2, lambda vec: ",".join(map(_fmt, vec)), tuple)
 _BUMPS = _Codec("bumps", _parse_bumps, lambda bumps: "; ".join(
-    ",".join(map(_fmt, (b.cx, b.cy, b.amplitude, b.width))) for b in bumps))
+    ",".join(map(_fmt, astuple(b))) for b in bumps),
+    lambda bumps: tuple(x for b in bumps for x in astuple(b)))
 
 
 @dataclass(frozen=True)
@@ -311,6 +320,8 @@ class Key:
     def check(self, value) -> None:
         if value is None:
             return
+        if not all(map(math.isfinite, self.codec.reals(value))):
+            raise ConfigError(f"{self.name} must be finite, got {self.text(value)}")
         if self.choices is not None and value not in self.choices:
             raise ConfigError(f"{self.name} must be one of {', '.join(self.choices)}, "
                               f"got {value!r}")
@@ -339,7 +350,7 @@ KEYS: tuple[Key, ...] = (
     Key("ins.accel_grade", "ins", _STR, choices=SENSOR_GRADES),
     Key("ins.gyro_grade", "ins", _STR, choices=SENSOR_GRADES),
     Key("gravimeter.sigma", "gravimeter", _FLOAT, gt=0),
-    Key("gravimeter.interval", "gravimeter", _FLOAT, gt=0),
+    Key("gravimeter.interval", "gravimeter", _FLOAT, ge=INS_DT),
     Key("pmht.T", "pmht", _INT, ge=2),
     Key("pmht.max_iters", "pmht", _INT, ge=1),
     Key("pmht.epsilon", "pmht", _FLOAT, ge=0),

@@ -7,8 +7,9 @@ scans a batch is smoothed and fed back as position fixes.
 
 Runs go in blocks of seeds (:func:`run_block`). Every seed of a block flies
 the same truth route and scans at the same steps, so the block simulates the
-truth once and keeps the nav beliefs of its live seeds as one stack with a
-leading seed axis: one stacked predict per second moves them all. Lookup,
+truth once and keeps the nav beliefs of its seeds as one stack with a
+leading seed axis, row i for seed i: one stacked predict per second moves
+them all. A seed that fails keeps its row and is only marked. Lookup,
 association, the batch smoother, variability and the fix updates stay per
 seed, and so does the retrodiction replay, as an R = 1 stack. Stacked
 numpy ``cholesky`` and ``matmul`` give each seed the bits of its own run as
@@ -359,40 +360,43 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
         raise ConfigError("cell_size must be positive")
     if any(bump.width <= 0 for bump in params.bumps):
         raise ConfigError("bump width must be positive")
-    h = params.cell_size
-    xs = params.origin_x + (np.arange(params.cols) + 0.5) * h
-    ys = params.origin_y + (params.rows - 1 - np.arange(params.rows) + 0.5) * h
+    # Overflow and NaN are left for the GridMap check below to report;
+    # the map-build threads inherit this error state (:func:`_in_blocks`).
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = params.cell_size
+        xs = params.origin_x + (np.arange(params.cols) + 0.5) * h
+        ys = params.origin_y + (params.rows - 1 - np.arange(params.rows) + 0.5) * h
 
-    background = abs(float(params.background))
-    total = sum(abs(b.amplitude) for b in params.bumps)
-    # Lower bound of every |cell| during the sum, less a slack that covers
-    # the rounding of each add and of this bound itself.
-    floor = (background - total
-             - (len(params.bumps) + 2) * np.finfo(float).eps * (background + total))
-    bumps = []
-    for bump in params.bumps:
-        dx2 = (xs - bump.cx) ** 2
-        denom = 2.0 * bump.width ** 2
-        c0, c1 = 0, params.cols
-        if floor > 0 and bump.amplitude != 0:
-            # Beyond this squared distance |amplitude|·exp(-dx2/denom) is
-            # below spacing(floor)/4, with an e² margin for the rounding of
-            # exp, log and the product; a NaN reach keeps every column.
-            reach = denom * (math.log(abs(bump.amplitude) / (np.spacing(floor) / 4.0)) + 2.0)
-            keep = np.flatnonzero(~(dx2 > reach))
-            if keep.size == 0:
-                continue
-            c0, c1 = int(keep[0]), int(keep[-1]) + 1
-        bumps.append((bump.amplitude, denom, c0, dx2[c0:c1], (ys - bump.cy) ** 2))
+        background = abs(float(params.background))
+        total = sum(abs(b.amplitude) for b in params.bumps)
+        # Lower bound of every |cell| during the sum, less a slack that covers
+        # the rounding of each add and of this bound itself.
+        floor = (background - total
+                 - (len(params.bumps) + 2) * np.finfo(float).eps * (background + total))
+        bumps = []
+        for bump in params.bumps:
+            dx2 = (xs - bump.cx) ** 2
+            denom = 2.0 * bump.width ** 2
+            c0, c1 = 0, params.cols
+            if floor > 0 and bump.amplitude != 0:
+                # Beyond this squared distance |amplitude|·exp(-dx2/denom) is
+                # below spacing(floor)/4, with an e² margin for the rounding of
+                # exp, log and the product; a NaN reach keeps every column.
+                reach = denom * (math.log(abs(bump.amplitude) / (np.spacing(floor) / 4.0)) + 2.0)
+                keep = np.flatnonzero(~(dx2 > reach))
+                if keep.size == 0:
+                    continue
+                c0, c1 = int(keep[0]), int(keep[-1]) + 1
+            bumps.append((bump.amplitude, denom, c0, dx2[c0:c1], (ys - bump.cy) ** 2))
 
-    if params.noise_scale > 0:
-        values = _smoothed_noise(np.random.default_rng(params.seed), params.rows,
-                                 params.cols, params.noise_corr_cells)
-        std = _chunked_std(values)
-    else:
-        values, std = np.empty((params.rows, params.cols)), 0.0
-    _in_blocks(params.rows, _BLOCK_ROWS, functools.partial(
-        _sum_bumps, values, float(params.background), bumps, std, params.noise_scale))
+        if params.noise_scale > 0:
+            values = _smoothed_noise(np.random.default_rng(params.seed), params.rows,
+                                     params.cols, params.noise_corr_cells)
+            std = _chunked_std(values)
+        else:
+            values, std = np.empty((params.rows, params.cols)), 0.0
+        _in_blocks(params.rows, _BLOCK_ROWS, functools.partial(
+            _sum_bumps, values, float(params.background), bumps, std, params.noise_scale))
     try:
         return GridMap(
             n_rows=params.rows,
@@ -490,7 +494,9 @@ class _SeedRun:
 
     The block predicts every seed's belief together; at a scan step it hands
     each seed its own row through :meth:`scan`. ``pos`` is this seed's
-    ``(n, 2)`` row of the block's position estimates.
+    ``(n, 2)`` row of the block's position estimates. ``failed_at`` is the
+    step at which the run failed, or ``None``: :meth:`report` blanks the
+    estimates from there on.
     """
 
     def __init__(self, cfg: ScenarioConfig, fus: FusionParams, grid: GridMap, truth,
@@ -499,24 +505,17 @@ class _SeedRun:
         self.seed = int(seed)
         seed_ins, seed_grav = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
         ins = simulate_ins(truth, *grades, seed_ins)
-        measurements = ()
+        self.measurements = ()
         if cfg.aiding:  # the gravimeter's own seed stream: skipping it changes no other draw
-            measurements = sample_gravimeter(grid, truth, cfg.gravimeter.interval,
-                                             cfg.gravimeter.sigma, seed_grav)
-        self.meas_at = {int(round(m.time / INS_DT)): m for m in measurements}
+            self.measurements = sample_gravimeter(grid, truth, cfg.gravimeter.interval,
+                                                  cfg.gravimeter.sigma, seed_grav)
         self.accels = np.diff(ins.velocities, axis=0) / INS_DT
         self.pos = pos
-        self.scans: list[tuple[int, CandidateSet]] = []
+        self.scans: list[CandidateSet] = []
         self.checkpoint: NavBelief | None = None
         self.var_history: list[float] = []
         self.epochs: list[AidingEpoch] = []
-        self.first_accept_step: int | None = None
-        self.failed = False
-
-    def fail(self, step: int) -> None:
-        """Mark the run failed at ``step``: its estimates from there on are NaN."""
-        self.failed = True
-        self.pos[step:] = np.nan
+        self.failed_at: int | None = None
 
     def advance(self, bel: NavBelief, t_target: float) -> NavBelief:
         """Replay the predicts from ``bel.time`` to ``t_target`` as an R = 1 stack."""
@@ -526,12 +525,12 @@ class _SeedRun:
             self.pos[kk + 1] = stack.position[0]
         return NavBelief(state=stack.state[0], cov=stack.cov[0], time=stack.time)
 
-    def scan(self, step: int, bel: NavBelief) -> NavBelief | None:
-        """Gate this step's measurement into the batch; close the batch when full.
+    def scan(self, n: int, bel: NavBelief) -> NavBelief | None:
+        """Gate measurement ``n`` into the batch; close the batch when full.
 
         Returns the aided belief when a batch closed, else ``None``.
         """
-        cfg, meas = self.cfg, self.meas_at[step]
+        cfg, meas = self.cfg, self.measurements[n]
         if not self.scans:
             self.checkpoint = NavBelief(state=bel.state.copy(), cov=bel.cov.copy(),
                                         time=bel.time)
@@ -541,31 +540,29 @@ class _SeedRun:
                                    cfg.pmht.k_sig)
         except (EmptyWindowError, CovarianceError):
             cs = CandidateSet.empty(meas.value, meas.sigma)
-        self.scans.append((step, cs))
+        self.scans.append(cs)
         if len(self.scans) < cfg.pmht.T:
             return None
-        bel = self._close_batch(bel, step)
-        if self.first_accept_step is None and self.epochs[-1].n_accepted > 0:
-            self.first_accept_step = step
+        bel = self._close_batch(bel)
         self.scans = []
         self.checkpoint = None
         return bel
 
-    def _close_batch(self, bel: NavBelief, step: int) -> NavBelief:
+    def _close_batch(self, bel: NavBelief) -> NavBelief:
         cfg, fus, grid = self.cfg, self.fus, self.grid
         checkpoint = self.checkpoint
         problem = BatchProblem(
             prior_mean=checkpoint.state[:4],
             prior_cov=checkpoint.cov[:4, :4],
-            scans=tuple(cs for _, cs in self.scans),
+            scans=tuple(self.scans),
             params=cfg.pmht,
             dt=cfg.gravimeter.interval,
-            start_time=self.scans[0][0] * INS_DT,
+            start_time=checkpoint.time,
         )
         try:
             est = run_batch(problem)
         except NoFixError:
-            self.epochs.append(AidingEpoch(time=step * INS_DT, fixes=(), n_accepted=0,
+            self.epochs.append(AidingEpoch(time=bel.time, fixes=(), n_accepted=0,
                                            n_nis_rejected=0, iterations_used=0,
                                            converged=False))
             return bel
@@ -586,14 +583,18 @@ class _SeedRun:
         return bel
 
     def report(self, truth) -> RunReport:
+        failed = self.failed_at is not None
+        if failed:
+            self.pos[self.failed_at:] = np.nan
         errors = np.linalg.norm(self.pos - truth.positions, axis=1)
         series = errors[1:]
         aided = np.zeros(len(series), dtype=bool)
-        if self.first_accept_step is not None:
-            aided[self.first_accept_step - 1:] = True
+        first_aided = next((e.time for e in self.epochs if e.n_accepted > 0), None)
+        if first_aided is not None:
+            aided[round(first_aided / INS_DT) - 1:] = True
         div = self.cfg.divergence
-        diverged = self.failed or detect_divergence(series, div.error_threshold_m,
-                                                    div.sustain_s, INS_DT)
+        diverged = failed or detect_divergence(series, div.error_threshold_m,
+                                               div.sustain_s, INS_DT)
         terminal = float(series[-1]) if np.isfinite(series[-1]) else float("inf")
         return RunReport(
             seed=self.seed,
@@ -604,7 +605,7 @@ class _SeedRun:
             epochs=tuple(self.epochs),
             diverged=bool(diverged),
             terminal_error=terminal,
-            failed=self.failed,
+            failed=failed,
         )
 
 
@@ -614,14 +615,18 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     Returns one report per seed, in the order of ``seeds``.
 
     The truth is simulated once; each seed has its own INS, gravimeter and
-    belief. Every second one stacked predict moves the beliefs of all live
-    seeds, and each seed's result has the bits of its own one-seed run. At
-    scan and batch steps each seed is handled alone.
+    belief. Row i of the belief stack, of the accelerations and of the
+    position estimates is seed i for the whole block. Every second one
+    stacked predict moves all the beliefs, and each seed's result has the
+    bits of its own one-seed run. Every ``gravimeter.interval`` each seed
+    scans alone.
 
     Raises :class:`ConfigError` before any simulation when the trajectory
     leaves the map. A numerical failure, or a candidate gradient that touches
-    nodata, marks that seed's run failed/diverged and fills its series with
-    NaN from that step; the seed leaves the block and the others go on.
+    nodata, marks that seed's run failed/diverged at that step, and its
+    series is NaN from there on; the others go on. A failed seed no longer
+    scans, and its row goes on from the start belief once its covariance no
+    longer factors. The block stops when every seed has failed.
     """
     cfg.validate()
     if grid is None:
@@ -635,52 +640,41 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     pos_est[:, 0] = start.position
     runs = [_SeedRun(cfg, fus, grid, truth, grades, seed, pos)
             for seed, pos in zip(seeds, pos_est)]
-    scan_steps = runs[0].meas_at.keys()
-
-    # Row i of the belief and of ``accels[k]`` is seed ``live[i]``, whose
-    # estimates are row ``rows[i]`` of ``pos_est``. ``rows`` stays a slice
-    # until a seed fails: it indexes faster than an array.
-    live = list(range(len(runs)))
-    rows: slice | list[int] = slice(None)
+    every = round(cfg.gravimeter.interval / INS_DT)  # INS steps per scan
     accels = np.stack([run.accels for run in runs], axis=1)
     belief = NavBelief(state=np.tile(start.state, (len(runs), 1)),
                        cov=np.tile(start.cov, (len(runs), 1, 1)), time=start.time)
-
-    def drop(failed: list[int], step: int) -> None:
-        nonlocal live, rows, accels, belief
-        for i in failed:
-            runs[live[i]].fail(step)
-        keep = [i for i in range(len(live)) if i not in failed]
-        live = rows = [live[i] for i in keep]
-        accels = accels[:, keep]
-        belief = NavBelief(state=belief.state[keep], cov=belief.cov[keep], time=belief.time)
 
     for k in range(1, len(truth)):
         try:
             belief = ukf_predict(belief, accels[k - 1], INS_DT, fus)
         except NumericalError as exc:
-            drop(exc.rows, k)
-            if not live:
+            # A row whose covariance no longer factors would fail every
+            # later predict; it goes on from the start belief, which does.
+            for i in exc.rows:
+                if runs[i].failed_at is None:
+                    runs[i].failed_at = k
+                belief.state[i], belief.cov[i] = start.state, start.cov
+            if all(run.failed_at is not None for run in runs):
                 break
             belief = ukf_predict(belief, accels[k - 1], INS_DT, fus)
-        pos_est[rows, k] = belief.position
-        if k not in scan_steps:
+        pos_est[:, k] = belief.position
+        if not cfg.aiding or k % every:
             continue
-        failed = []
-        for i, r in enumerate(live):
+        for run, state, cov in zip(runs, belief.state, belief.cov):
+            if run.failed_at is not None:
+                continue
             try:
-                closed = runs[r].scan(k, NavBelief(state=belief.state[i], cov=belief.cov[i],
-                                                   time=belief.time))
+                closed = run.scan(k // every - 1, NavBelief(state=state, cov=cov,
+                                                            time=belief.time))
             except (NumericalError, NodataError):
-                failed.append(i)
+                run.failed_at = k
                 continue
             if closed is not None:
-                belief.state[i], belief.cov[i] = closed.state, closed.cov
-                pos_est[r, k] = closed.position
-        if failed:
-            drop(failed, k)
-            if not live:
-                break
+                state[:], cov[:] = closed.state, closed.cov
+                run.pos[k] = closed.position
+        if all(run.failed_at is not None for run in runs):
+            break
     return [run.report(truth) for run in runs]
 
 

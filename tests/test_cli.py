@@ -35,6 +35,9 @@ monte_carlo.base_seed = 0
 """
 
 
+# A million by a million cells: 7.28 TiB of float64, over the map-size cap.
+HUGE_MAP = "map.rows = 1000000\nmap.cols = 1000000\n"
+
 DEMO_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.cfg")
 
 # SHA-256 of the demo campaign's outputs at --seed 0 --jobs 1.
@@ -188,6 +191,12 @@ class TestCampaign:
             ("duration", "inf"),
             ("duration", "0.5"),
             ("duration", "1e12"),
+            ("gravimeter.interval", "1e-10"),
+            ("start", "nan,0"),
+            *((key, "inf") for key in (
+                "map.cell_size", "map.noise_corr_cells", "pmht.gamma", "pmht.k_sig",
+                "fusion.alpha", "fusion.bias_psd", "fusion.q_accel", "init.pos_sigma",
+                "divergence.error_threshold_m", "divergence.sustain_s")),
         )),
     ])
     def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key, value):
@@ -258,7 +267,10 @@ class TestCampaign:
         ("map.seed = -1\n", ["genmap"], "map.seed"),
         ("", ["run", "--seed", "-1"], "--seed"),
         ("", ["campaign", "--seed", "-5"], "--seed"),
-    ], ids=["base_seed", "map.seed", "genmap-map.seed", "run--seed", "campaign--seed"])
+        (HUGE_MAP, ["campaign"], "map.rows * map.cols"),
+        (HUGE_MAP, ["genmap"], "map.rows * map.cols"),
+    ], ids=["base_seed", "map.seed", "genmap-map.seed", "run--seed", "campaign--seed",
+            "map-cells", "genmap-map-cells"])
     def test_negative_seed_exit_2_names_it_before_the_map(self, tmp_path, capsys, monkeypatch,
                                                            extra, argv, named):
         def no_map(cfg):
@@ -273,23 +285,30 @@ class TestCampaign:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra", [
-        "map.origin_x = nan\n",
-        "map.bumps = 3000,1500,2e-3,nan\n",
-        "map.background = inf\n",
-        "map.bumps = 3000,1500,1e308,1200; 3000,1500,1e308,1200\n",
-    ], ids=["origin_x-nan", "bump-width-nan", "background-inf", "bump-sum-overflows"])
+    @pytest.mark.parametrize("extra, named", [
+        # A non-finite setting fails validation, which names its key.
+        ("map.origin_x = nan\n", ["map.origin_x"]),
+        ("map.origin_x = inf\n", ["map.origin_x"]),
+        ("map.bumps = 3000,1500,2e-3,nan\n", ["map.bumps"]),
+        ("map.background = inf\n", ["map.background"]),
+        # Finite settings whose sum overflows fail the built map's check,
+        # which names every key that feeds the cell values.
+        ("map.bumps = 3000,1500,1e308,1200; 3000,1500,1e308,1200\n",
+         ["map.background", "map.bumps", "map.origin_x", "map.noise_scale"]),
+    ], ids=["origin_x-nan", "origin_x-inf", "bump-width-nan", "background-inf",
+            "bump-sum-overflows"])
     @pytest.mark.parametrize("argv", [
         ["run"], ["campaign", "--jobs", "1"], ["campaign", "--jobs", "2"], ["genmap"],
     ], ids=["run", "campaign-j1", "campaign-j2", "genmap"])
-    def test_non_finite_map_exit_2_names_the_map_keys(self, tmp_path, capsys, extra, argv):
+    def test_non_finite_map_exit_2_names_the_map_keys(self, tmp_path, capsys, extra, named,
+                                                      argv):
         with open(DEMO_CFG, encoding="utf-8") as fh:
             cfg = write(tmp_path / "cfg.txt", fh.read() + extra)
         out = tmp_path / "o"
         assert main([argv[0], "--config", cfg, "--out", str(out), *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
-        for key in ("map.background", "map.bumps", "map.origin_x", "map.noise_scale"):
+        for key in named:
             assert key in err
         assert not out.exists()
 

@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
+import math
 import os
+import re
 import string
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from gravnav.config import (
     KEYS,
     MAX_INS_STEPS,
+    MAX_MAP_CELLS,
     DivergenceParams,
     FusionParams,
     GaussianBump,
@@ -151,6 +154,22 @@ class TestSerialize:
         assert config_hash(a) == config_hash(parse_config_text(SAMPLE))
 
 
+def _non_finite_values(key):
+    """``(label, value)`` for each way a key's value can hold NaN or an infinity:
+    the number itself, either part of a vector, any of a bump's four numbers."""
+    kind = key.codec.kind
+    for name, bad in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)):
+        if kind == "float":
+            yield name, bad
+        elif kind == "vec2":
+            yield f"x-{name}", (bad, 0.0)
+            yield f"y-{name}", (0.0, bad)
+        elif kind == "bumps":
+            good = GaussianBump(3000.0, 1500.0, 2e-3, 1200.0)
+            for part in ("cx", "cy", "amplitude", "width"):
+                yield f"{part}-{name}", (good, dataclasses.replace(good, **{part: bad}))
+
+
 class TestRanges:
     @pytest.mark.parametrize("key", [k for k in KEYS if (k.gt, k.ge, k.le) != (None,) * 3],
                              ids=lambda k: k.name)
@@ -174,6 +193,25 @@ class TestRanges:
             cfg.validate()
         key.set(cfg, "sideways")
         with pytest.raises(ConfigError, match=key.name):
+            cfg.validate()
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param(key, value, id=f"{key.name}-{label}")
+        for key in KEYS for label, value in _non_finite_values(key)])
+    def test_non_finite_number_names_key(self, key, value):
+        # Set in code, past the parser: validate() alone must catch it.
+        cfg = parse_config_text(SAMPLE)
+        cfg.validate()
+        setattr(key._owner(cfg), key.field, value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key.name)} must be finite"):
+            cfg.validate()
+
+    def test_map_cell_cap_names_both_keys(self):
+        cfg = parse_config_text(SAMPLE)
+        cfg.map.gen.rows, cfg.map.gen.cols = MAX_MAP_CELLS // 2, 2
+        cfg.validate()
+        cfg.map.gen.rows += 1
+        with pytest.raises(ConfigError, match=r"map\.rows \* map\.cols must be <= "):
             cfg.validate()
 
     @pytest.mark.parametrize("text", ["fusion.nis_gate = off", "fusion.q_accel = auto",

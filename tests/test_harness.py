@@ -800,9 +800,9 @@ class TestBlock:
         cfg = small_scenario(duration=600.0, batch_len=5)
         grid = build_grid(cfg)
         accels, values = seed_streams(cfg, grid, 2)
+        seen = set()
         if where == "lookup":
             real = harness.lookup_candidates
-            seen = set()
 
             def flaky(grid, s, *args):
                 if s in values:
@@ -815,11 +815,13 @@ class TestBlock:
             step = 120
         else:
             real = harness.ukf_predict
-            seen = None
 
             def flaky(belief, accel, dt, params):
+                # Once: the failed row goes on from the start belief with
+                # the same accelerations, which must not fail it again.
                 hit = [i for i, a in enumerate(accel) if np.array_equal(a, accels[276])]
-                if belief.time == 276.0 and hit:
+                if belief.time == 276.0 and hit and not seen:
+                    seen.add(276)
                     raise NumericalError("forced", rows=tuple(hit))
                 return real(belief, accel, dt, params)
 
@@ -827,8 +829,7 @@ class TestBlock:
             step = 277
         block = run_block(cfg, SEEDS, grid)
         for rep in block:
-            if seen is not None:
-                seen.clear()
+            seen.clear()
             alone = run_scenario(cfg, rep.seed, grid)
             assert np.array_equal(rep.error_series, alone.error_series, equal_nan=True)
             assert np.array_equal(rep.positions, alone.positions, equal_nan=True)
@@ -838,6 +839,32 @@ class TestBlock:
         failed = block[2].error_series
         assert np.isfinite(failed[:step - 1]).all() and np.isnan(failed[step - 1:]).all()
         assert all(np.isfinite(r.error_series).all() for r in block if r.seed != 2)
+
+    @pytest.mark.parametrize("where, step", [("scan", 50), ("predict", 45)])
+    def test_block_stops_once_every_seed_has_failed(self, monkeypatch, where, step):
+        # Both seeds fail at ``step``: at the first batch, a scan step, or
+        # in the predict between the scans at 40 and 50 s.
+        real = harness.ukf_predict
+        times = []
+
+        def predict(belief, accel, dt, params):
+            times.append(belief.time)
+            if where == "predict" and belief.time == step - 1:
+                raise NumericalError("forced", rows=tuple(range(len(accel))))
+            return real(belief, accel, dt, params)
+
+        def boom(problem):
+            raise NumericalError("forced", iteration=1)
+
+        monkeypatch.setattr(harness, "ukf_predict", predict)
+        if where == "scan":
+            monkeypatch.setattr(harness, "run_batch", boom)
+        block = run_block(small_scenario(duration=300.0, batch_len=5), [0, 1])
+        assert max(times) == step - 1 and times.count(step - 1) == 1
+        for rep in block:
+            assert rep.failed and rep.diverged
+            assert np.isfinite(rep.error_series[:step - 1]).all()
+            assert np.isnan(rep.error_series[step - 1:]).all()
 
     def test_batch_of_empty_scans(self, monkeypatch):
         import gravnav.harness as harness
