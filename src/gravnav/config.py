@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import sys
 from collections.abc import Callable, Collection
 from dataclasses import astuple, dataclass, field
 from functools import reduce
@@ -52,6 +53,11 @@ INS_DT = 1.0  # dead-reckoning step, seconds; gravimeter samples land on these s
 MAX_INS_STEPS = 10**7
 # Most cells of a synthetic map: 400 MB of float64, about 32 corridor maps.
 MAX_MAP_CELLS = 5 * 10**7
+# Widest noise correlation, in cells: a smoothing kernel radius of 4e4 cells
+# and about 82 MB per padded 128-column strip.
+MAX_NOISE_CORR_CELLS = 10**4
+# Largest initial sigma whose square, the nav filter's variance, is finite.
+MAX_INIT_SIGMA = math.sqrt(sys.float_info.max)
 # 99.9% quantile of a 2-dof chi-square, the default innovation gate.
 CHI2_99P9_2DOF = 13.815510557964274
 
@@ -342,7 +348,7 @@ KEYS: tuple[Key, ...] = (
     Key("map.background", "map.gen", _FLOAT),
     Key("map.bumps", "map.gen", _BUMPS),
     Key("map.noise_scale", "map.gen", _FLOAT, ge=0),
-    Key("map.noise_corr_cells", "map.gen", _FLOAT, ge=0),
+    Key("map.noise_corr_cells", "map.gen", _FLOAT, ge=0, le=MAX_NOISE_CORR_CELLS),
     Key("map.seed", "map.gen", _INT, ge=0),
     Key("start", "", _VEC2),
     Key("velocity", "", _VEC2),
@@ -371,9 +377,9 @@ KEYS: tuple[Key, ...] = (
     Key("fusion.bias_psd", "fusion", _FLOAT, ge=0),
     Key("fusion.q_accel", "fusion", _FLOAT, ge=0, none=("auto",)),
     Key("fusion.template_half_width", "fusion", _INT, ge=1),
-    Key("init.pos_sigma", "init", _FLOAT, gt=0),
-    Key("init.vel_sigma", "init", _FLOAT, gt=0),
-    Key("init.bias_sigma", "init", _FLOAT, gt=0, none=("auto",)),
+    Key("init.pos_sigma", "init", _FLOAT, gt=0, le=MAX_INIT_SIGMA),
+    Key("init.vel_sigma", "init", _FLOAT, gt=0, le=MAX_INIT_SIGMA),
+    Key("init.bias_sigma", "init", _FLOAT, gt=0, le=MAX_INIT_SIGMA, none=("auto",)),
     Key("monte_carlo.runs", "monte_carlo", _INT, ge=1),
     Key("monte_carlo.base_seed", "monte_carlo", _INT, ge=0),
     Key("divergence.error_threshold_m", "divergence", _FLOAT, gt=0),

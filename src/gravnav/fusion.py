@@ -2,13 +2,14 @@
 
 The navigation belief carries planar position, velocity and accelerometer
 bias. Prediction propagates the belief through the dead-reckoning dynamics
-driven by the indicated acceleration; updates apply position fixes from the
-batch tracker, with a normalized-innovation gate guarding against
-wrong-cluster fixes. :func:`apply_batch` owns the aiding decision: it reads
-the mode, the variability gate and its floor from the parameters, drops the
-fixes where the local map feature variability is below the gate, inflates
-the covariance of the others by its inverse, applies them, and records the
-batch as an :class:`AidingEpoch`.
+driven by the indicated acceleration; an update applies one position fix and
+returns its normalized innovation squared (NIS). :func:`apply_batch` owns
+the aiding decision and both of its gates. It reads the mode, the
+variability gate and its floor and the NIS gate from the parameters. It
+drops the fixes where the local map feature variability is below the gate
+and inflates the covariance of the others by its inverse. Of those, it keeps
+an update only where the NIS stays within the gate, which guards against
+wrong-cluster fixes, and it records the batch as an :class:`AidingEpoch`.
 
 Sigma-point machinery follows the scaled unscented transform. The dynamics
 and measurement models here are linear, so the filter is exactly equivalent
@@ -49,7 +50,6 @@ from .pmht import BatchEstimate, cv_model
 __all__ = [
     "NavBelief",
     "AidingFix",
-    "UpdateDiag",
     "AidingEpoch",
     "ukf_predict",
     "ukf_update",
@@ -76,31 +76,16 @@ class NavBelief:
     def position(self) -> np.ndarray:
         return self.state[..., :2]
 
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.state[..., 2:4]
-
 
 @dataclass(frozen=True)
 class AidingFix:
-    """A position fix offered to the navigation filter."""
+    """A position fix offered to the navigation filter, and whether it passed
+    the variability gate."""
 
     position: np.ndarray
     cov: np.ndarray
     time: float
     variability: float
-    accepted: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-
-
-@dataclass(frozen=True)
-class UpdateDiag:
-    """Innovation diagnostics of one measurement update."""
-
-    nis: float
     accepted: bool
 
 
@@ -235,17 +220,15 @@ def ukf_predict(
 
 def ukf_update(
     belief: NavBelief,
-    fix: AidingFix,
+    position: np.ndarray,
+    cov: np.ndarray,
     params: FusionParams,
-) -> tuple[NavBelief, UpdateDiag]:
-    """Apply one accepted position fix to the belief.
+) -> tuple[NavBelief, float]:
+    """Apply the position fix ``position`` with covariance ``cov`` to the belief.
 
-    When the normalized innovation squared exceeds ``params.nis_gate`` the
-    fix is rejected and the belief is returned unchanged (same object), so a
-    wrong-cluster fix cannot corrupt the navigation state.
+    Returns the updated belief and the fix's normalized innovation squared.
+    The update reads no gate: :func:`apply_batch` decides whether to keep it.
     """
-    if not fix.accepted:
-        raise ValueError("refusing to apply a fix that failed the aiding gate")
     points, wm, wc = _sigma_points(belief.state[None], belief.cov[None], params.alpha,
                                    params.beta, params.kappa)
     points = points[0]
@@ -253,19 +236,15 @@ def ukf_update(
     z_hat = wm @ z_pts
     dz = z_pts - z_hat
     dx = points - belief.state
-    s = (wc[:, None] * dz).T @ dz + fix.cov
+    s = (wc[:, None] * dz).T @ dz + cov
     s = 0.5 * (s + s.T)
     cross = (wc[:, None] * dx).T @ dz
-    innovation = fix.position - z_hat
-    s_inv_innov = np.linalg.solve(s, innovation)
-    nis = float(innovation @ s_inv_innov)
-    if params.nis_gate is not None and nis > params.nis_gate:
-        return belief, UpdateDiag(nis=nis, accepted=False)
+    innovation = position - z_hat
+    nis = float(innovation @ np.linalg.solve(s, innovation))
     gain = np.linalg.solve(s, cross.T).T
     state = belief.state + gain @ innovation
-    cov = belief.cov - gain @ s @ gain.T
-    return (NavBelief(state=state, cov=0.5 * (cov + cov.T), time=belief.time),
-            UpdateDiag(nis=nis, accepted=True))
+    updated = belief.cov - gain @ s @ gain.T
+    return NavBelief(state=state, cov=0.5 * (updated + updated.T), time=belief.time), nis
 
 
 def apply_batch(
@@ -289,7 +268,10 @@ def apply_batch(
     A fix passes the aiding gate only where its variability ``v`` reaches
     ``params.variability_threshold``. Low variability means the local map
     carries little position information, so each fix covariance is divided
-    by ``max(v, params.v_floor)``: the floor caps the inflation.
+    by ``max(v, params.v_floor)``: the floor caps the inflation. A fix that
+    passes is then applied, but when ``params.nis_gate`` is set and the
+    fix's NIS exceeds it, the update is dropped and the belief stays the
+    same object: a wrong-cluster fix cannot corrupt the navigation state.
 
     The smoothed in-batch states share the batch's information, so feeding
     them in as independent measurements would count that information T
@@ -334,14 +316,12 @@ def apply_batch(
         if not fix.accepted:
             continue
         belief = advance_to(belief, fix.time)
-        if abs(belief.time - fix.time) > 1e-6:
-            raise ValueError(
-                f"belief time {belief.time} does not match fix time {fix.time}")
-        belief, diag = ukf_update(belief, fix, params)
-        if diag.accepted:
-            n_accepted += 1
-        else:
+        updated, nis = ukf_update(belief, fix.position, fix.cov, params)
+        if params.nis_gate is not None and nis > params.nis_gate:
             n_nis_rejected += 1
+        else:
+            belief = updated
+            n_accepted += 1
     end_time = float(estimate.times[-1])
     return advance_to(belief, end_time), AidingEpoch(
         time=end_time,

@@ -23,6 +23,7 @@ from .errors import (
     EmptyWindowError,
     GridFormatError,
     NodataError,
+    NumericalError,
     OutOfBoundsError,
     UnsupportedGeometryError,
 )
@@ -333,15 +334,20 @@ def lookup_candidates(
 
     ``prior_cov`` must be symmetric, as the nav filter keeps its
     covariances; only its positive definiteness is checked. Raises
-    :class:`CovarianceError` when it is not positive definite, and
-    :class:`EmptyWindowError` when the box does not contain any cell
+    :class:`NumericalError` when the prior mean or covariance is not finite,
+    :class:`CovarianceError` when the covariance is not positive definite,
+    and :class:`EmptyWindowError` when the box does not contain any cell
     center; a box that contains cells but no compatible values yields an
     empty :class:`CandidateSet`.
     """
     cx, cy = np.asarray(prior_mean, dtype=float)
     cov = np.asarray(prior_cov, dtype=float)
+    finite_mean = math.isfinite(cx) and math.isfinite(cy)
     eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    if eigvals.min() <= 0:
+    if not (finite_mean and eigvals.min() > 0):
+        # eigvalsh gives NaN for a covariance that is not finite
+        if not finite_mean or np.isnan(eigvals).any():
+            raise NumericalError("position prior is not finite")
         raise CovarianceError(f"prior covariance is not positive definite (eigs {eigvals})")
     hx, hy = np.sqrt(gamma * np.diag(cov))
     x0, y0 = grid.origin

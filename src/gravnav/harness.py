@@ -36,6 +36,7 @@ import functools
 import math
 import os
 import threading
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -360,9 +361,11 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
         raise ConfigError("cell_size must be positive")
     if any(bump.width <= 0 for bump in params.bumps):
         raise ConfigError("bump width must be positive")
-    # Overflow and NaN are left for the GridMap check below to report;
-    # the map-build threads inherit this error state (:func:`_in_blocks`).
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow and NaN are left for the GridMap check below to report; a
+    # bump width whose square underflows divides by zero, which is harmless
+    # off its centre. The map-build threads inherit this error state
+    # (:func:`_in_blocks`).
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         h = params.cell_size
         xs = params.origin_x + (np.arange(params.cols) + 0.5) * h
         ys = params.origin_y + (params.rows - 1 - np.arange(params.rows) + 0.5) * h
@@ -744,7 +747,9 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
         reports = run_block(cfg, seeds, grid=grid)
 
     err = np.vstack([r.error_series for r in reports])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        # A time at which every run has failed has no RMS: NaN, not a warning.
+        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
         rms = np.sqrt(np.nanmean(err ** 2, axis=0))
     n_live = np.isfinite(err).sum(axis=0)
     times = reports[0].times

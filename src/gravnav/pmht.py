@@ -173,7 +173,8 @@ def _solve_spd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve m @ x = rhs, regularizing with a trace-scaled jitter if singular.
 
     ``m`` and ``rhs`` may be stacks; then only the singular matrices of the
-    stack get the jitter.
+    stack get the jitter. Raises :class:`NumericalError` when a matrix stays
+    singular after the jitter.
     """
     try:
         return np.linalg.solve(m, rhs)
@@ -183,7 +184,10 @@ def _solve_spd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         warnings.warn("singular covariance in batch recursion; regularized",
                       RuntimeWarning, stacklevel=2)
         jitter = max(np.trace(m), 1.0) * 1e-12
-        return np.linalg.solve(m + jitter * np.eye(m.shape[0]), rhs)
+        try:
+            return np.linalg.solve(m + jitter * np.eye(m.shape[0]), rhs)
+        except np.linalg.LinAlgError:
+            raise NumericalError("covariance solve failed after regularization") from None
 
 
 def _predicted_positions(problem: BatchProblem, xs: np.ndarray) -> np.ndarray:

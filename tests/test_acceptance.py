@@ -16,7 +16,7 @@ from gravnav.assoc import candidate_weights
 from gravnav.cli import main as cli_main
 from gravnav.config import FusionParams
 from gravnav.errors import EmptyWindowError
-from gravnav.fusion import AidingFix, NavBelief, ukf_predict, ukf_update
+from gravnav.fusion import NavBelief, ukf_predict, ukf_update
 from gravnav.geomap import GridMap, feature_variability, lookup_candidates
 from gravnav.harness import run_campaign
 from gravnav.pmht import run_batch
@@ -107,9 +107,7 @@ def test_criterion_2_ukf_oracle():
         kx, kp = nav_kf_predict(kx, kp, accel, 1.0, params.q_accel, params.bias_psd)
         if step % 10 == 9:
             z = kx[:2] + rng.normal(0.0, 20.0, 2)
-            fix = AidingFix(position=z, cov=400.0 * np.eye(2), time=belief.time,
-                            variability=1.0, accepted=True)
-            belief, _ = ukf_update(belief, fix, params)
+            belief, _ = ukf_update(belief, z, 400.0 * np.eye(2), params)
             kx, kp = nav_kf_update(kx, kp, z, 400.0 * np.eye(2))
         worst = max(worst,
                     np.linalg.norm(belief.state - kx) / max(np.linalg.norm(kx), 1.0),

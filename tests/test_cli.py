@@ -197,6 +197,11 @@ class TestCampaign:
                 "map.cell_size", "map.noise_corr_cells", "pmht.gamma", "pmht.k_sig",
                 "fusion.alpha", "fusion.bias_psd", "fusion.q_accel", "init.pos_sigma",
                 "divergence.error_threshold_m", "divergence.sustain_s")),
+            # Finite, but the smoothing kernel alone would need 58 TiB.
+            ("map.noise_corr_cells", "1e12"),
+            # Finite, but the squared sigma, the filter's variance, overflows.
+            *((key, "1e200") for key in (
+                "init.pos_sigma", "init.vel_sigma", "init.bias_sigma")),
         )),
     ])
     def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key, value):
@@ -269,8 +274,11 @@ class TestCampaign:
         ("", ["campaign", "--seed", "-5"], "--seed"),
         (HUGE_MAP, ["campaign"], "map.rows * map.cols"),
         (HUGE_MAP, ["genmap"], "map.rows * map.cols"),
+        # A 7.63 GiB padded strip per smoothing worker.
+        ("map.noise_corr_cells = 1e6\n", ["run"], "map.noise_corr_cells"),
+        ("map.noise_corr_cells = 1e6\n", ["genmap"], "map.noise_corr_cells"),
     ], ids=["base_seed", "map.seed", "genmap-map.seed", "run--seed", "campaign--seed",
-            "map-cells", "genmap-map-cells"])
+            "map-cells", "genmap-map-cells", "noise-corr", "genmap-noise-corr"])
     def test_negative_seed_exit_2_names_it_before_the_map(self, tmp_path, capsys, monkeypatch,
                                                            extra, argv, named):
         def no_map(cfg):
@@ -386,6 +394,28 @@ class TestRun:
         monkeypatch.setattr(harness, "run_batch", boom)
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)
         assert main(["run", "--config", cfg, "--seed", "0"]) == 3
+
+    @pytest.mark.parametrize("line, warning", [
+        # The smoother gain stays singular after the jitter.
+        ("fusion.bias_psd = 1e300", "regularized"),
+        # The sigma-point spread overflows and the belief turns NaN.
+        ("fusion.alpha = 1e200", "invalid value"),
+    ], ids=["bias_psd", "alpha"])
+    def test_numerical_fault_fails_the_run_exit_3(self, tmp_path, capsys, line, warning):
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            cfg = write(tmp_path / "cfg.txt", fh.read() + line + "\n")
+        with pytest.warns(RuntimeWarning) as got:
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert any(warning in str(w.message) for w in got)
+        assert "diverged: true" in capsys.readouterr().out
+        # A campaign counts each failed seed as diverged and writes its outputs.
+        campaign = write(tmp_path / "campaign.txt",
+                         (tmp_path / "cfg.txt").read_text() + "monte_carlo.runs = 3\n")
+        out = tmp_path / "c"
+        with pytest.warns(RuntimeWarning):
+            assert main(["campaign", "--config", campaign, "--out", str(out)]) == 0
+        assert "divergence_rate: 1\n" in capsys.readouterr().out
+        assert (out / "summary.csv").exists() and len(list((out / "runs").iterdir())) == 3
 
     def test_config_directory_exit_2_names_path(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path)]) == 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gravnav.config import (
     KEYS,
+    MAX_INIT_SIGMA,
     MAX_INS_STEPS,
     MAX_MAP_CELLS,
     DivergenceParams,
@@ -174,15 +175,29 @@ class TestRanges:
     @pytest.mark.parametrize("key", [k for k in KEYS if (k.gt, k.ge, k.le) != (None,) * 3],
                              ids=lambda k: k.name)
     def test_value_out_of_range_names_key(self, key):
+        # Each bound the key has, crossed.
+        bads = []
+        if key.gt is not None:
+            bads.append(key.gt)
+        if key.ge is not None:
+            bads.append(key.ge - 1)
         if key.le is not None:
-            bad = key.le + 1
-        else:
-            bad = key.gt if key.gt is not None else key.ge - 1
-        cfg = parse_config_text(SAMPLE)
-        cfg.validate()
-        key.set(cfg, str(bad))
-        with pytest.raises(ConfigError, match=key.name):
+            # Above a huge bound, ``le + 1`` rounds back to ``le``.
+            bads.append(math.nextafter(key.le, math.inf))
+        for bad in bads:
+            cfg = parse_config_text(SAMPLE)
             cfg.validate()
+            key.set(cfg, str(bad))
+            with pytest.raises(ConfigError, match=key.name):
+                cfg.validate()
+
+    def test_init_sigma_cap_is_the_largest_finite_variance(self):
+        assert math.isfinite(MAX_INIT_SIGMA ** 2)
+        with pytest.raises(OverflowError):
+            math.nextafter(MAX_INIT_SIGMA, math.inf) ** 2
+        cfg = parse_config_text(SAMPLE)
+        cfg.init.pos_sigma = cfg.init.vel_sigma = cfg.init.bias_sigma = MAX_INIT_SIGMA
+        cfg.validate()
 
     @pytest.mark.parametrize("key", [k for k in KEYS if k.choices is not None],
                              ids=lambda k: k.name)

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from gravnav.config import CHI2_99P9_2DOF, FusionParams
 from gravnav.errors import NumericalError
 from gravnav.fusion import (
-    AidingFix,
     NavBelief,
     _process_noise,
     _unscented_weights,
@@ -31,12 +30,6 @@ def belief(x=None, cov=None, time=0.0):
                      time=time)
 
 
-def accepted_fix(position, cov, time=0.0, variability=1.0):
-    return AidingFix(position=np.asarray(position, dtype=float),
-                     cov=np.asarray(cov, dtype=float), time=time,
-                     variability=variability, accepted=True)
-
-
 def stack(*beliefs):
     """The beliefs as one stack of seeds, in order; they share the first one's time."""
     return NavBelief(state=np.array([b.state for b in beliefs]),
@@ -49,7 +42,7 @@ class TestUkfPredict:
         b = stack(belief(x=[1.0, 2.0, 3.0, -4.0, 0.0, 0.0]))
         out = ukf_predict(b, np.zeros((1, 2)), 1.0, params)
         assert out.position[0] == pytest.approx([4.0, -2.0], abs=1e-9)
-        assert out.velocity[0] == pytest.approx([3.0, -4.0], abs=1e-12)
+        assert out.state[0, 2:4] == pytest.approx([3.0, -4.0], abs=1e-12)
         assert out.time == 1.0
         # bias block untouched by prediction without bias noise
         assert out.cov[0, 4:, 4:] == pytest.approx(b.cov[0, 4:, 4:], abs=1e-20)
@@ -138,6 +131,22 @@ def spd_stacks(draw, r):
     return NavBelief(state=states, cov=cov, time=0.0), accels
 
 
+@st.composite
+def conditioned_covs(draw, r, n):
+    """``r`` SPD ``n x n`` matrices whose eigenvalues span at most six decades."""
+    a = draw(hnp.arrays(np.float64, (r, n, n), elements=st.floats(-1.0, 1.0)))
+    log_eig = draw(hnp.arrays(np.float64, (r, n), elements=st.floats(0.0, 6.0)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    q, _ = np.linalg.qr(a + 3.0 * np.eye(n))
+    cov = (q * (scale * 10.0 ** log_eig)[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return 0.5 * (cov + np.swapaxes(cov, 1, 2))
+
+
+def assert_psd(cov, rel=1e-9):
+    eigs = np.linalg.eigvalsh(cov)
+    assert eigs.min() >= -rel * eigs.max()
+
+
 def solo(b, i):
     return NavBelief(state=b.state[i].copy(), cov=b.cov[i].copy(), time=b.time)
 
@@ -170,6 +179,21 @@ class TestStackedPredict:
                 assert np.array_equal(out.cov[i], ref.cov)
                 assert out.time == ref.time
             b = out
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_covariance_stays_symmetric_and_psd(self, data):
+        r = data.draw(st.integers(1, 5))
+        cov = data.draw(conditioned_covs(r, 6))
+        states = data.draw(hnp.arrays(np.float64, (r, 6), elements=st.floats(-1e4, 1e4)))
+        accels = data.draw(hnp.arrays(np.float64, (r, 2), elements=st.floats(-1.0, 1.0)))
+        params = data.draw(st.sampled_from(self.PARAMS))
+        b = NavBelief(state=states, cov=cov, time=0.0)
+        for _ in range(3):
+            b = ukf_predict(b, accels, 1.0, params)
+            assert (b.cov == np.swapaxes(b.cov, 1, 2)).all()
+            for c in b.cov:
+                assert_psd(c)
 
     def test_one_non_pd_seed_regularized_alone(self):
         params = FusionParams(q_accel=2.5e-9, bias_psd=1e-12)
@@ -299,58 +323,67 @@ class TestAidingGate:
 
 class TestUkfUpdate:
     def test_perfect_measurement_pins_position(self):
-        params = FusionParams()
         b = belief()
-        fix = accepted_fix(b.position, 1e-6 * np.eye(2), time=0.0)
-        out, diag = ukf_update(b, fix, params)
-        assert diag.accepted
+        r = 1e-6 * np.eye(2)
+        out, nis = ukf_update(b, b.position, r, FusionParams())
+        assert nis == pytest.approx(0.0, abs=1e-9)
         assert out.position == pytest.approx(b.position, abs=1e-9)
-        eigs = np.linalg.eigvalsh(fix.cov - out.cov[:2, :2])
+        eigs = np.linalg.eigvalsh(r - out.cov[:2, :2])
         assert eigs.min() >= -1e-12
 
     def test_uninformative_measurement_keeps_prior(self):
-        params = FusionParams(nis_gate=None)
         b = belief()
-        fix = accepted_fix([123.0, -77.0], 1e12 * np.eye(2), time=0.0)
-        out, _ = ukf_update(b, fix, params)
+        out, _ = ukf_update(b, np.array([123.0, -77.0]), 1e12 * np.eye(2), FusionParams())
         assert np.linalg.norm(out.state - b.state) / np.linalg.norm(b.state) <= 1e-6
         assert np.linalg.norm(out.cov - b.cov) / np.linalg.norm(b.cov) <= 1e-6
 
     def test_matches_kf_oracle(self):
         rng = np.random.default_rng(2)
-        params = FusionParams(nis_gate=None)
+        params = FusionParams()
         for _ in range(30):
             b = belief(cov=np.diag(rng.uniform(0.5, 2.0, 6)))
             z = b.position + rng.normal(0.0, 5.0, 2)
             r = np.diag(rng.uniform(1.0, 50.0, 2))
-            out, _ = ukf_update(b, accepted_fix(z, r), params)
+            out, nis = ukf_update(b, z, r, params)
             kx, kp = nav_kf_update(b.state, b.cov, z, r)
             assert np.linalg.norm(out.state - kx) / max(np.linalg.norm(kx), 1.0) <= 1e-10
             assert np.linalg.norm(out.cov - kp) / max(np.linalg.norm(kp), 1.0) <= 1e-10
+            innov = z - b.position
+            assert nis == pytest.approx(innov @ np.linalg.solve(b.cov[:2, :2] + r, innov),
+                                        rel=1e-10)
 
     def test_accepted_update_never_inflates_trace(self):
         rng = np.random.default_rng(3)
-        params = FusionParams(nis_gate=None)
+        params = FusionParams()
         for _ in range(50):
             b = belief(cov=np.diag(rng.uniform(0.1, 10.0, 6)))
             z = b.position + rng.normal(0.0, 1.0, 2)
-            out, _ = ukf_update(b, accepted_fix(z, np.diag(rng.uniform(0.5, 5.0, 2))), params)
+            out, _ = ukf_update(b, z, np.diag(rng.uniform(0.5, 5.0, 2)), params)
             assert np.trace(out.cov) <= np.trace(b.cov) + 1e-9
 
-    def test_nis_gate_rejects_far_fix_bit_identical(self):
-        params = FusionParams(nis_gate=CHI2_99P9_2DOF)
-        b = belief()
-        far = accepted_fix(b.position + np.array([4000.0, 0.0]), np.eye(2), time=0.0)
-        out, diag = ukf_update(b, far, params)
-        assert not diag.accepted
-        assert diag.nis > CHI2_99P9_2DOF
-        assert out is b
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_covariance_stays_psd_and_trace_never_grows(self, data):
+        (cov,) = data.draw(conditioned_covs(1, 6))
+        (r,) = data.draw(conditioned_covs(1, 2))
+        state = data.draw(hnp.arrays(np.float64, 6, elements=st.floats(-1e4, 1e4)))
+        offset = data.draw(hnp.arrays(np.float64, 2, elements=st.floats(-1e3, 1e3)))
+        b = NavBelief(state=state, cov=cov, time=0.0)
+        out, nis = ukf_update(b, state[:2] + offset, r, FusionParams())
+        assert nis >= 0.0
+        assert (out.cov == out.cov.T).all()
+        assert_psd(out.cov)
+        assert np.trace(out.cov) <= np.trace(cov) * (1.0 + 1e-12)
 
-    def test_refuses_gated_out_fix(self):
-        fix = AidingFix(position=np.zeros(2), cov=np.eye(2), time=0.0,
-                        variability=0.0, accepted=False)
-        with pytest.raises(ValueError):
-            ukf_update(belief(), fix, FusionParams())
+    def test_reads_no_gate(self):
+        # A fix far past the NIS gate is still applied: the gate is apply_batch's.
+        b = belief()
+        far = b.position + np.array([4000.0, 0.0])
+        out, nis = ukf_update(b, far, np.eye(2), FusionParams(nis_gate=CHI2_99P9_2DOF))
+        ref, ref_nis = ukf_update(b, far, np.eye(2), FusionParams(nis_gate=None))
+        assert nis == ref_nis > CHI2_99P9_2DOF
+        assert np.array_equal(out.state, ref.state) and np.array_equal(out.cov, ref.cov)
+        assert out.position[0] > b.position[0] + 3000.0
 
 
 class TestApplyBatch:
@@ -426,6 +459,18 @@ class TestApplyBatch:
         assert epoch.n_accepted == 0
         assert out is b
         assert not epoch.fixes[0].accepted
+
+    def test_nis_gate_rejects_far_fix_bit_identical(self):
+        est = self.make_estimate([(10.0, 0.0), (4020.0, 0.0)], [10.0, 20.0], pos_cov=1.0)
+        b = belief(time=20.0)
+        out, epoch = apply_batch(b, est, [1.0, 1.0], FusionParams(nis_gate=CHI2_99P9_2DOF))
+        assert out is b
+        assert (epoch.n_accepted, epoch.n_nis_rejected) == (0, 1)
+        assert epoch.fixes[0].accepted
+        # without the gate the same fix is applied
+        out, epoch = apply_batch(b, est, [1.0, 1.0], FusionParams(nis_gate=None))
+        assert out is not b and out.position[0] > 3000.0
+        assert (epoch.n_accepted, epoch.n_nis_rejected) == (1, 0)
 
     def test_variability_inflates_fix_cov(self):
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])

@@ -3,7 +3,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravnav.errors import (
@@ -11,6 +11,7 @@ from gravnav.errors import (
     EmptyWindowError,
     GridFormatError,
     NodataError,
+    NumericalError,
     OutOfBoundsError,
     UnsupportedGeometryError,
 )
@@ -386,6 +387,47 @@ class TestLookupCandidates:
         kept = gated(grid, grid.cell_center(1, 3), 4.0 * np.eye(2), 9.0, value=1.0, n_max=1)
         assert kept.cells.tolist() == [[1, 3]]
         assert kept.grads.tolist() == [[0.0, 0.0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hole_share=st.floats(0.0, 0.1),
+           center=st.tuples(st.floats(-5.0, 35.0), st.floats(-5.0, 25.0)),
+           sigmas=st.tuples(st.floats(0.5, 8.0), st.floats(0.5, 8.0)),
+           rho=st.floats(-0.9, 0.9), value=st.floats(-2.0, 2.0), n_max=st.integers(1, 50))
+    def test_holed_map_gives_live_gated_cells_or_raises(self, seed, hole_share, center,
+                                                        sigmas, rho, value, n_max):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, 1.0, (20, 30))
+        values[rng.random(values.shape) < hole_share] = -9999.0
+        grid = simple_grid(values)
+        (sx, sy), center = sigmas, np.array(center)
+        cov = np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
+        sigma, k_sig, gamma = 0.1, 3.0, 9.21
+        try:
+            cs = lookup_candidates(grid, value, sigma, center, cov, gamma, n_max, k_sig)
+        except NodataError:
+            assert (values == -9999.0).any()
+            return
+        except EmptyWindowError:
+            return
+        sinv = np.linalg.inv(cov)
+        for loc, residual, (r, c) in zip(cs.locations, cs.residuals, cs.cells):
+            assert values[r, c] != -9999.0
+            assert np.array_equal(loc, grid.cell_center(r, c))
+            d = loc - center
+            assert d @ sinv @ d <= gamma * (1.0 + 1e-9)
+            assert residual == abs(values[r, c] - value) <= k_sig * sigma
+
+    @pytest.mark.parametrize("mean, cov", [
+        ([np.nan, 4.5], np.eye(2)),
+        ([4.5, np.inf], np.eye(2)),
+        ([4.5, 4.5], np.full((2, 2), np.nan)),
+        ([4.5, 4.5], np.array([[np.inf, 0.0], [0.0, 1.0]])),
+    ], ids=["mean-nan", "mean-inf", "cov-nan", "cov-inf"])
+    def test_non_finite_prior_is_a_numerical_error(self, mean, cov):
+        # Not a CovarianceError, which the tracker reads as an empty scan.
+        grid = simple_grid(np.full((9, 9), 5.0))
+        with pytest.raises(NumericalError, match="not finite"):
+            gated(grid, mean, cov, 9.0, value=5.0, n_max=20)
 
     def test_locations_built_once_and_read_only(self):
         grid = simple_grid(np.full((9, 9), 5.0))

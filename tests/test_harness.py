@@ -8,6 +8,8 @@ import sys
 import threading
 import tracemalloc
 import types
+import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 from unittest import mock
 
@@ -111,6 +113,18 @@ class TestGenSyntheticMap:
                     continue
                 expected.add((r, c))
         assert set(map(tuple, cs.cells.tolist())) == expected
+
+    def test_bump_width_underflow_warns_nothing_and_adds_nothing(self):
+        # A zero-amplitude bump off every cell centre whose 2 * width**2
+        # underflows to zero: its distances divide by zero and add 0 * 0.
+        gen = MapGenParams(rows=60, cols=300, cell_size=50.0, background=9.79,
+                           bumps=(GaussianBump(3000.0, 1500.0, 2e-3, 1200.0),),
+                           noise_scale=1.2e-4, noise_corr_cells=6.0, seed=5)
+        with_bump = replace(gen, bumps=(*gen.bumps, GaussianBump(3010.0, 1510.0, 0.0, 1e-200)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = gen_synthetic_map(with_bump)
+        assert grid.values.tobytes() == gen_synthetic_map(gen).values.tobytes()
 
     def test_deterministic_given_seed(self):
         gen = MapGenParams(rows=30, cols=30, cell_size=50.0, noise_scale=1e-4, seed=9)
@@ -838,6 +852,54 @@ class TestBlock:
                 == (rep.seed == 2,) * 2
         failed = block[2].error_series
         assert np.isfinite(failed[:step - 1]).all() and np.isnan(failed[step - 1:]).all()
+        assert all(np.isfinite(r.error_series).all() for r in block if r.seed != 2)
+
+    @pytest.mark.parametrize("fault, warning", [
+        ("smoother-solve", "singular covariance in batch recursion"),
+        ("sigma-point-overflow", "invalid value encountered"),
+    ])
+    def test_numerical_fault_in_one_batch_fails_only_that_seed(self, monkeypatch, fault,
+                                                               warning):
+        # Seed 2's second batch, closing at 100 s, meets a real fault. Either
+        # its velocity prior is 1e250 times too wide, as a huge bias_psd makes
+        # it, and the smoother gain stays singular after the jitter; or its
+        # update runs with alpha = 1e200, whose sigma-point spread overflows,
+        # so the belief turns NaN and the next scan's lookup rejects it.
+        cfg = small_scenario(duration=600.0, batch_len=5)
+        grid = build_grid(cfg)
+        _, values = seed_streams(cfg, grid, 2)
+        if fault == "smoother-solve":
+            real_batch = harness.run_batch
+
+            def faulty(problem):
+                if problem.scans[0].measurement == values[5]:
+                    cov = problem.prior_cov.copy()
+                    cov[2:, 2:] *= 1e250
+                    problem = replace(problem, prior_cov=cov)
+                return real_batch(problem)
+
+            monkeypatch.setattr(harness, "run_batch", faulty)
+        else:
+            real_apply = harness.apply_batch
+
+            def faulty(belief, est, variabilities, params, advance):
+                if est.times[-1] == 100.0 and advance.__self__.seed == 2:
+                    params = replace(params, alpha=1e200)
+                return real_apply(belief, est, variabilities, params, advance)
+
+            monkeypatch.setattr(harness, "apply_batch", faulty)
+        with pytest.warns(RuntimeWarning, match=warning):
+            block = run_block(cfg, SEEDS, grid)
+        for rep in block:
+            with pytest.warns(RuntimeWarning, match=warning) if rep.seed == 2 else nullcontext():
+                alone = run_scenario(cfg, rep.seed, grid)
+            assert np.array_equal(rep.error_series, alone.error_series, equal_nan=True)
+            assert np.array_equal(rep.positions, alone.positions, equal_nan=True)
+            assert epoch_key(rep.epochs) == epoch_key(alone.epochs)
+            assert (rep.diverged, rep.failed) == (alone.diverged, alone.failed) \
+                == (rep.seed == 2,) * 2
+        failed = block[2].error_series
+        assert np.isfinite(failed[:99]).all() and np.isnan(failed[99:]).all()
         assert all(np.isfinite(r.error_series).all() for r in block if r.seed != 2)
 
     @pytest.mark.parametrize("where, step", [("scan", 50), ("predict", 45)])
