@@ -5,10 +5,13 @@ weighted mean position and an associated covariance. Weights are Gaussian
 likelihoods of each candidate under the predicted platform position,
 computed in the log domain to survive large Mahalanobis distances.
 
-The kernels work on a :class:`ScanStack`, the candidate sets of many scans
-at once, so that the batch tracker weights and fuses a whole batch with one
-stacked call per candidate count. :func:`candidate_weights` is the
-one-scan case of :func:`stack_weights`.
+The kernels work on a :class:`ScanStack`, the candidate sets of a batch of
+scans at once, so that the batch tracker weights and fuses a whole batch
+with one stacked call per candidate count. The stack is the one layout of a
+batch: it also carries each candidate's position-noise covariance, the
+first iteration's measurement covariance and the row of each scan, all
+built once per batch. :func:`candidate_weights` is the one-scan case of
+:func:`stack_weights`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PmhtParams
 from .errors import CovarianceError, NoFixError
 from .geomap import CandidateSet
 
@@ -43,33 +47,50 @@ class FarCandidateWarning(RuntimeWarning):
 
 @dataclass(frozen=True, eq=False)
 class ScanStack:
-    """The non-empty candidate sets of several scans, grouped by count.
+    """The non-empty candidate sets of a batch of scans, grouped by count.
 
-    Row ``r`` stands for scan ``scans[r]``; rows run in ascending order of
-    candidate count, equal counts in scan order. Each group is a run of rows
-    whose scans hold the same number ``n`` of candidates, with their
-    locations in one ``(rows, n, 2)`` array. Every reduction over candidates
-    therefore runs on exactly ``n`` entries: numpy's sums and the BLAS dot
-    and triangular solves choose their operation order by length, so zero
-    padding to a common length would change the last bit of the results.
+    Row ``r`` stands for scan ``scans[r]``, and ``row_of`` maps each scan
+    back to its row, -1 for an empty scan. Rows run in ascending order of
+    candidate count, equal counts in scan order. Each group is a run of
+    ``rows`` whose scans hold the same number ``n`` of candidates, with their
+    ``locations`` in one ``(rows, n, 2)`` array and the position-noise
+    covariance of each candidate (:func:`position_noise_cov`) in one
+    ``(rows, n, 2, 2)`` array. ``first_cov`` holds each row's
+    candidate-averaged noise covariance, the measurement covariance of the
+    tracker's first iteration.
+
+    Every reduction over candidates runs on exactly ``n`` entries: numpy's
+    sums and the BLAS dot and triangular solves choose their operation order
+    by length, so zero padding to a common length would change the last bit
+    of the results. Sums over candidates run as ``np.add.accumulate``,
+    which adds left to right in candidate order.
     """
 
     scans: np.ndarray
-    groups: tuple[tuple[slice, np.ndarray], ...]
+    row_of: np.ndarray
+    groups: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
+    first_cov: np.ndarray
 
     @classmethod
-    def build(cls, candidate_sets) -> "ScanStack":
+    def build(cls, candidate_sets, grad_floor: float = PmhtParams.grad_floor) -> "ScanStack":
         sets = list(candidate_sets)
         counts = np.array([len(cs) for cs in sets], dtype=int)
         nonempty = np.flatnonzero(counts)
         scans = nonempty[np.argsort(counts[nonempty], kind="stable")]
+        row_of = np.full(len(sets), -1)
+        row_of[scans] = np.arange(len(scans))
         groups = []
+        first_cov = np.empty((len(scans), 2, 2))
         start = 0
         for size in np.unique(counts[scans], return_counts=True)[1]:
             rows = slice(start, start + int(size))
-            groups.append((rows, np.array([sets[t].locations for t in scans[rows]])))
+            members = [sets[t] for t in scans[rows]]
+            noise_covs = np.array([[position_noise_cov(cs.sigma, g, grad_floor)
+                                    for g in cs.grads] for cs in members])
+            first_cov[rows] = np.add.accumulate(noise_covs, axis=1)[:, -1] / len(members[0])
+            groups.append((rows, np.array([cs.locations for cs in members]), noise_covs))
             start = rows.stop
-        return cls(scans=scans, groups=tuple(groups))
+        return cls(scans=scans, row_of=row_of, groups=tuple(groups), first_cov=first_cov)
 
     def __len__(self) -> int:
         return len(self.scans)
@@ -118,7 +139,7 @@ def stack_weights(stack: ScanStack, predicted_pos, meas_cov) -> list[np.ndarray]
     pred = np.asarray(predicted_pos, dtype=float)
     chol = np.linalg.cholesky(cov)
     out = []
-    for rows, locs in stack.groups:
+    for rows, locs, _ in stack.groups:
         diffs = locs - pred[rows, None, :]
         white = np.linalg.solve(chol[rows], np.swapaxes(diffs, 1, 2))
         logw = -0.5 * np.sum(white ** 2, axis=1)
@@ -136,30 +157,26 @@ def stack_weights(stack: ScanStack, predicted_pos, meas_cov) -> list[np.ndarray]
     return out
 
 
-def stack_fuse(stack: ScanStack, weights, per_candidate_cov,
-               spread_cov: bool) -> tuple[np.ndarray, np.ndarray]:
+def stack_fuse(stack: ScanStack, weights, spread_cov: bool) -> tuple[np.ndarray, np.ndarray]:
     """Collapse every row of ``stack`` into one pseudo-measurement.
 
-    ``weights`` and ``per_candidate_cov`` hold one ``(rows, n)`` and one
-    ``(rows, n, 2, 2)`` array per group. Returns the fused positions
-    ``(L, 2)`` and covariances ``(L, 2, 2)`` by row. Position is the weighted
-    mean of candidate locations; covariance is the weighted average of the
-    per-candidate covariances. With ``spread_cov`` the weighted scatter of
-    the candidates about the mean is added, which guards against
-    overconfident fixes when the window is multi-modal.
+    ``weights`` holds one ``(rows, n)`` array per group. Returns the fused
+    positions ``(L, 2)`` and covariances ``(L, 2, 2)`` by row. Position is
+    the weighted mean of candidate locations; covariance is the weighted
+    average of the candidates' noise covariances. With ``spread_cov`` the
+    weighted scatter of the candidates about the mean is added, which guards
+    against overconfident fixes when the window is multi-modal.
     """
     positions = np.empty((len(stack), 2))
     covs = np.empty((len(stack), 2, 2))
-    for (rows, locs), w, cand_cov in zip(stack.groups, weights, per_candidate_cov):
+    for (rows, locs, noise_covs), w in zip(stack.groups, weights):
         total = w.sum(axis=1)
         off = np.flatnonzero(np.abs(total - 1.0) > 1e-6)
         if off.size:
             raise ValueError(f"weights must sum to 1, got {total[off[0]]}")
         z_bar = np.matmul(w[:, None, :], locs)[:, 0]
-        weighted = w[:, :, None, None] * cand_cov
-        # Added in candidate order; a numpy sum over the axis may pair terms
-        # differently and change the last bit.
-        r_bar = sum(weighted[:, j] for j in range(w.shape[1])) / total[:, None, None]
+        weighted = np.add.accumulate(w[:, :, None, None] * noise_covs, axis=1)[:, -1]
+        r_bar = weighted / total[:, None, None]
         if spread_cov:
             d = locs - z_bar[:, None, :]
             r_bar = r_bar + np.matmul(np.swapaxes(w[:, :, None] * d, 1, 2), d)

@@ -10,6 +10,9 @@ drops the fixes where the local map feature variability is below the gate
 and inflates the covariance of the others by its inverse. Of those, it keeps
 an update only where the NIS stays within the gate, which guards against
 wrong-cluster fixes, and it records the batch as an :class:`AidingEpoch`.
+A NaN compares false against any gate, so a non-finite NIS raises
+:class:`~gravnav.errors.NumericalError` instead, as does a predicted belief
+that is not finite.
 
 Sigma-point machinery follows the scaled unscented transform. The dynamics
 and measurement models here are linear, so the filter is exactly equivalent
@@ -120,11 +123,10 @@ def _regularized_cholesky(scaled: np.ndarray) -> np.ndarray:
 
     Each matrix is factored alone, which gives it the bits of the stacked
     call. Only a matrix that is not positive definite gets a trace-scaled
-    jitter and the warning. Raises :class:`NumericalError` whose ``rows``
-    names every matrix that still fails after the jitter.
+    jitter and the warning; one that still fails after the jitter gets a
+    NaN factor, which :func:`ukf_predict` reports as a failed row.
     """
     root = np.empty_like(scaled)
-    failed = []
     for i, matrix in enumerate(scaled):
         try:
             root[i] = np.linalg.cholesky(matrix)
@@ -135,10 +137,7 @@ def _regularized_cholesky(scaled: np.ndarray) -> np.ndarray:
             try:
                 root[i] = np.linalg.cholesky(matrix + jitter * np.eye(len(matrix)))
             except np.linalg.LinAlgError:
-                failed.append(i)
-    if failed:
-        raise NumericalError("covariance square root failed after regularization",
-                             rows=tuple(failed))
+                root[i] = np.nan
     return root
 
 
@@ -192,9 +191,14 @@ def ukf_predict(
     and the bias random walk. All sigma points of all seeds advance together,
     and each seed's result has the bits of its own R = 1 call.
 
-    A seed whose covariance has no square root even after regularization
-    raises :class:`NumericalError`, whose ``rows`` names the failed seeds;
-    the other seeds give the same bits when predicted without them.
+    A seed whose covariance has no finite square root even after
+    regularization, or whose predicted mean is not finite, raises
+    :class:`NumericalError`, whose ``rows`` names the failed seeds; the
+    other seeds give the same bits when predicted without them. A NaN
+    covariance factors into NaN without raising, so the check is on the
+    mean: the state and the factor enter every off-centre sigma point, and
+    each of those enters the mean with the weight ``1 / (2 (n + lambda))``,
+    which is never zero for a finite spread factor.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -211,6 +215,9 @@ def ukf_predict(
     prop[:, :, 2:4] = vel + acc * dt
     prop[:, :, 4:6] = bias
     mean = wm @ prop
+    if not np.isfinite(mean).all():
+        failed = np.flatnonzero(~np.isfinite(mean).all(axis=1))
+        raise NumericalError("predicted mean not finite", rows=tuple(failed.tolist()))
     dev = prop - mean[:, None]
     cov = (wc[:, None] * dev).transpose(0, 2, 1) @ dev + _process_noise(dt, q_accel,
                                                                          params.bias_psd)
@@ -272,6 +279,7 @@ def apply_batch(
     passes is then applied, but when ``params.nis_gate`` is set and the
     fix's NIS exceeds it, the update is dropped and the belief stays the
     same object: a wrong-cluster fix cannot corrupt the navigation state.
+    A fix whose NIS is not finite raises :class:`NumericalError`.
 
     The smoothed in-batch states share the batch's information, so feeding
     them in as independent measurements would count that information T
@@ -317,6 +325,8 @@ def apply_batch(
             continue
         belief = advance_to(belief, fix.time)
         updated, nis = ukf_update(belief, fix.position, fix.cov, params)
+        if not np.isfinite(nis):
+            raise NumericalError(f"non-finite NIS of the fix at {fix.time} s")
         if params.nis_gate is not None and nis > params.nis_gate:
             n_nis_rejected += 1
         else:

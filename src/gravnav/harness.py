@@ -628,8 +628,8 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     leaves the map. A numerical failure, or a candidate gradient that touches
     nodata, marks that seed's run failed/diverged at that step, and its
     series is NaN from there on; the others go on. A failed seed no longer
-    scans, and its row goes on from the start belief once its covariance no
-    longer factors. The block stops when every seed has failed.
+    scans, and its row goes on from the start belief once its predict
+    fails. The block stops when every seed has failed.
     """
     cfg.validate()
     if grid is None:
@@ -652,8 +652,8 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
         try:
             belief = ukf_predict(belief, accels[k - 1], INS_DT, fus)
         except NumericalError as exc:
-            # A row whose covariance no longer factors would fail every
-            # later predict; it goes on from the start belief, which does.
+            # A row that no longer factors or is no longer finite would
+            # fail every later predict; it goes on from the start belief.
             for i in exc.rows:
                 if runs[i].failed_at is None:
                     runs[i].failed_at = k

@@ -18,9 +18,10 @@ weight candidates. With a single candidate per scan the iteration is
 therefore an ordinary Kalman filter plus smoother, independent of the
 iteration count.
 
-A batch's candidates are stacked once (:class:`~gravnav.assoc.ScanStack`),
-together with their position-noise covariances and the first iteration's
-measurement covariances. Within one iteration each scan's weights depend
+A batch's candidates are stacked once into a
+:class:`~gravnav.assoc.ScanStack`, which also carries their position-noise
+covariances, the first iteration's measurement covariances and the row of
+each scan. Within one iteration each scan's weights depend
 only on its own candidates, its own prediction from the previous iterate and
 its own previous fused covariance, so the association step weights and fuses
 every scan at once; the backward smoother gains are one stacked solve. The
@@ -40,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assoc import ScanStack, position_noise_cov, stack_fuse, stack_weights
+from .assoc import ScanStack, stack_fuse, stack_weights
 # Not called here (the E-step uses its stacked form), but perfbench's tracer
 # test patches and restores this binding, so it stays importable from pmht.
 from .assoc import candidate_weights  # noqa: F401
@@ -84,7 +85,8 @@ class BatchProblem:
     ``prior_mean`` (4,) and ``prior_cov`` (4, 4) are the planar state
     [pE, pN, vE, vN] and its covariance. ``params`` holds the tracker
     settings; ``model`` is the ``(F, Q)`` pair of :func:`cv_model` for ``dt``
-    and ``params.q_a``.
+    and ``params.q_a``, and ``stack`` the scans' :class:`ScanStack` under
+    ``params.grad_floor``. Both are built once, on first use.
     """
 
     prior_mean: np.ndarray
@@ -110,44 +112,8 @@ class BatchProblem:
         return len(self.scans)
 
     @cached_property
-    def _stacked(self) -> "_StackedScans":
-        return _StackedScans.build(self)
-
-
-@dataclass(frozen=True, eq=False)
-class _StackedScans:
-    """What every association step of a batch shares, built once per batch.
-
-    ``noise_covs`` holds the position-noise covariance of each candidate as
-    one ``(rows, n, 2, 2)`` array per group of ``stack``; ``first_cov`` is
-    the candidate-averaged covariance of each row, the measurement
-    covariance of the first iteration. ``row_of`` maps each scan to its row,
-    -1 for an empty scan.
-    """
-
-    stack: ScanStack
-    noise_covs: tuple[np.ndarray, ...]
-    first_cov: np.ndarray
-    row_of: np.ndarray
-
-    @classmethod
-    def build(cls, problem: BatchProblem) -> "_StackedScans":
-        stack = ScanStack.build(problem.scans)
-        noise_covs = []
-        first_cov = np.empty((len(stack), 2, 2))
-        for rows, locs in stack.groups:
-            covs = np.array([[position_noise_cov(cs.sigma, g, problem.params.grad_floor)
-                              for g in cs.grads]
-                             for cs in (problem.scans[t] for t in stack.scans[rows])])
-            n = locs.shape[1]
-            # Added in candidate order; a numpy sum over the axis may pair terms
-            # differently and change the last bit.
-            first_cov[rows] = sum(covs[:, j] for j in range(n)) / n
-            noise_covs.append(covs)
-        row_of = np.full(len(problem.scans), -1)
-        row_of[stack.scans] = np.arange(len(stack))
-        return cls(stack=stack, noise_covs=tuple(noise_covs), first_cov=first_cov,
-                   row_of=row_of)
+    def stack(self) -> ScanStack:
+        return ScanStack.build(self.scans, self.params.grad_floor)
 
 
 @dataclass(frozen=True)
@@ -217,8 +183,7 @@ def em_step(
     Returns the smoothed means ``(T, 4)`` and covariances ``(T, 4, 4)``, and
     this iteration's fused positions ``(L, 2)``, fused covariances
     ``(L, 2, 2)`` and association weights (one array per row). Fused
-    quantities run by row of ``ScanStack.build(problem.scans)``: one row
-    per non-empty scan.
+    quantities run by row of ``problem.stack``: one row per non-empty scan.
 
     Every non-empty scan is weighted and fused in one stacked association
     step; the forward filter then runs scan by scan, and the backward
@@ -229,12 +194,11 @@ def em_step(
         raise ValueError("current iterate length must equal the batch length")
     f, q = problem.model
 
-    batch = problem._stacked
-    meas_cov = batch.first_cov if prev_cov is None else prev_cov
-    pred_pos = _predicted_positions(problem, current)[batch.stack.scans]
-    weights = stack_weights(batch.stack, pred_pos, meas_cov)
-    positions, covs = stack_fuse(batch.stack, weights, batch.noise_covs,
-                                 problem.params.spread_cov)
+    stack = problem.stack
+    meas_cov = stack.first_cov if prev_cov is None else prev_cov
+    pred_pos = _predicted_positions(problem, current)[stack.scans]
+    weights = stack_weights(stack, pred_pos, meas_cov)
+    positions, covs = stack_fuse(stack, weights, problem.params.spread_cov)
 
     # Forward filter, anchored at the batch prior. The scan-1 pseudo-
     # measurement is not consumed here: the prior already plays the role of
@@ -248,7 +212,7 @@ def em_step(
     for t in range(t_len - 1):
         p_preds[t] = p_pred = _symmetrize(f @ ps[t] @ f.T + q)
         x_preds[t] = x_pred = f @ xs[t]
-        r = batch.row_of[t + 1]
+        r = stack.row_of[t + 1]
         if r < 0:
             xs[t + 1] = x_pred
             ps[t + 1] = p_pred
@@ -279,7 +243,7 @@ def run_batch(problem: BatchProblem) -> BatchEstimate:
     between consecutive iterates. Raises :class:`NoFixError` when every scan
     is empty and :class:`NumericalError` when an iterate goes non-finite.
     """
-    if len(problem._stacked.stack) == 0:
+    if len(problem.stack) == 0:
         raise NoFixError("every scan in the batch is empty")
 
     t_len = problem.batch_len

@@ -1,4 +1,4 @@
-"""Shared scenario fixtures for harness and acceptance tests.
+"""Shared scenario fixtures for the harness, acceptance and tracker tests.
 
 The corridor map covers a 2 h, 22 m/s eastward leg with Gaussian anomalies
 scattered along the route plus correlated background noise, sized so the
@@ -9,6 +9,7 @@ gravimeter level.
 import numpy as np
 
 from gravnav.config import GaussianBump, MapGenParams, MapSource, ScenarioConfig
+from gravnav.geomap import CandidateSet
 
 CORRIDOR_SEED = 12345
 START = (1800.0, 12000.0)
@@ -48,3 +49,15 @@ def corridor_config(duration=7200.0, sigma=1e-5, batch_len=30, aiding=True,
     cfg.monte_carlo.runs = runs
     cfg.monte_carlo.base_seed = base_seed
     return cfg
+
+
+def scan_from_points(points, sigma, grads) -> CandidateSet:
+    """One scan's candidates at ``points``, measured with field noise ``sigma``.
+
+    ``grads`` holds the map gradient at each candidate. The tracker turns
+    them into the isotropic position-noise covariances
+    ``(sigma / max(|grad|, grad_floor))^2 I`` of ``assoc.position_noise_cov``.
+    """
+    n = len(points)
+    return CandidateSet(locations=points, grads=grads, residuals=np.zeros(n),
+                        cells=np.zeros((n, 2)), measurement=0.0, sigma=sigma)

@@ -8,23 +8,33 @@ from gravnav.assoc import (
     position_noise_cov,
     stack_fuse,
 )
+from gravnav.config import PmhtParams
 from gravnav.errors import NoFixError
-from gravnav.geomap import CandidateSet
 from oracles import gaussian_weights
+from scenarios import scan_from_points
+
+GRAD_FLOOR = PmhtParams.grad_floor
 
 
 def make_set(points, sigma=1.0):
-    n = len(points)
-    return CandidateSet(locations=np.asarray(points, dtype=float), grads=np.zeros((n, 2)),
-                        residuals=np.zeros(n), cells=np.zeros((n, 2)), measurement=0.0,
-                        sigma=sigma)
+    """Candidates on a flat map: the weights read only their locations."""
+    return scan_from_points(points, sigma, np.zeros((len(points), 2)))
 
 
-def fuse_one(points, weights, covs, spread_cov=False):
-    """Fused position and covariance of one scan, as a one-row ScanStack."""
-    positions, fused = stack_fuse(ScanStack.build([make_set(points)]),
-                                  [np.asarray(weights, dtype=float)[None]],
-                                  [np.asarray(covs, dtype=float)[None]], spread_cov)
+def slope(variance):
+    """The map gradient on which unit field noise gives position variance ``variance``."""
+    return np.array([1.0 / np.sqrt(variance), 0.0])
+
+
+def fuse_one(points, weights, variances, spread_cov=False):
+    """Fused position and covariance of one scan, as a one-row ScanStack.
+
+    Candidate i has unit field noise on the slope that gives it the
+    position-noise covariance ``variances[i] * I``.
+    """
+    cs = scan_from_points(points, 1.0, [slope(v) for v in variances])
+    positions, fused = stack_fuse(ScanStack.build([cs]),
+                                  [np.asarray(weights, dtype=float)[None]], spread_cov)
     return positions[0], fused[0]
 
 
@@ -141,47 +151,111 @@ def reference_fuse(locs, w, covs, spread_cov):
     return z_bar, 0.5 * (r_bar + r_bar.T)
 
 
+def random_scans(rng, counts):
+    """Scans of the given candidate counts in ``counts``' order; a third of
+    the gradients lie at or below the gradient floor."""
+    scans = []
+    for n in counts:
+        grads = rng.normal(0.0, 1e-6, (n, 2))
+        grads[::3] = (GRAD_FLOOR, 0.0) if n % 2 else (0.0, 0.0)
+        scans.append(scan_from_points(rng.normal(0.0, 10.0 ** rng.uniform(0, 3), (n, 2)),
+                                      rng.uniform(1e-6, 1e-4), grads))
+    return scans
+
+
 class TestBitExactness:
     @pytest.mark.filterwarnings("ignore::gravnav.assoc.FarCandidateWarning")
     def test_weights_and_fusion_match_scan_by_scan_arithmetic(self):
         # counts on both sides of numpy's 8-element pairwise-sum threshold,
-        # near-singular covariances that take the regularization path, and
-        # far candidates that take the uniform fallback
+        # near-singular covariances that take the regularization path, far
+        # candidates that take the uniform fallback, and gradients at or
+        # below the floor
         rng = np.random.default_rng(8)
         for trial in range(200):
             n = int(rng.integers(1, 21))
-            points = rng.normal(0.0, 10.0 ** rng.uniform(0, 3), (n, 2))
             pred = rng.normal(0.0, 50.0, 2)
             m = rng.normal(0.0, 1.0, (2, 2))
             cov = m @ m.T * 10.0 ** rng.uniform(-1, 4)
             if trial % 10 == 0:
                 cov = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-            covs = [c @ c.T + 0.01 * np.eye(2) for c in rng.normal(0.0, 1.0, (n, 2, 2))]
             spread = bool(trial % 2)
-            cs = make_set(points)
+            cs = random_scans(rng, [n])[0]
             w = candidate_weights(cs, pred, cov)
             assert np.array_equal(w, reference_weights(cs.locations, pred, cov))
-            pos, cov = fuse_one(points, w, covs, spread_cov=spread)
-            z_bar, r_bar = reference_fuse(cs.locations, w, covs, spread)
-            assert np.array_equal(pos, z_bar)
-            assert np.array_equal(cov, r_bar)
+            positions, fused = stack_fuse(ScanStack.build([cs]), [w[None]], spread)
+            noise = [position_noise_cov(cs.sigma, g, GRAD_FLOOR) for g in cs.grads]
+            z_bar, r_bar = reference_fuse(cs.locations, w, noise, spread)
+            assert np.array_equal(positions[0], z_bar)
+            assert np.array_equal(fused[0], r_bar)
+
+    # Every count from 1 to 20 twice, so groups hold several rows, in a
+    # shuffled scan order with empty scans between.
+    COUNTS = [0, 7, 20, 1, 9, 0, 8] + [n for n in range(1, 21) for _ in range(2)]
+
+    def stacked(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = list(rng.permutation(self.COUNTS))
+        scans = random_scans(rng, counts)
+        return rng, scans, ScanStack.build(scans, GRAD_FLOOR)
+
+    def test_stack_rows_and_first_cov_match_candidate_order_sums(self):
+        _, scans, stack = self.stacked(4)
+        rows = [r for r in stack.row_of if r >= 0]
+        assert sorted(rows) == list(range(len(stack)))
+        for t, cs in enumerate(scans):
+            r = stack.row_of[t]
+            if len(cs) == 0:
+                assert r == -1
+                continue
+            assert stack.scans[r] == t
+            covs = [position_noise_cov(cs.sigma, g, GRAD_FLOOR) for g in cs.grads]
+            assert np.array_equal(stack.first_cov[r], sum(covs) / len(covs))
+        for rows, locs, noise_covs in stack.groups:
+            for r, loc, cov in zip(range(rows.start, rows.stop), locs, noise_covs):
+                cs = scans[stack.scans[r]]
+                assert np.array_equal(loc, cs.locations)
+                assert np.array_equal(cov, [position_noise_cov(cs.sigma, g, GRAD_FLOOR)
+                                            for g in cs.grads])
+
+    @pytest.mark.parametrize("spread_cov", [False, True])
+    def test_fusion_matches_candidate_order_sums(self, spread_cov):
+        rng, scans, stack = self.stacked(9)
+        weights = []
+        for rows, locs, _ in stack.groups:
+            raw = rng.uniform(0.01, 1.0, locs.shape[:2])
+            weights.append(raw / raw.sum(axis=1, keepdims=True))
+        positions, covs = stack_fuse(stack, weights, spread_cov)
+        for (rows, locs, _), w in zip(stack.groups, weights):
+            for r, wr in zip(range(rows.start, rows.stop), w):
+                cs = scans[stack.scans[r]]
+                noise = [position_noise_cov(cs.sigma, g, GRAD_FLOOR) for g in cs.grads]
+                z_bar, r_bar = reference_fuse(cs.locations, wr, noise, spread_cov)
+                assert np.array_equal(positions[r], z_bar)
+                assert np.array_equal(covs[r], r_bar)
+
+    def test_floor_default_is_the_tracker_setting(self):
+        scans = random_scans(np.random.default_rng(2), [3, 12])
+        default, explicit = ScanStack.build(scans), ScanStack.build(scans, GRAD_FLOOR)
+        assert np.array_equal(default.first_cov, explicit.first_cov)
+        coarse = ScanStack.build(scans, 1e-3)
+        assert not np.array_equal(default.first_cov, coarse.first_cov)
 
 
 class TestPdaFuse:
     def test_single_candidate_identity(self):
-        pos, cov = fuse_one([(3.0, 4.0)], [1.0], [2.0 * np.eye(2)])
+        pos, cov = fuse_one([(3.0, 4.0)], [1.0], [2.0])
         assert pos == pytest.approx([3.0, 4.0])
         assert np.allclose(cov, 2.0 * np.eye(2))
 
     def test_equal_weight_midpoint(self):
-        pos, _ = fuse_one([(0.0, 0.0), (2.0, 0.0)], [0.5, 0.5], [np.eye(2), np.eye(2)])
+        pos, _ = fuse_one([(0.0, 0.0), (2.0, 0.0)], [0.5, 0.5], [1.0, 1.0])
         assert pos == pytest.approx([1.0, 0.0])
 
     def test_weighted_mean_arithmetic(self):
         # given weights, the fused position is plain weighted-mean arithmetic
         points = [(1.0, 0.0), (0.0, 2.0), (-3.0, 0.0)]
         weights = [0.7054, 0.2361, 0.0585]
-        pos, _ = fuse_one(points, weights, [np.eye(2)] * 3)
+        pos, _ = fuse_one(points, weights, [1.0] * 3)
         assert pos == pytest.approx([0.5299, 0.4722], abs=1e-4)
 
     def test_fused_position_in_convex_hull_and_cov_psd(self):
@@ -191,11 +265,8 @@ class TestPdaFuse:
             points = rng.normal(0.0, 5.0, (n, 2))
             raw = rng.uniform(0.1, 1.0, n)
             w = raw / raw.sum()
-            covs = []
-            for _ in range(n):
-                m = rng.normal(0.0, 1.0, (2, 2))
-                covs.append(m @ m.T + 0.01 * np.eye(2))
-            pos, cov = fuse_one(points, w, covs, spread_cov=bool(rng.integers(2)))
+            variances = rng.uniform(0.01, 5.0, n)
+            pos, cov = fuse_one(points, w, variances, spread_cov=bool(rng.integers(2)))
             lo = points.min(axis=0) - 1e-12
             hi = points.max(axis=0) + 1e-12
             assert (pos >= lo).all() and (pos <= hi).all()
@@ -206,8 +277,7 @@ class TestPdaFuse:
     def test_coincident_candidates(self):
         points = [(2.0, 2.0)] * 3
         w = [0.2, 0.5, 0.3]
-        covs = [np.eye(2), 2.0 * np.eye(2), 4.0 * np.eye(2)]
-        pos, cov = fuse_one(points, w, covs, spread_cov=True)
+        pos, cov = fuse_one(points, w, [1.0, 2.0, 4.0], spread_cov=True)
         assert pos == pytest.approx([2.0, 2.0])
         expected = (0.2 * 1.0 + 0.5 * 2.0 + 0.3 * 4.0) * np.eye(2)
         assert np.allclose(cov, expected)
@@ -215,22 +285,20 @@ class TestPdaFuse:
     def test_spread_term_adds_dispersion(self):
         points = np.array([(0.0, 0.0), (10.0, 0.0)])
         w = [0.5, 0.5]
-        covs = [np.eye(2)] * 2
-        _, plain = fuse_one(points, w, covs, spread_cov=False)
-        _, spread = fuse_one(points, w, covs, spread_cov=True)
+        _, plain = fuse_one(points, w, [1.0] * 2, spread_cov=False)
+        _, spread = fuse_one(points, w, [1.0] * 2, spread_cov=True)
         assert np.allclose(plain, np.eye(2))
         assert spread[0, 0] == pytest.approx(1.0 + 25.0)
 
     def test_translation_equivariance(self):
         points = np.array([(1.0, 1.0), (3.0, -2.0)])
         w = [0.25, 0.75]
-        covs = [np.eye(2), 2.0 * np.eye(2)]
         shift = np.array([11.0, -7.0])
-        pos_a, cov_a = fuse_one(points, w, covs)
-        pos_b, cov_b = fuse_one(points + shift, w, covs)
+        pos_a, cov_a = fuse_one(points, w, [1.0, 2.0])
+        pos_b, cov_b = fuse_one(points + shift, w, [1.0, 2.0])
         assert pos_b == pytest.approx(pos_a + shift)
         assert np.allclose(cov_a, cov_b)
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError):
-            fuse_one([(0.0, 0.0), (1.0, 0.0)], [0.9, 0.5], [np.eye(2)] * 2)
+            fuse_one([(0.0, 0.0), (1.0, 0.0)], [0.9, 0.5], [1.0] * 2)

@@ -400,7 +400,9 @@ class TestRun:
         ("fusion.bias_psd = 1e300", "regularized"),
         # The sigma-point spread overflows and the belief turns NaN.
         ("fusion.alpha = 1e200", "invalid value"),
-    ], ids=["bias_psd", "alpha"])
+        # The same with aiding off: the predict alone must fail the run.
+        ("fusion.alpha = 1e200\naiding = false", "invalid value"),
+    ], ids=["bias_psd", "alpha", "alpha-unaided"])
     def test_numerical_fault_fails_the_run_exit_3(self, tmp_path, capsys, line, warning):
         with open(DEMO_CFG, encoding="utf-8") as fh:
             cfg = write(tmp_path / "cfg.txt", fh.read() + line + "\n")

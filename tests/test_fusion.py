@@ -234,6 +234,26 @@ class TestStackedPredict:
                 ukf_predict_one(solo(b, 1), np.zeros(2), 1.0, params)
 
 
+    def test_non_finite_seeds_named_in_rows(self):
+        # A NaN covariance factors into NaN without raising, and a NaN state
+        # factors fine: both must fail their row, not turn it NaN quietly.
+        params = FusionParams(q_accel=2.5e-9, bias_psd=1e-12)
+        b = stack(*(belief() for _ in range(4)))
+        b.state[1, 0] = np.nan
+        b.cov[3, 2, 2] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError) as exc:
+                ukf_predict(b, np.zeros((4, 2)), 1.0, params)
+        assert exc.value.rows == (1, 3)
+
+    def test_overflowing_spread_fails_every_row(self):
+        b = stack(*(belief() for _ in range(3)))
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(NumericalError) as exc:
+                ukf_predict(b, np.zeros((3, 2)), 1.0, FusionParams(alpha=1e200))
+        assert exc.value.rows == (0, 1, 2)
+
 def sigma_point_loop_predict(b, accel, dt, params):
     """Unscented predict that advances the sigma points one at a time."""
     n = b.state.size
@@ -471,6 +491,22 @@ class TestApplyBatch:
         out, epoch = apply_batch(b, est, [1.0, 1.0], FusionParams(nis_gate=None))
         assert out is not b and out.position[0] > 3000.0
         assert (epoch.n_accepted, epoch.n_nis_rejected) == (1, 0)
+
+    @pytest.mark.parametrize("mode", ["standard", "retrodiction"])
+    def test_non_finite_nis_raises(self, mode):
+        # alpha = 1e200 overflows the sigma-point spread: the update's NIS is
+        # NaN, which no gate comparison rejects.
+        est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
+        params = FusionParams(mode=mode, nis_gate=CHI2_99P9_2DOF, alpha=1e200)
+        advance = lambda bel, t: NavBelief(state=bel.state, cov=bel.cov, time=t)  # noqa: E731
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(NumericalError, match="NIS"):
+                apply_batch(belief(time=10.0), est, [1.0, 1.0], params, advance)
+
+    def test_nan_fix_position_raises(self):
+        est = self.make_estimate([(10.0, 0.0), (np.nan, 5.0)], [10.0, 20.0])
+        with pytest.raises(NumericalError, match="NIS"):
+            apply_batch(belief(time=20.0), est, [1.0, 1.0], FusionParams(nis_gate=None))
 
     def test_variability_inflates_fix_cov(self):
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])

@@ -18,6 +18,7 @@ from gravnav.pmht import (
     run_batch,
 )
 from oracles import batch_map_solution, em_cost_trace, kalman_rts
+from scenarios import scan_from_points
 
 # The textbook observation matrix for the reference oracles: a pseudo-
 # measurement observes the position entries of [pE, pN, vE, vN].
@@ -52,12 +53,6 @@ def scan_rows(problem):
     for r, t in enumerate(ScanStack.build(problem.scans).scans):
         rows[t] = r
     return rows
-
-
-def scan_from_points(points, sigma, grads):
-    n = len(points)
-    return CandidateSet(locations=points, grads=grads, residuals=np.zeros(n),
-                        cells=np.zeros((n, 2)), measurement=0.0, sigma=sigma)
 
 
 def single_candidate_problem(rng, t_len, dt=10.0, q_a=0.01, sigma=1e-5, grad_mag=1e-6,
@@ -205,8 +200,8 @@ class TestStackedAssociation:
                             else prev[r])
                 pred_x = x0 if t == 0 else f @ current[t - 1]
                 w = candidate_weights(cs, H_POS @ pred_x, meas_cov)
-                ref_pos, ref_cov = stack_fuse(ScanStack.build([cs]), [w[None]],
-                                              [np.array(per_cand)[None]], spread_cov)
+                ref_pos, ref_cov = stack_fuse(ScanStack.build([cs], problem.params.grad_floor),
+                                              [w[None]], spread_cov)
                 assert np.array_equal(weights[r], w)
                 assert np.array_equal(positions[r], ref_pos[0])
                 assert np.array_equal(covs[r], ref_cov[0])
@@ -270,6 +265,24 @@ class TestRunBatch:
         assert est.iterations_used == 1
         # one iteration: the final residual is the move from the first iterate
         assert max_displacement(est.means, means) == pytest.approx(0.0, abs=1e-12)
+
+    def test_each_noise_covariance_built_once_per_batch(self, monkeypatch):
+        import gravnav.assoc as assoc
+
+        calls = []
+        real = assoc.position_noise_cov
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(assoc, "position_noise_cov", counted)
+        problem = clustered_problem(np.random.default_rng(42), t_len=10, n_per_scan=4,
+                                    epsilon=0.01)
+        scans = problem.scans[:3] + (CandidateSet.empty(0.0, 1e-5),) * 2 + problem.scans[5:]
+        est = run_batch(replace(problem, scans=scans))
+        assert est.iterations_used > 1
+        assert len(calls) == sum(map(len, scans)) == 32
 
     def test_iteration_budget_respected(self):
         rng = np.random.default_rng(12)
