@@ -153,8 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--out", required=True, help="output directory")
     p_camp.add_argument("--seed", type=int, default=None, help="base seed override")
     p_camp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes; the seeds go out in contiguous blocks, "
-                             "one per worker, each run in lock-step")
+                        help="worker processes, at most one per run and per usable CPU; "
+                             "the seeds go out in contiguous blocks, one per worker, "
+                             "each run in lock-step")
     p_camp.set_defaults(func=_cmd_campaign)
 
     p_ins = sub.add_parser("inspect-map", help="print field diagnostics at a point")

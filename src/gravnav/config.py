@@ -5,11 +5,12 @@ mirror the configuration field names with dots for nesting (``pmht.T = 30``,
 ``gravimeter.sigma = 1e-5``). Vectors are comma-separated; the bump list uses
 ``cx,cy,amplitude,width`` quadruples separated by semicolons.
 
-:data:`KEYS` lists every key once, with the field that holds its value, its
-codec and its allowed range or choices. Parsing, :func:`serialize_config`
-(which writes the keys in table order) and :meth:`ScenarioConfig.validate`
-all walk it; a value out of range, not finite, or not one of the key's
-choices raises :class:`ConfigError` naming the key.
+Each key is declared once, as a config dataclass field: its type picks the
+codec and its ``_key`` spec holds the range or choices. :data:`KEYS` is
+derived from the fields in order. Parsing, :func:`serialize_config` and
+:meth:`ScenarioConfig.validate` all walk it; a value out of range, not
+finite, or not one of the key's choices raises :class:`ConfigError` naming
+the key.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import math
 import operator
 import sys
 from collections.abc import Callable, Collection
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from functools import reduce
-from typing import NamedTuple
+from types import NoneType, UnionType
+from typing import NamedTuple, get_args, get_type_hints
 
 from .errors import ConfigError
 from .inertial import SENSOR_GRADES
@@ -70,18 +72,27 @@ class GaussianBump:
     width: float
 
 
+def _key(default, **spec):
+    """A config field with a default and a :class:`Key` spec: any of the
+    bounds ``gt``/``ge``/``le``, the unset words ``none`` and ``choices``."""
+    return field(default=default, metadata=spec)
+
+
+# Each field below is one config key (``pmht.T``) or a section of them. Field
+# order is the order serialize_config writes, so moving a field moves every
+# config_hash.
 @dataclass
 class MapGenParams:
-    rows: int = 120
-    cols: int = 120
-    cell_size: float = 100.0
+    rows: int = _key(120, ge=2)
+    cols: int = _key(120, ge=2)
+    cell_size: float = _key(100.0, gt=0)
     origin_x: float = 0.0
     origin_y: float = 0.0
     background: float = 9.79
     bumps: tuple[GaussianBump, ...] = ()
-    noise_scale: float = 0.0
-    noise_corr_cells: float = 6.0
-    seed: int = 0
+    noise_scale: float = _key(0.0, ge=0)
+    noise_corr_cells: float = _key(6.0, ge=0, le=MAX_NOISE_CORR_CELLS)
+    seed: int = _key(0, ge=0)
 
 
 @dataclass
@@ -89,25 +100,26 @@ class MapSource:
     """Either a grid file on disk or synthetic-generator parameters."""
 
     file: str | None = None
-    gen: MapGenParams | None = None
+    # "flat": the generator's keys read map.rows, not map.gen.rows.
+    gen: MapGenParams | None = field(default=None, metadata={"flat": True})
 
 
 @dataclass
 class GravimeterParams:
-    sigma: float = 1e-5
-    interval: float = 10.0
+    sigma: float = _key(1e-5, gt=0)
+    interval: float = _key(10.0, ge=INS_DT)
 
 
 @dataclass
 class PmhtParams:
-    T: int = 30
-    max_iters: int = 15
-    epsilon: float = 0.1
-    gamma: float = 9.21
-    n_max: int = 20
-    q_a: float = 0.01
-    k_sig: float = 3.0
-    grad_floor: float = 1e-9
+    T: int = _key(30, ge=2)
+    max_iters: int = _key(15, ge=1)
+    epsilon: float = _key(0.1, ge=0)
+    gamma: float = _key(9.21, gt=0)
+    n_max: int = _key(20, ge=1)
+    q_a: float = _key(0.01, ge=0)
+    k_sig: float = _key(3.0, gt=0)
+    grad_floor: float = _key(1e-9, gt=0)
     spread_cov: bool = False
 
 
@@ -121,47 +133,47 @@ class FusionParams:
     harness fills it from the accelerometer grade.
     """
 
-    mode: str = "standard"
-    variability_threshold: float = 0.05
-    window_len: int = 100
-    v_floor: float = 0.01
-    nis_gate: float | None = CHI2_99P9_2DOF
+    mode: str = _key("standard", choices=("standard", "retrodiction"))
+    variability_threshold: float = _key(0.05, ge=0, le=1)
+    window_len: int = _key(100, ge=1)
+    v_floor: float = _key(0.01, gt=0)
+    nis_gate: float | None = _key(CHI2_99P9_2DOF, gt=0, none=("none", "off"))
     # alpha = 1 is the classical symmetric sigma set. Small alpha values
     # (e.g. 1e-3) put a ~1e6 magnitude weight on the center point, which
     # amplifies float rounding past the 1e-10 KF-equivalence budget.
-    alpha: float = 1.0
+    alpha: float = _key(1.0, gt=0)
     beta: float = 2.0
     kappa: float = 0.0
-    bias_psd: float = 1e-12
-    q_accel: float | None = None
-    template_half_width: int = 8
+    bias_psd: float = _key(1e-12, ge=0)
+    q_accel: float | None = _key(None, ge=0, none=("auto",))
+    template_half_width: int = _key(8, ge=1)
 
 
 @dataclass
 class InsParams:
-    accel_grade: str = "PC-horizontal-accel"
-    gyro_grade: str = "PC-horizontal-gyro"
+    accel_grade: str = _key("PC-horizontal-accel", choices=SENSOR_GRADES)
+    gyro_grade: str = _key("PC-horizontal-gyro", choices=SENSOR_GRADES)
 
 
 @dataclass
 class InitParams:
     """Initial belief uncertainty; bias sigma defaults to the grade bias."""
 
-    pos_sigma: float = 30.0
-    vel_sigma: float = 0.1
-    bias_sigma: float | None = None
+    pos_sigma: float = _key(30.0, gt=0, le=MAX_INIT_SIGMA)
+    vel_sigma: float = _key(0.1, gt=0, le=MAX_INIT_SIGMA)
+    bias_sigma: float | None = _key(None, gt=0, le=MAX_INIT_SIGMA, none=("auto",))
 
 
 @dataclass
 class MonteCarloParams:
-    runs: int = 1
-    base_seed: int = 0
+    runs: int = _key(1, ge=1)
+    base_seed: int = _key(0, ge=0)
 
 
 @dataclass
 class DivergenceParams:
-    error_threshold_m: float = 10000.0
-    sustain_s: float = 600.0
+    error_threshold_m: float = _key(10000.0, gt=0)
+    sustain_s: float = _key(600.0, gt=0)
 
 
 @dataclass
@@ -169,7 +181,7 @@ class ScenarioConfig:
     map: MapSource = field(default_factory=MapSource)
     start: tuple[float, float] = (0.0, 0.0)
     velocity: tuple[float, float] = (22.0, 0.0)
-    duration: float = 3600.0
+    duration: float = _key(3600.0, ge=INS_DT, le=MAX_INS_STEPS * INS_DT)
     ins: InsParams = field(default_factory=InsParams)
     gravimeter: GravimeterParams = field(default_factory=GravimeterParams)
     pmht: PmhtParams = field(default_factory=PmhtParams)
@@ -178,7 +190,7 @@ class ScenarioConfig:
     monte_carlo: MonteCarloParams = field(default_factory=MonteCarloParams)
     divergence: DivergenceParams = field(default_factory=DivergenceParams)
     aiding: bool = True
-    mean_error_window: str = "aided"
+    mean_error_window: str = _key("aided", choices=("aided", "full"))
     include_diverged: bool = False
 
     def validate(self) -> None:
@@ -248,8 +260,14 @@ def _num(text: str, key: str) -> float:
 
 
 def _intval(text: str, key: str) -> int:
-    value = _num(text, key)
-    if not math.isfinite(value) or value != int(value):
+    """An integer, exactly: in digits, or in a spelling whose float holds it
+    exactly, such as ``1e3`` or ``30.0``."""
+    try:
+        return int(text)
+    except ValueError:  # a huge exponent reads as inf, before Decimal sees it
+        value = _num(text, key)
+    from decimal import Decimal  # imported here: 0.4 MB of RSS that a run in digits never needs
+    if not (math.isfinite(value) and value.is_integer() and Decimal(text) == value):
         raise ConfigError(f"key {key!r}: expected an integer, got {text!r}")
     return int(value)
 
@@ -272,27 +290,34 @@ class _Codec(NamedTuple):
     reals: Callable[[object], tuple] = lambda value: ()
 
 
-_INT = _Codec("int", _intval, _fmt)
-_FLOAT = _Codec("float", _num, _fmt, lambda value: (value,))
-_STR = _Codec("str", lambda text, key: text, _fmt)
-_BOOL = _Codec("bool", _parse_bool, _fmt)
-_VEC2 = _Codec("vec2", _parse_vec2, lambda vec: ",".join(map(_fmt, vec)), tuple)
-_BUMPS = _Codec("bumps", _parse_bumps, lambda bumps: "; ".join(
-    ",".join(map(_fmt, astuple(b))) for b in bumps),
-    lambda bumps: tuple(x for b in bumps for x in astuple(b)))
+# The codec of each field type a key may have, alone or ``| None``.
+_CODECS = {
+    int: _Codec("int", _intval, _fmt),
+    float: _Codec("float", _num, _fmt, lambda value: (value,)),
+    str: _Codec("str", lambda text, key: text, _fmt),
+    bool: _Codec("bool", _parse_bool, _fmt),
+    tuple[float, float]: _Codec("vec2", _parse_vec2, lambda vec: ",".join(map(_fmt, vec)),
+                                tuple),
+    tuple[GaussianBump, ...]: _Codec("bumps", _parse_bumps, lambda bumps: "; ".join(
+        ",".join(map(_fmt, astuple(b))) for b in bumps),
+        lambda bumps: tuple(x for b in bumps for x in astuple(b))),
+}
 
 
 @dataclass(frozen=True)
 class Key:
     """One config key: where its value lives, its codec and its range.
 
-    ``section`` is the dotted attribute path from :class:`ScenarioConfig` to
-    the object holding the value (``""`` for top-level fields); the field is
-    the last part of ``name``. ``gt``/``ge``/``le`` bound the value, and
-    ``choices``, when set, is the collection it must be in; a live mapping
-    such as :data:`~.inertial.SENSOR_GRADES` admits its keys as they are when
-    the value is checked. ``none`` lists the words read as ``None``, the
-    first being the one written; an unset value skips the checks.
+    Keys are not written by hand: :data:`KEYS` derives one from each field
+    of the config dataclasses, with the codec the field's type names and the
+    range from its ``_key`` spec. ``section`` is the dotted attribute path
+    from :class:`ScenarioConfig` to the object holding the value (``""`` for
+    top-level fields); the field is the last part of ``name``.
+    ``gt``/``ge``/``le`` bound the value, and ``choices``, when set, is the
+    collection it must be in; a live mapping such as
+    :data:`~.inertial.SENSOR_GRADES` admits its keys as they are when the
+    value is checked. ``none`` lists the words read as ``None``, the first
+    being the one written; an unset value skips the checks.
     """
 
     name: str
@@ -337,57 +362,30 @@ class Key:
                 raise ConfigError(f"{self.name} must be {op} {bound}, got {_fmt(value)}")
 
 
-# Serialization follows this order.
-KEYS: tuple[Key, ...] = (
-    Key("map.file", "map", _STR),
-    Key("map.rows", "map.gen", _INT, ge=2),
-    Key("map.cols", "map.gen", _INT, ge=2),
-    Key("map.cell_size", "map.gen", _FLOAT, gt=0),
-    Key("map.origin_x", "map.gen", _FLOAT),
-    Key("map.origin_y", "map.gen", _FLOAT),
-    Key("map.background", "map.gen", _FLOAT),
-    Key("map.bumps", "map.gen", _BUMPS),
-    Key("map.noise_scale", "map.gen", _FLOAT, ge=0),
-    Key("map.noise_corr_cells", "map.gen", _FLOAT, ge=0, le=MAX_NOISE_CORR_CELLS),
-    Key("map.seed", "map.gen", _INT, ge=0),
-    Key("start", "", _VEC2),
-    Key("velocity", "", _VEC2),
-    Key("duration", "", _FLOAT, ge=INS_DT, le=MAX_INS_STEPS * INS_DT),
-    Key("ins.accel_grade", "ins", _STR, choices=SENSOR_GRADES),
-    Key("ins.gyro_grade", "ins", _STR, choices=SENSOR_GRADES),
-    Key("gravimeter.sigma", "gravimeter", _FLOAT, gt=0),
-    Key("gravimeter.interval", "gravimeter", _FLOAT, ge=INS_DT),
-    Key("pmht.T", "pmht", _INT, ge=2),
-    Key("pmht.max_iters", "pmht", _INT, ge=1),
-    Key("pmht.epsilon", "pmht", _FLOAT, ge=0),
-    Key("pmht.gamma", "pmht", _FLOAT, gt=0),
-    Key("pmht.n_max", "pmht", _INT, ge=1),
-    Key("pmht.q_a", "pmht", _FLOAT, ge=0),
-    Key("pmht.k_sig", "pmht", _FLOAT, gt=0),
-    Key("pmht.grad_floor", "pmht", _FLOAT, gt=0),
-    Key("pmht.spread_cov", "pmht", _BOOL),
-    Key("fusion.mode", "fusion", _STR, choices=("standard", "retrodiction")),
-    Key("fusion.variability_threshold", "fusion", _FLOAT, ge=0, le=1),
-    Key("fusion.window_len", "fusion", _INT, ge=1),
-    Key("fusion.v_floor", "fusion", _FLOAT, gt=0),
-    Key("fusion.nis_gate", "fusion", _FLOAT, gt=0, none=("none", "off")),
-    Key("fusion.alpha", "fusion", _FLOAT, gt=0),
-    Key("fusion.beta", "fusion", _FLOAT),
-    Key("fusion.kappa", "fusion", _FLOAT),
-    Key("fusion.bias_psd", "fusion", _FLOAT, ge=0),
-    Key("fusion.q_accel", "fusion", _FLOAT, ge=0, none=("auto",)),
-    Key("fusion.template_half_width", "fusion", _INT, ge=1),
-    Key("init.pos_sigma", "init", _FLOAT, gt=0, le=MAX_INIT_SIGMA),
-    Key("init.vel_sigma", "init", _FLOAT, gt=0, le=MAX_INIT_SIGMA),
-    Key("init.bias_sigma", "init", _FLOAT, gt=0, le=MAX_INIT_SIGMA, none=("auto",)),
-    Key("monte_carlo.runs", "monte_carlo", _INT, ge=1),
-    Key("monte_carlo.base_seed", "monte_carlo", _INT, ge=0),
-    Key("divergence.error_threshold_m", "divergence", _FLOAT, gt=0),
-    Key("divergence.sustain_s", "divergence", _FLOAT, gt=0),
-    Key("aiding", "", _BOOL),
-    Key("mean_error_window", "", _STR, choices=("aided", "full")),
-    Key("include_diverged", "", _BOOL),
-)
+def _bare(kind):
+    """``kind`` without its ``| None``."""
+    args = [arg for arg in get_args(kind) if arg is not NoneType]
+    return args[0] if isinstance(kind, UnionType) and len(args) == 1 else kind
+
+
+def _walk(cls, section: str = "", prefix: str = ""):
+    """The keys of config dataclass ``cls``, in field order: a field whose
+    type is a config dataclass is a section, walked in its place; any other
+    field is a key, with the codec its type names and its ``_key`` spec."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        kind = _bare(hints[f.name])
+        path = f"{section}.{f.name}".lstrip(".")
+        if is_dataclass(kind):
+            yield from _walk(kind, path, prefix if f.metadata.get("flat") else path + ".")
+        elif kind in _CODECS:
+            yield Key(prefix + f.name, section, _CODECS[kind], **f.metadata)
+        else:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config codec for {hints[f.name]}")
+
+
+# In field order, which is the serialization order.
+KEYS: tuple[Key, ...] = tuple(_walk(ScenarioConfig))
 
 _BY_NAME = {key.name: key for key in KEYS}
 

@@ -76,6 +76,8 @@ class GridMap:
             raise ValueError("grid must be at least 2x2")
         if not self.cell_size > 0:
             raise ValueError("cell_size must be positive")
+        if not (math.isfinite(self.cell_size) and np.isfinite(self.origin).all()):
+            raise ValueError("origin and cell_size must be finite")
         step = max(1, _CHECK_CELLS // self.n_cols)
         for r0 in range(0, self.n_rows, step):
             rows = vals[r0:r0 + step]
@@ -184,8 +186,15 @@ def load_grid(path) -> GridMap:
             header[key] = float(tokens[1])
         except ValueError:
             raise GridFormatError(f"cannot parse value {tokens[1]!r}", line=idx + 1) from None
-        if key in ("ncols", "nrows") and header[key] != int(header[key]):
+        value = header[key]
+        if key != "nodata_value" and not math.isfinite(value):
+            raise GridFormatError(f"{key} must be finite, got {tokens[1]}", line=idx + 1)
+        if key in ("ncols", "nrows") and not value.is_integer():
             raise GridFormatError(f"{key} must be an integer", line=idx + 1)
+        if key in ("ncols", "nrows") and value < 2:
+            raise GridFormatError(f"{key} must be >= 2, got {int(value)}", line=idx + 1)
+        if key == "cellsize" and not value > 0:
+            raise GridFormatError(f"cellsize must be positive, got {value}", line=idx + 1)
         idx += 1
 
     missing = [k for k in _HEADER_KEYS if k not in header]
@@ -193,12 +202,6 @@ def load_grid(path) -> GridMap:
         raise GridFormatError(f"missing header keys: {', '.join(missing)}", line=idx)
 
     n_cols, n_rows = int(header["ncols"]), int(header["nrows"])
-    if n_cols < 2:
-        raise GridFormatError(f"ncols must be >= 2, got {n_cols}", line=1)
-    if n_rows < 2:
-        raise GridFormatError(f"nrows must be >= 2, got {n_rows}", line=2)
-    if not header["cellsize"] > 0:
-        raise GridFormatError(f"cellsize must be positive, got {header['cellsize']}", line=5)
 
     rows = []
     for r in range(n_rows):

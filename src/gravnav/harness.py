@@ -17,10 +17,10 @@ long as every operand keeps its per-matrix C order (see :mod:`.fusion`),
 so a seed's outputs do not depend on which block it runs in; a single run
 (:func:`run_scenario`) is the block of one seed.
 
-A campaign splits its seeds into ``min(jobs, runs)`` contiguous blocks, one
-per worker process (one block at ``--jobs 1``), and aggregates the error
-metrics keyed and ordered by seed, so reports are byte-stable for any
-worker count.
+A campaign splits its seeds into ``min(jobs, runs, usable CPUs)``
+contiguous blocks, one per worker process (one block at ``--jobs 1``), and
+aggregates the error metrics keyed and ordered by seed, so reports are
+byte-stable for any worker count.
 
 A synthetic map (:func:`gen_synthetic_map`) is built in place in one
 map-sized array. Each of its passes (column strips of the smoothing, then
@@ -95,14 +95,18 @@ _SUM_LEAF = 1 << 16  # elements per chunk of the map's std: 512 kB of float64
 _MAX_MAP_WORKERS = 2
 
 
-def _map_workers() -> int:
-    """Threads for the map build: the CPUs this process may run on, at most
-    ``_MAX_MAP_WORKERS``."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_MAP_WORKERS)
+        return os.cpu_count() or 1
+
+
+def _map_workers() -> int:
+    """Threads for the map build: :func:`_usable_cpus`, at most
+    ``_MAX_MAP_WORKERS``."""
+    return min(_usable_cpus(), _MAX_MAP_WORKERS)
 
 
 def _in_blocks(n: int, block: int, job) -> None:
@@ -727,8 +731,10 @@ def aided_phase_start(cfg: ScenarioConfig) -> float:
 def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
     """Run ``monte_carlo.runs`` seeded scenarios and aggregate the metrics.
 
-    The seeds go out in ``min(jobs, runs)`` contiguous blocks, one per
-    worker process, and each block runs in lock-step (:func:`run_block`).
+    The seeds go out in ``min(jobs, runs, usable CPUs)`` contiguous blocks,
+    one per worker process, and each block runs in lock-step
+    (:func:`run_block`). The pool starts its workers all at once, so a
+    ``jobs`` above the CPU count would only add processes.
     Every seed gets the bits of its own one-seed run, and the reports are
     reduced in seed order, so the report is identical for any ``jobs`` value.
     """
@@ -737,7 +743,7 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
     # own error at any ``jobs`` value.
     grid = build_grid(cfg)
     seeds = [cfg.monte_carlo.base_seed + i for i in range(cfg.monte_carlo.runs)]
-    workers = min(jobs, len(seeds))
+    workers = min(jobs, len(seeds), _usable_cpus())
     if workers > 1:
         blocks = [block.tolist() for block in np.array_split(seeds, workers)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_campaign_worker_init,

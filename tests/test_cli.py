@@ -320,17 +320,15 @@ class TestCampaign:
             assert key in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("runs, started", [(2, [2]), (1, [])])
-    def test_workers_capped_at_run_count(self, tmp_path, monkeypatch, runs, started):
-        import gravnav.harness as harness
-
-        pools = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts the campaign pool is asked for; it starts no
+        process and maps in this one."""
+        asked = []
 
         class RecordingPool:
-            """Records the worker count asked for; maps in this process."""
-
             def __init__(self, max_workers, initializer, initargs):
-                pools.append(max_workers)
+                asked.append(max_workers)
                 initializer(*initargs)
 
             def __enter__(self):
@@ -345,11 +343,44 @@ class TestCampaign:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_WORKER_CFG", None)
         monkeypatch.setattr(harness, "_WORKER_GRID", None)
+        return asked
+
+    @pytest.mark.parametrize("runs, started", [(2, [2]), (1, [])])
+    def test_workers_capped_at_run_count(self, tmp_path, monkeypatch, pools, runs, started):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + f"monte_carlo.runs = {runs}\n")
         out = tmp_path / "o"
         assert main(["campaign", "--config", cfg, "--out", str(out), "--jobs", "8"]) == 0
         assert pools == started
         assert len(list((out / "runs").iterdir())) == runs
+
+    @pytest.mark.parametrize("jobs, runs, cpus", [
+        (5000, 4, 3), (2, 4, 3), (4, 3, 8), (8, 4, 1),
+    ], ids=["cpus", "jobs", "runs", "one-cpu"])
+    def test_workers_capped_at_usable_cpus(self, tmp_path, monkeypatch, capsys, pools, jobs,
+                                           runs, cpus):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + f"monte_carlo.runs = {runs}\n")
+        out = tmp_path / "o"
+        assert main(["campaign", "--config", cfg, "--out", str(out),
+                     "--jobs", str(jobs)]) == 0
+        workers = min(jobs, runs, cpus)
+        assert pools == ([workers] if workers > 1 else [])
+        assert len(list((out / "runs").iterdir())) == runs
+
+    def test_exact_seed_same_hash_from_config_and_flag(self, tmp_path, capsys):
+        # Above 2**53, where a float seed would round to an even neighbour.
+        seed = 2**53 + 1
+        hashes = []
+        for extra, argv in ((f"monte_carlo.base_seed = {seed}\n", []),
+                            ("", ["--seed", str(seed)])):
+            cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + "monte_carlo.runs = 1\n" + extra)
+            out = tmp_path / f"o{len(hashes)}"
+            assert main(["campaign", "--config", cfg, "--out", str(out), *argv]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            hashes += [line for line in lines if line.startswith("config_hash: ")]
+            assert os.listdir(out / "runs") == [f"{seed}.csv"]
+        assert len(hashes) == 2 and hashes[0] == hashes[1]
 
     def test_demo_outputs_pinned(self, tmp_path):
         # Any moved output bit fails here; a deliberate change re-records these.
@@ -419,6 +450,16 @@ class TestRun:
         assert "divergence_rate: 1\n" in capsys.readouterr().out
         assert (out / "summary.csv").exists() and len(list((out / "runs").iterdir())) == 3
 
+    def test_non_finite_grid_header_exit_2_names_line(self, tmp_path, capsys):
+        grid = tmp_path / "g.asc"
+        grid.write_text("ncols nan\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                        "nodata_value -9999\n1 2\n3 4\n", encoding="utf-8")
+        scenario = TOY_SCENARIO.replace(TOY_MAP_KEYS, f"map.file = {grid}\n")
+        cfg = write(tmp_path / "cfg.txt", scenario)
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "line 1: ncols must be finite" in err and "Traceback" not in err
+
     def test_config_directory_exit_2_names_path(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -447,6 +488,19 @@ class TestInspectMap:
         assert main(["inspect-map", str(path), "--point", "0.5,0.5"]) == 2
         err = capsys.readouterr().err
         assert "non-nodata values must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("line, key", enumerate(
+        ["ncols", "nrows", "xllcorner", "yllcorner", "cellsize"], start=1))
+    def test_non_finite_header_exit_2_names_line(self, tmp_path, capsys, line, key, token):
+        header = {"ncols": "2", "nrows": "2", "xllcorner": "0", "yllcorner": "0",
+                  "cellsize": "1", key: token}
+        path = tmp_path / "g.asc"
+        path.write_text("".join(f"{k} {v}\n" for k, v in header.items())
+                        + "nodata_value -9999\n1 2\n3 4\n", encoding="utf-8")
+        assert main(["inspect-map", str(path), "--point", "0.5,0.5"]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: {key} must be finite" in err and "Traceback" not in err
 
     def test_constant_map_zero_variability(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.txt",

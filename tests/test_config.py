@@ -31,7 +31,7 @@ from gravnav.config import (
     serialize_config,
 )
 from gravnav.errors import ConfigError
-from gravnav import assoc, fusion, geomap, pmht
+from gravnav import assoc, config, fusion, geomap, pmht
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -91,6 +91,23 @@ class TestParse:
     def test_bad_integer(self, value):
         with pytest.raises(ConfigError, match="pmht.T"):
             parse_config_text(f"pmht.T = {value}\n")
+
+    @pytest.mark.parametrize("value", ["9007199254740993.0", "1e23", "1e100000000"])
+    def test_integer_spelling_a_float_cannot_hold_rejected(self, value):
+        with pytest.raises(ConfigError, match="monte_carlo.base_seed"):
+            parse_config_text(f"monte_carlo.base_seed = {value}\n")
+
+    @pytest.mark.parametrize("value, parsed", [("1e3", 1000), ("30.0", 30), ("2e22", 2 * 10**22)])
+    def test_integer_in_float_spelling(self, value, parsed):
+        assert parse_config_text(f"pmht.T = {value}\n").pmht.T == parsed
+
+    @given(st.integers(min_value=0, max_value=2**200))
+    def test_integer_keys_parse_exactly(self, seed):
+        # --seed keeps the exact integer; the config file must give the same one.
+        cfg = parse_config_text(f"map.rows = 10\nmap.seed = {seed}\n"
+                                f"monte_carlo.base_seed = {seed}\n")
+        assert cfg.map.gen.seed == cfg.monte_carlo.base_seed == seed
+        assert parse_config_text(serialize_config(cfg)) == cfg
 
     def test_bad_bump_arity(self):
         with pytest.raises(ConfigError):
@@ -300,6 +317,34 @@ def configs(draw):
         source = MapSource(gen=MapGenParams(**fields["map.gen"]))
     return ScenarioConfig(map=source, **fields[""],
                           **{name: cls(**fields[name]) for name, cls in _SECTIONS.items()})
+
+
+def test_field_type_without_codec_fails():
+    @dataclasses.dataclass
+    class Section:
+        gain: complex = 1j
+
+    @dataclasses.dataclass
+    class Root:
+        section: Section = dataclasses.field(default_factory=Section)
+
+    with pytest.raises(TypeError, match=r"Section\.gain: no config codec for .*complex"):
+        list(config._walk(Root))
+
+
+def test_keys_are_the_config_fields():
+    """Every field of ScenarioConfig and its sections is one key, with the
+    field's default and the spec its ``_key`` declared."""
+    cfg = ScenarioConfig(map=MapSource(gen=MapGenParams()))
+    for key in KEYS:
+        owner = key._owner(cfg)
+        spec = next(f for f in dataclasses.fields(owner) if f.name == key.field).metadata
+        assert key.get(cfg) == getattr(type(owner), key.field)
+        assert {name: getattr(key, name) for name in spec} == dict(spec)
+    n_fields = sum(len(dataclasses.fields(cls)) for cls in (ScenarioConfig, MapSource,
+                                                             *_SECTIONS.values(), MapGenParams))
+    n_sections = len(_SECTIONS) + 2  # map and map.gen
+    assert len({key.name for key in KEYS}) == len(KEYS) == n_fields - n_sections == 48
 
 
 @given(configs())

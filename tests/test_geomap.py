@@ -81,6 +81,23 @@ class TestLoadGrid:
         with pytest.raises(GridFormatError):
             load_grid(p)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("key", ["ncols", "nrows", "xllcorner", "yllcorner", "cellsize"])
+    def test_rejects_non_finite_header_naming_its_line(self, tmp_path, key, token):
+        header = {"ncols": "2", "nrows": "2", "xllcorner": "0", "yllcorner": "0",
+                  "cellsize": "1.0", key: token}
+        p = write_grid_text(tmp_path / "g.asc", "\n".join(  # a blank line first
+            ["", *(f"{k} {v}" for k, v in header.items()), "nodata_value -9999", "1 2", "3 4"]))
+        with pytest.raises(GridFormatError, match=f"^line .*: {key} must be finite") as exc:
+            load_grid(p)
+        assert exc.value.line == 2 + list(header).index(key)
+
+    @pytest.mark.parametrize("origin, cell", [((np.nan, 0.0), 1.0), ((0.0, -np.inf), 1.0),
+                                              ((0.0, 0.0), np.inf)])
+    def test_grid_rejects_non_finite_geometry(self, origin, cell):
+        with pytest.raises(ValueError, match="origin and cell_size must be finite"):
+            simple_grid([[1.0, 2.0], [3.0, 4.0]], cell=cell, origin=origin)
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_data(self, tmp_path, token):
         p = write_grid_text(tmp_path / "g.asc", "\n".join([

@@ -967,7 +967,8 @@ class TestBlock:
                 assert bad[first:].all()
         assert_block_matches_solo(cfg, list(camp.seeds), build_grid(cfg))
 
-    def test_campaign_outputs_identical_for_uneven_blocks(self, tmp_path):
+    def test_campaign_outputs_identical_for_uneven_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)  # so --jobs 3 is 3 blocks
         cfg = small_scenario(duration=300.0, runs=5)
         digests = []
         for jobs in (1, 2, 3):
