@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PmhtParams
-from .errors import CovarianceError, NoFixError
+from .errors import NoFixError, NumericalError
 from .geomap import CandidateSet
 
 __all__ = [
@@ -109,7 +109,8 @@ def position_noise_cov(sigma: float, grad, grad_floor: float) -> np.ndarray:
 
 
 def _regularize_cov(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize a stack of covariances, adding jitter where ill-conditioned."""
+    """Symmetrize a stack of covariances, adding jitter where ill-conditioned;
+    one still not positive definite raises :class:`NumericalError`."""
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     eigs = np.linalg.eigvalsh(cov)
     lo = eigs.min(axis=-1)
@@ -121,7 +122,7 @@ def _regularize_cov(cov: np.ndarray) -> np.ndarray:
         eigs[bad] = np.linalg.eigvalsh(cov[bad])
     not_pd = np.flatnonzero(eigs.min(axis=-1) <= 0)
     if not_pd.size:
-        raise CovarianceError(
+        raise NumericalError(
             f"measurement covariance not positive definite (eigs {eigs[not_pd[0]]})")
     return cov
 

@@ -62,6 +62,14 @@ MAX_NOISE_CORR_CELLS = 10**4
 MAX_INIT_SIGMA = math.sqrt(sys.float_info.max)
 # 99.9% quantile of a 2-dof chi-square, the default innovation gate.
 CHI2_99P9_2DOF = 13.815510557964274
+NAV_STATES = 6  # the nav filter's state: position, velocity and accelerometer bias
+
+
+def unscented_spread(n: int, alpha: float, kappa: float) -> tuple[float, float]:
+    """``lambda = alpha²(n + kappa) - n`` of the nav filter's scaled unscented
+    transform over ``n`` states, and its spread factor ``n + lambda``."""
+    lam = alpha * alpha * (n + kappa) - n
+    return lam, n + lam
 
 
 @dataclass(frozen=True)
@@ -202,6 +210,11 @@ class ScenarioConfig:
         if gen is not None and gen.rows * gen.cols > MAX_MAP_CELLS:
             raise ConfigError(f"map.rows * map.cols must be <= {MAX_MAP_CELLS}, "
                               f"got {gen.rows} * {gen.cols}")
+        spread = unscented_spread(NAV_STATES, self.fusion.alpha, self.fusion.kappa)[1]
+        if not spread > 0:
+            raise ConfigError(f"fusion.alpha = {_fmt(self.fusion.alpha)} and fusion.kappa = "
+                              f"{_fmt(self.fusion.kappa)} give the nav filter's unscented "
+                              f"spread factor n + lambda = {_fmt(spread)}; it must be positive")
         steps = self.gravimeter.interval / INS_DT
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError(

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one meaning each.
+
+``gravnav`` exits 2 on a bad input (:class:`ConfigError`, :class:`GridFormatError`,
+:class:`OutOfBoundsError`, :class:`NodataError`) and 3 on a :class:`NumericalError`,
+which in a campaign fails only its seed; anything else is a bug (exit 1).
+"""
 
 
 class GravNavError(Exception):
@@ -30,20 +35,12 @@ class NodataError(GravNavError):
     """Query touches a nodata cell."""
 
 
-class CovarianceError(GravNavError):
-    """Covariance matrix is not symmetric positive definite."""
-
-
-class EmptyWindowError(GravNavError):
-    """Search window does not intersect the map."""
-
-
 class NoFixError(GravNavError):
-    """No candidate information available to produce a position fix."""
+    """No candidate in the whole batch, so no position fix."""
 
 
 class NumericalError(GravNavError):
-    """Numerical failure (NaN/Inf) inside an iterative estimator.
+    """An estimator broke down: a value not finite or a covariance not positive definite.
 
     ``iteration`` holds the iteration index at which the failure surfaced.
     ``rows`` names the failed rows when the input was a stack (one row per

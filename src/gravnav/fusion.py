@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import FusionParams
+from .config import FusionParams, unscented_spread
 from .errors import NumericalError
 from .pmht import BatchEstimate, cv_model
 
@@ -108,8 +108,7 @@ class AidingEpoch:
 def _unscented_weights(n: int, alpha: float, beta: float,
                        kappa: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Spread factor ``n + lambda`` and the read-only mean/cov weights."""
-    lam = alpha * alpha * (n + kappa) - n
-    c = n + lam
+    lam, c = unscented_spread(n, alpha, kappa)
     wm = np.full(2 * n + 1, 1.0 / (2.0 * c))
     wc = wm.copy()
     wm[0] = lam / c

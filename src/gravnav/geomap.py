@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CovarianceError,
-    EmptyWindowError,
     GridFormatError,
     NodataError,
     NumericalError,
@@ -55,14 +53,12 @@ def plain_point(pos) -> tuple[float, ...]:
 class GridMap:
     """Scalar raster with uniform square cells.
 
-    ``values`` is an (n_rows, n_cols) array in row-major order with the
-    northernmost row first; ``origin`` is the lower-left (south-west) corner
-    of the lower-left cell in meters. Cell centers therefore sit at
-    ``origin + (col + 0.5, rows_from_south + 0.5) * cell_size``.
+    ``values`` is a 2-D array of shape ``(n_rows, n_cols)`` in row-major
+    order with the northernmost row first; ``origin`` is the lower-left
+    (south-west) corner of the lower-left cell in meters. Cell centers
+    therefore sit at ``origin + (col + 0.5, rows_from_south + 0.5) * cell_size``.
     """
 
-    n_rows: int
-    n_cols: int
     origin: np.ndarray
     cell_size: float
     values: np.ndarray
@@ -70,10 +66,11 @@ class GridMap:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
-        vals = np.asarray(self.values, dtype=float).reshape(self.n_rows, self.n_cols)
+        vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if self.n_rows < 2 or self.n_cols < 2:
-            raise ValueError("grid must be at least 2x2")
+        if vals.ndim != 2 or self.n_rows < 2 or self.n_cols < 2:
+            raise ValueError("grid values must be a 2-D array of at least 2x2, "
+                             f"got shape {vals.shape}")
         if not self.cell_size > 0:
             raise ValueError("cell_size must be positive")
         if not (math.isfinite(self.cell_size) and np.isfinite(self.origin).all()):
@@ -83,6 +80,14 @@ class GridMap:
             rows = vals[r0:r0 + step]
             if not (np.isfinite(rows) | (rows == self.nodata)).all():
                 raise ValueError("non-nodata values must be finite")
+
+    @property
+    def n_rows(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.values.shape[1]
 
     @property
     def extent(self) -> tuple[float, float, float, float]:
@@ -223,8 +228,6 @@ def load_grid(path) -> GridMap:
 
     try:
         return GridMap(
-            n_rows=n_rows,
-            n_cols=n_cols,
             origin=np.array([header["xllcorner"], header["yllcorner"]]),
             cell_size=header["cellsize"],
             values=np.array(rows, dtype=float),
@@ -335,23 +338,20 @@ def lookup_candidates(
     most ``n_max`` candidates are returned, best residual first, with
     deterministic tie-breaking.
 
-    ``prior_cov`` must be symmetric, as the nav filter keeps its
-    covariances; only its positive definiteness is checked. Raises
-    :class:`NumericalError` when the prior mean or covariance is not finite,
-    :class:`CovarianceError` when the covariance is not positive definite,
-    and :class:`EmptyWindowError` when the box does not contain any cell
-    center; a box that contains cells but no compatible values yields an
-    empty :class:`CandidateSet`.
+    An empty gate is a normal outcome: a box that holds no cell center and a
+    box whose cells hold no compatible value both give an empty
+    :class:`CandidateSet`. ``prior_cov`` must be symmetric, as the nav filter
+    keeps its covariances. A prior mean that is not finite, or a covariance
+    that is not finite or not positive definite, raises
+    :class:`NumericalError`: the nav filter that made the prior broke down.
     """
     cx, cy = np.asarray(prior_mean, dtype=float)
     cov = np.asarray(prior_cov, dtype=float)
-    finite_mean = math.isfinite(cx) and math.isfinite(cy)
     eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    if not (finite_mean and eigvals.min() > 0):
+    if not (math.isfinite(cx) and math.isfinite(cy) and eigvals.min() > 0):
         # eigvalsh gives NaN for a covariance that is not finite
-        if not finite_mean or np.isnan(eigvals).any():
-            raise NumericalError("position prior is not finite")
-        raise CovarianceError(f"prior covariance is not positive definite (eigs {eigvals})")
+        raise NumericalError(f"position prior {plain_point((cx, cy))} is not finite or its "
+                             f"covariance not positive definite (eigs {plain_point(eigvals)})")
     hx, hy = np.sqrt(gamma * np.diag(cov))
     x0, y0 = grid.origin
     h = grid.cell_size
@@ -361,7 +361,7 @@ def lookup_candidates(
     s_lo = max(int(math.ceil((cy - hy - y0) / h - 0.5)), 0)
     s_hi = min(int(math.floor((cy + hy - y0) / h - 0.5)), grid.n_rows - 1)
     if c_lo > c_hi or s_lo > s_hi:
-        raise EmptyWindowError("search window contains no map cell centers")
+        return CandidateSet.empty(value, sigma)
 
     cols = np.arange(c_lo, c_hi + 1)
     srows = np.arange(s_lo, s_hi + 1)

@@ -49,15 +49,7 @@ from .config import (
     ScenarioConfig,
     config_hash,
 )
-from .errors import (
-    ConfigError,
-    CovarianceError,
-    EmptyWindowError,
-    NodataError,
-    NoFixError,
-    NumericalError,
-    OutOfBoundsError,
-)
+from .errors import ConfigError, NodataError, NoFixError, NumericalError, OutOfBoundsError
 from .fusion import AidingEpoch, NavBelief, apply_batch, ukf_predict
 from .geomap import (
     CandidateSet,
@@ -406,8 +398,6 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
             _sum_bumps, values, float(params.background), bumps, std, params.noise_scale))
     try:
         return GridMap(
-            n_rows=params.rows,
-            n_cols=params.cols,
             origin=np.array([params.origin_x, params.origin_y]),
             cell_size=h,
             values=values,
@@ -535,19 +525,17 @@ class _SeedRun:
     def scan(self, n: int, bel: NavBelief) -> NavBelief | None:
         """Gate measurement ``n`` into the batch; close the batch when full.
 
-        Returns the aided belief when a batch closed, else ``None``.
+        An empty gate adds an empty scan, and a numerical fault raises
+        :class:`NumericalError`. Returns the aided belief when a batch
+        closed, else ``None``.
         """
         cfg, meas = self.cfg, self.measurements[n]
         if not self.scans:
             self.checkpoint = NavBelief(state=bel.state.copy(), cov=bel.cov.copy(),
                                         time=bel.time)
-        try:
-            cs = lookup_candidates(self.grid, meas.value, meas.sigma, bel.position,
-                                   bel.cov[:2, :2], cfg.pmht.gamma, cfg.pmht.n_max,
-                                   cfg.pmht.k_sig)
-        except (EmptyWindowError, CovarianceError):
-            cs = CandidateSet.empty(meas.value, meas.sigma)
-        self.scans.append(cs)
+        self.scans.append(lookup_candidates(self.grid, meas.value, meas.sigma, bel.position,
+                                            bel.cov[:2, :2], cfg.pmht.gamma, cfg.pmht.n_max,
+                                            cfg.pmht.k_sig))
         if len(self.scans) < cfg.pmht.T:
             return None
         bel = self._close_batch(bel)
@@ -629,9 +617,10 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     scans alone.
 
     Raises :class:`ConfigError` before any simulation when the trajectory
-    leaves the map. A numerical failure, or a candidate gradient that touches
-    nodata, marks that seed's run failed/diverged at that step, and its
-    series is NaN from there on; the others go on. A failed seed no longer
+    leaves the map. A seed's :class:`NumericalError` (at a predict, a lookup
+    or a batch) or a candidate gradient that touches nodata marks that
+    seed's run failed/diverged at that step, and its series is NaN from
+    there on; the others go on. A failed seed no longer
     scans, and its row goes on from the start belief once its predict
     fails. The block stops when every seed has failed.
     """
@@ -688,10 +677,7 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
 def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) -> RunReport:
     """Execute one seeded run of the configured scenario: a block of one seed.
 
-    Raises :class:`ConfigError` before any simulation when the trajectory
-    leaves the map. A numerical failure inside the tracker, or a candidate
-    lookup that touches nodata, marks the run failed/diverged and truncates
-    the error series with NaNs rather than raising, so campaigns keep going.
+    Raises, and marks a failed run, as :func:`run_block` does.
     """
     return run_block(cfg, [seed], grid)[0]
 

@@ -15,7 +15,6 @@ import pytest
 from gravnav.assoc import candidate_weights
 from gravnav.cli import main as cli_main
 from gravnav.config import FusionParams
-from gravnav.errors import EmptyWindowError
 from gravnav.fusion import NavBelief, ukf_predict, ukf_update
 from gravnav.geomap import GridMap, feature_variability, lookup_candidates
 from gravnav.harness import run_campaign
@@ -151,8 +150,7 @@ def test_criterion_4_variability_exactness():
     worst = 0.0
     for _ in range(100):
         values = rng.normal(0.0, 1.0, (50, 50))
-        grid = GridMap(n_rows=50, n_cols=50, origin=np.zeros(2), cell_size=10.0,
-                       values=values)
+        grid = GridMap(origin=np.zeros(2), cell_size=10.0, values=values)
         row = int(rng.integers(0, 50))
         col = int(rng.integers(0, 50))
         width = int(rng.integers(1, 8))
@@ -254,8 +252,7 @@ def test_criterion_9_gating_soundness():
     grids = []
     for _ in range(10):
         values = 9.79 + 2e-3 * rng.standard_normal((40, 40))
-        grids.append(GridMap(n_rows=40, n_cols=40, origin=np.zeros(2),
-                             cell_size=50.0, values=values))
+        grids.append(GridMap(origin=np.zeros(2), cell_size=50.0, values=values))
     while total_calls < 10_000:
         grid = grids[int(rng.integers(0, len(grids)))]
         center = grid.origin + rng.uniform(2.0, 38.0, 2) * grid.cell_size
@@ -265,10 +262,9 @@ def test_criterion_9_gating_soundness():
         gamma = rng.uniform(3.0, 12.0)
         s = 9.79 + 2e-3 * rng.standard_normal()
         sigma = rng.uniform(1e-4, 2e-3)
-        try:
-            cs = lookup_candidates(grid, s, sigma, center, cov, gamma,
-                                   int(rng.integers(1, 30)), k_sig)
-        except EmptyWindowError:
+        cs = lookup_candidates(grid, s, sigma, center, cov, gamma,
+                               int(rng.integers(1, 30)), k_sig)
+        if len(cs) == 0:  # an empty gate has nothing to check
             continue
         total_calls += 1
         sinv = np.linalg.inv(cov)

@@ -258,6 +258,39 @@ class TestCampaign:
         assert "fusion.template_half_width" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["fusion.kappa = -6", "fusion.kappa = -7",
+                                      "fusion.alpha = 1e-9"])
+    @pytest.mark.parametrize("command", [["campaign", "--jobs", "1"],
+                                         ["campaign", "--jobs", "2"], ["run"]],
+                             ids=["campaign-j1", "campaign-j2", "run"])
+    def test_spread_factor_not_positive_exit_2_names_keys(self, tmp_path, capsys, monkeypatch,
+                                                          line, command):
+        # n + lambda = alpha^2 (6 + kappa) is 0 or below: the unscented
+        # weights would divide by zero, or the sigma points have no square root.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the truth was simulated before the config was checked")
+
+        monkeypatch.setattr(harness, "simulate_truth", no_simulation)
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + line + "\n")
+        out = tmp_path / "o"
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "fusion.alpha" in err and "fusion.kappa" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_measurement_covariance_fault_fails_only_its_seeds(self, tmp_path, capsys, jobs):
+        # A gradient floor of 1e300 gives every candidate a zero noise
+        # covariance, so the EM's measurement covariance stays singular after
+        # its jitter: each seed fails, and the campaign still writes its outputs.
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            cfg = write(tmp_path / "cfg.txt", fh.read() + "pmht.grad_floor = 1e300\n")
+        out = tmp_path / "o"
+        assert main(["campaign", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        assert "divergence_rate: 1\n" in capsys.readouterr().out
+        assert (out / "campaign.csv").exists() and (out / "summary.csv").exists()
+        assert sorted(p.name for p in (out / "runs").iterdir()) == ["0.csv", "1.csv"]
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2_names_flag(self, tmp_path, capsys, jobs):
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)
@@ -449,6 +482,12 @@ class TestRun:
             assert main(["campaign", "--config", campaign, "--out", str(out)]) == 0
         assert "divergence_rate: 1\n" in capsys.readouterr().out
         assert (out / "summary.csv").exists() and len(list((out / "runs").iterdir())) == 3
+
+    def test_measurement_covariance_fault_exit_3(self, tmp_path, capsys):
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            cfg = write(tmp_path / "cfg.txt", fh.read() + "pmht.grad_floor = 1e300\n")
+        assert main(["run", "--config", cfg]) == 3
+        assert "diverged: true" in capsys.readouterr().out
 
     def test_non_finite_grid_header_exit_2_names_line(self, tmp_path, capsys):
         grid = tmp_path / "g.asc"

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tempfile
 
@@ -7,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravnav.errors import (
-    CovarianceError,
-    EmptyWindowError,
     GridFormatError,
     NodataError,
     NumericalError,
@@ -36,10 +35,7 @@ def write_grid_text(path, text):
 
 
 def simple_grid(values, cell=1.0, origin=(0.0, 0.0), nodata=-9999.0):
-    values = np.asarray(values, dtype=float)
-    return GridMap(n_rows=values.shape[0], n_cols=values.shape[1],
-                   origin=np.array(origin), cell_size=cell, values=values,
-                   nodata=nodata)
+    return GridMap(origin=np.array(origin), cell_size=cell, values=values, nodata=nodata)
 
 
 class TestLoadGrid:
@@ -136,8 +132,8 @@ def grids(draw):
     values[holes] = nodata
     origin = np.array([draw(_FINITE), draw(_FINITE)]) + 0.375
     cell = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-    return GridMap(n_rows=rows, n_cols=cols, origin=origin, cell_size=cell,
-                   values=values.reshape(rows, cols), nodata=nodata)
+    return GridMap(origin=origin, cell_size=cell, values=values.reshape(rows, cols),
+                   nodata=nodata)
 
 
 @given(grids())
@@ -152,6 +148,31 @@ def test_save_load_round_trip_is_exact(grid):
     assert back.nodata == grid.nodata
     assert np.array_equal(back.values, grid.values)
     assert np.array_equal(back.values == back.nodata, grid.values == grid.nodata)
+
+
+class TestGridMapShape:
+    def test_shape_is_read_from_values(self):
+        grid = simple_grid(np.arange(6.0).reshape(2, 3))
+        assert (grid.n_rows, grid.n_cols) == (2, 3)
+        assert grid.extent == (0.0, 3.0, 0.0, 2.0)
+        assert grid.values.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+    @pytest.mark.parametrize("values", [np.arange(6.0), np.zeros((2, 3, 2)), 5.0],
+                             ids=["flat", "3-d", "scalar"])
+    def test_values_not_2d_rejected(self, values):
+        with pytest.raises(ValueError, match="2-D"):
+            simple_grid(values)
+
+    def test_shape_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            GridMap(n_rows=3, n_cols=2, origin=np.zeros(2), cell_size=1.0,
+                    values=np.arange(6.0).reshape(2, 3))
+
+    def test_replace_values_keeps_shape_in_step(self):
+        grid = simple_grid(np.zeros((2, 3)))
+        wide = dataclasses.replace(grid, values=np.ones((4, 5)))
+        assert (wide.n_rows, wide.n_cols) == (4, 5)
+        assert wide.extent == (0.0, 5.0, 0.0, 4.0)
 
 
 class TestGridMapCheck:
@@ -286,9 +307,15 @@ class TestSearchWindow:
         reach = np.abs(cs.locations - center).max(axis=0)
         assert (reach <= 3.0).all() and (reach > 3.0 - 2 * grid.cell_size).all()
 
-    def test_rejects_non_pd(self):
-        with pytest.raises(CovarianceError):
-            gated(self.flat(), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), gamma=9.0)
+    @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]],
+                                     [[-1.0, 0.0], [0.0, -1.0]]],
+                             ids=["indefinite", "singular", "negative"])
+    def test_non_pd_prior_is_a_numerical_error(self, cov):
+        # At the default unscented weights a position block that is not
+        # positive definite means the nav filter has broken down: the seed
+        # fails, rather than the scan reading as empty.
+        with pytest.raises(NumericalError, match="not positive definite"):
+            gated(self.flat(), np.zeros(2), np.array(cov), gamma=9.0)
 
 
 class TestLookupCandidates:
@@ -306,10 +333,18 @@ class TestLookupCandidates:
         cs = gated(grid, [2.5, 2.5], np.eye(2), 9.0, value=5.0, sigma=sigma, n_max=20)
         assert len(cs) == 0
 
-    def test_empty_window_raises(self):
+    @pytest.mark.parametrize("center, cov", [
+        ([100.0, 100.0], 1e-4 * np.eye(2)),  # off the map
+        ([2.0, 2.0], 1e-4 * np.eye(2)),      # between cell centres
+    ], ids=["off-map", "between-centres"])
+    def test_box_without_cell_centre_is_empty(self, center, cov):
+        # an empty box gives what a box with no matching value gives
         grid = simple_grid(np.full((5, 5), 1.0))
-        with pytest.raises(EmptyWindowError):
-            gated(grid, [100.0, 100.0], 1e-4 * np.eye(2), 9.0, value=1.0, n_max=20)
+        cs = gated(grid, center, cov, 9.0, value=1.0, sigma=0.25, n_max=20)
+        assert len(cs) == 0
+        assert (cs.measurement, cs.sigma) == (1.0, 0.25)
+        assert cs.locations.shape == (0, 2) and cs.cells.shape == (0, 2)
+        assert not cs.locations.flags.writeable
 
     def test_two_cluster_map_equals_exhaustive_scan(self):
         values = np.zeros((20, 20))
@@ -348,10 +383,7 @@ class TestLookupCandidates:
             gamma = rng.uniform(4.0, 12.0)
             s = rng.normal(0.0, 1.0)
             sigma = rng.uniform(0.1, 1.0)
-            try:
-                cs = lookup_candidates(grid, s, sigma, center, cov, gamma, 10, 3.0)
-            except EmptyWindowError:
-                continue
+            cs = lookup_candidates(grid, s, sigma, center, cov, gamma, 10, 3.0)
             sinv = np.linalg.inv(cov)
             for loc, residual in zip(cs.locations, cs.residuals):
                 d = loc - center
@@ -424,8 +456,6 @@ class TestLookupCandidates:
         except NodataError:
             assert (values == -9999.0).any()
             return
-        except EmptyWindowError:
-            return
         sinv = np.linalg.inv(cov)
         for loc, residual, (r, c) in zip(cs.locations, cs.residuals, cs.cells):
             assert values[r, c] != -9999.0
@@ -441,7 +471,6 @@ class TestLookupCandidates:
         ([4.5, 4.5], np.array([[np.inf, 0.0], [0.0, 1.0]])),
     ], ids=["mean-nan", "mean-inf", "cov-nan", "cov-inf"])
     def test_non_finite_prior_is_a_numerical_error(self, mean, cov):
-        # Not a CovarianceError, which the tracker reads as an empty scan.
         grid = simple_grid(np.full((9, 9), 5.0))
         with pytest.raises(NumericalError, match="not finite"):
             gated(grid, mean, cov, 9.0, value=5.0, n_max=20)

@@ -18,7 +18,7 @@ def tiny_grade(accel_bias=1e-30, accel_noise=1e-30, gyro_bias=1e-30, gyro_noise=
 
 
 def constant_grid(value, rows=10, cols=10, cell=100.0):
-    return GridMap(n_rows=rows, n_cols=cols, origin=np.zeros(2), cell_size=cell,
+    return GridMap(origin=np.zeros(2), cell_size=cell,
                    values=np.full((rows, cols), float(value)))
 
 
