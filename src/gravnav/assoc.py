@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PmhtParams
-from .errors import NoFixError, NumericalError
+from .errors import NumericalError
 from .geomap import CandidateSet
 
 __all__ = [
@@ -189,10 +189,10 @@ def stack_fuse(stack: ScanStack, weights, spread_cov: bool) -> tuple[np.ndarray,
 def candidate_weights(candidates: CandidateSet, predicted_pos, meas_cov) -> np.ndarray:
     """Normalized association weights for each candidate of one scan.
 
-    The one-scan case of :func:`stack_weights`.
+    The one-scan case of :func:`stack_weights`; an empty set has empty weights.
     """
     if len(candidates) == 0:
-        raise NoFixError("cannot weight an empty candidate set")
+        return np.empty(0)
     pred = np.asarray(predicted_pos, dtype=float)[None]
     cov = np.asarray(meas_cov, dtype=float)[None]
     return stack_weights(ScanStack.build([candidates]), pred, cov)[0][0]

@@ -3,6 +3,8 @@
 ``gravnav`` exits 2 on a bad input (:class:`ConfigError`, :class:`GridFormatError`,
 :class:`OutOfBoundsError`, :class:`NodataError`) and 3 on a :class:`NumericalError`,
 which in a campaign fails only its seed; anything else is a bug (exit 1).
+An empty gate, a batch without a candidate, a fix off the map or on nodata
+and a cell without a gradient are normal outcomes, returned as values.
 """
 
 
@@ -32,11 +34,7 @@ class OutOfBoundsError(GravNavError):
 
 
 class NodataError(GravNavError):
-    """Query touches a nodata cell."""
-
-
-class NoFixError(GravNavError):
-    """No candidate in the whole batch, so no position fix."""
+    """A map query on an input touches a nodata cell."""
 
 
 class NumericalError(GravNavError):

@@ -291,31 +291,29 @@ def gradient_at(grid: GridMap, pos) -> np.ndarray:
     """Finite-difference field gradient (d/dEast, d/dNorth) at ``pos``.
 
     Central differences on the cell grid around the cell containing ``pos``;
-    one-sided at the map edge.
+    one-sided at the map edge. Raises :class:`NodataError` naming the cell
+    when its stencil touches a nodata cell.
     """
     row, col = grid.cell_of(pos)
-    return _cell_gradients(grid, np.array([row]), np.array([col]))[0]
+    grads, no_grad = _cell_gradients(grid, np.array([row]), np.array([col]))
+    if no_grad[0]:
+        raise NodataError(f"nodata cell in gradient stencil at cell ({row}, {col})")
+    return grads[0]
 
 
-def _cell_gradients(grid: GridMap, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(n, 2) gradients of :func:`gradient_at` at the given cells.
-
-    Raises :class:`NodataError` naming the first cell, in the given order,
-    whose stencil touches a nodata cell.
-    """
+def _cell_gradients(grid: GridMap, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2) gradients of :func:`gradient_at` at the given cells, and the
+    (n,) mask of the cells without one: their stencil touches nodata."""
     h = grid.cell_size
     v = grid.values
     c_lo, c_hi = np.maximum(cols - 1, 0), np.minimum(cols + 1, grid.n_cols - 1)
     r_n, r_s = np.maximum(rows - 1, 0), np.minimum(rows + 1, grid.n_rows - 1)
     west, east, north, south = v[rows, c_lo], v[rows, c_hi], v[r_n, cols], v[r_s, cols]
-    bad = np.flatnonzero((west == grid.nodata) | (east == grid.nodata)
-                         | (north == grid.nodata) | (south == grid.nodata))
-    if bad.size:
-        k = bad[0]
-        raise NodataError(f"nodata cell in gradient stencil at cell ({rows[k]}, {cols[k]})")
+    no_grad = ((west == grid.nodata) | (east == grid.nodata)
+               | (north == grid.nodata) | (south == grid.nodata))
     gx = (east - west) / ((c_hi - c_lo) * h)
     gy = (north - south) / ((r_s - r_n) * h)  # row index grows southward
-    return np.column_stack([gx, gy])
+    return np.column_stack([gx, gy]), no_grad
 
 
 def lookup_candidates(
@@ -334,9 +332,10 @@ def lookup_candidates(
     ``{z : (z - m)' C^-1 (z - m) <= gamma}``; the cells scanned are those
     whose centers lie in its tight axis-aligned bounding box, of half extents
     ``sqrt(gamma * C_jj)``. A cell qualifies when its center passes the
-    ellipse gate and its value is within ``k_sig * sigma`` of ``value``. At
-    most ``n_max`` candidates are returned, best residual first, with
-    deterministic tie-breaking.
+    ellipse gate, its value is within ``k_sig * sigma`` of ``value`` and its
+    gradient stencil holds data (the tracker weighs a cell by its gradient).
+    At most ``n_max`` candidates are returned, best residual first, with
+    deterministic tie-breaking; a box too large for a float covers the map.
 
     An empty gate is a normal outcome: a box that holds no cell center and a
     box whose cells hold no compatible value both give an empty
@@ -347,19 +346,19 @@ def lookup_candidates(
     """
     cx, cy = np.asarray(prior_mean, dtype=float)
     cov = np.asarray(prior_cov, dtype=float)
-    eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+    eigvals = np.linalg.eigvalsh(0.5 * cov + 0.5 * cov.T)
     if not (math.isfinite(cx) and math.isfinite(cy) and eigvals.min() > 0):
         # eigvalsh gives NaN for a covariance that is not finite
         raise NumericalError(f"position prior {plain_point((cx, cy))} is not finite or its "
                              f"covariance not positive definite (eigs {plain_point(eigvals)})")
-    hx, hy = np.sqrt(gamma * np.diag(cov))
     x0, y0 = grid.origin
     h = grid.cell_size
-
-    c_lo = max(int(math.ceil((cx - hx - x0) / h - 0.5)), 0)
-    c_hi = min(int(math.floor((cx + hx - x0) / h - 0.5)), grid.n_cols - 1)
-    s_lo = max(int(math.ceil((cy - hy - y0) / h - 0.5)), 0)
-    s_hi = min(int(math.floor((cy + hy - y0) / h - 0.5)), grid.n_rows - 1)
+    with np.errstate(over="ignore"):  # an infinite box, clamped to the map, covers it
+        hx, hy = np.sqrt(gamma * np.diag(cov))
+        c_lo = math.ceil(min(max((cx - hx - x0) / h - 0.5, 0.0), grid.n_cols))
+        c_hi = math.floor(min(max((cx + hx - x0) / h - 0.5, -1.0), grid.n_cols - 1.0))
+        s_lo = math.ceil(min(max((cy - hy - y0) / h - 0.5, 0.0), grid.n_rows))
+        s_hi = math.floor(min(max((cy + hy - y0) / h - 0.5, -1.0), grid.n_rows - 1.0))
     if c_lo > c_hi or s_lo > s_hi:
         return CandidateSet.empty(value, sigma)
 
@@ -382,6 +381,8 @@ def lookup_candidates(
     ok &= quad <= gamma
 
     si, ci = np.nonzero(ok)
+    grads, no_grad = _cell_gradients(grid, rows[si], cols[ci])
+    si, ci, grads = si[~no_grad], ci[~no_grad], grads[~no_grad]
     locs = np.column_stack([xs[ci], ys[si]])
     residuals = resid[si, ci]
     dists = np.hypot(locs[:, 0] - cx, locs[:, 1] - cy)
@@ -390,8 +391,8 @@ def lookup_candidates(
     rowmajor = arr_rows * grid.n_cols + arr_cols
     order = np.lexsort((rowmajor, dists, residuals))[: int(n_max)]
     cells = np.column_stack([arr_rows[order], arr_cols[order]])
-    return CandidateSet(locs[order], _cell_gradients(grid, cells[:, 0], cells[:, 1]),
-                        residuals[order], cells, float(value), float(sigma))
+    return CandidateSet(locs[order], grads[order], residuals[order], cells,
+                        float(value), float(sigma))
 
 
 def feature_variability(grid: GridMap, center_cell: tuple[int, int], template_half_width: int) -> float:
@@ -399,8 +400,10 @@ def feature_variability(grid: GridMap, center_cell: tuple[int, int], template_ha
 
     Over a square template of side ``2 * template_half_width + 1`` cells,
     clipped to the map, returns ``mean((m_center - m_j)^2)`` across all
-    non-center cells j. Zero on locally constant maps; scales with the
-    square of any value scaling; invariant to adding a constant.
+    non-center cells j that hold data; zero when the center or every j holds
+    none, as such a patch carries no position information. Zero on locally
+    constant maps; scales with the square of any value scaling; invariant to
+    adding a constant.
     """
     row, col = center_cell
     if not (0 <= row < grid.n_rows and 0 <= col < grid.n_cols):
@@ -408,16 +411,14 @@ def feature_variability(grid: GridMap, center_cell: tuple[int, int], template_ha
     if template_half_width < 0:
         raise ValueError("template_half_width must be >= 0")
     center_val = grid.values[row, col]
-    if center_val == grid.nodata or not np.isfinite(center_val):
-        raise NodataError(f"center cell {center_cell} has no data")
     r0, r1 = max(row - template_half_width, 0), min(row + template_half_width, grid.n_rows - 1)
     c0, c1 = max(col - template_half_width, 0), min(col + template_half_width, grid.n_cols - 1)
     tmpl = grid.values[r0:r1 + 1, c0:c1 + 1]
     mask = np.isfinite(tmpl) & (tmpl != grid.nodata)
     mask[row - r0, col - c0] = False
     others = tmpl[mask]
-    if others.size == 0:
-        raise ValueError("clipped template must contain at least 2 usable cells")
+    if center_val == grid.nodata or others.size == 0:
+        return 0.0
     return float(np.mean((center_val - others) ** 2))
 
 

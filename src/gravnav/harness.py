@@ -49,7 +49,7 @@ from .config import (
     ScenarioConfig,
     config_hash,
 )
-from .errors import ConfigError, NodataError, NoFixError, NumericalError, OutOfBoundsError
+from .errors import ConfigError, NumericalError
 from .fusion import AidingEpoch, NavBelief, apply_batch, ukf_predict
 from .geomap import (
     CandidateSet,
@@ -525,7 +525,8 @@ class _SeedRun:
     def scan(self, n: int, bel: NavBelief) -> NavBelief | None:
         """Gate measurement ``n`` into the batch; close the batch when full.
 
-        An empty gate adds an empty scan, and a numerical fault raises
+        An empty gate adds an empty scan, and a batch of empty scans closes
+        as an epoch without fixes; a numerical fault raises
         :class:`NumericalError`. Returns the aided belief when a batch
         closed, else ``None``.
         """
@@ -554,20 +555,17 @@ class _SeedRun:
             dt=cfg.gravimeter.interval,
             start_time=checkpoint.time,
         )
-        try:
-            est = run_batch(problem)
-        except NoFixError:
+        est = run_batch(problem)
+        if est is None:  # every scan empty: an epoch without fixes
             self.epochs.append(AidingEpoch(time=bel.time, fixes=(), n_accepted=0,
                                            n_nis_rejected=0, iterations_used=0,
                                            converged=False))
             return bel
         variabilities = []
         for position in est.means[:, :2]:
-            try:
-                raw = feature_variability(grid, grid.cell_of(position),
-                                          fus.template_half_width)
-            except (OutOfBoundsError, NodataError, ValueError):
-                raw = 0.0
+            raw = 0.0  # a smoothed position off the map carries no position information
+            if grid.in_bounds(position):
+                raw = feature_variability(grid, grid.cell_of(position), fus.template_half_width)
             self.var_history.append(raw)
             variabilities.append(normalize_variability(self.var_history, fus.window_len))
         # Retrodiction replays the batch from its start; standard mode aids
@@ -618,11 +616,12 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
 
     Raises :class:`ConfigError` before any simulation when the trajectory
     leaves the map. A seed's :class:`NumericalError` (at a predict, a lookup
-    or a batch) or a candidate gradient that touches nodata marks that
-    seed's run failed/diverged at that step, and its series is NaN from
-    there on; the others go on. A failed seed no longer
-    scans, and its row goes on from the start belief once its predict
-    fails. The block stops when every seed has failed.
+    or a batch) marks that seed's run failed/diverged at that step, and its
+    series is NaN from there on; the others go on. It is the only exception
+    the loop catches: the normal outcomes of a scan (an empty gate, a batch
+    without a candidate, a fix off the map) are values. A failed seed no
+    longer scans, and its row goes on from the start belief once its
+    predict fails. The block stops when every seed has failed.
     """
     cfg.validate()
     if grid is None:
@@ -663,7 +662,7 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
             try:
                 closed = run.scan(k // every - 1, NavBelief(state=state, cov=cov,
                                                             time=belief.time))
-            except (NumericalError, NodataError):
+            except NumericalError:
                 run.failed_at = k
                 continue
             if closed is not None:
@@ -746,18 +745,11 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
     n_live = np.isfinite(err).sum(axis=0)
     times = reports[0].times
 
-    if cfg.mean_error_window == "aided" and cfg.aiding:
-        window_mask = times >= aided_phase_start(cfg)
-        if not window_mask.any():
-            window_mask = np.ones_like(times, dtype=bool)
-    else:
-        window_mask = np.ones_like(times, dtype=bool)
-    counted = [r for r in reports
-               if cfg.include_diverged or not r.diverged]
-    pooled = [r.error_series[window_mask] for r in counted]
-    pooled = [e[np.isfinite(e)] for e in pooled]
-    pooled = [e for e in pooled if e.size]
-    mean_error = float(np.mean(np.concatenate(pooled))) if pooled else float("nan")
+    aided = cfg.mean_error_window == "aided" and cfg.aiding  # validate keeps the window non-empty
+    window_mask = times >= aided_phase_start(cfg) if aided else np.ones_like(times, dtype=bool)
+    counted = err[[cfg.include_diverged or not r.diverged for r in reports]][:, window_mask]
+    pooled = counted[np.isfinite(counted)]
+    mean_error = float(np.mean(pooled)) if pooled.size else float("nan")
     divergence_rate = sum(r.diverged for r in reports) / len(reports)
 
     return CampaignReport(

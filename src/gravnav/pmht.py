@@ -46,7 +46,7 @@ from .assoc import ScanStack, stack_fuse, stack_weights
 # test patches and restores this binding, so it stays importable from pmht.
 from .assoc import candidate_weights  # noqa: F401
 from .config import PmhtParams
-from .errors import NoFixError, NumericalError
+from .errors import NumericalError
 from .geomap import CandidateSet
 
 __all__ = [
@@ -235,16 +235,17 @@ def em_step(
     return xs, ps, positions, covs, [w for group in weights for w in group]
 
 
-def run_batch(problem: BatchProblem) -> BatchEstimate:
+def run_batch(problem: BatchProblem) -> BatchEstimate | None:
     """Iterate :func:`em_step` to convergence or the iteration budget.
 
     The first iterate is the prior mean rolled forward through the model.
     Convergence is measured as the maximum per-scan position displacement
-    between consecutive iterates. Raises :class:`NoFixError` when every scan
-    is empty and :class:`NumericalError` when an iterate goes non-finite.
+    between consecutive iterates. Returns ``None`` when every scan is empty:
+    the batch holds no position information. Raises :class:`NumericalError`
+    when an iterate goes non-finite.
     """
     if len(problem.stack) == 0:
-        raise NoFixError("every scan in the batch is empty")
+        return None
 
     t_len = problem.batch_len
     current = np.empty((t_len, 4))

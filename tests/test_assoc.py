@@ -9,7 +9,6 @@ from gravnav.assoc import (
     stack_fuse,
 )
 from gravnav.config import PmhtParams
-from gravnav.errors import NoFixError
 from oracles import gaussian_weights
 from scenarios import scan_from_points
 
@@ -115,9 +114,9 @@ class TestCandidateWeights:
         w = candidate_weights(make_set(points), np.zeros(2), np.eye(2))
         assert w == pytest.approx(gaussian_weights(points, np.zeros(2), np.eye(2)), rel=1e-10)
 
-    def test_empty_set_raises(self):
-        with pytest.raises(NoFixError):
-            candidate_weights(make_set([]), np.zeros(2), np.eye(2))
+    def test_empty_set_has_empty_weights(self):
+        w = candidate_weights(make_set([]), np.zeros(2), np.eye(2))
+        assert w.shape == (0,) and w.dtype == float
 
     @pytest.mark.filterwarnings("ignore::gravnav.assoc.FarCandidateWarning")
     def test_near_singular_cov_regularized(self):

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import pytest
 
 import gravnav
 import gravnav.cli as cli
+import gravnav.errors as errors
 import gravnav.harness as harness
 from gravnav.cli import main
 from gravnav.errors import NumericalError
@@ -39,6 +42,7 @@ monte_carlo.base_seed = 0
 HUGE_MAP = "map.rows = 1000000\nmap.cols = 1000000\n"
 
 DEMO_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.cfg")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 # SHA-256 of the demo campaign's outputs at --seed 0 --jobs 1.
 DEMO_DIGESTS = {
@@ -80,6 +84,31 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def cli_env():
+    """The environment of a child ``gravnav`` process on this checkout's sources."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(gravnav.__file__))))
+
+
+def error_types(cls=errors.GravNavError):
+    """Every exception type below ``cls``, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_types(sub)
+
+
+def tabled_exit_codes():
+    """``{exception name: exit code}`` from README's exit-code table."""
+    with open(README, encoding="utf-8") as fh:
+        rows = fh.read().split("| exception | meaning | exit |\n", 1)[1].splitlines()[1:]
+    codes = {}
+    for row in itertools.takewhile(lambda line: line.startswith("|"), rows):
+        names, _, code = (cell.strip() for cell in row.strip("|").split("|"))
+        for name in re.findall(r"`(\w+)`", names):
+            codes[name] = int(re.match(r"\d+", code).group())
+    return codes
+
+
 class TestGenmap:
     def test_roundtrip_and_stats(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.txt", TOY_MAP_KEYS)
@@ -102,12 +131,10 @@ class TestGenmap:
     def test_demo_map_pinned(self, tmp_path, cpus):
         if cpus == "pin" and not hasattr(os, "sched_setaffinity"):
             pytest.skip("no CPU affinity on this platform")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gravnav.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
         out = tmp_path / "out"
         subprocess.run([sys.executable, "-c", PINNABLE_CLI, cpus, "genmap",
                         "--config", DEMO_CFG, "--out", str(out)],
-                       env=env, capture_output=True, timeout=120, check=True)
+                       env=cli_env(), capture_output=True, timeout=120, check=True)
         assert sha(out / "map.asc") == DEMO_MAP_DIGEST
 
     def test_malformed_key_exit_2_names_key(self, tmp_path, capsys):
@@ -290,6 +317,20 @@ class TestCampaign:
         assert "divergence_rate: 1\n" in capsys.readouterr().out
         assert (out / "campaign.csv").exists() and (out / "summary.csv").exists()
         assert sorted(p.name for p in (out / "runs").iterdir()) == ["0.csv", "1.csv"]
+
+    @pytest.mark.parametrize("command", [["run"], ["campaign", "--jobs", "1"],
+                                         ["campaign", "--jobs", "2"]],
+                             ids=["run", "campaign-jobs-1", "campaign-jobs-2"])
+    def test_unbounded_gate_covers_the_map_exit_0(self, tmp_path, command):
+        # gamma * P_jj overflows, so the gate box covers the whole map. A
+        # child process prints the far-candidate warnings of such a wide gate
+        # rather than raising them.
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            cfg = write(tmp_path / "cfg.txt", fh.read() + "pmht.gamma = 1e308\n")
+        done = subprocess.run([sys.executable, "-m", "gravnav.cli", command[0], "--config", cfg,
+                               "--out", str(tmp_path / "o"), *command[1:]],
+                              env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2_names_flag(self, tmp_path, capsys, jobs):
@@ -612,3 +653,19 @@ class TestInspectMap:
         path = self.make_map(tmp_path)
         capsys.readouterr()
         assert main(["inspect-map", str(path), "--point", "999999,0"]) == 2
+
+
+class TestExitCodes:
+    def test_every_error_type_exits_with_its_tabled_code(self, monkeypatch, capsys):
+        # A new exception type must land with a row in README's table.
+        codes = tabled_exit_codes()
+        types = list(error_types())
+        assert sorted(t.__name__ for t in types) == sorted(codes)
+        assert codes == {name: 3 if name == "NumericalError" else 2 for name in codes}
+        for exc_type in types:
+            def command(args, exc_type=exc_type):
+                raise exc_type("forced")
+
+            monkeypatch.setattr(cli, "_cmd_run", command)
+            assert main(["run", "--config", "unused"]) == codes[exc_type.__name__]
+            assert capsys.readouterr().err == "error: forced\n"

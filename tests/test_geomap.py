@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,17 @@ class TestSearchWindow:
         with pytest.raises(NumericalError, match="not positive definite"):
             gated(self.flat(), np.zeros(2), np.array(cov), gamma=9.0)
 
+    @pytest.mark.parametrize("cov, gamma", [(1e308 * np.eye(2), 9.21), (4.0 * np.eye(2), 1e308)],
+                             ids=["wide-prior", "wide-gate"])
+    def test_unbounded_box_covers_the_whole_map(self, cov, gamma):
+        # gamma * C_jj overflows: the box is infinite and covers the map, and
+        # the ellipse passes every cell center
+        grid = self.flat()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cs = gated(grid, [1e3, -1e3], cov, gamma)
+        assert len(cs) == grid.n_rows * grid.n_cols
+
 
 class TestLookupCandidates:
     def test_constant_map_matches_all_window_cells(self):
@@ -422,17 +434,21 @@ class TestLookupCandidates:
                 assert np.array_equal(grad, gradient_at(grid, loc))
                 assert residual == abs(values[r, c] - s)
 
-    def test_nodata_in_gradient_stencil_names_first_candidate(self):
-        # every live cell matches; the four neighbours of the hole tie on
-        # residual and distance, so row-major order puts (2, 3) first
+    def test_cells_without_gradient_are_not_candidates(self):
+        # every live cell matches, but the four neighbours of the hole have
+        # no gradient: they are dropped before the cut, so the four diagonal
+        # cells come first, in row-major order
         values = np.full((7, 7), 1.0)
         values[3, 3] = -9999.0
         grid = simple_grid(values)
-        with pytest.raises(NodataError, match=r"at cell \(2, 3\)$"):
-            gated(grid, grid.cell_center(3, 3), 4.0 * np.eye(2), 9.0, value=1.0, n_max=20)
+        cs = gated(grid, grid.cell_center(3, 3), 4.0 * np.eye(2), 9.0, value=1.0, n_max=20)
+        assert len(cs) == 20
+        assert cs.cells[:4].tolist() == [[2, 2], [2, 4], [4, 2], [4, 4]]
+        assert not {(2, 3), (3, 2), (3, 4), (4, 3)} & {tuple(c) for c in cs.cells.tolist()}
+        assert cs.grads.tolist() == [[0.0, 0.0]] * 20
         with pytest.raises(NodataError, match=r"at cell \(4, 3\)$"):
             gradient_at(grid, grid.cell_center(4, 3))
-        # only the kept candidates need a gradient: (2, 3) is gated in but cut
+        # a prior beside the hole still finds its own cell first
         kept = gated(grid, grid.cell_center(1, 3), 4.0 * np.eye(2), 9.0, value=1.0, n_max=1)
         assert kept.cells.tolist() == [[1, 3]]
         assert kept.grads.tolist() == [[0.0, 0.0]]
@@ -451,14 +467,11 @@ class TestLookupCandidates:
         (sx, sy), center = sigmas, np.array(center)
         cov = np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
         sigma, k_sig, gamma = 0.1, 3.0, 9.21
-        try:
-            cs = lookup_candidates(grid, value, sigma, center, cov, gamma, n_max, k_sig)
-        except NodataError:
-            assert (values == -9999.0).any()
-            return
+        cs = lookup_candidates(grid, value, sigma, center, cov, gamma, n_max, k_sig)
         sinv = np.linalg.inv(cov)
-        for loc, residual, (r, c) in zip(cs.locations, cs.residuals, cs.cells):
+        for loc, grad, residual, (r, c) in zip(cs.locations, cs.grads, cs.residuals, cs.cells):
             assert values[r, c] != -9999.0
+            assert np.array_equal(grad, gradient_at(grid, loc))  # its stencil holds data
             assert np.array_equal(loc, grid.cell_center(r, c))
             d = loc - center
             assert d @ sinv @ d <= gamma * (1.0 + 1e-9)
@@ -526,6 +539,17 @@ class TestFeatureVariability:
             w = int(rng.integers(1, 5))
             assert feature_variability(grid, (r, c), w) == pytest.approx(
                 brute_variability(values, r, c, w), rel=1e-12)
+
+    def test_patch_without_data_is_zero(self):
+        # a nodata cell, and a data cell whose whole template is nodata,
+        # carry no position information
+        values = np.full((5, 5), -9999.0)
+        values[2, 2] = 3.0
+        values[0, 0] = 7.0
+        grid = simple_grid(values)
+        assert feature_variability(grid, (1, 1), 1) == 0.0
+        assert feature_variability(grid, (2, 2), 1) == 0.0
+        assert feature_variability(grid, (2, 2), 2) == 16.0
 
     def test_out_of_bounds_center(self):
         grid = simple_grid(np.zeros((4, 4)))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gravnav.assoc import ScanStack, candidate_weights, position_noise_cov, stack_fuse
-from gravnav.errors import NoFixError, NumericalError
+from gravnav.errors import NumericalError
 from gravnav.config import FusionParams, PmhtParams
 from gravnav.fusion import NavBelief, apply_batch
 from gravnav.geomap import CandidateSet
@@ -332,11 +332,10 @@ class TestRunBatch:
             for wa, wb in zip(w1, w2, strict=True):
                 assert (wa == wb).all()
 
-    def test_all_scans_empty_raises(self):
+    def test_all_scans_empty_gives_no_estimate(self):
         empty = CandidateSet.empty(0.0, 1e-5)
-        with pytest.raises(NoFixError):
-            run_batch(BatchProblem(prior_mean=np.zeros(4), prior_cov=np.eye(4),
-                                   scans=(empty,) * 3, params=PmhtParams(), dt=10.0))
+        assert run_batch(BatchProblem(prior_mean=np.zeros(4), prior_cov=np.eye(4),
+                                      scans=(empty,) * 3, params=PmhtParams(), dt=10.0)) is None
 
     @pytest.mark.filterwarnings("ignore::gravnav.assoc.FarCandidateWarning")
     def test_nan_candidate_raises_numerical_error(self):
