@@ -49,6 +49,15 @@ def plain_point(pos) -> tuple[float, ...]:
     return tuple(map(float, pos))
 
 
+def grid_extent(x0: float, y0: float, cell_size: float, n_rows: int,
+                n_cols: int) -> tuple[float, float, float, float]:
+    """(xmin, xmax, ymin, ymax) outer bounds in meters of an ``n_rows`` by
+    ``n_cols`` grid of ``cell_size`` cells whose lower-left corner is at
+    ``(x0, y0)``: the extent of a :class:`GridMap`, from its geometry alone."""
+    x0, y0 = float(x0), float(y0)
+    return (x0, x0 + n_cols * cell_size, y0, y0 + n_rows * cell_size)
+
+
 @dataclass(frozen=True)
 class GridMap:
     """Scalar raster with uniform square cells.
@@ -92,9 +101,7 @@ class GridMap:
     @property
     def extent(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) outer bounds in meters."""
-        x0, y0 = plain_point(self.origin)
-        return (x0, x0 + self.n_cols * self.cell_size,
-                y0, y0 + self.n_rows * self.cell_size)
+        return grid_extent(*self.origin, self.cell_size, self.n_rows, self.n_cols)
 
     def in_bounds(self, pos) -> bool:
         x, y = float(pos[0]), float(pos[1])
@@ -156,56 +163,94 @@ class CandidateSet:
         return len(self.residuals)
 
 
+def _not_utf8(path, byte: int) -> GridFormatError:
+    return GridFormatError(f"grid file {path} is not UTF-8 text: byte {byte} cannot be decoded")
+
+
+def _parse_header(lines) -> tuple[dict[str, float], int]:
+    """The header of a grid file whose lines ``lines`` yields, and the number
+    of lines it took, blank ones included.
+
+    Reads no line past the last header key. A header fault raises
+    :class:`GridFormatError` naming its 1-based line.
+    """
+    header: dict[str, float] = {}
+    idx = 0
+    lines = iter(lines)
+    while len(header) < len(_HEADER_KEYS) and (line := next(lines, None)) is not None:
+        idx += 1
+        tokens = line.split()
+        if not tokens:
+            continue
+        key = tokens[0].lower()
+        if key in ("dx", "dy"):
+            raise UnsupportedGeometryError(
+                "dx/dy headers (non-square cells) are not supported", line=idx)
+        if key not in _HEADER_KEYS:
+            raise GridFormatError(f"unexpected header key {tokens[0]!r}", line=idx)
+        if key in header:
+            raise GridFormatError(f"duplicate header key {tokens[0]!r}", line=idx)
+        if len(tokens) != 2:
+            raise GridFormatError(f"header {tokens[0]!r} needs exactly one value", line=idx)
+        try:
+            header[key] = float(tokens[1])
+        except ValueError:
+            raise GridFormatError(f"cannot parse value {tokens[1]!r}", line=idx) from None
+        value = header[key]
+        if key != "nodata_value" and not math.isfinite(value):
+            raise GridFormatError(f"{key} must be finite, got {tokens[1]}", line=idx)
+        if key in ("ncols", "nrows") and not value.is_integer():
+            raise GridFormatError(f"{key} must be an integer", line=idx)
+        if key in ("ncols", "nrows") and value < 2:
+            raise GridFormatError(f"{key} must be >= 2, got {int(value)}", line=idx)
+        if key == "cellsize" and not value > 0:
+            raise GridFormatError(f"cellsize must be positive, got {value}", line=idx)
+
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise GridFormatError(f"missing header keys: {', '.join(missing)}", line=idx)
+    return header, idx
+
+
+def read_grid_extent(path) -> tuple[float, float, float, float]:
+    """The extent of the grid file at ``path``, read from its header alone.
+
+    It equals ``load_grid(path).extent`` for a file :func:`load_grid` reads.
+    The header is parsed by the rules of :func:`load_grid`, on the same
+    lines (those of ``str.splitlines`` of the file's UTF-8 text), and its
+    faults raise the same errors; no line past the header is decoded.
+    """
+    def lines(fh):
+        # Every UTF-8 text line ends at a b"\n" and no character holds that
+        # byte, so splitting each decoded b"\n"-line gives the file's lines.
+        offset = 0
+        for raw in fh:
+            try:
+                yield from raw.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(path, offset + exc.start) from None
+            offset += len(raw)
+
+    with open(path, "rb") as fh:
+        header = _parse_header(lines(fh))[0]
+    return grid_extent(header["xllcorner"], header["yllcorner"], header["cellsize"],
+                       int(header["nrows"]), int(header["ncols"]))
+
+
 def load_grid(path) -> GridMap:
     """Parse an ASCII grid file.
 
     Header lines ``ncols``, ``nrows``, ``xllcorner``, ``yllcorner``,
-    ``cellsize``, ``nodata_value`` followed by ``nrows`` lines of ``ncols``
-    whitespace-separated floats, north row first.
+    ``cellsize``, ``nodata_value`` (:func:`_parse_header`) followed by
+    ``nrows`` lines of ``ncols`` whitespace-separated floats, north row first.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.read().splitlines()
         except UnicodeDecodeError as exc:
-            raise GridFormatError(f"grid file {path} is not UTF-8 text: "
-                                  f"byte {exc.start} cannot be decoded") from None
+            raise _not_utf8(path, exc.start) from None
 
-    header: dict[str, float] = {}
-    idx = 0
-    while idx < len(lines) and len(header) < len(_HEADER_KEYS):
-        tokens = lines[idx].split()
-        if not tokens:
-            idx += 1
-            continue
-        key = tokens[0].lower()
-        if key in ("dx", "dy"):
-            raise UnsupportedGeometryError(
-                "dx/dy headers (non-square cells) are not supported", line=idx + 1)
-        if key not in _HEADER_KEYS:
-            raise GridFormatError(f"unexpected header key {tokens[0]!r}", line=idx + 1)
-        if key in header:
-            raise GridFormatError(f"duplicate header key {tokens[0]!r}", line=idx + 1)
-        if len(tokens) != 2:
-            raise GridFormatError(f"header {tokens[0]!r} needs exactly one value", line=idx + 1)
-        try:
-            header[key] = float(tokens[1])
-        except ValueError:
-            raise GridFormatError(f"cannot parse value {tokens[1]!r}", line=idx + 1) from None
-        value = header[key]
-        if key != "nodata_value" and not math.isfinite(value):
-            raise GridFormatError(f"{key} must be finite, got {tokens[1]}", line=idx + 1)
-        if key in ("ncols", "nrows") and not value.is_integer():
-            raise GridFormatError(f"{key} must be an integer", line=idx + 1)
-        if key in ("ncols", "nrows") and value < 2:
-            raise GridFormatError(f"{key} must be >= 2, got {int(value)}", line=idx + 1)
-        if key == "cellsize" and not value > 0:
-            raise GridFormatError(f"cellsize must be positive, got {value}", line=idx + 1)
-        idx += 1
-
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise GridFormatError(f"missing header keys: {', '.join(missing)}", line=idx)
-
+    header, idx = _parse_header(lines)
     n_cols, n_rows = int(header["ncols"]), int(header["nrows"])
 
     rows = []

@@ -5,6 +5,12 @@ navigation belief, the field sensor samples the map every few seconds, each
 sample is gated into a candidate set around the current belief, and every T
 scans a batch is smoothed and fed back as position fixes.
 
+Only an aided run reads the map's values, so only an aided run or campaign
+builds the map (:func:`build_grid`). An unaided one dead-reckons alone and
+reads just the map's geometry, to check that its route stays on the map: a
+grid file's header, or the generator's origin, cell size and shape. That
+extent has the bits of the built grid's (:func:`.geomap.grid_extent`).
+
 Runs go in blocks of seeds (:func:`run_block`). Every seed of a block flies
 the same truth route and scans at the same steps, so the block simulates the
 truth once and keeps the nav beliefs of its seeds as one stack with a
@@ -55,9 +61,11 @@ from .geomap import (
     CandidateSet,
     GridMap,
     feature_variability,
+    grid_extent,
     load_grid,
     lookup_candidates,
     normalize_variability,
+    read_grid_extent,
 )
 from .inertial import SENSOR_GRADES, SensorGrade, sample_gravimeter, simulate_ins, simulate_truth
 from .pmht import BatchProblem, run_batch
@@ -416,6 +424,18 @@ def build_grid(cfg: ScenarioConfig) -> GridMap:
     return gen_synthetic_map(cfg.map.gen)
 
 
+def _map_extent(cfg: ScenarioConfig, grid: GridMap | None) -> tuple[float, float, float, float]:
+    """The map's extent: ``grid``'s, else the configured map's from its
+    geometry alone (a grid file's header, or the generator's origin, cell
+    size and shape), which is the extent of the grid it would build."""
+    if grid is not None:
+        return grid.extent
+    if cfg.map.file is not None:
+        return read_grid_extent(cfg.map.file)
+    gen = cfg.map.gen
+    return grid_extent(gen.origin_x, gen.origin_y, gen.cell_size, gen.rows, gen.cols)
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Per-second error series and aiding diagnostics of one run.
@@ -470,8 +490,9 @@ def _initial_belief(cfg: ScenarioConfig, truth, grade_accel: SensorGrade) -> Nav
     return NavBelief(state=state, cov=cov, time=0.0)
 
 
-def _check_route(cfg: ScenarioConfig, grid: GridMap) -> None:
-    """Reject a route that leaves the map, before the truth is simulated.
+def _check_route(cfg: ScenarioConfig, extent: tuple[float, float, float, float]) -> None:
+    """Reject a route that leaves the map's ``extent``, before the truth is
+    simulated.
 
     The truth is ``start + t * velocity`` at every whole INS step up to the
     duration. Each coordinate of it is monotone in ``t``, rounding included,
@@ -479,7 +500,7 @@ def _check_route(cfg: ScenarioConfig, grid: GridMap) -> None:
     """
     start = np.asarray(cfg.start, dtype=float)
     end = start + round(cfg.duration / INS_DT) * INS_DT * np.asarray(cfg.velocity, dtype=float)
-    xmin, xmax, ymin, ymax = grid.extent
+    xmin, xmax, ymin, ymax = extent
     ends = np.array([start, end])
     if not ((ends[:, 0] >= xmin) & (ends[:, 0] <= xmax)
             & (ends[:, 1] >= ymin) & (ends[:, 1] <= ymax)).all():
@@ -493,10 +514,11 @@ class _SeedRun:
     each seed its own row through :meth:`scan`. ``pos`` is this seed's
     ``(n, 2)`` row of the block's position estimates. ``failed_at`` is the
     step at which the run failed, or ``None``: :meth:`report` blanks the
-    estimates from there on.
+    estimates from there on. An unaided seed never scans and has no
+    ``grid``.
     """
 
-    def __init__(self, cfg: ScenarioConfig, fus: FusionParams, grid: GridMap, truth,
+    def __init__(self, cfg: ScenarioConfig, fus: FusionParams, grid: GridMap | None, truth,
                  grades: tuple[SensorGrade, SensorGrade], seed: int, pos: np.ndarray):
         self.cfg, self.fus, self.grid = cfg, fus, grid
         self.seed = int(seed)
@@ -614,6 +636,11 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     bits of its own one-seed run. Every ``gravimeter.interval`` each seed
     scans alone.
 
+    An aided block reads the map's values: it uses ``grid``, or builds the
+    configured map when ``grid`` is ``None``. An unaided block reads only the
+    map's extent, from ``grid`` when given and else from the configured
+    geometry (:func:`_map_extent`), so it builds no map.
+
     Raises :class:`ConfigError` before any simulation when the trajectory
     leaves the map. A seed's :class:`NumericalError` (at a predict, a lookup
     or a batch) marks that seed's run failed/diverged at that step, and its
@@ -624,9 +651,9 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     predict fails. The block stops when every seed has failed.
     """
     cfg.validate()
-    if grid is None:
+    if grid is None and cfg.aiding:
         grid = build_grid(cfg)
-    _check_route(cfg, grid)
+    _check_route(cfg, _map_extent(cfg, grid))
     truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, INS_DT)
     grades = SENSOR_GRADES[cfg.ins.accel_grade], SENSOR_GRADES[cfg.ins.gyro_grade]
     fus = _resolve_fusion(cfg, grades[0])
@@ -698,7 +725,7 @@ _WORKER_CFG: ScenarioConfig | None = None
 _WORKER_GRID: GridMap | None = None
 
 
-def _campaign_worker_init(cfg: ScenarioConfig, grid: GridMap) -> None:
+def _campaign_worker_init(cfg: ScenarioConfig, grid: GridMap | None) -> None:
     global _WORKER_CFG, _WORKER_GRID
     _WORKER_CFG = cfg
     _WORKER_GRID = grid
@@ -724,9 +751,10 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
     reduced in seed order, so the report is identical for any ``jobs`` value.
     """
     cfg.validate()
-    # Built once, before any worker starts, so a bad map fails here with its
-    # own error at any ``jobs`` value.
-    grid = build_grid(cfg)
+    # An aided campaign's map is built once, before any worker starts, so a
+    # bad map fails here with its own error at any ``jobs`` value. An
+    # unaided campaign builds none: its blocks read only the map's geometry.
+    grid = build_grid(cfg) if cfg.aiding else None
     seeds = [cfg.monte_carlo.base_seed + i for i in range(cfg.monte_carlo.runs)]
     workers = min(jobs, len(seeds), _usable_cpus())
     if workers > 1:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -12,8 +13,9 @@ import gravnav.cli as cli
 import gravnav.errors as errors
 import gravnav.harness as harness
 from gravnav.cli import main
+from gravnav.config import parse_config_text
 from gravnav.errors import NumericalError
-from gravnav.geomap import load_grid
+from gravnav.geomap import load_grid, save_grid
 
 TOY_MAP_KEYS = """\
 map.rows = 60
@@ -42,6 +44,10 @@ monte_carlo.base_seed = 0
 HUGE_MAP = "map.rows = 1000000\nmap.cols = 1000000\n"
 
 DEMO_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.cfg")
+CORRIDOR_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "corridor.cfg")
+# The benchmark's recorded SHA-256 digests of its workloads' campaign outputs.
+PERFBENCH_DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                                 "digests.json")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 # SHA-256 of the demo campaign's outputs at --seed 0 --jobs 1.
@@ -551,6 +557,118 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and "Traceback" not in err
+
+
+def forbid_map_build(monkeypatch):
+    """Make every map build, synthetic or from a file, fail the test."""
+    def no_map(*args, **kwargs):
+        raise AssertionError("an unaided run built the map")
+
+    monkeypatch.setattr(harness, "gen_synthetic_map", no_map)
+    monkeypatch.setattr(harness, "load_grid", no_map)
+
+
+def toy_map_file(tmp_path, edit=None):
+    """The toy map saved as a grid file, with ``edit(lines)`` applied to its
+    lines, and the toy scenario on it, unaided."""
+    path = tmp_path / "map.asc"
+    save_grid(harness.build_grid(parse_config_text(TOY_MAP_KEYS)), path)
+    if edit is not None:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return TOY_SCENARIO.replace(TOY_MAP_KEYS, f"map.file = {path}\n") + "aiding = false\n"
+
+
+COMMANDS = pytest.mark.parametrize("command", [
+    ["run"], ["campaign", "--jobs", "1"], ["campaign", "--jobs", "2"],
+], ids=["run", "campaign-j1", "campaign-j2"])
+
+
+class TestUnaided:
+    """An unaided run reads only the map's geometry: it builds no map."""
+
+    @COMMANDS
+    def test_builds_no_map_and_keeps_every_bit(self, tmp_path, monkeypatch, command):
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            text = fh.read() + "aiding = false\n"
+        cfg = parse_config_text(text)
+        seeds = [0] if command == ["run"] else [0, 1]
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        for report in harness.run_block(cfg, seeds, grid=harness.build_grid(cfg)):
+            harness.write_run_csv(report, expected / f"{report.seed}.csv")
+        forbid_map_build(monkeypatch)
+        out = tmp_path / "o"
+        assert main([command[0], "--config", write(tmp_path / "cfg.txt", text),
+                     "--out", str(out), *command[1:]]) == 0
+        runs = out if command == ["run"] else out / "runs"
+        assert sorted(p.name for p in runs.iterdir()) == [f"{s}.csv" for s in seeds]
+        for seed in seeds:
+            assert sha(runs / f"{seed}.csv") == sha(expected / f"{seed}.csv")
+
+    def test_corridor_unaided_digests_pinned(self, tmp_path, monkeypatch):
+        # The benchmark's corridor-unaided-j2 workload at base seed 0, run
+        # here at --jobs 1, writes the bits the benchmark recorded.
+        with open(PERFBENCH_DIGESTS, encoding="utf-8") as fh:
+            pinned = json.load(fh)["corridor-unaided-j2"]["0"]
+        with open(CORRIDOR_CFG, encoding="utf-8") as fh:
+            cfg = write(tmp_path / "cfg.txt",
+                        fh.read() + "monte_carlo.runs = 4\naiding = false\n")
+        forbid_map_build(monkeypatch)
+        out = tmp_path / "o"
+        assert main(["campaign", "--config", cfg, "--out", str(out), "--seed", "0",
+                     "--jobs", "1"]) == 0
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*.csv"))
+        assert written == sorted(pinned)
+        assert {name: sha(out / name) for name in written} == pinned
+
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    @COMMANDS
+    def test_route_off_the_map_exit_2_before_simulation(self, tmp_path, capsys, monkeypatch,
+                                                        source, command):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the truth was simulated before the route check")
+
+        scenario = (TOY_SCENARIO + "aiding = false\n" if source == "synthetic"
+                    else toy_map_file(tmp_path))
+        forbid_map_build(monkeypatch)
+        monkeypatch.setattr(harness, "simulate_truth", no_simulation)
+        # The toy map is 15 km wide; the route ends 25.6 km east of it.
+        cfg = write(tmp_path / "cfg.txt", scenario + "duration = 1800\n")
+        out = tmp_path / "o"
+        assert main([command[0], "--config", cfg, "--out", str(out), *command[1:]]) == 2
+        assert "trajectory leaves the map extent" in capsys.readouterr().err
+        assert not out.exists()
+
+    @COMMANDS
+    def test_bad_header_line_exit_2_names_it(self, tmp_path, capsys, monkeypatch, command):
+        def bad_xllcorner(lines):
+            lines[2] = "xllcorner zero"
+
+        cfg = write(tmp_path / "cfg.txt", toy_map_file(tmp_path, bad_xllcorner))
+        forbid_map_build(monkeypatch)
+        out = tmp_path / "o"
+        assert main([command[0], "--config", cfg, "--out", str(out), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "line 3: cannot parse value 'zero'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @COMMANDS
+    def test_malformed_data_row_is_not_read(self, tmp_path, capsys, monkeypatch, command):
+        # Declared: the data rows of a grid file are read only by an aided run.
+        def bad_row(lines):
+            lines[15] = "oops"
+
+        unaided = toy_map_file(tmp_path, bad_row)
+        aided = write(tmp_path / "aided.txt", unaided.replace("aiding = false\n", ""))
+        out = tmp_path / "o"
+        assert main([command[0], "--config", aided, "--out", str(out), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "line 16: expected 300 values, got 1" in err and not out.exists()
+        forbid_map_build(monkeypatch)
+        assert main([command[0], "--config", write(tmp_path / "cfg.txt", unaided),
+                     "--out", str(out), *command[1:]]) == 0
 
 
 class TestInspectMap:

@@ -23,6 +23,7 @@ from gravnav.geomap import (
     load_grid,
     lookup_candidates,
     normalize_variability,
+    read_grid_extent,
     save_grid,
     value_at,
     variability_field,
@@ -149,6 +150,77 @@ def test_save_load_round_trip_is_exact(grid):
     assert back.nodata == grid.nodata
     assert np.array_equal(back.values, grid.values)
     assert np.array_equal(back.values == back.nodata, grid.values == grid.nodata)
+
+
+@given(grids())
+def test_header_extent_is_the_loaded_extent(grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.asc")
+        save_grid(grid, path)
+        assert read_grid_extent(path) == load_grid(path).extent == grid.extent
+
+
+_GOOD_HEADER = ["ncols 2", "nrows 2", "xllcorner 0.5", "yllcorner -3", "cellsize 2.5",
+                "nodata_value -9999"]
+
+
+class TestReadGridExtent:
+    """The header-only read parses the header as :func:`load_grid` does."""
+
+    @pytest.mark.parametrize("header", [
+        ["", "ncols 2", "ncols 2"],
+        ["ncols 2", "nrows 2", "xllcorner 0", "yllcorner 0", "dx 1.0", "dy 2.0"],
+        ["ncols 2", "rows 2"],
+        ["ncols 2", "nrows 2 3"],
+        ["ncols 2", "nrows two"],
+        ["ncols 2.5"],
+        ["ncols 1"],
+        ["ncols 2", "nrows 2", "xllcorner inf"],
+        ["ncols 2", "nrows 2", "cellsize 0"],
+        ["ncols 2", "nrows 2", "", "xllcorner 0"],
+        [],
+    ], ids=["duplicate", "dx", "unknown-key", "two-values", "unparsed", "fraction",
+            "too-few", "not-finite", "cellsize-zero", "missing-after-blank", "empty"])
+    def test_header_fault_is_the_loaders(self, tmp_path, header):
+        p = write_grid_text(tmp_path / "g.asc", "\n".join(header))
+        with pytest.raises(GridFormatError) as loaded:
+            load_grid(p)
+        with pytest.raises(type(loaded.value)) as read:
+            read_grid_extent(p)
+        assert (str(read.value), read.value.line) == (str(loaded.value), loaded.value.line)
+
+    def test_undecodable_header_byte_is_the_loaders(self, tmp_path):
+        p = tmp_path / "g.asc"
+        p.write_bytes("\n".join(_GOOD_HEADER[:3]).encode() + b"\nyllcorner \xff0\n")
+        with pytest.raises(GridFormatError) as loaded:
+            load_grid(p)
+        with pytest.raises(GridFormatError) as read:
+            read_grid_extent(p)
+        assert str(read.value) == str(loaded.value)
+        byte = p.read_bytes().index(b"\xff")
+        assert str(read.value).endswith(f"byte {byte} cannot be decoded")
+
+    def test_lines_split_as_the_loader_splits_them(self, tmp_path):
+        # Windows and old Mac line ends, a form feed and a unicode line separator
+        text = ("\r\n".join(_GOOD_HEADER[:2]) + "\r" + _GOOD_HEADER[2] + "\x0c"
+                + _GOOD_HEADER[3] + " " + "\n".join(_GOOD_HEADER[4:]) + "\n1 2\n3 4\n")
+        p = write_grid_text(tmp_path / "g.asc", text)
+        assert read_grid_extent(p) == load_grid(p).extent == (0.5, 5.5, -3.0, 2.0)
+
+    @pytest.mark.parametrize("rows", [["1 2", "3 oops"], ["1 2"], ["1 2", "3 4", "5 6"]],
+                             ids=["bad-token", "short", "trailing"])
+    def test_data_rows_are_not_read(self, tmp_path, rows):
+        p = write_grid_text(tmp_path / "g.asc", "\n".join(_GOOD_HEADER + rows))
+        with pytest.raises(GridFormatError):
+            load_grid(p)
+        assert read_grid_extent(p) == (0.5, 5.5, -3.0, 2.0)
+
+    def test_undecodable_data_byte_is_not_read(self, tmp_path):
+        p = tmp_path / "g.asc"
+        p.write_bytes("\n".join(_GOOD_HEADER).encode() + b"\n1 2\n3 \xff\n")
+        with pytest.raises(GridFormatError, match="not UTF-8"):
+            load_grid(p)
+        assert read_grid_extent(p) == (0.5, 5.5, -3.0, 2.0)
 
 
 class TestGridMapShape:

@@ -676,6 +676,41 @@ class TestRunScenario:
         assert np.isnan(rep.error_series[-1])
 
 
+class TestUnaidedGeometry:
+    """An unaided run checks its route against the configured geometry."""
+
+    @pytest.mark.parametrize("name", ["demo.cfg", "corridor.cfg"])
+    def test_configured_extent_is_the_built_extent(self, name):
+        cfg = parse_config(os.path.join(CONFIGS, name))
+        assert harness._map_extent(cfg, None) == build_grid(cfg).extent
+
+    def test_file_extent_is_the_built_extent(self, tmp_path):
+        cfg = parse_config(os.path.join(CONFIGS, "demo.cfg"))
+        grid = build_grid(cfg)
+        save_grid(grid, tmp_path / "map.asc")
+        cfg.map = MapSource(file=str(tmp_path / "map.asc"))
+        assert harness._map_extent(cfg, None) == build_grid(cfg).extent == grid.extent
+
+    def test_given_grid_gives_the_extent(self):
+        cfg = small_scenario(aiding=False)
+        grid = replace(build_grid(cfg), origin=np.array([-1e6, -1e6]))
+        assert harness._map_extent(cfg, grid) == grid.extent
+
+    def test_corridor_block_peak_memory_below_a_quarter_map(self):
+        # Unaided, the block reads only the map's geometry; a built corridor
+        # map alone would be four times the bound.
+        cfg = parse_config(os.path.join(CONFIGS, "corridor.cfg"))
+        cfg.aiding = False
+        cfg.duration = 600.0
+        tracemalloc.start()
+        try:
+            run_block(cfg, [0, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * CORRIDOR_MAP.rows * CORRIDOR_MAP.cols * 8
+
+
 class TestRunCampaign:
     def test_single_run_rms_equals_abs_error(self):
         cfg = small_scenario(duration=300.0, runs=1)
