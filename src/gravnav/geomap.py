@@ -163,10 +163,6 @@ class CandidateSet:
         return len(self.residuals)
 
 
-def _not_utf8(path, byte: int) -> GridFormatError:
-    return GridFormatError(f"grid file {path} is not UTF-8 text: byte {byte} cannot be decoded")
-
-
 def _parse_header(lines) -> tuple[dict[str, float], int]:
     """The header of a grid file whose lines ``lines`` yields, and the number
     of lines it took, blank ones included.
@@ -212,27 +208,34 @@ def _parse_header(lines) -> tuple[dict[str, float], int]:
     return header, idx
 
 
+def _grid_lines(fh, path):
+    """The lines of the grid file open in binary as ``fh``: those of
+    ``str.splitlines`` of its UTF-8 text, decoded one b"\\n"-line at a time.
+
+    A byte that does not decode raises :class:`GridFormatError` naming its
+    offset in the file, when the line that holds it is reached.
+    """
+    # Every UTF-8 text line ends at a b"\n" and no character holds that
+    # byte, so splitting each decoded b"\n"-line gives the file's lines.
+    offset = 0
+    for raw in fh:
+        try:
+            yield from raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise GridFormatError(f"grid file {path} is not UTF-8 text: byte "
+                                  f"{offset + exc.start} cannot be decoded") from None
+        offset += len(raw)
+
+
 def read_grid_extent(path) -> tuple[float, float, float, float]:
     """The extent of the grid file at ``path``, read from its header alone.
 
     It equals ``load_grid(path).extent`` for a file :func:`load_grid` reads.
-    The header is parsed by the rules of :func:`load_grid`, on the same
-    lines (those of ``str.splitlines`` of the file's UTF-8 text), and its
-    faults raise the same errors; no line past the header is decoded.
+    The header is read as :func:`load_grid` reads it, and its faults raise
+    the same errors; no line past the header is read.
     """
-    def lines(fh):
-        # Every UTF-8 text line ends at a b"\n" and no character holds that
-        # byte, so splitting each decoded b"\n"-line gives the file's lines.
-        offset = 0
-        for raw in fh:
-            try:
-                yield from raw.decode("utf-8").splitlines()
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(path, offset + exc.start) from None
-            offset += len(raw)
-
     with open(path, "rb") as fh:
-        header = _parse_header(lines(fh))[0]
+        header = _parse_header(_grid_lines(fh, path))[0]
     return grid_extent(header["xllcorner"], header["yllcorner"], header["cellsize"],
                        int(header["nrows"]), int(header["ncols"]))
 
@@ -243,39 +246,41 @@ def load_grid(path) -> GridMap:
     Header lines ``ncols``, ``nrows``, ``xllcorner``, ``yllcorner``,
     ``cellsize``, ``nodata_value`` (:func:`_parse_header`) followed by
     ``nrows`` lines of ``ncols`` whitespace-separated floats, north row first.
+    Each row is parsed straight into the map's array, so the file is held
+    one line at a time. The first fault in file order raises
+    :class:`GridFormatError` naming its line, or its byte if not UTF-8.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        lines = _grid_lines(fh, path)
+        header, idx = _parse_header(lines)
+        n_cols, n_rows = int(header["ncols"]), int(header["nrows"])
         try:
-            lines = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc.start) from None
-
-    header, idx = _parse_header(lines)
-    n_cols, n_rows = int(header["ncols"]), int(header["nrows"])
-
-    rows = []
-    for r in range(n_rows):
-        line_no = idx + r + 1
-        if idx + r >= len(lines):
-            raise GridFormatError(f"expected {n_rows} data rows, file ends after {r}", line=line_no - 1)
-        tokens = lines[idx + r].split()
-        if len(tokens) != n_cols:
-            raise GridFormatError(
-                f"expected {n_cols} values, got {len(tokens)}", line=line_no)
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise GridFormatError("cannot parse data value", line=line_no) from None
-
-    trailing = [ln for ln in lines[idx + n_rows:] if ln.strip()]
-    if trailing:
-        raise GridFormatError("trailing data after grid rows", line=idx + n_rows + 1)
+            values = np.empty((n_rows, n_cols))
+        except (MemoryError, ValueError):
+            raise GridFormatError(f"a {n_rows} x {n_cols} grid does not fit in memory",
+                                  line=idx) from None
+        for r in range(n_rows):
+            line_no = idx + r + 1
+            line = next(lines, None)
+            if line is None:
+                raise GridFormatError(f"expected {n_rows} data rows, file ends after {r}",
+                                      line=line_no - 1)
+            tokens = line.split()
+            if len(tokens) != n_cols:
+                raise GridFormatError(
+                    f"expected {n_cols} values, got {len(tokens)}", line=line_no)
+            try:
+                values[r] = list(map(float, tokens))
+            except ValueError:
+                raise GridFormatError("cannot parse data value", line=line_no) from None
+        if any(line.strip() for line in lines):
+            raise GridFormatError("trailing data after grid rows", line=idx + n_rows + 1)
 
     try:
         return GridMap(
             origin=np.array([header["xllcorner"], header["yllcorner"]]),
             cell_size=header["cellsize"],
-            values=np.array(rows, dtype=float),
+            values=values,
             nodata=header["nodata_value"],
         )
     except ValueError as exc:
@@ -407,35 +412,30 @@ def lookup_candidates(
     if c_lo > c_hi or s_lo > s_hi:
         return CandidateSet.empty(value, sigma)
 
-    cols = np.arange(c_lo, c_hi + 1)
-    srows = np.arange(s_lo, s_hi + 1)
-    rows = grid.n_rows - 1 - srows
-    xs = x0 + (cols + 0.5) * h
-    ys = y0 + (srows + 0.5) * h
-    vals = grid.values[np.ix_(rows, cols)]
-
-    live = np.isfinite(vals) & (vals != grid.nodata)
-    resid = np.abs(vals - value)
-    ok = live & (resid <= k_sig * sigma)
+    # The box, south row first; values are tested before the ellipse.
+    box = grid.values[grid.n_rows - 1 - s_hi:grid.n_rows - s_lo, c_lo:c_hi + 1][::-1]
+    resid = np.subtract(box, value)
+    np.abs(resid, out=resid)
+    srows, cols = np.nonzero((resid <= k_sig * sigma) & (box != grid.nodata))
+    resid = resid[srows, cols]
+    srows += s_lo
+    cols += c_lo
 
     # Ellipsoidal gate inside the rectangle (stricter than the rectangle alone).
-    gx, gy = np.meshgrid(xs - cx, ys - cy, indexing="xy")
+    xs, ys = x0 + (cols + 0.5) * h, y0 + (srows + 0.5) * h
+    gx, gy = xs - cx, ys - cy
     sinv = np.linalg.inv(cov)
-    quad = (sinv[0, 0] * gx * gx + (sinv[0, 1] + sinv[1, 0]) * gx * gy
-            + sinv[1, 1] * gy * gy)
-    ok &= quad <= gamma
+    keep = np.flatnonzero(sinv[0, 0] * gx * gx + (sinv[0, 1] + sinv[1, 0]) * gx * gy
+                          + sinv[1, 1] * gy * gy <= gamma)
 
-    si, ci = np.nonzero(ok)
-    grads, no_grad = _cell_gradients(grid, rows[si], cols[ci])
-    si, ci, grads = si[~no_grad], ci[~no_grad], grads[~no_grad]
-    locs = np.column_stack([xs[ci], ys[si]])
-    residuals = resid[si, ci]
-    dists = np.hypot(locs[:, 0] - cx, locs[:, 1] - cy)
-    arr_rows = rows[si]
-    arr_cols = cols[ci]
-    rowmajor = arr_rows * grid.n_cols + arr_cols
-    order = np.lexsort((rowmajor, dists, residuals))[: int(n_max)]
-    cells = np.column_stack([arr_rows[order], arr_cols[order]])
+    rows, cols = grid.n_rows - 1 - srows[keep], cols[keep]
+    grads, no_grad = _cell_gradients(grid, rows, cols)
+    keep, rows, cols, grads = keep[~no_grad], rows[~no_grad], cols[~no_grad], grads[~no_grad]
+    residuals = resid[keep]
+    dists = np.hypot(gx[keep], gy[keep])
+    order = np.lexsort((rows * grid.n_cols + cols, dists, residuals))[: int(n_max)]
+    locs = np.column_stack([xs[keep], ys[keep]])
+    cells = np.column_stack([rows[order], cols[order]])
     return CandidateSet(locs[order], grads[order], residuals[order], cells,
                         float(value), float(sigma))
 

@@ -2,11 +2,14 @@
 
 Everything here is deliberately written from the defining equations (stacked
 least squares, textbook Kalman recursions, double loops) rather than reusing
-library code paths. Two exceptions: :func:`em_cost_trace`, which replays
-the tracker's own EM step to score each iteration, and :func:`ukf_predict_one`,
-the nav filter's one-belief predict kept as it was before the seed axis.
+library code paths. Three exceptions: :func:`em_cost_trace`, which replays
+the tracker's own EM step to score each iteration, :func:`ukf_predict_one`,
+the nav filter's one-belief predict kept as it was before the seed axis, and
+:func:`box_lookup_candidates`, the candidate lookup kept as it was before it
+tested values first.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -14,6 +17,7 @@ import numpy as np
 from gravnav.assoc import ScanStack
 from gravnav.errors import NumericalError
 from gravnav.fusion import NavBelief, _process_noise, _unscented_weights
+from gravnav.geomap import CandidateSet, GridMap, _cell_gradients, plain_point
 from gravnav.pmht import em_step, run_batch
 
 
@@ -256,6 +260,70 @@ def cell_gradient(values, row, col, h):
     gx = (values[row, c_hi] - values[row, c_lo]) / ((c_hi - c_lo) * h)
     gy = (values[r_n, col] - values[r_s, col]) / ((r_s - r_n) * h)
     return np.array([gx, gy])
+
+
+def box_lookup_candidates(
+    grid: GridMap,
+    value: float,
+    sigma: float,
+    prior_mean,
+    prior_cov,
+    gamma: float,
+    n_max: int,
+    k_sig: float,
+) -> CandidateSet:
+    """:func:`gravnav.geomap.lookup_candidates` as it was before it tested
+    values first, kept verbatim: it copies the whole gate box and forms the
+    ellipse's quadratic form at every cell of it."""
+    cx, cy = np.asarray(prior_mean, dtype=float)
+    cov = np.asarray(prior_cov, dtype=float)
+    eigvals = np.linalg.eigvalsh(0.5 * cov + 0.5 * cov.T)
+    if not (math.isfinite(cx) and math.isfinite(cy) and eigvals.min() > 0):
+        # eigvalsh gives NaN for a covariance that is not finite
+        raise NumericalError(f"position prior {plain_point((cx, cy))} is not finite or its "
+                             f"covariance not positive definite (eigs {plain_point(eigvals)})")
+    x0, y0 = grid.origin
+    h = grid.cell_size
+    with np.errstate(over="ignore"):  # an infinite box, clamped to the map, covers it
+        hx, hy = np.sqrt(gamma * np.diag(cov))
+        c_lo = math.ceil(min(max((cx - hx - x0) / h - 0.5, 0.0), grid.n_cols))
+        c_hi = math.floor(min(max((cx + hx - x0) / h - 0.5, -1.0), grid.n_cols - 1.0))
+        s_lo = math.ceil(min(max((cy - hy - y0) / h - 0.5, 0.0), grid.n_rows))
+        s_hi = math.floor(min(max((cy + hy - y0) / h - 0.5, -1.0), grid.n_rows - 1.0))
+    if c_lo > c_hi or s_lo > s_hi:
+        return CandidateSet.empty(value, sigma)
+
+    cols = np.arange(c_lo, c_hi + 1)
+    srows = np.arange(s_lo, s_hi + 1)
+    rows = grid.n_rows - 1 - srows
+    xs = x0 + (cols + 0.5) * h
+    ys = y0 + (srows + 0.5) * h
+    vals = grid.values[np.ix_(rows, cols)]
+
+    live = np.isfinite(vals) & (vals != grid.nodata)
+    resid = np.abs(vals - value)
+    ok = live & (resid <= k_sig * sigma)
+
+    # Ellipsoidal gate inside the rectangle (stricter than the rectangle alone).
+    gx, gy = np.meshgrid(xs - cx, ys - cy, indexing="xy")
+    sinv = np.linalg.inv(cov)
+    quad = (sinv[0, 0] * gx * gx + (sinv[0, 1] + sinv[1, 0]) * gx * gy
+            + sinv[1, 1] * gy * gy)
+    ok &= quad <= gamma
+
+    si, ci = np.nonzero(ok)
+    grads, no_grad = _cell_gradients(grid, rows[si], cols[ci])
+    si, ci, grads = si[~no_grad], ci[~no_grad], grads[~no_grad]
+    locs = np.column_stack([xs[ci], ys[si]])
+    residuals = resid[si, ci]
+    dists = np.hypot(locs[:, 0] - cx, locs[:, 1] - cy)
+    arr_rows = rows[si]
+    arr_cols = cols[ci]
+    rowmajor = arr_rows * grid.n_cols + arr_cols
+    order = np.lexsort((rowmajor, dists, residuals))[: int(n_max)]
+    cells = np.column_stack([arr_rows[order], arr_cols[order]])
+    return CandidateSet(locs[order], grads[order], residuals[order], cells,
+                        float(value), float(sigma))
 
 
 def gaussian_weights(points, center, cov):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ import gravnav.cli as cli
 import gravnav.errors as errors
 import gravnav.harness as harness
 from gravnav.cli import main
-from gravnav.config import parse_config_text
+from gravnav.config import parse_config, parse_config_text
 from gravnav.errors import NumericalError
 from gravnav.geomap import load_grid, save_grid
 
@@ -669,6 +670,44 @@ class TestUnaided:
         forbid_map_build(monkeypatch)
         assert main([command[0], "--config", write(tmp_path / "cfg.txt", unaided),
                      "--out", str(out), *command[1:]]) == 0
+
+
+@pytest.fixture(scope="module")
+def corridor_map_file(tmp_path_factory):
+    """The corridor map of ``configs/corridor.cfg``, saved once as a grid file."""
+    path = tmp_path_factory.mktemp("corridor-map") / "map.asc"
+    save_grid(harness.build_grid(parse_config(CORRIDOR_CFG)), path)
+    return path
+
+
+class TestCorridorMapFile:
+    """The corridor map read from a grid file: the same bits, one map in memory."""
+
+    def test_flies_the_synthetic_maps_bits(self, tmp_path, corridor_map_file):
+        # The benchmark's corridor-std workload at base seed 0, on the map
+        # file; summary.csv differs, as config_hash hashes map.file.
+        with open(PERFBENCH_DIGESTS, encoding="utf-8") as fh:
+            pinned = json.load(fh)["corridor-std"]["0"]
+        with open(CORRIDOR_CFG, encoding="utf-8") as fh:
+            keys = [line for line in fh.read().splitlines() if not line.startswith("map.")]
+        cfg = write(tmp_path / "cfg.txt", "\n".join(
+            keys + [f"map.file = {corridor_map_file}", "monte_carlo.runs = 1", ""]))
+        out = tmp_path / "o"
+        assert main(["campaign", "--config", cfg, "--out", str(out), "--seed", "0",
+                     "--jobs", "1"]) == 0
+        for name in ("campaign.csv", "runs/0.csv"):
+            assert sha(out / name) == pinned[name]
+
+    def test_load_peak_memory_below_1_5_maps(self, corridor_map_file):
+        # Each data row is parsed straight into the map's array: besides it,
+        # the loader holds one line of text and its tokens.
+        tracemalloc.start()
+        try:
+            map_bytes = load_grid(corridor_map_file).values.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * map_bytes
 
 
 class TestInspectMap:

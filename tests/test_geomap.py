@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravnav.config import parse_config
 from gravnav.errors import (
     GridFormatError,
     NodataError,
@@ -28,7 +30,10 @@ from gravnav.geomap import (
     value_at,
     variability_field,
 )
-from oracles import brute_variability, cell_gradient
+from gravnav.harness import build_grid
+from oracles import box_lookup_candidates, brute_variability, cell_gradient
+
+CORRIDOR_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "corridor.cfg")
 
 
 def write_grid_text(path, text):
@@ -221,6 +226,41 @@ class TestReadGridExtent:
         with pytest.raises(GridFormatError, match="not UTF-8"):
             load_grid(p)
         assert read_grid_extent(p) == (0.5, 5.5, -3.0, 2.0)
+
+
+class TestRowReader:
+    """Data rows are read from the header's line reader, one line at a time."""
+
+    def test_tokens_load_as_float_reads_them(self, tmp_path):
+        tokens = ["1_0", "+2", "1E3", ".5", "-0", "5e-324"]
+        p = write_grid_text(tmp_path / "g.asc", "\n".join(
+            ["ncols 6", *_GOOD_HEADER[1:], " ".join(tokens), " ".join(reversed(tokens))]))
+        want = np.array([[float(t) for t in tokens], [float(t) for t in reversed(tokens)]])
+        assert load_grid(p).values.tobytes() == want.tobytes()  # -0 keeps its sign
+
+    def test_header_fault_before_an_undecodable_byte_is_reported(self, tmp_path):
+        # Declared: the first fault in file order is reported.
+        p = tmp_path / "g.asc"
+        p.write_bytes(b"ncols 2\nnrows two\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                      b"nodata_value -9999\n1 2\n3 \xff\n")
+        for read in (load_grid, read_grid_extent):
+            with pytest.raises(GridFormatError) as exc:
+                read(p)
+            assert str(exc.value) == "line 2: cannot parse value 'two'"
+
+    def test_undecodable_data_byte_names_its_offset(self, tmp_path):
+        p = tmp_path / "g.asc"
+        p.write_bytes("\n".join(_GOOD_HEADER).encode() + b"\n1 2\n3 \xff\n")
+        with pytest.raises(GridFormatError) as exc:
+            load_grid(p)
+        byte = p.read_bytes().index(b"\xff")
+        assert str(exc.value) == f"grid file {p} is not UTF-8 text: byte {byte} cannot be decoded"
+
+    def test_grid_too_large_to_hold_is_a_format_error(self, tmp_path):
+        p = write_grid_text(tmp_path / "g.asc", "\n".join(
+            ["ncols 2", "nrows 1e300", *_GOOD_HEADER[2:], "1 2", "3 4"]))
+        with pytest.raises(GridFormatError, match=r"^line 6: a 1000\d+ x 2 grid does not fit"):
+            load_grid(p)
 
 
 class TestGridMapShape:
@@ -578,6 +618,92 @@ class TestLookupCandidates:
             assert cset.cells.dtype.kind == "i"
             for column in (cset.locations, cset.grads, cset.residuals, cset.cells):
                 assert not column.flags.writeable
+
+
+@pytest.fixture(scope="module")
+def corridor_grid():
+    return build_grid(parse_config(CORRIDOR_CFG))
+
+
+def holed_grid():
+    """Coarse values, so residuals and distances tie, with nodata holes."""
+    rng = np.random.default_rng(11)
+    values = np.round(rng.standard_normal((40, 60)), 1)
+    values[rng.random(values.shape) < 0.1] = -9999.0
+    return simple_grid(values, cell=25.0, origin=(-300.0, 1000.0))
+
+
+def lookup_cases(grid, seed, n, margin, sigmas):
+    """``(value, sigma, mean, cov, gamma, n_max, k_sig)`` of an empty box, a
+    box past the east edge, an infinite and an overflowing gate, and ``n``
+    random lookups: prior sigmas from 1 m to 3 km, centres on the map or up
+    to ``margin`` beyond its edge, measurement sigmas within ``sigmas``."""
+    rng = np.random.default_rng(seed)
+    xmin, xmax, ymin, ymax = grid.extent
+    live = np.argwhere(grid.values != grid.nodata)
+
+    def value(prior=None):
+        # the value of the cell under a point drawn from the prior, else of a live cell
+        if prior is None:
+            return float(grid.values[tuple(live[rng.integers(len(live))])])
+        point = rng.multivariate_normal(*prior)
+        return float(grid.values[grid.cell_of(np.clip(point, [xmin, ymin], [xmax, ymax]))])
+
+    mid = [(xmin + xmax) / 2, (ymin + ymax) / 2]
+    cases = [(value(), sigmas[1], [xmin - margin, ymin - margin], np.eye(2), 9.21, 20, 3.0),
+             (value(), sigmas[1], [xmax + 100.0, mid[1]], 9e4 * np.eye(2), 9.21, 20, 3.0),
+             (value(), sigmas[0], mid, 900.0 * np.eye(2), np.inf, 20, 3.0),
+             (value(), sigmas[0], mid, 900.0 * np.eye(2), 1e308, 20, 3.0)]
+    for _ in range(n):
+        sx, sy = 10.0 ** rng.uniform(0.0, np.log10(3000.0), 2)
+        rho = rng.uniform(-0.95, 0.95)
+        cov = np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
+        mean = [rng.uniform(xmin - margin, xmax + margin),
+                rng.uniform(ymin - margin, ymax + margin)]
+        sigma = 10.0 ** rng.uniform(*np.log10(sigmas))
+        gamma = 9.21 if rng.random() < 0.5 else rng.uniform(0.5, 30.0)
+        cases.append((value((mean, cov)) + sigma * rng.standard_normal(), sigma, mean, cov, gamma,
+                      int(rng.integers(1, 40)), rng.uniform(1.0, 4.0)))
+    return cases
+
+
+class TestLookupKeepsTheBoxScansBits:
+    """The value-first lookup returns, bit for bit, the candidates of the
+    whole-box scan it replaced (``oracles.box_lookup_candidates``)."""
+
+    def assert_same_bits(self, grid, cases):
+        sizes = set()
+        for case in cases:
+            got, want = lookup_candidates(grid, *case), box_lookup_candidates(grid, *case)
+            for name in ("locations", "grads", "residuals", "cells"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()  # -0.0 and 0.0 differ here
+            assert (got.measurement, got.sigma) == (want.measurement, want.sigma)
+            sizes.add(len(got))
+        assert 0 in sizes and len(sizes) > 2
+
+    def test_corridor_map(self, corridor_grid):
+        self.assert_same_bits(corridor_grid, lookup_cases(corridor_grid, 1, 300, 8000.0,
+                                                          (1e-5, 1e-3)))
+
+    def test_holed_map(self):
+        grid = holed_grid()
+        self.assert_same_bits(grid, lookup_cases(grid, 2, 300, 500.0, (0.01, 1.0)))
+
+    def test_whole_map_gate_peak_memory_below_2_maps(self, corridor_grid):
+        # Only the cells whose value passes meet the ellipse test: the box
+        # itself is a view, and the residual its one map-sized array.
+        grid = corridor_grid
+        tracemalloc.start()
+        try:
+            cs = lookup_candidates(grid, float(grid.values[240, 40]), 1e-5, [1800.0, 12000.0],
+                                   900.0 * np.eye(2), 1e308, 20, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cs) == 20
+        assert peak < 2 * grid.values.nbytes
 
 
 class TestFeatureVariability:
