@@ -103,10 +103,14 @@ class GridMap:
         """(xmin, xmax, ymin, ymax) outer bounds in meters."""
         return grid_extent(*self.origin, self.cell_size, self.n_rows, self.n_cols)
 
-    def in_bounds(self, pos) -> bool:
-        x, y = float(pos[0]), float(pos[1])
+    def in_bounds(self, pos):
+        """Whether ``pos``, a ``(2,)`` point or an ``(..., 2)`` array of
+        points, lies on the map, edges included: a bool at a point, else a
+        mask of the points' leading shape."""
+        pos = np.asarray(pos, dtype=float)
         xmin, xmax, ymin, ymax = self.extent
-        return xmin <= x <= xmax and ymin <= y <= ymax
+        return ((xmin <= pos[..., 0]) & (pos[..., 0] <= xmax)
+                & (ymin <= pos[..., 1]) & (pos[..., 1] <= ymax))
 
     def cell_center(self, row: int, col: int) -> np.ndarray:
         """Center of the cell at (row, col); row 0 is the northern edge."""
@@ -307,34 +311,46 @@ def save_grid(grid: GridMap, path) -> None:
             fh.write(" ".join(f(v) for v in grid.values[r]) + "\n")
 
 
-def value_at(grid: GridMap, pos) -> float:
-    """Bilinearly interpolated field value at ``pos``.
+def value_at(grid: GridMap, pos) -> float | np.ndarray:
+    """Bilinearly interpolated field value at ``pos``, a ``(2,)`` point or an
+    ``(..., 2)`` array of points: a float (an ``np.float64``) at a point, else
+    an array of the points' leading shape.
 
     Interpolation runs between cell centers; inside the half-cell margin
     along the map edge the fractional index is clamped, so edge queries
     degrade to nearest-cell values. Exact cell-center queries return the
-    stored value.
+    stored value. The first point off the map raises
+    :class:`OutOfBoundsError`, else the first whose stencil touches a nodata
+    cell raises :class:`NodataError`.
     """
-    if not grid.in_bounds(pos):
-        raise OutOfBoundsError(f"position {plain_point(pos)} outside map extent {grid.extent}")
+    pos = np.asarray(pos, dtype=float)
+    off = ~grid.in_bounds(pos)
+    if off.any():
+        raise OutOfBoundsError(
+            f"position {_first_point(pos, off)} outside map extent {grid.extent}")
     x0, y0 = grid.origin
     h = grid.cell_size
-    gx = (float(pos[0]) - x0) / h - 0.5
-    gy = (float(pos[1]) - y0) / h - 0.5  # fractional row index counted from the south
-    gx = min(max(gx, 0.0), grid.n_cols - 1.0)
-    gy = min(max(gy, 0.0), grid.n_rows - 1.0)
-    c0 = min(int(gx), grid.n_cols - 2)
-    s0 = min(int(gy), grid.n_rows - 2)
+    # Fractional column and row indices; rows are counted from the south.
+    gx = np.clip((pos[..., 0] - x0) / h - 0.5, 0.0, grid.n_cols - 1.0)
+    gy = np.clip((pos[..., 1] - y0) / h - 0.5, 0.0, grid.n_rows - 1.0)
+    c0 = np.minimum(gx.astype(int), grid.n_cols - 2)
+    s0 = np.minimum(gy.astype(int), grid.n_rows - 2)
     fx = gx - c0
     fy = gy - s0
-    r_lo = grid.n_rows - 1 - s0        # array row of the southern pair
-    r_hi = grid.n_rows - 1 - (s0 + 1)  # array row of the northern pair
+    r_lo = grid.n_rows - 1 - s0  # array row of the southern pair; the northern is above it
     v = grid.values
-    corners = (v[r_lo, c0], v[r_lo, c0 + 1], v[r_hi, c0], v[r_hi, c0 + 1])
-    if any(c == grid.nodata for c in corners):
-        raise NodataError(f"nodata cell touches interpolation stencil at {plain_point(pos)}")
-    sw, se, nw, ne = corners
-    return float((1 - fy) * ((1 - fx) * sw + fx * se) + fy * ((1 - fx) * nw + fx * ne))
+    sw, se, nw, ne = v[r_lo, c0], v[r_lo, c0 + 1], v[r_lo - 1, c0], v[r_lo - 1, c0 + 1]
+    hole = (sw == grid.nodata) | (se == grid.nodata) | (nw == grid.nodata) | (ne == grid.nodata)
+    if hole.any():
+        raise NodataError(
+            f"nodata cell touches interpolation stencil at {_first_point(pos, hole)}")
+    return (1 - fy) * ((1 - fx) * sw + fx * se) + fy * ((1 - fx) * nw + fx * ne)
+
+
+def _first_point(pos: np.ndarray, mask) -> tuple[float, ...]:
+    """The first point of ``pos``, an ``(..., 2)`` array, where ``mask`` is
+    set, in plain numbers."""
+    return plain_point(pos.reshape(-1, 2)[np.flatnonzero(mask)[0]])
 
 
 def gradient_at(grid: GridMap, pos) -> np.ndarray:
@@ -459,7 +475,7 @@ def feature_variability(grid: GridMap, center_cell: tuple[int, int], template_ha
     r0, r1 = max(row - template_half_width, 0), min(row + template_half_width, grid.n_rows - 1)
     c0, c1 = max(col - template_half_width, 0), min(col + template_half_width, grid.n_cols - 1)
     tmpl = grid.values[r0:r1 + 1, c0:c1 + 1]
-    mask = np.isfinite(tmpl) & (tmpl != grid.nodata)
+    mask = tmpl != grid.nodata
     mask[row - r0, col - c0] = False
     others = tmpl[mask]
     if center_val == grid.nodata or others.size == 0:

@@ -13,11 +13,12 @@ extent has the bits of the built grid's (:func:`.geomap.grid_extent`).
 
 Runs go in blocks of seeds (:func:`run_block`). Every seed of a block flies
 the same truth route and scans at the same steps, so the block simulates the
-truth once and keeps the nav beliefs of its seeds as one stack with a
-leading seed axis, row i for seed i: one stacked predict per second moves
-them all. A seed that fails keeps its row and is only marked. Lookup,
-association, the batch smoother, variability and the fix updates stay per
-seed, and so does the retrodiction replay, as an R = 1 stack. Stacked
+truth once, reads the map along it once (one map value per scan; each seed
+adds its own gravimeter noise) and keeps the nav beliefs of its seeds as one
+stack with a leading seed axis, row i for seed i: one stacked predict per
+second moves them all. A seed that fails keeps its row and is only marked.
+Lookup, association, the batch smoother, variability and the fix updates
+stay per seed, and so does the retrodiction replay, as an R = 1 stack. Stacked
 numpy ``cholesky`` and ``matmul`` give each seed the bits of its own run as
 long as every operand keeps its per-matrix C order (see :mod:`.fusion`),
 so a seed's outputs do not depend on which block it runs in; a single run
@@ -66,6 +67,7 @@ from .geomap import (
     lookup_candidates,
     normalize_variability,
     read_grid_extent,
+    value_at,
 )
 from .inertial import SENSOR_GRADES, SensorGrade, sample_gravimeter, simulate_ins, simulate_truth
 from .pmht import BatchProblem, run_batch
@@ -507,27 +509,32 @@ def _check_route(cfg: ScenarioConfig, extent: tuple[float, float, float, float])
         raise ConfigError("trajectory leaves the map extent")
 
 
+_SIGMA_FLOOR = 1e-12  # least sigma a scan gates with, so a noise-free gate has a width
+
+
 class _SeedRun:
-    """One seed of a block: its sensor record, its open batch and its diagnostics.
+    """One seed of a block: its INS and gravimeter records, its open batch and
+    its diagnostics.
 
     The block predicts every seed's belief together; at a scan step it hands
     each seed its own row through :meth:`scan`. ``pos`` is this seed's
     ``(n, 2)`` row of the block's position estimates. ``failed_at`` is the
     step at which the run failed, or ``None``: :meth:`report` blanks the
-    estimates from there on. An unaided seed never scans and has no
-    ``grid``.
+    estimates from there on. ``field`` is the map's value at each scan's
+    true position, which the block reads once for all its seeds; a seed
+    adds its own gravimeter noise. An unaided seed never scans, has no
+    ``grid`` and an empty ``field``.
     """
 
-    def __init__(self, cfg: ScenarioConfig, fus: FusionParams, grid: GridMap | None, truth,
-                 grades: tuple[SensorGrade, SensorGrade], seed: int, pos: np.ndarray):
+    def __init__(self, cfg: ScenarioConfig, fus: FusionParams, grid: GridMap | None,
+                 field: np.ndarray, truth, grades: tuple[SensorGrade, SensorGrade],
+                 seed: int, pos: np.ndarray):
         self.cfg, self.fus, self.grid = cfg, fus, grid
         self.seed = int(seed)
+        # The gravimeter has its own seed stream: its draws change no INS draw.
         seed_ins, seed_grav = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
         ins = simulate_ins(truth, *grades, seed_ins)
-        self.measurements = ()
-        if cfg.aiding:  # the gravimeter's own seed stream: skipping it changes no other draw
-            self.measurements = sample_gravimeter(grid, truth, cfg.gravimeter.interval,
-                                                  cfg.gravimeter.sigma, seed_grav)
+        self.readings = sample_gravimeter(field, cfg.gravimeter.sigma, seed_grav)
         self.accels = np.diff(ins.velocities, axis=0) / INS_DT
         self.pos = pos
         self.scans: list[CandidateSet] = []
@@ -545,18 +552,19 @@ class _SeedRun:
         return NavBelief(state=stack.state[0], cov=stack.cov[0], time=stack.time)
 
     def scan(self, n: int, bel: NavBelief) -> NavBelief | None:
-        """Gate measurement ``n`` into the batch; close the batch when full.
+        """Gate reading ``n`` into the batch; close the batch when full.
 
         An empty gate adds an empty scan, and a batch of empty scans closes
         as an epoch without fixes; a numerical fault raises
         :class:`NumericalError`. Returns the aided belief when a batch
         closed, else ``None``.
         """
-        cfg, meas = self.cfg, self.measurements[n]
+        cfg = self.cfg
         if not self.scans:
             self.checkpoint = NavBelief(state=bel.state.copy(), cov=bel.cov.copy(),
                                         time=bel.time)
-        self.scans.append(lookup_candidates(self.grid, meas.value, meas.sigma, bel.position,
+        sigma = max(cfg.gravimeter.sigma, _SIGMA_FLOOR)
+        self.scans.append(lookup_candidates(self.grid, self.readings[n], sigma, bel.position,
                                             bel.cov[:2, :2], cfg.pmht.gamma, cfg.pmht.n_max,
                                             cfg.pmht.k_sig))
         if len(self.scans) < cfg.pmht.T:
@@ -629,12 +637,13 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
 
     Returns one report per seed, in the order of ``seeds``.
 
-    The truth is simulated once; each seed has its own INS, gravimeter and
-    belief. Row i of the belief stack, of the accelerations and of the
-    position estimates is seed i for the whole block. Every second one
-    stacked predict moves all the beliefs, and each seed's result has the
-    bits of its own one-seed run. Every ``gravimeter.interval`` each seed
-    scans alone.
+    The truth is simulated once, and an aided block reads the map at the
+    truth's scan positions once, in one :func:`.geomap.value_at` call; each
+    seed has its own INS, gravimeter noise and belief. Row i of the belief
+    stack, of the accelerations and of the position estimates is seed i for
+    the whole block. Every second one stacked predict moves all the beliefs,
+    and each seed's result has the bits of its own one-seed run. Every
+    ``gravimeter.interval`` each seed scans alone.
 
     An aided block reads the map's values: it uses ``grid``, or builds the
     configured map when ``grid`` is ``None``. An unaided block reads only the
@@ -660,9 +669,11 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     start = _initial_belief(cfg, truth, grades[0])
     pos_est = np.empty((len(seeds), len(truth), 2))
     pos_est[:, 0] = start.position
-    runs = [_SeedRun(cfg, fus, grid, truth, grades, seed, pos)
-            for seed, pos in zip(seeds, pos_est)]
     every = round(cfg.gravimeter.interval / INS_DT)  # INS steps per scan
+    # Scan n is at step (n + 1) * every. An unaided block scans nowhere.
+    field = value_at(grid, truth.positions[every::every]) if cfg.aiding else np.empty(0)
+    runs = [_SeedRun(cfg, fus, grid, field, truth, grades, seed, pos)
+            for seed, pos in zip(seeds, pos_est)]
     accels = np.stack([run.accels for run in runs], axis=1)
     belief = NavBelief(state=np.tile(start.state, (len(runs), 1)),
                        cov=np.tile(start.cov, (len(runs), 1, 1)), time=start.time)

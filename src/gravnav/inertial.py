@@ -1,4 +1,4 @@
-"""Ground truth, drifting planar dead reckoning, and the field sensor.
+"""Ground truth, drifting planar dead reckoning, and the gravimeter's noise.
 
 The dead-reckoning model is deliberately planar: position and velocity in a
 local East-North frame, a constant accelerometer bias, accelerometer white
@@ -16,13 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfBoundsError
-from .geomap import GridMap, plain_point, value_at
-
 __all__ = [
     "SensorGrade",
     "Trajectory",
-    "FieldMeasurement",
     "SENSOR_GRADES",
     "GRAVITY",
     "simulate_truth",
@@ -33,7 +29,6 @@ __all__ = [
 GRAVITY = 9.80665  # m/s^2, standard gravity used for tilt leakage
 
 _DEG_PER_HOUR = math.pi / 180.0 / 3600.0  # deg/h -> rad/s
-_SIGMA_FLOOR = 1e-12  # sigma stored on a noise-free measurement
 
 
 @dataclass(frozen=True)
@@ -98,19 +93,6 @@ class Trajectory:
         return len(self.times)
 
 
-@dataclass(frozen=True)
-class FieldMeasurement:
-    """One scalar field sample with its noise level."""
-
-    time: float
-    value: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-
-
 def simulate_truth(start, velocity, duration: float, dt: float = 1.0) -> Trajectory:
     """Constant-velocity ground truth sampled at ``dt``."""
     if not dt > 0:
@@ -173,37 +155,12 @@ def simulate_ins(
                       velocities=velocities)
 
 
-def sample_gravimeter(
-    grid: GridMap,
-    truth: Trajectory,
-    interval: float,
-    sigma: float,
-    seed: int,
-) -> list[FieldMeasurement]:
-    """Sample the map along the true path every ``interval`` seconds.
+def sample_gravimeter(field, sigma: float, seed: int) -> np.ndarray:
+    """Gravimeter readings of the true ``field`` values along a route.
 
-    Measurements are the interpolated map value at the true position plus
-    zero-mean Gaussian noise of standard deviation ``sigma``; the first
-    sample lands one interval after the start. A zero ``sigma`` adds no noise
-    at all; the sigma *stored* on each measurement is floored at
-    ``_SIGMA_FLOOR`` so downstream gating stays well defined.
+    Each reading is its field value plus zero-mean Gaussian noise of
+    standard deviation ``sigma``, drawn in order from the stream of
+    ``seed``. A zero ``sigma`` adds no noise.
     """
-    dt = truth.dt
-    steps_per = interval / dt
-    if abs(steps_per - round(steps_per)) > 1e-9 or interval <= 0:
-        raise ValueError("interval must be a positive multiple of the trajectory dt")
-    steps_per = int(round(steps_per))
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    rng = np.random.default_rng(seed)
-    stored_sigma = max(float(sigma), _SIGMA_FLOOR)
-    out: list[FieldMeasurement] = []
-    for k in range(steps_per, len(truth), steps_per):
-        pos = truth.positions[k]
-        if not grid.in_bounds(pos):
-            raise OutOfBoundsError(
-                f"true position {plain_point(pos)} at t={truth.times[k]:.1f}s is off the map")
-        value = value_at(grid, pos) + (rng.standard_normal() * sigma if sigma > 0 else 0.0)
-        out.append(FieldMeasurement(time=float(truth.times[k]), value=float(value),
-                                    sigma=stored_sigma))
-    return out
+    field = np.asarray(field, dtype=float)
+    return field + np.random.default_rng(seed).standard_normal(field.shape) * sigma

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written from the defining equations (stacked
 least squares, textbook Kalman recursions, double loops) rather than reusing
-library code paths. Three exceptions: :func:`em_cost_trace`, which replays
+library code paths. Four exceptions: :func:`em_cost_trace`, which replays
 the tracker's own EM step to score each iteration, :func:`ukf_predict_one`,
-the nav filter's one-belief predict kept as it was before the seed axis, and
+the nav filter's one-belief predict kept as it was before the seed axis,
 :func:`box_lookup_candidates`, the candidate lookup kept as it was before it
-tested values first.
+tested values first, and :func:`point_value_at`, the map interpolation kept
+as it was before it took arrays of points.
 """
 
 import math
@@ -15,7 +16,7 @@ import warnings
 import numpy as np
 
 from gravnav.assoc import ScanStack
-from gravnav.errors import NumericalError
+from gravnav.errors import NodataError, NumericalError, OutOfBoundsError
 from gravnav.fusion import NavBelief, _process_noise, _unscented_weights
 from gravnav.geomap import CandidateSet, GridMap, _cell_gradients, plain_point
 from gravnav.pmht import em_step, run_batch
@@ -246,6 +247,31 @@ def brute_variability(values, row, col, half_width):
             total += (center - values[r, c]) ** 2
             count += 1
     return total / count
+
+
+def point_value_at(grid: GridMap, pos) -> float:
+    """:func:`gravnav.geomap.value_at` as it was before it took arrays of
+    points, kept verbatim: one point, Python scalar arithmetic."""
+    if not grid.in_bounds(pos):
+        raise OutOfBoundsError(f"position {plain_point(pos)} outside map extent {grid.extent}")
+    x0, y0 = grid.origin
+    h = grid.cell_size
+    gx = (float(pos[0]) - x0) / h - 0.5
+    gy = (float(pos[1]) - y0) / h - 0.5  # fractional row index counted from the south
+    gx = min(max(gx, 0.0), grid.n_cols - 1.0)
+    gy = min(max(gy, 0.0), grid.n_rows - 1.0)
+    c0 = min(int(gx), grid.n_cols - 2)
+    s0 = min(int(gy), grid.n_rows - 2)
+    fx = gx - c0
+    fy = gy - s0
+    r_lo = grid.n_rows - 1 - s0        # array row of the southern pair
+    r_hi = grid.n_rows - 1 - (s0 + 1)  # array row of the northern pair
+    v = grid.values
+    corners = (v[r_lo, c0], v[r_lo, c0 + 1], v[r_hi, c0], v[r_hi, c0 + 1])
+    if any(c == grid.nodata for c in corners):
+        raise NodataError(f"nodata cell touches interpolation stencil at {plain_point(pos)}")
+    sw, se, nw, ne = corners
+    return float((1 - fy) * ((1 - fx) * sw + fx * se) + fy * ((1 - fx) * nw + fx * ne))
 
 
 def cell_gradient(values, row, col, h):

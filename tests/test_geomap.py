@@ -31,7 +31,7 @@ from gravnav.geomap import (
     variability_field,
 )
 from gravnav.harness import build_grid
-from oracles import box_lookup_candidates, brute_variability, cell_gradient
+from oracles import box_lookup_candidates, brute_variability, cell_gradient, point_value_at
 
 CORRIDOR_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "corridor.cfg")
 
@@ -665,6 +665,84 @@ def lookup_cases(grid, seed, n, margin, sigmas):
         cases.append((value((mean, cov)) + sigma * rng.standard_normal(), sigma, mean, cov, gamma,
                       int(rng.integers(1, 40)), rng.uniform(1.0, 4.0)))
     return cases
+
+
+def oracle_errors(grid, points):
+    """The error the point-by-point interpolation raises at each point, or ``None``."""
+    errors = []
+    for pos in points:
+        try:
+            point_value_at(grid, pos)
+            errors.append(None)
+        except (OutOfBoundsError, NodataError) as exc:
+            errors.append(exc)
+    return errors
+
+
+class TestValueAtKeepsThePointBits:
+    """``value_at`` over an array of points returns, bit for bit, what the
+    point-by-point interpolation it replaced (``oracles.point_value_at``)
+    returns at each, and raises its error at the first bad point."""
+
+    def assert_same_bits(self, grid, points):
+        want = np.array([point_value_at(grid, pos) for pos in points])
+        got = value_at(grid, points)
+        assert got.shape == (len(points),) and got.tobytes() == want.tobytes()
+        assert value_at(grid, points[:, None]).tobytes() == want.tobytes()  # (n, 1, 2)
+        for pos, w in zip(points[::97], want[::97]):
+            one = value_at(grid, pos)
+            assert type(one) is np.float64 and one.tobytes() == w.tobytes()
+
+    def test_random_interior_points(self, corridor_grid):
+        xmin, xmax, ymin, ymax = corridor_grid.extent
+        rng = np.random.default_rng(3)
+        points = np.column_stack([rng.uniform(xmin, xmax, 20000), rng.uniform(ymin, ymax, 20000)])
+        self.assert_same_bits(corridor_grid, points)
+
+    def test_edge_margins_corners_and_cell_centres(self, corridor_grid):
+        grid = corridor_grid
+        xmin, xmax, ymin, ymax = grid.extent
+        half = 0.5 * grid.cell_size
+        rng = np.random.default_rng(4)
+        n = 1000
+        xs, ys = rng.uniform(xmin, xmax, n), rng.uniform(ymin, ymax, n)
+        margins = [np.column_stack([rng.uniform(xmin, xmin + half, n), ys]),
+                   np.column_stack([rng.uniform(xmax - half, xmax, n), ys]),
+                   np.column_stack([xs, rng.uniform(ymin, ymin + half, n)]),
+                   np.column_stack([xs, rng.uniform(ymax - half, ymax, n)])]
+        corners = np.array([[x, y] for x in (xmin, xmin + half, xmax - half, xmax)
+                            for y in (ymin, ymin + half, ymax - half, ymax)])
+        rows, cols = rng.integers(0, grid.n_rows, n), rng.integers(0, grid.n_cols, n)
+        centres = np.array([grid.cell_center(r, c) for r, c in zip(rows, cols)])
+        self.assert_same_bits(grid, np.concatenate(margins + [corners, centres]))
+        assert np.array_equal(value_at(grid, centres), grid.values[rows, cols])
+
+    def test_holed_map_names_the_first_hole(self):
+        grid = holed_grid()
+        xmin, xmax, ymin, ymax = grid.extent
+        rng = np.random.default_rng(5)
+        points = np.column_stack([rng.uniform(xmin, xmax, 400), rng.uniform(ymin, ymax, 400)])
+        errors = oracle_errors(grid, points)
+        want = next(e for e in errors if e is not None)
+        assert isinstance(want, NodataError)
+        with pytest.raises(NodataError) as exc:
+            value_at(grid, points)
+        assert str(exc.value) == str(want) and "np.float64" not in str(exc.value)
+        self.assert_same_bits(grid, points[[e is None for e in errors]])
+
+    @pytest.mark.parametrize("off", [(-1e-9, 0.0), (0.0, 1e-9), (1e9, 0.0), (np.nan, 0.0)],
+                             ids=["west", "north", "far-east", "nan"])
+    def test_off_map_names_the_first_point(self, corridor_grid, off):
+        xmin, xmax, ymin, ymax = corridor_grid.extent
+        rng = np.random.default_rng(6)
+        points = np.column_stack([rng.uniform(xmin, xmax, 8), rng.uniform(ymin, ymax, 8)])
+        points[3] = [xmin, ymax] + np.array(off)
+        points[6] = [xmax + 5.0, ymin]
+        want = next(e for e in oracle_errors(corridor_grid, points) if e is not None)
+        for pos in (points, points[3]):
+            with pytest.raises(OutOfBoundsError) as exc:
+                value_at(corridor_grid, pos)
+            assert str(exc.value) == str(want) and "np.float64" not in str(exc.value)
 
 
 class TestLookupKeepsTheBoxScansBits:

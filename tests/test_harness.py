@@ -796,14 +796,15 @@ class TestRunCampaign:
 
 
 def seed_streams(cfg, grid, seed):
-    """A seed's indicated accelerations (n - 1, 2) and measurement values, as a run draws them."""
+    """A seed's indicated accelerations (n - 1, 2) and gravimeter readings, as a run draws them."""
     truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, 1.0)
     seed_ins, seed_grav = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
     ins = simulate_ins(truth, SENSOR_GRADES[cfg.ins.accel_grade],
                        SENSOR_GRADES[cfg.ins.gyro_grade], seed_ins)
-    meas = sample_gravimeter(grid, truth, cfg.gravimeter.interval, cfg.gravimeter.sigma,
-                             seed_grav)
-    return np.diff(ins.velocities, axis=0), [m.value for m in meas]
+    every = round(cfg.gravimeter.interval)
+    field = value_at(grid, truth.positions[every::every])
+    return (np.diff(ins.velocities, axis=0),
+            sample_gravimeter(field, cfg.gravimeter.sigma, seed_grav))
 
 
 def epoch_key(epochs):
@@ -831,6 +832,28 @@ SEEDS = [0, 1, 2, 3, 4]
 
 class TestBlock:
     """A lock-step block of seeds against each seed's own R = 1 run."""
+
+    def test_aided_block_reads_the_map_once(self, monkeypatch):
+        # One value_at call per aided block, at the true position of every
+        # scan: one gravimeter.interval after the start, then each interval.
+        calls = []
+        real = harness.value_at
+
+        def counted(grid, pos):
+            calls.append(np.array(pos))
+            return real(grid, pos)
+
+        monkeypatch.setattr(harness, "value_at", counted)
+        cfg = small_scenario(duration=300.0, batch_len=5)
+        cfg.gravimeter.interval = 20.0
+        run_block(cfg, [0, 1, 2])
+        times = np.arange(20.0, 301.0, 20.0)
+        assert len(calls) == 1 and calls[0].shape == (15, 2)
+        assert np.array_equal(calls[0], np.add(cfg.start, np.multiply.outer(times, cfg.velocity)))
+        calls.clear()
+        cfg.aiding = False
+        run_block(cfg, [0, 1, 2])
+        assert calls == []
 
     @pytest.mark.parametrize("mode, aiding", [("standard", True), ("retrodiction", True),
                                               ("standard", False)])
