@@ -10,7 +10,8 @@ codec and its ``_key`` spec holds the range or choices. :data:`KEYS` is
 derived from the fields in order. Parsing, :func:`serialize_config` and
 :meth:`ScenarioConfig.validate` all walk it; a value out of range, not
 finite, or not one of the key's choices raises :class:`ConfigError` naming
-the key.
+the key. Parsing only reads values: every check of one, the rules that join
+keys included, is in ``validate``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-import sys
 from collections.abc import Callable, Collection
 from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from functools import reduce
@@ -58,8 +58,6 @@ MAX_MAP_CELLS = 5 * 10**7
 # Widest noise correlation, in cells: a smoothing kernel radius of 4e4 cells
 # and about 82 MB per padded 128-column strip.
 MAX_NOISE_CORR_CELLS = 10**4
-# Largest initial sigma whose square, the nav filter's variance, is finite.
-MAX_INIT_SIGMA = math.sqrt(sys.float_info.max)
 # 99.9% quantile of a 2-dof chi-square, the default innovation gate.
 CHI2_99P9_2DOF = 13.815510557964274
 NAV_STATES = 6  # the nav filter's state: position, velocity and accelerometer bias
@@ -167,9 +165,9 @@ class InsParams:
 class InitParams:
     """Initial belief uncertainty; bias sigma defaults to the grade bias."""
 
-    pos_sigma: float = _key(30.0, gt=0, le=MAX_INIT_SIGMA)
-    vel_sigma: float = _key(0.1, gt=0, le=MAX_INIT_SIGMA)
-    bias_sigma: float | None = _key(None, gt=0, le=MAX_INIT_SIGMA, none=("auto",))
+    pos_sigma: float = _key(30.0, gt=0)
+    vel_sigma: float = _key(0.1, gt=0)
+    bias_sigma: float | None = _key(None, gt=0, none=("auto",))
 
 
 @dataclass
@@ -202,19 +200,47 @@ class ScenarioConfig:
     include_diverged: bool = False
 
     def validate(self) -> None:
-        if self.map.file is None and self.map.gen is None:
-            raise ConfigError("config must set either map.file or synthetic map parameters")
+        """Check every value: each key's range and the rules that join keys.
+
+        This is the one check of a config value; the library does not check
+        a validated value again.
+        """
+        if (self.map.file is None) == (self.map.gen is None):
+            raise ConfigError("config must set exactly one of map.file and the synthetic "
+                              "map parameters (map.rows, map.cols, ...)")
         for key in KEYS:
             key.check(key.get(self))
         gen = self.map.gen
-        if gen is not None and gen.rows * gen.cols > MAX_MAP_CELLS:
-            raise ConfigError(f"map.rows * map.cols must be <= {MAX_MAP_CELLS}, "
-                              f"got {gen.rows} * {gen.cols}")
+        if gen is not None:
+            if gen.rows * gen.cols > MAX_MAP_CELLS:
+                raise ConfigError(f"map.rows * map.cols must be <= {MAX_MAP_CELLS}, "
+                                  f"got {gen.rows} * {gen.cols}")
+            for bump in gen.bumps:
+                if not bump.width > 0:
+                    raise ConfigError(f"map.bumps widths must be > 0, got {_fmt(bump.width)}")
         spread = unscented_spread(NAV_STATES, self.fusion.alpha, self.fusion.kappa)[1]
         if not spread > 0:
             raise ConfigError(f"fusion.alpha = {_fmt(self.fusion.alpha)} and fusion.kappa = "
                               f"{_fmt(self.fusion.kappa)} give the nav filter's unscented "
                               f"spread factor n + lambda = {_fmt(spread)}; it must be positive")
+        # Every entry of the unaided nav covariance stays below one axis's
+        # variance sum at the end of the flight: position, velocity and bias.
+        # The filter scales the covariance by n + lambda for its sigma points
+        # and adds it to its transpose, so both products must be finite. An
+        # infinite n + lambda overflows every belief, whatever its sigmas:
+        # that fails the run as a numerical fault.
+        init, t2 = self.init, self.duration * self.duration
+        bias_sigma = init.bias_sigma
+        if bias_sigma is None:
+            bias_sigma = SENSOR_GRADES[self.ins.accel_grade].accel_bias
+        terms = {"pos_sigma": init.pos_sigma * init.pos_sigma,
+                 "vel_sigma": init.vel_sigma * init.vel_sigma * (1.0 + t2),
+                 "bias_sigma": bias_sigma * bias_sigma * (1.0 + t2 + t2 * t2 / 4.0)}
+        if math.isfinite(spread) and not math.isfinite(max(spread, 2.0) * sum(terms.values())):
+            name = max(terms, key=terms.get)
+            raise ConfigError(f"init.{name} = {_fmt(getattr(init, name))} over duration = "
+                              f"{_fmt(self.duration)} s overflows the nav filter's covariance, "
+                              f"scaled by n + lambda = {_fmt(spread)}")
         steps = self.gravimeter.interval / INS_DT
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError(
@@ -259,8 +285,6 @@ def _parse_bumps(text: str, key: str) -> tuple[GaussianBump, ...]:
             cx, cy, amp, width = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"key {key!r}: cannot parse bump {chunk!r}") from None
-        if width <= 0:
-            raise ConfigError(f"key {key!r}: bump width must be positive")
         bumps.append(GaussianBump(cx, cy, amp, width))
     return tuple(bumps)
 
@@ -424,8 +448,6 @@ def parse_config_text(text: str) -> ScenarioConfig:
         synthetic |= key.section == "map.gen"
     if not synthetic:
         cfg.map.gen = None
-    if cfg.map.file is not None and cfg.map.gen is not None:
-        raise ConfigError("config sets both map.file and synthetic map parameters")
     return cfg
 
 

@@ -199,8 +199,6 @@ def ukf_predict(
     each of those enters the mean with the weight ``1 / (2 (n + lambda))``,
     which is never zero for a finite spread factor.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     if belief.state.ndim != 2:
         raise ValueError("ukf_predict takes a stack of beliefs: state (R, 6), cov (R, 6, 6)")
     a = np.asarray(indicated_accel, dtype=float)

@@ -469,8 +469,6 @@ def feature_variability(grid: GridMap, center_cell: tuple[int, int], template_ha
     row, col = center_cell
     if not (0 <= row < grid.n_rows and 0 <= col < grid.n_cols):
         raise OutOfBoundsError(f"center cell {center_cell} outside grid")
-    if template_half_width < 0:
-        raise ValueError("template_half_width must be >= 0")
     center_val = grid.values[row, col]
     r0, r1 = max(row - template_half_width, 0), min(row + template_half_width, grid.n_rows - 1)
     c0, c1 = max(col - template_half_width, 0), min(col + template_half_width, grid.n_cols - 1)
@@ -490,8 +488,6 @@ def variability_field(grid: GridMap, template_half_width: int) -> np.ndarray:
     templates clipped identically) but O(cells) instead of O(cells * template).
     Requires a map without nodata cells.
     """
-    if template_half_width < 0:
-        raise ValueError("template_half_width must be >= 0")
     v = grid.values
     if (v == grid.nodata).any():
         raise NodataError("variability_field requires a map without nodata cells")
@@ -513,8 +509,6 @@ def variability_field(grid: GridMap, template_half_width: int) -> np.ndarray:
     s1 = box_sum(v)
     s2 = box_sum(v * v)
     n_others = n_all - 1
-    if (n_others <= 0).any():
-        raise ValueError("template too small: every cell needs at least one neighbor")
     # sum_j (m_i - m_j)^2 over the template minus the center term (which is 0)
     total = n_all * v * v - 2.0 * v * s1 + s2
     return np.maximum(total / n_others, 0.0)
@@ -529,8 +523,6 @@ def normalize_variability(history, window_len: int) -> float:
     """
     if len(history) == 0:
         raise ValueError("history must be non-empty")
-    if window_len < 1:
-        raise ValueError("window_len must be >= 1")
     current = float(history[-1])
     trailing = [float(v) for v in history[-window_len:]]
     peak = max(trailing)

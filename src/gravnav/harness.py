@@ -358,15 +358,10 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
     unchanged, and the map is byte-identical to summing every bump over the
     whole grid. When the bound is not positive, every column is summed.
 
+    ``params`` are a validated config's (:meth:`.ScenarioConfig.validate`).
     A map with a non-finite cell raises :class:`ConfigError` naming the
     keys that feed the cell values.
     """
-    if params.rows < 2 or params.cols < 2:
-        raise ConfigError("synthetic map needs at least 2x2 cells")
-    if params.cell_size <= 0:
-        raise ConfigError("cell_size must be positive")
-    if any(bump.width <= 0 for bump in params.bumps):
-        raise ConfigError("bump width must be positive")
     # Overflow and NaN are left for the GridMap check below to report; a
     # bump width whose square underflows divides by zero, which is harmless
     # off its centre. The map-build threads inherit this error state
@@ -421,8 +416,6 @@ def build_grid(cfg: ScenarioConfig) -> GridMap:
     """Materialize the configured map, from file or the generator."""
     if cfg.map.file is not None:
         return load_grid(cfg.map.file)
-    if cfg.map.gen is None:
-        raise ConfigError("config must set either map.file or synthetic map parameters")
     return gen_synthetic_map(cfg.map.gen)
 
 
@@ -509,9 +502,6 @@ def _check_route(cfg: ScenarioConfig, extent: tuple[float, float, float, float])
         raise ConfigError("trajectory leaves the map extent")
 
 
-_SIGMA_FLOOR = 1e-12  # least sigma a scan gates with, so a noise-free gate has a width
-
-
 class _SeedRun:
     """One seed of a block: its INS and gravimeter records, its open batch and
     its diagnostics.
@@ -563,10 +553,9 @@ class _SeedRun:
         if not self.scans:
             self.checkpoint = NavBelief(state=bel.state.copy(), cov=bel.cov.copy(),
                                         time=bel.time)
-        sigma = max(cfg.gravimeter.sigma, _SIGMA_FLOOR)
-        self.scans.append(lookup_candidates(self.grid, self.readings[n], sigma, bel.position,
-                                            bel.cov[:2, :2], cfg.pmht.gamma, cfg.pmht.n_max,
-                                            cfg.pmht.k_sig))
+        self.scans.append(lookup_candidates(self.grid, self.readings[n], cfg.gravimeter.sigma,
+                                            bel.position, bel.cov[:2, :2], cfg.pmht.gamma,
+                                            cfg.pmht.n_max, cfg.pmht.k_sig))
         if len(self.scans) < cfg.pmht.T:
             return None
         bel = self._close_batch(bel)
@@ -721,8 +710,6 @@ def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) ->
 
 def detect_divergence(series, threshold_m: float, sustain_s: float, dt: float = 1.0) -> bool:
     """True when the error exceeds the threshold continuously for sustain_s."""
-    if threshold_m <= 0 or sustain_s <= 0:
-        raise ValueError("divergence thresholds must be positive")
     need = max(int(math.ceil(sustain_s / dt)), 1)
     run = 0
     for v in np.asarray(series, dtype=float):

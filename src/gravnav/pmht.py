@@ -65,8 +65,6 @@ def cv_model(dt: float, q_a: float) -> tuple[np.ndarray, np.ndarray]:
     density in m^2/s^3; the discrete process noise is its exact integral over
     one step.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     f = np.eye(4)
     f[0, 2] = f[1, 3] = dt
     q = np.zeros((4, 4))

@@ -233,9 +233,14 @@ class TestCampaign:
                 "divergence.error_threshold_m", "divergence.sustain_s")),
             # Finite, but the smoothing kernel alone would need 58 TiB.
             ("map.noise_corr_cells", "1e12"),
-            # Finite, but the squared sigma, the filter's variance, overflows.
+            # Finite, but the nav filter's covariance over the flight overflows;
+            # 1e154 and 1e152 have finite squares.
             *((key, "1e200") for key in (
                 "init.pos_sigma", "init.vel_sigma", "init.bias_sigma")),
+            ("init.pos_sigma", "1e154"),
+            ("init.vel_sigma", "1e152"),
+            ("map.bumps", "3000,1500,2e-3,0"),
+            ("map.file", "map.asc"),
         )),
     ])
     def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key, value):
@@ -478,6 +483,23 @@ class TestCampaign:
         assert main(["campaign", "--config", cfg, "--out", str(out),
                      "--seed", "0", "--jobs", "1"]) == 0
         assert {name: sha(out / name) for name in DEMO_RETRO_DIGESTS} == DEMO_RETRO_DIGESTS
+
+    @pytest.mark.parametrize("workload, extra", [
+        ("corridor-std", ""), ("corridor-retro", "fusion.mode = retrodiction\n"),
+    ])
+    def test_corridor_outputs_pinned(self, tmp_path, workload, extra):
+        # The benchmark's aided workloads at base seed 0 write the bits it
+        # recorded.
+        with open(PERFBENCH_DIGESTS, encoding="utf-8") as fh:
+            pinned = json.load(fh)[workload]["0"]
+        with open(CORRIDOR_CFG, encoding="utf-8") as fh:
+            cfg = write(tmp_path / "cfg.txt", fh.read() + "monte_carlo.runs = 1\n" + extra)
+        out = tmp_path / "o"
+        assert main(["campaign", "--config", cfg, "--out", str(out), "--seed", "0",
+                     "--jobs", "1"]) == 0
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*.csv"))
+        assert written == sorted(pinned)
+        assert {name: sha(out / name) for name in written} == pinned
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)

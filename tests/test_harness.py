@@ -592,6 +592,44 @@ class TestRunScenario:
             assert problem.dt == cfg.gravimeter.interval
             assert est.iterations_used <= 4
 
+    def test_scans_gate_with_the_configured_sigma(self, monkeypatch):
+        # A sigma far below the gravimeter's reaches every lookup as set.
+        cfg = parse_config(os.path.join(CONFIGS, "demo.cfg"))
+        cfg.gravimeter.sigma = 1e-13
+        sigmas = []
+        real_lookup = harness.lookup_candidates
+
+        def recording_lookup(grid, value, sigma, *args):
+            sigmas.append(sigma)
+            return real_lookup(grid, value, sigma, *args)
+
+        monkeypatch.setattr(harness, "lookup_candidates", recording_lookup)
+        run_scenario(cfg, 0)
+        assert sigmas == [1e-13] * int(cfg.duration / cfg.gravimeter.interval)
+
+    # A velocity or bias variance this far above the position variance
+    # leaves the covariance positive definite only to rounding.
+    @pytest.mark.filterwarnings("ignore:belief covariance lost positive definiteness")
+    @pytest.mark.parametrize("name", ["pos_sigma", "vel_sigma", "bias_sigma"])
+    def test_unaided_flight_at_the_init_sigma_bound_does_not_overflow(self, name):
+        cfg = parse_config(os.path.join(CONFIGS, "demo.cfg"))
+        cfg.aiding = False
+        # The largest sigma validate() passes: a bisection on the bits of the
+        # positive floats, which order as the floats do.
+        lo, hi = map(int, np.array([1.0, np.inf]).view(np.int64))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            setattr(cfg.init, name, float(np.int64(mid).view(np.float64)))
+            try:
+                cfg.validate()
+                lo = mid
+            except ConfigError as exc:
+                assert str(exc).startswith(f"init.{name} = ")
+                hi = mid
+        setattr(cfg.init, name, float(np.int64(lo).view(np.float64)))
+        with np.errstate(over="raise"):
+            assert not run_scenario(cfg, 0).failed
+
     def test_off_map_trajectory_rejected_before_simulation(self):
         cfg = small_scenario(duration=2000.0)  # runs off the 20 km map
         with pytest.raises(ConfigError):
