@@ -20,7 +20,7 @@ import hashlib
 import math
 import operator
 from collections.abc import Callable, Collection
-from dataclasses import astuple, dataclass, field, fields, is_dataclass
+from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from types import NoneType, UnionType
 from typing import NamedTuple, get_args, get_type_hints
@@ -135,8 +135,8 @@ class FusionParams:
 
     ``nis_gate`` set to ``None`` disables the innovation guard, leaving the
     plain ungated update; the default keeps the guard on. ``q_accel`` is the
-    velocity-driving white-noise PSD in (m/s^2)^2/Hz; when ``None`` the
-    harness fills it from the accelerometer grade.
+    velocity-driving white-noise PSD in (m/s^2)^2/Hz; ``None`` (``auto``)
+    is the accelerometer grade's, filled in by :meth:`ScenarioConfig.resolved`.
     """
 
     mode: str = _key("standard", choices=("standard", "retrodiction"))
@@ -163,7 +163,8 @@ class InsParams:
 
 @dataclass
 class InitParams:
-    """Initial belief uncertainty; bias sigma defaults to the grade bias."""
+    """Initial belief uncertainty; an ``auto`` bias sigma is the grade bias
+    (:meth:`ScenarioConfig.resolved`)."""
 
     pos_sigma: float = _key(30.0, gt=0)
     vel_sigma: float = _key(0.1, gt=0)
@@ -219,26 +220,29 @@ class ScenarioConfig:
                 if not bump.width > 0:
                     raise ConfigError(f"map.bumps widths must be > 0, got {_fmt(bump.width)}")
         spread = unscented_spread(NAV_STATES, self.fusion.alpha, self.fusion.kappa)[1]
-        if not spread > 0:
+        if not 0 < spread < math.inf:
             raise ConfigError(f"fusion.alpha = {_fmt(self.fusion.alpha)} and fusion.kappa = "
                               f"{_fmt(self.fusion.kappa)} give the nav filter's unscented "
-                              f"spread factor n + lambda = {_fmt(spread)}; it must be positive")
+                              f"spread factor n + lambda = {_fmt(spread)}; it must be positive "
+                              "and finite")
         # Every entry of the unaided nav covariance stays below one axis's
-        # variance sum at the end of the flight: position, velocity and bias.
+        # variance sum at the end of the flight, T = duration. Each source
+        # adds its position, velocity and bias variances: the initial sigmas
+        # s_p², s_v² (1 + T²) and s_b² (1 + T² + T⁴/4), the accelerometer
+        # white noise q (T + T³/3) and the bias walk s (T + T³/3 + T⁵/20).
         # The filter scales the covariance by n + lambda for its sigma points
-        # and adds it to its transpose, so both products must be finite. An
-        # infinite n + lambda overflows every belief, whatever its sigmas:
-        # that fails the run as a numerical fault.
-        init, t2 = self.init, self.duration * self.duration
-        bias_sigma = init.bias_sigma
-        if bias_sigma is None:
-            bias_sigma = SENSOR_GRADES[self.ins.accel_grade].accel_bias
-        terms = {"pos_sigma": init.pos_sigma * init.pos_sigma,
-                 "vel_sigma": init.vel_sigma * init.vel_sigma * (1.0 + t2),
-                 "bias_sigma": bias_sigma * bias_sigma * (1.0 + t2 + t2 * t2 / 4.0)}
-        if math.isfinite(spread) and not math.isfinite(max(spread, 2.0) * sum(terms.values())):
+        # and adds it to its transpose, so both products must be finite.
+        resolved, t = self.resolved(), self.duration
+        init, fus, t2 = resolved.init, resolved.fusion, t * t
+        t4 = t2 * t2
+        terms = {"init.pos_sigma": init.pos_sigma * init.pos_sigma,
+                 "init.vel_sigma": init.vel_sigma * init.vel_sigma * (1.0 + t2),
+                 "init.bias_sigma": init.bias_sigma * init.bias_sigma * (1.0 + t2 + t4 / 4.0),
+                 "fusion.q_accel": fus.q_accel * t * (1.0 + t2 / 3.0),
+                 "fusion.bias_psd": fus.bias_psd * t * (1.0 + t2 / 3.0 + t4 / 20.0)}
+        if not math.isfinite(max(spread, 2.0) * sum(terms.values())):
             name = max(terms, key=terms.get)
-            raise ConfigError(f"init.{name} = {_fmt(getattr(init, name))} over duration = "
+            raise ConfigError(f"{name} = {_fmt(_BY_NAME[name].get(resolved))} over duration = "
                               f"{_fmt(self.duration)} s overflows the nav filter's covariance, "
                               f"scaled by n + lambda = {_fmt(spread)}")
         steps = self.gravimeter.interval / INS_DT
@@ -246,11 +250,28 @@ class ScenarioConfig:
             raise ConfigError(
                 f"gravimeter.interval must be a whole number of {INS_DT:g} s INS steps, "
                 f"got {_fmt(self.gravimeter.interval)}")
-        if self.aiding and self.pmht.T * self.gravimeter.interval > self.duration:
+        if self.aiding and aided_phase_start(self) > self.duration:
             raise ConfigError(
                 f"pmht.T = {self.pmht.T} scans every gravimeter.interval = "
                 f"{self.gravimeter.interval:g} s outlast duration = {self.duration:g} s: "
                 "no batch would ever close")
+
+    def resolved(self) -> ScenarioConfig:
+        """A copy with each ``auto`` value filled in from the accelerometer
+        grade, the one place that does so: ``fusion.q_accel`` is its noise
+        density squared, ``init.bias_sigma`` its bias. ``self`` is unchanged."""
+        grade, fus, init = SENSOR_GRADES[self.ins.accel_grade], self.fusion, self.init
+        if fus.q_accel is None:
+            fus = replace(fus, q_accel=grade.accel_noise_density ** 2)
+        if init.bias_sigma is None:
+            init = replace(init, bias_sigma=grade.accel_bias)
+        return replace(self, fusion=fus, init=init)
+
+
+def aided_phase_start(cfg: ScenarioConfig) -> float:
+    """Earliest time an aiding update can land: the first batch's close,
+    ``pmht.T`` scans of ``gravimeter.interval`` each."""
+    return cfg.pmht.T * cfg.gravimeter.interval
 
 
 def _parse_bool(text: str, key: str) -> bool:

@@ -186,7 +186,8 @@ def ukf_predict(
     ``belief.state`` is ``(R, 6)`` and ``belief.cov`` ``(R, 6, 6)``, one row
     per seed; ``indicated_accel`` is ``(R, 2)``. Dynamics per sigma point:
     position advances by ``v*dt + (a-b)*dt^2/2``, velocity by ``(a-b)*dt``,
-    the bias stays put; process noise covers the accelerometer white noise
+    the bias stays put; process noise covers the accelerometer white noise,
+    of PSD ``params.q_accel`` (a number: see :meth:`.ScenarioConfig.resolved`),
     and the bias random walk. All sigma points of all seeds advance together,
     and each seed's result has the bits of its own R = 1 call.
 
@@ -202,7 +203,6 @@ def ukf_predict(
     if belief.state.ndim != 2:
         raise ValueError("ukf_predict takes a stack of beliefs: state (R, 6), cov (R, 6, 6)")
     a = np.asarray(indicated_accel, dtype=float)
-    q_accel = params.q_accel if params.q_accel is not None else 0.0
     points, wm, wc = _sigma_points(belief.state, belief.cov, params.alpha,
                                    params.beta, params.kappa)
     pos, vel, bias = points[:, :, 0:2], points[:, :, 2:4], points[:, :, 4:6]
@@ -216,7 +216,7 @@ def ukf_predict(
         failed = np.flatnonzero(~np.isfinite(mean).all(axis=1))
         raise NumericalError("predicted mean not finite", rows=tuple(failed.tolist()))
     dev = prop - mean[:, None]
-    cov = (wc[:, None] * dev).transpose(0, 2, 1) @ dev + _process_noise(dt, q_accel,
+    cov = (wc[:, None] * dev).transpose(0, 2, 1) @ dev + _process_noise(dt, params.q_accel,
                                                                          params.bias_psd)
     return NavBelief(state=mean, cov=0.5 * (cov + cov.transpose(0, 2, 1)),
                      time=belief.time + dt)

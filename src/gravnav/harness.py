@@ -45,15 +45,15 @@ import os
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (
     INS_DT,
-    FusionParams,
     MapGenParams,
     ScenarioConfig,
+    aided_phase_start,
     config_hash,
 )
 from .errors import ConfigError, NumericalError
@@ -465,17 +465,9 @@ class CampaignReport:
     config_digest: str
 
 
-def _resolve_fusion(cfg: ScenarioConfig, grade_accel: SensorGrade) -> FusionParams:
-    fus = cfg.fusion
-    if fus.q_accel is None:
-        fus = replace(fus, q_accel=grade_accel.accel_noise_density ** 2)
-    return fus
-
-
-def _initial_belief(cfg: ScenarioConfig, truth, grade_accel: SensorGrade) -> NavBelief:
+def _initial_belief(cfg: ScenarioConfig, truth) -> NavBelief:
+    """The start belief of a resolved config (:meth:`.ScenarioConfig.resolved`)."""
     bias_sigma = cfg.init.bias_sigma
-    if bias_sigma is None:
-        bias_sigma = grade_accel.accel_bias
     state = np.concatenate([truth.positions[0], truth.velocities[0], np.zeros(2)])
     cov = np.diag([
         cfg.init.pos_sigma ** 2, cfg.init.pos_sigma ** 2,
@@ -513,13 +505,12 @@ class _SeedRun:
     estimates from there on. ``field`` is the map's value at each scan's
     true position, which the block reads once for all its seeds; a seed
     adds its own gravimeter noise. An unaided seed never scans, has no
-    ``grid`` and an empty ``field``.
+    ``grid`` and an empty ``field``. ``cfg`` is resolved.
     """
 
-    def __init__(self, cfg: ScenarioConfig, fus: FusionParams, grid: GridMap | None,
-                 field: np.ndarray, truth, grades: tuple[SensorGrade, SensorGrade],
-                 seed: int, pos: np.ndarray):
-        self.cfg, self.fus, self.grid = cfg, fus, grid
+    def __init__(self, cfg: ScenarioConfig, grid: GridMap | None, field: np.ndarray, truth,
+                 grades: tuple[SensorGrade, SensorGrade], seed: int, pos: np.ndarray):
+        self.cfg, self.grid = cfg, grid
         self.seed = int(seed)
         # The gravimeter has its own seed stream: its draws change no INS draw.
         seed_ins, seed_grav = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
@@ -537,7 +528,7 @@ class _SeedRun:
         """Replay the predicts from ``bel.time`` to ``t_target`` as an R = 1 stack."""
         stack = NavBelief(state=bel.state[None], cov=bel.cov[None], time=bel.time)
         for kk in range(int(round(bel.time / INS_DT)), int(round(t_target / INS_DT))):
-            stack = ukf_predict(stack, self.accels[kk:kk + 1], INS_DT, self.fus)
+            stack = ukf_predict(stack, self.accels[kk:kk + 1], INS_DT, self.cfg.fusion)
             self.pos[kk + 1] = stack.position[0]
         return NavBelief(state=stack.state[0], cov=stack.cov[0], time=stack.time)
 
@@ -564,7 +555,7 @@ class _SeedRun:
         return bel
 
     def _close_batch(self, bel: NavBelief) -> NavBelief:
-        cfg, fus, grid = self.cfg, self.fus, self.grid
+        cfg, fus, grid = self.cfg, self.cfg.fusion, self.grid
         checkpoint = self.checkpoint
         problem = BatchProblem(
             prior_mean=checkpoint.state[:4],
@@ -639,6 +630,8 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     map's extent, from ``grid`` when given and else from the configured
     geometry (:func:`_map_extent`), so it builds no map.
 
+    ``cfg`` is validated (:func:`run_scenario` and :func:`run_campaign` do
+    that), and the block runs on its :meth:`.ScenarioConfig.resolved` copy.
     Raises :class:`ConfigError` before any simulation when the trajectory
     leaves the map. A seed's :class:`NumericalError` (at a predict, a lookup
     or a batch) marks that seed's run failed/diverged at that step, and its
@@ -648,20 +641,20 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     longer scans, and its row goes on from the start belief once its
     predict fails. The block stops when every seed has failed.
     """
-    cfg.validate()
+    cfg = cfg.resolved()
     if grid is None and cfg.aiding:
         grid = build_grid(cfg)
     _check_route(cfg, _map_extent(cfg, grid))
     truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, INS_DT)
     grades = SENSOR_GRADES[cfg.ins.accel_grade], SENSOR_GRADES[cfg.ins.gyro_grade]
-    fus = _resolve_fusion(cfg, grades[0])
-    start = _initial_belief(cfg, truth, grades[0])
+    fus = cfg.fusion
+    start = _initial_belief(cfg, truth)
     pos_est = np.empty((len(seeds), len(truth), 2))
     pos_est[:, 0] = start.position
     every = round(cfg.gravimeter.interval / INS_DT)  # INS steps per scan
     # Scan n is at step (n + 1) * every. An unaided block scans nowhere.
     field = value_at(grid, truth.positions[every::every]) if cfg.aiding else np.empty(0)
-    runs = [_SeedRun(cfg, fus, grid, field, truth, grades, seed, pos)
+    runs = [_SeedRun(cfg, grid, field, truth, grades, seed, pos)
             for seed, pos in zip(seeds, pos_est)]
     accels = np.stack([run.accels for run in runs], axis=1)
     belief = NavBelief(state=np.tile(start.state, (len(runs), 1)),
@@ -703,8 +696,9 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
 def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) -> RunReport:
     """Execute one seeded run of the configured scenario: a block of one seed.
 
-    Raises, and marks a failed run, as :func:`run_block` does.
+    Validates ``cfg``; raises, and marks a failed run, as :func:`run_block` does.
     """
+    cfg.validate()
     return run_block(cfg, [seed], grid)[0]
 
 
@@ -731,11 +725,6 @@ def _campaign_worker_init(cfg: ScenarioConfig, grid: GridMap | None) -> None:
 
 def _campaign_worker(seeds: list[int]) -> list[RunReport]:
     return run_block(_WORKER_CFG, seeds, grid=_WORKER_GRID)
-
-
-def aided_phase_start(cfg: ScenarioConfig) -> float:
-    """Earliest time an aiding update can land: the first batch completion."""
-    return cfg.pmht.T * cfg.gravimeter.interval
 
 
 def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:

@@ -37,10 +37,9 @@ class SensorGrade:
 
     A grade carries both accelerometer fields (m/s^2, m/s^2/sqrt(Hz)) and
     gyroscope fields (deg/h, deg/h/sqrt(Hz)); consumers read whichever pair
-    matches the role the grade is passed in. Each preset's key in
-    :data:`SENSOR_GRADES` names the sensor type whose fields it defines; the
-    complementary pair is filled from the matching preset of the same grade
-    family.
+    matches the role the grade is passed in. Each grade family's preset is
+    one record in :data:`SENSOR_GRADES`, bound to both its accelerometer and
+    its gyroscope name.
     """
 
     accel_bias: float
@@ -54,16 +53,13 @@ class SensorGrade:
                 raise ValueError(f"{name} must be positive")
 
 
-def _grade(ab, an, gb, gn) -> SensorGrade:
-    return SensorGrade(accel_bias=ab, accel_noise_density=an,
-                       gyro_bias=gb, gyro_noise_density=gn)
-
-
 SENSOR_GRADES: dict[str, SensorGrade] = {
-    "PC-horizontal-accel": _grade(2e-6, 8e-5, 2e-5, 1e-3),
-    "PC-horizontal-gyro": _grade(2e-6, 8e-5, 2e-5, 1e-3),
-    "QS-accel": _grade(1e-8, 3e-8, 1e-5, 1.2e-4),
-    "QS-gyro": _grade(1e-8, 3e-8, 1e-5, 1.2e-4),
+    **dict.fromkeys(("PC-horizontal-accel", "PC-horizontal-gyro"),
+                    SensorGrade(accel_bias=2e-6, accel_noise_density=8e-5,
+                                gyro_bias=2e-5, gyro_noise_density=1e-3)),
+    **dict.fromkeys(("QS-accel", "QS-gyro"),
+                    SensorGrade(accel_bias=1e-8, accel_noise_density=3e-8,
+                                gyro_bias=1e-5, gyro_noise_density=1.2e-4)),
 }
 
 

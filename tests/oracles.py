@@ -217,7 +217,6 @@ def ukf_predict_one(belief, indicated_accel, dt, params):
     if not dt > 0:
         raise ValueError("dt must be positive")
     a = np.asarray(indicated_accel, dtype=float)
-    q_accel = params.q_accel if params.q_accel is not None else 0.0
     points, wm, wc = _sigma_points_one(belief.state, belief.cov, params.alpha,
                                        params.beta, params.kappa)
     pos, vel, bias = points[:, 0:2], points[:, 2:4], points[:, 4:6]
@@ -228,7 +227,7 @@ def ukf_predict_one(belief, indicated_accel, dt, params):
     prop[:, 4:6] = bias
     mean = wm @ prop
     dev = prop - mean
-    cov = (wc[:, None] * dev).T @ dev + _process_noise(dt, q_accel, params.bias_psd)
+    cov = (wc[:, None] * dev).T @ dev + _process_noise(dt, params.q_accel, params.bias_psd)
     return NavBelief(state=mean, cov=0.5 * (cov + cov.T), time=belief.time + dt)
 
 

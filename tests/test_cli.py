@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -239,9 +240,17 @@ class TestCampaign:
                 "init.pos_sigma", "init.vel_sigma", "init.bias_sigma")),
             ("init.pos_sigma", "1e154"),
             ("init.vel_sigma", "1e152"),
+            # Finite, but an infinite spread factor n + lambda overflows every
+            # belief, and so do a huge bias walk and accelerometer noise.
+            ("fusion.alpha", "1e200"),
+            ("fusion.bias_psd", "1e305"),
+            ("fusion.q_accel", "1e305"),
             ("map.bumps", "3000,1500,2e-3,0"),
             ("map.file", "map.asc"),
         )),
+        # The same with aiding off, where no lookup would catch the overflow.
+        *(pytest.param(key, f"{value}\naiding = false", id=f"{key}={value}-unaided")
+          for key, value in (("fusion.alpha", "1e200"), ("fusion.bias_psd", "1e305"))),
     ])
     def test_zero_setting_exit_2_names_key(self, tmp_path, capsys, key, value):
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO + f"{key} = {value}\n")
@@ -529,17 +538,25 @@ class TestRun:
         cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)
         assert main(["run", "--config", cfg, "--seed", "0"]) == 3
 
-    @pytest.mark.parametrize("line, warning", [
+    @pytest.mark.parametrize("fault, line, warning", [
         # The smoother gain stays singular after the jitter.
-        ("fusion.bias_psd = 1e300", "regularized"),
+        ({"bias_psd": 1e300}, "", "regularized"),
         # The sigma-point spread overflows and the belief turns NaN.
-        ("fusion.alpha = 1e200", "invalid value"),
+        ({"alpha": 1e200}, "", "invalid value"),
         # The same with aiding off: the predict alone must fail the run.
-        ("fusion.alpha = 1e200\naiding = false", "invalid value"),
+        ({"alpha": 1e200}, "aiding = false\n", "invalid value"),
     ], ids=["bias_psd", "alpha", "alpha-unaided"])
-    def test_numerical_fault_fails_the_run_exit_3(self, tmp_path, capsys, line, warning):
+    def test_numerical_fault_fails_the_run_exit_3(self, tmp_path, capsys, monkeypatch, fault,
+                                                  line, warning):
+        # validate() rejects these filter settings, so they are slipped in
+        # past it: every predict and batch update of the run gets them.
+        real_predict, real_apply = harness.ukf_predict, harness.apply_batch
+        monkeypatch.setattr(harness, "ukf_predict", lambda belief, accel, dt, params:
+                            real_predict(belief, accel, dt, replace(params, **fault)))
+        monkeypatch.setattr(harness, "apply_batch", lambda belief, est, var, params, advance:
+                            real_apply(belief, est, var, replace(params, **fault), advance))
         with open(DEMO_CFG, encoding="utf-8") as fh:
-            cfg = write(tmp_path / "cfg.txt", fh.read() + line + "\n")
+            cfg = write(tmp_path / "cfg.txt", fh.read() + line)
         with pytest.warns(RuntimeWarning) as got:
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert any(warning in str(w.message) for w in got)

@@ -30,6 +30,7 @@ from gravnav.config import (
     serialize_config,
 )
 from gravnav.errors import ConfigError
+from gravnav.inertial import SENSOR_GRADES
 from gravnav import assoc, config, fusion, geomap, pmht
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -254,6 +255,47 @@ class TestRanges:
                                       "init.bias_sigma = auto"])
     def test_unset_sentinel_skips_range(self, text):
         parse_config_text(SAMPLE + text + "\n").validate()
+
+
+class TestResolved:
+    """``ScenarioConfig.resolved`` is the one owner of each ``auto`` value."""
+
+    @pytest.mark.parametrize("key", [k for k in KEYS if "auto" in k.none], ids=lambda k: k.name)
+    def test_every_auto_key_is_resolved(self, key):
+        cfg = parse_config_text(SAMPLE)
+        key.set(cfg, "auto")
+        assert key.get(cfg) is None and key.get(cfg.resolved()) is not None
+
+    def test_auto_is_the_accelerometer_grade_and_a_value_is_kept(self):
+        cfg = parse_config_text(SAMPLE + "ins.accel_grade = QS-accel\n")
+        grade = SENSOR_GRADES["QS-accel"]
+        resolved = cfg.resolved()
+        assert resolved.fusion.q_accel == grade.accel_noise_density ** 2
+        assert resolved.init.bias_sigma == grade.accel_bias
+        cfg.fusion.q_accel, cfg.init.bias_sigma = 2.5e-9, 1e-6
+        resolved = cfg.resolved()
+        assert (resolved.fusion.q_accel, resolved.init.bias_sigma) == (2.5e-9, 1e-6)
+
+    def test_resolving_leaves_the_canonical_text_and_hash(self):
+        cfg = parse_config_text(SAMPLE)
+        text, digest = serialize_config(cfg), config_hash(cfg)
+        assert "fusion.q_accel = auto\n" in text and "init.bias_sigma = auto\n" in text
+        resolved = cfg.resolved()
+        assert (serialize_config(cfg), config_hash(cfg)) == (text, digest)
+        assert "auto" not in serialize_config(resolved)
+
+    @pytest.mark.parametrize("field, value, key", [
+        ("accel_bias", 1e200, "init.bias_sigma"),
+        ("accel_noise_density", 1e152, "fusion.q_accel"),
+    ])
+    def test_auto_value_past_the_bound_names_its_key(self, monkeypatch, field, value, key):
+        # The bound reads the resolved value: a grade this coarse overflows
+        # the nav filter's covariance over the flight.
+        grade = dataclasses.replace(SENSOR_GRADES["PC-horizontal-accel"], **{field: value})
+        monkeypatch.setitem(SENSOR_GRADES, "test-coarse-accel", grade)
+        cfg = parse_config_text(SAMPLE + "ins.accel_grade = test-coarse-accel\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} = .* overflows"):
+            cfg.validate()
 
 
 # config_hash values computed before the key table replaced the per-key code;

@@ -610,25 +610,60 @@ class TestRunScenario:
     # A velocity or bias variance this far above the position variance
     # leaves the covariance positive definite only to rounding.
     @pytest.mark.filterwarnings("ignore:belief covariance lost positive definiteness")
-    @pytest.mark.parametrize("name", ["pos_sigma", "vel_sigma", "bias_sigma"])
-    def test_unaided_flight_at_the_init_sigma_bound_does_not_overflow(self, name):
+    @pytest.mark.parametrize("key", [
+        pytest.param(f"{section}.{name}", id=name)
+        for section, names in (("init", ("pos_sigma", "vel_sigma", "bias_sigma")),
+                               ("fusion", ("bias_psd", "q_accel")))
+        for name in names])
+    def test_unaided_flight_at_the_init_sigma_bound_does_not_overflow(self, key):
         cfg = parse_config(os.path.join(CONFIGS, "demo.cfg"))
         cfg.aiding = False
-        # The largest sigma validate() passes: a bisection on the bits of the
+        section, name = key.split(".")
+        # The largest value validate() passes: a bisection on the bits of the
         # positive floats, which order as the floats do.
         lo, hi = map(int, np.array([1.0, np.inf]).view(np.int64))
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            setattr(cfg.init, name, float(np.int64(mid).view(np.float64)))
+            setattr(getattr(cfg, section), name, float(np.int64(mid).view(np.float64)))
             try:
                 cfg.validate()
                 lo = mid
             except ConfigError as exc:
-                assert str(exc).startswith(f"init.{name} = ")
+                assert str(exc).startswith(f"{key} = ")
                 hi = mid
-        setattr(cfg.init, name, float(np.int64(lo).view(np.float64)))
+        setattr(getattr(cfg, section), name, float(np.int64(lo).view(np.float64)))
         with np.errstate(over="raise"):
             assert not run_scenario(cfg, 0).failed
+
+    @pytest.mark.parametrize("q_accel", [None, 3e-9], ids=["auto", "explicit"])
+    def test_q_accel_reaches_every_predict(self, monkeypatch, q_accel):
+        # Each predict of the block, and each of the retrodiction replay,
+        # runs on the resolved value: the grade's density squared for auto.
+        cfg = parse_config(os.path.join(CONFIGS, "demo.cfg"))
+        cfg.fusion.mode = "retrodiction"
+        cfg.fusion.q_accel = q_accel
+        seen = {"block": [], "replay": []}
+        phase = ["block"]
+        real_predict, real_advance = harness.ukf_predict, harness._SeedRun.advance
+
+        def predict(belief, accel, dt, params):
+            seen[phase[0]].append(params.q_accel)
+            return real_predict(belief, accel, dt, params)
+
+        def advance(run, bel, t_target):
+            phase[0] = "replay"
+            try:
+                return real_advance(run, bel, t_target)
+            finally:
+                phase[0] = "block"
+
+        monkeypatch.setattr(harness, "ukf_predict", predict)
+        monkeypatch.setattr(harness._SeedRun, "advance", advance)
+        run_scenario(cfg, 0)
+        if q_accel is None:
+            q_accel = SENSOR_GRADES[cfg.ins.accel_grade].accel_noise_density ** 2
+        assert len(seen["block"]) == cfg.duration and seen["replay"]
+        assert set(seen["block"]) == set(seen["replay"]) == {q_accel}
 
     def test_off_map_trajectory_rejected_before_simulation(self):
         cfg = small_scenario(duration=2000.0)  # runs off the 20 km map
@@ -1023,6 +1058,18 @@ class TestBlock:
             assert rep.failed and rep.diverged
             assert np.isfinite(rep.error_series[:step - 1]).all()
             assert np.isnan(rep.error_series[step - 1:]).all()
+
+    def test_campaign_validates_its_config_once(self, monkeypatch):
+        # run_campaign checks the config; its block does not check it again.
+        calls = []
+        real = ScenarioConfig.validate
+        monkeypatch.setattr(ScenarioConfig, "validate",
+                            lambda cfg: calls.append(cfg) or real(cfg))
+        cfg = small_scenario(duration=300.0, batch_len=5, runs=2)
+        run_campaign(cfg)
+        assert calls == [cfg]
+        run_block(cfg, [0])
+        assert calls == [cfg]
 
     def test_variability_fault_is_not_swallowed(self, monkeypatch):
         def broken(grid, cell, template_half_width):
