@@ -16,6 +16,7 @@ built once per batch. :func:`candidate_weights` is the one-scan case of
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +40,9 @@ _COND_LIMIT = 1e12
 # Natural log of the smallest positive subnormal double; below this a raw
 # Gaussian density evaluates to exactly zero.
 _LOG_TINY = -744.44
+# The 2x2 identity every position-noise covariance scales; read-only, shared.
+_EYE2 = np.eye(2)
+_EYE2.flags.writeable = False
 
 
 class FarCandidateWarning(RuntimeWarning):
@@ -103,9 +107,10 @@ def position_noise_cov(sigma: float, grad, grad_floor: float) -> np.ndarray:
     position by ``sigma / |grad|`` meters along the slope. The gradient norm
     is floored so flat map patches yield a large but finite covariance.
     """
-    g = float(np.linalg.norm(np.asarray(grad, dtype=float)))
-    scale = sigma / max(g, grad_floor)
-    return (scale * scale) * np.eye(2)
+    g = np.asarray(grad, dtype=float)
+    # one dot product and a correctly rounded square root: np.linalg.norm's arithmetic
+    scale = sigma / max(math.sqrt(g.dot(g)), grad_floor)
+    return (scale * scale) * _EYE2
 
 
 def _regularize_cov(cov: np.ndarray) -> np.ndarray:

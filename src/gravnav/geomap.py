@@ -361,25 +361,38 @@ def gradient_at(grid: GridMap, pos) -> np.ndarray:
     when its stencil touches a nodata cell.
     """
     row, col = grid.cell_of(pos)
-    grads, no_grad = _cell_gradients(grid, np.array([row]), np.array([col]))
-    if no_grad[0]:
+    rows, cols = np.array([row]), np.array([col])
+    if _no_gradient(grid, rows, cols)[0]:
         raise NodataError(f"nodata cell in gradient stencil at cell ({row}, {col})")
-    return grads[0]
+    return _cell_gradients(grid, rows, cols)[0]
 
 
-def _cell_gradients(grid: GridMap, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 2) gradients of :func:`gradient_at` at the given cells, and the
-    (n,) mask of the cells without one: their stencil touches nodata."""
-    h = grid.cell_size
-    v = grid.values
+def _stencil(grid: GridMap, rows, cols) -> tuple[np.ndarray, ...]:
+    """West and east columns and north and south rows of each cell's
+    central-difference stencil, one-sided at the map edge."""
     c_lo, c_hi = np.maximum(cols - 1, 0), np.minimum(cols + 1, grid.n_cols - 1)
     r_n, r_s = np.maximum(rows - 1, 0), np.minimum(rows + 1, grid.n_rows - 1)
-    west, east, north, south = v[rows, c_lo], v[rows, c_hi], v[r_n, cols], v[r_s, cols]
-    no_grad = ((west == grid.nodata) | (east == grid.nodata)
-               | (north == grid.nodata) | (south == grid.nodata))
-    gx = (east - west) / ((c_hi - c_lo) * h)
-    gy = (north - south) / ((r_s - r_n) * h)  # row index grows southward
-    return np.column_stack([gx, gy]), no_grad
+    return c_lo, c_hi, r_n, r_s
+
+
+def _no_gradient(grid: GridMap, rows, cols) -> np.ndarray:
+    """(n,) mask of the given cells without a gradient: their stencil
+    touches nodata."""
+    v, nodata = grid.values, grid.nodata
+    c_lo, c_hi, r_n, r_s = _stencil(grid, rows, cols)
+    return ((v[rows, c_lo] == nodata) | (v[rows, c_hi] == nodata)
+            | (v[r_n, cols] == nodata) | (v[r_s, cols] == nodata))
+
+
+def _cell_gradients(grid: GridMap, rows, cols) -> np.ndarray:
+    """(n, 2) gradients of :func:`gradient_at` at the given cells, whose
+    stencils hold data (see :func:`_no_gradient`)."""
+    h = grid.cell_size
+    v = grid.values
+    c_lo, c_hi, r_n, r_s = _stencil(grid, rows, cols)
+    gx = (v[rows, c_hi] - v[rows, c_lo]) / ((c_hi - c_lo) * h)
+    gy = (v[r_n, cols] - v[r_s, cols]) / ((r_s - r_n) * h)  # row index grows southward
+    return np.column_stack([gx, gy])
 
 
 def lookup_candidates(
@@ -444,16 +457,18 @@ def lookup_candidates(
     keep = np.flatnonzero(sinv[0, 0] * gx * gx + (sinv[0, 1] + sinv[1, 0]) * gx * gy
                           + sinv[1, 1] * gy * gy <= gamma)
 
+    # Cells without a gradient drop before ranking; gradients are taken
+    # only for the candidates returned.
     rows, cols = grid.n_rows - 1 - srows[keep], cols[keep]
-    grads, no_grad = _cell_gradients(grid, rows, cols)
-    keep, rows, cols, grads = keep[~no_grad], rows[~no_grad], cols[~no_grad], grads[~no_grad]
+    has_grad = ~_no_gradient(grid, rows, cols)
+    keep, rows, cols = keep[has_grad], rows[has_grad], cols[has_grad]
     residuals = resid[keep]
     dists = np.hypot(gx[keep], gy[keep])
     order = np.lexsort((rows * grid.n_cols + cols, dists, residuals))[: int(n_max)]
+    keep, rows, cols = keep[order], rows[order], cols[order]
     locs = np.column_stack([xs[keep], ys[keep]])
-    cells = np.column_stack([rows[order], cols[order]])
-    return CandidateSet(locs[order], grads[order], residuals[order], cells,
-                        float(value), float(sigma))
+    return CandidateSet(locs, _cell_gradients(grid, rows, cols), residuals[order],
+                        np.column_stack([rows, cols]), float(value), float(sigma))
 
 
 def feature_variability(grid: GridMap, center_cell: tuple[int, int], template_half_width: int) -> float:
@@ -524,8 +539,7 @@ def normalize_variability(history, window_len: int) -> float:
     if len(history) == 0:
         raise ValueError("history must be non-empty")
     current = float(history[-1])
-    trailing = [float(v) for v in history[-window_len:]]
-    peak = max(trailing)
+    peak = float(max(history[-window_len:]))
     if current <= 0.0 or peak <= 0.0:
         return 0.0
     return current / peak

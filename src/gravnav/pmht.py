@@ -27,14 +27,19 @@ its own previous fused covariance, so the association step weights and fuses
 every scan at once; the backward smoother gains are one stacked solve. The
 results are bit-for-bit those of weighting and fusing scan by scan.
 
-An iterate is carried as arrays: ``(T, 4)`` means, ``(T, 4, 4)``
-covariances, and the fused pseudo-measurements by stack row. The final
-iterate is the :class:`BatchEstimate`, which the nav filter reads as one
-position fix per scan.
+Each iteration's result is an :class:`EmIterate`: the ``(T, 4)`` smoothed
+means, the fused pseudo-measurements by stack row, and the forward pass the
+smoother ran on. The next iteration reads the means and the fused
+covariances, and the convergence test the means; no iteration reads the
+smoothed covariances, so the covariance half of the smoother runs on demand:
+once per batch, for the final iterate, whose means and smoothed
+``(T, 4, 4)`` covariances are the :class:`BatchEstimate`. The nav filter
+reads that estimate as one position fix per scan.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +57,7 @@ from .geomap import CandidateSet
 __all__ = [
     "BatchProblem",
     "BatchEstimate",
+    "EmIterate",
     "cv_model",
     "em_step",
     "run_batch",
@@ -129,6 +135,38 @@ class BatchEstimate:
     converged: bool
 
 
+@dataclass(frozen=True, eq=False)
+class EmIterate:
+    """One EM iteration: the smoothed means and what they were smoothed from.
+
+    ``means`` is ``(T, 4)``. ``positions`` ``(L, 2)`` and ``fused_covs``
+    ``(L, 2, 2)`` are the fused pseudo-measurements, one per row of the
+    batch's :class:`~gravnav.assoc.ScanStack`, and ``weights`` the
+    association weights, one array per stack row. The forward pass is kept
+    as the filtered covariances ``filtered_covs`` ``(T, 4, 4)``, the
+    one-step predicted covariances ``pred_covs`` ``(T - 1, 4, 4)`` and the
+    smoother gains ``gains`` ``(T - 1, 4, 4)``.
+    """
+
+    means: np.ndarray
+    positions: np.ndarray
+    fused_covs: np.ndarray
+    weights: list[np.ndarray]
+    filtered_covs: np.ndarray
+    pred_covs: np.ndarray
+    gains: np.ndarray
+
+    @cached_property
+    def smoothed_covs(self) -> np.ndarray:
+        """``(T, 4, 4)`` smoothed covariances: the covariance half of the
+        fixed-interval smoother, run backward with the means' gains."""
+        ps = self.filtered_covs.copy()
+        for t in range(len(ps) - 2, -1, -1):
+            g = self.gains[t]
+            ps[t] = _symmetrize(ps[t] + g @ (ps[t + 1] - self.pred_covs[t]) @ g.T)
+        return ps
+
+
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
@@ -171,17 +209,18 @@ def em_step(
     problem: BatchProblem,
     current: np.ndarray,
     prev_cov: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> EmIterate:
     """One association + smoothing iteration.
 
     ``current`` is the ``(T, 4)`` trajectory iterate used to predict
     per-scan positions; ``prev_cov`` holds the previous iteration's fused
     covariances for candidate weighting (on the first iteration, ``None``,
     the candidate-averaged position-noise covariance is used instead).
-    Returns the smoothed means ``(T, 4)`` and covariances ``(T, 4, 4)``, and
-    this iteration's fused positions ``(L, 2)``, fused covariances
-    ``(L, 2, 2)`` and association weights (one array per row). Fused
-    quantities run by row of ``problem.stack``: one row per non-empty scan.
+    Returns the :class:`EmIterate` with the smoothed means, this iteration's
+    fused positions, fused covariances and association weights, and the
+    forward pass from which :attr:`EmIterate.smoothed_covs` smooths the
+    covariances when read. Fused quantities run by row of ``problem.stack``:
+    one row per non-empty scan.
 
     Every non-empty scan is weighted and fused in one stacked association
     step; the forward filter then runs scan by scan, and the backward
@@ -222,15 +261,15 @@ def em_step(
             ps[t + 1] = _symmetrize(p_pred - k @ hp)
             xs[t + 1] = x_pred + k @ (positions[r] - x_pred[:2])
 
-    # Backward smoothing in place with the standard fixed-interval gain, all
-    # gains in one stacked solve.
+    # Backward smoothing of the means in place with the standard fixed-interval
+    # gain, all gains in one stacked solve; the covariances are smoothed on demand.
     gains = np.swapaxes(_solve_spd(p_preds, np.matmul(f, np.swapaxes(ps[:-1], 1, 2))), 1, 2)
     for t in range(t_len - 2, -1, -1):
-        g = gains[t]
-        xs[t] = xs[t] + g @ (xs[t + 1] - x_preds[t])
-        ps[t] = _symmetrize(ps[t] + g @ (ps[t + 1] - p_preds[t]) @ g.T)
+        xs[t] = xs[t] + gains[t] @ (xs[t + 1] - x_preds[t])
 
-    return xs, ps, positions, covs, [w for group in weights for w in group]
+    return EmIterate(means=xs, positions=positions, fused_covs=covs,
+                     weights=[w for group in weights for w in group],
+                     filtered_covs=ps, pred_covs=p_preds, gains=gains)
 
 
 def run_batch(problem: BatchProblem) -> BatchEstimate | None:
@@ -238,9 +277,10 @@ def run_batch(problem: BatchProblem) -> BatchEstimate | None:
 
     The first iterate is the prior mean rolled forward through the model.
     Convergence is measured as the maximum per-scan position displacement
-    between consecutive iterates. Returns ``None`` when every scan is empty:
-    the batch holds no position information. Raises :class:`NumericalError`
-    when an iterate goes non-finite.
+    between consecutive iterates. The covariances are smoothed once, for the
+    iterate returned. Returns ``None`` when every scan is empty: the batch
+    holds no position information. Raises :class:`NumericalError` when an
+    iterate's means, or the returned covariances, go non-finite.
     """
     if len(problem.stack) == 0:
         return None
@@ -254,15 +294,21 @@ def run_batch(problem: BatchProblem) -> BatchEstimate | None:
     fused_cov = None
     converged = False
     for i in range(1, problem.params.max_iters + 1):
-        xs, covs, _, fused_cov, _ = em_step(problem, current, fused_cov)
-        if not (np.isfinite(xs).all() and np.isfinite(covs).all()):
+        step = em_step(problem, current, fused_cov)
+        xs, fused_cov = step.means, step.fused_covs
+        if not np.isfinite(xs).all():
             raise NumericalError("non-finite batch iterate", iteration=i)
-        residual = max(float(np.linalg.norm(d)) for d in xs[:, :2] - current[:, :2])
+        # np.linalg.norm's arithmetic, row by row: a vectorized norm may round
+        # differently and change an iteration count
+        residual = max(math.sqrt(d.dot(d)) for d in xs[:, :2] - current[:, :2])
         current = xs
         if residual <= problem.params.epsilon:
             converged = True
             break
 
+    covs = step.smoothed_covs
+    if not np.isfinite(covs).all():
+        raise NumericalError("non-finite batch covariance", iteration=i)
     return BatchEstimate(
         means=current,
         covs=covs,

@@ -18,7 +18,7 @@ import numpy as np
 from gravnav.assoc import ScanStack
 from gravnav.errors import NodataError, NumericalError, OutOfBoundsError
 from gravnav.fusion import NavBelief, _process_noise, _unscented_weights
-from gravnav.geomap import CandidateSet, GridMap, _cell_gradients, plain_point
+from gravnav.geomap import CandidateSet, GridMap, _cell_gradients, _no_gradient, plain_point
 from gravnav.pmht import em_step, run_batch
 
 
@@ -127,7 +127,8 @@ def em_cost_trace(problem):
     fused_cov = None
     costs = []
     for _ in range(problem.params.max_iters):
-        xs, covs, _, fused_cov, weights = em_step(problem, current, fused_cov)
+        step = em_step(problem, current, fused_cov)
+        xs, fused_cov, weights = step.means, step.fused_covs, step.weights
         total = 0.0
         for t in sorted(row_of):
             r = row_of[t]
@@ -142,7 +143,7 @@ def em_cost_trace(problem):
             break
     est = run_batch(problem)
     assert est.iterations_used == len(costs)
-    assert np.array_equal(current, est.means) and np.array_equal(covs, est.covs)
+    assert np.array_equal(current, est.means) and np.array_equal(step.smoothed_covs, est.covs)
     return np.array(costs)
 
 
@@ -298,8 +299,9 @@ def box_lookup_candidates(
     k_sig: float,
 ) -> CandidateSet:
     """:func:`gravnav.geomap.lookup_candidates` as it was before it tested
-    values first, kept verbatim: it copies the whole gate box and forms the
-    ellipse's quadratic form at every cell of it."""
+    values first, kept verbatim but for the gradient helpers it calls: it
+    copies the whole gate box, forms the ellipse's quadratic form at every
+    cell of it and takes the gradient of every cell that passes."""
     cx, cy = np.asarray(prior_mean, dtype=float)
     cov = np.asarray(prior_cov, dtype=float)
     eigvals = np.linalg.eigvalsh(0.5 * cov + 0.5 * cov.T)
@@ -337,7 +339,8 @@ def box_lookup_candidates(
     ok &= quad <= gamma
 
     si, ci = np.nonzero(ok)
-    grads, no_grad = _cell_gradients(grid, rows[si], cols[ci])
+    grads = _cell_gradients(grid, rows[si], cols[ci])
+    no_grad = _no_gradient(grid, rows[si], cols[ci])
     si, ci, grads = si[~no_grad], ci[~no_grad], grads[~no_grad]
     locs = np.column_stack([xs[ci], ys[si]])
     residuals = resid[si, ci]

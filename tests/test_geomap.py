@@ -34,6 +34,7 @@ from gravnav.harness import build_grid
 from oracles import box_lookup_candidates, brute_variability, cell_gradient, point_value_at
 
 CORRIDOR_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "corridor.cfg")
+DEMO_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.cfg")
 
 
 def write_grid_text(path, text):
@@ -782,6 +783,29 @@ class TestLookupKeepsTheBoxScansBits:
             tracemalloc.stop()
         assert len(cs) == 20
         assert peak < 2 * grid.values.nbytes
+
+    def test_gradients_only_for_the_candidates_returned(self, monkeypatch):
+        # a gate that every cell of the demo map passes: gradients are taken
+        # after ranking, for the n_max cells kept, not for each passing cell
+        import gravnav.geomap as geomap
+
+        grid = build_grid(parse_config(DEMO_CFG))
+        case = (float(grid.values.mean()), 1.0, [7500.0, 1500.0], 1e12 * np.eye(2), 1e308, 20, 3.0)
+        assert np.abs(grid.values - case[0]).max() <= case[1] * case[6]
+        want = box_lookup_candidates(grid, *case)
+        gradient_cells = []
+        real = geomap._cell_gradients
+
+        def counted(grid, rows, cols):
+            gradient_cells.append(len(rows))
+            return real(grid, rows, cols)
+
+        monkeypatch.setattr(geomap, "_cell_gradients", counted)
+        got = lookup_candidates(grid, *case)
+        assert len(got) == 20 < grid.values.size
+        assert sum(gradient_cells) <= 20
+        for name in ("locations", "grads", "residuals", "cells"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestFeatureVariability:

@@ -1127,7 +1127,40 @@ class TestBlock:
         assert digests[0] == digests[1] == digests[2]
 
 
+def per_row_csv(header, *columns):
+    """A series file as the writers formatted it row by row before they
+    streamed blocks: ``format(x, ".17g")`` per float, ``int`` per flag."""
+    rows = "".join(f"{format(float(a), '.17g')},{format(float(b), '.17g')},{int(c)}\n"
+                   for a, b, c in zip(*columns))
+    return header + rows
+
+
 class TestCampaignOutputs:
+    def test_series_bytes_equal_the_per_row_format(self, tmp_path):
+        # more rows than one write block, and every float that formats
+        # specially: nan, both infinities, -0, the least subnormal, a huge
+        # value and integer-valued floats
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 7.0, -3.0,
+                   0.1, 2.0 ** 53, 1.0 / 3.0]
+        n = 2 * harness._ROWS_PER_BLOCK + 37
+        times = np.arange(1.0, n + 1.0)
+        values = np.resize(np.array(special), n)
+        flags = np.arange(n) % 3 == 0
+        live = np.arange(n) % 5
+        run = harness.RunReport(seed=4, times=times, error_series=values, positions=None,
+                                aided_flags=flags, epochs=(), diverged=False,
+                                terminal_error=float("nan"))
+        camp = harness.CampaignReport(times=times, rms_series=values[::-1],
+                                      n_live_runs=live, mean_error=-0.0, divergence_rate=5e-324,
+                                      seeds=(4,), reports=(run,), config_digest="abc")
+        write_campaign_outputs(camp, tmp_path)
+        assert (tmp_path / "runs" / "4.csv").read_text(encoding="utf-8") == per_row_csv(
+            "time_s,error_m,aided_flag\n", times, values, flags)
+        assert (tmp_path / "campaign.csv").read_text(encoding="utf-8") == per_row_csv(
+            "time_s,rms_error_m,n_live_runs\n", times, values[::-1], live)
+        assert (tmp_path / "summary.csv").read_text(encoding="utf-8") == (
+            "mean_error_m,divergence_rate,config_hash\n-0,4.9406564584124654e-324,abc\n")
+
     def test_csv_rms_recompute_oracle(self, tmp_path):
         cfg = small_scenario(duration=300.0, runs=3)
         camp = run_campaign(cfg)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gravnav.fusion import NavBelief, apply_batch
 from gravnav.geomap import CandidateSet
 from gravnav.pmht import (
     BatchProblem,
+    EmIterate,
     cv_model,
     em_step,
     run_batch,
@@ -142,7 +144,8 @@ class TestEmStep:
             for t in range(2))
         problem = BatchProblem(prior_mean=x0, prior_cov=p0, scans=scans,
                                params=PmhtParams(q_a=1e-18), dt=10.0)
-        xs, _, positions, _, _ = em_step(problem, means)
+        step = em_step(problem, means)
+        xs, positions = step.means, step.positions
         for t in range(2):
             assert xs[t] == pytest.approx(means[t], abs=1e-9)
         assert positions[scan_rows(problem)[1]] == pytest.approx(means[1, :2])
@@ -151,7 +154,7 @@ class TestEmStep:
         rng = np.random.default_rng(3)
         for _ in range(20):
             problem = clustered_problem(rng, t_len=8)
-            _, covs, _, _, _ = em_step(problem, first_iterate(problem))
+            covs = em_step(problem, first_iterate(problem)).smoothed_covs
             for cov in covs:
                 assert np.allclose(cov, cov.T, atol=1e-12)
                 assert np.linalg.eigvalsh(cov).min() >= -1e-10
@@ -162,7 +165,8 @@ class TestEmStep:
         scans = list(problem.scans)
         scans[2] = CandidateSet.empty(0.0, 1e-5)
         problem2 = replace(problem, scans=tuple(scans))
-        xs, _, positions, _, _ = em_step(problem2, first_iterate(problem2))
+        step = em_step(problem2, first_iterate(problem2))
+        xs, positions = step.means, step.positions
         assert scan_rows(problem2)[2] is None
         assert len(positions) == 4
         assert np.isfinite(xs).all()
@@ -188,7 +192,9 @@ class TestStackedAssociation:
         rows = scan_rows(problem)
         current, prev = means, None
         for _ in range(3):
-            xs, _, positions, covs, weights = em_step(problem, current, prev)
+            step = em_step(problem, current, prev)
+            xs, positions, covs, weights = (step.means, step.positions, step.fused_covs,
+                                            step.weights)
             for t, cs in enumerate(scans):
                 r = rows[t]
                 if len(cs) == 0:
@@ -327,8 +333,9 @@ class TestRunBatch:
         cur1, cur2 = first_iterate(p1), first_iterate(p2)
         cov1 = cov2 = None
         for _ in range(a.iterations_used):
-            cur1, _, _, cov1, w1 = em_step(p1, cur1, cov1)
-            cur2, _, _, cov2, w2 = em_step(p2, cur2, cov2)
+            s1, s2 = em_step(p1, cur1, cov1), em_step(p2, cur2, cov2)
+            cur1, cov1, w1 = s1.means, s1.fused_covs, s1.weights
+            cur2, cov2, w2 = s2.means, s2.fused_covs, s2.weights
             for wa, wb in zip(w1, w2, strict=True):
                 assert (wa == wb).all()
 
@@ -345,6 +352,46 @@ class TestRunBatch:
             run_batch(BatchProblem(prior_mean=np.zeros(4), prior_cov=np.eye(4),
                                    scans=(good, bad, good), params=PmhtParams(), dt=10.0))
         assert exc.value.iteration == 1
+
+    def test_covariances_smoothed_once_per_batch(self, monkeypatch):
+        # the means are smoothed every iteration; the covariances only for
+        # the iterate returned
+        smoothed = []
+        real = EmIterate.smoothed_covs.func
+
+        def counted(step):
+            smoothed.append(step)
+            return real(step)
+
+        spy = cached_property(counted)
+        spy.__set_name__(EmIterate, "smoothed_covs")
+        monkeypatch.setattr(EmIterate, "smoothed_covs", spy)
+        problem = clustered_problem(np.random.default_rng(42), t_len=10, epsilon=0.0)
+        est = run_batch(problem)
+        assert est.iterations_used == problem.params.max_iters > 1
+        assert len(smoothed) == 1
+        assert smoothed[0].means is est.means and smoothed[0].smoothed_covs is est.covs
+
+    def test_non_finite_means_name_their_iteration(self, monkeypatch):
+        # means that go non-finite after the first iteration still fail the
+        # batch, naming the iteration
+        import gravnav.pmht as pmht
+
+        bad_iteration = 3
+        calls = []
+
+        def poisoned(stack, weights, spread_cov):
+            calls.append(None)
+            positions, covs = stack_fuse(stack, weights, spread_cov)
+            if len(calls) == bad_iteration:
+                positions[stack.row_of[-1]] = np.nan  # the last scan's fix
+            return positions, covs
+
+        monkeypatch.setattr(pmht, "stack_fuse", poisoned)
+        problem = clustered_problem(np.random.default_rng(5), t_len=8, epsilon=0.0)
+        with pytest.raises(NumericalError) as exc:
+            run_batch(problem)
+        assert exc.value.iteration == bad_iteration == len(calls)
 
     def test_em_cost_non_increasing_on_clustered_fixtures(self):
         # plateau micro-oscillation of the fixed-point iteration is allowed
@@ -388,7 +435,8 @@ class TestRunBatch:
             current = first_iterate(problem)
             fused_cov = None
             for _ in range(10):
-                new, _, _, fused_cov, weights = em_step(problem, current, fused_cov)
+                step = em_step(problem, current, fused_cov)
+                new, fused_cov, weights = step.means, step.fused_covs, step.weights
                 before = objective(problem, current, fused_cov, weights)
                 after = objective(problem, new, fused_cov, weights)
                 assert after <= before + 1e-9 * max(abs(before), 1.0)
