@@ -1,18 +1,18 @@
 """Loosely-coupled integration of batch position fixes into the nav state.
 
 The navigation belief carries planar position, velocity and accelerometer
-bias. Prediction propagates the belief through the dead-reckoning dynamics
-driven by the indicated acceleration; an update applies one position fix and
-returns its normalized innovation squared (NIS). :func:`apply_batch` owns
-the aiding decision and both of its gates. It reads the mode, the
-variability gate and its floor and the NIS gate from the parameters. It
-drops the fixes where the local map feature variability is below the gate
-and inflates the covariance of the others by its inverse. Of those, it keeps
-an update only where the NIS stays within the gate, which guards against
-wrong-cluster fixes, and it records the batch as an :class:`AidingEpoch`.
-A NaN compares false against any gate, so a non-finite NIS raises
-:class:`~gravnav.errors.NumericalError` instead, as does a predicted belief
-that is not finite.
+bias, as a stack with a leading seed axis: state ``(R, 6)``, covariance
+``(R, 6, 6)``, one row per seed of a campaign block, all at one time; a
+lone belief is the R = 1 stack. Prediction propagates the stack through the
+dead-reckoning dynamics driven by the indicated accelerations; an update
+applies one position fix per row and returns each fix's normalized
+innovation squared (NIS). This module owns the aiding decision:
+:func:`batch_fixes` reads the mode, the variability gate and its floor, and
+turns one seed's smoothed batch into its fixes, and :func:`apply_batch`
+applies one fix time's accepted fixes and the NIS gate, which guards
+against wrong-cluster fixes. A NaN compares false against any gate, so a
+row whose NIS is not finite is named as failed, as is a predicted row that
+is not finite (:class:`~gravnav.errors.NumericalError`).
 
 Sigma-point machinery follows the scaled unscented transform. The dynamics
 and measurement models here are linear, so the filter is exactly equivalent
@@ -23,19 +23,15 @@ The unscented weights and the discrete process noise depend only on the
 filter parameters and the step, so they are computed once per distinct
 argument set and shared read-only.
 
-Prediction moves a stack of beliefs with a leading seed axis: state
-``(R, 6)``, covariance ``(R, 6, 6)``, one row per seed of a campaign block,
-all at one time. One call advances every sigma point of every seed with one
-set of array operations; a lone belief is the R = 1 stack. Each seed gets
-the bits it would get alone, because numpy's stacked ``cholesky`` and
-``matmul`` repeat the one-matrix call per matrix. That holds only while
-every matmul operand has the same per-matrix strides as in the one-matrix
-form: C-ordered matrices, and their transposed views where that form
-transposes. An F-ordered operand takes another BLAS path and moves the
-last bit of nearly every covariance, so the sigma points and their
-propagated copy are allocated C-ordered with ``np.empty`` and filled by
-slice. Updates stay per seed: an update forms its seed's sigma points as an
-R = 1 stack.
+One call moves every sigma point of every row with one set of array
+operations, and each row gets the bits it would get alone, because numpy's
+stacked ``cholesky``, ``solve`` and ``matmul`` repeat the one-matrix call
+per matrix. That holds only while every matmul operand has the same
+per-matrix strides as in the one-matrix form: C-ordered matrices, and their
+transposed views where that form transposes. An F-ordered operand takes
+another BLAS path and moves the last bit of nearly every covariance, so the
+sigma points and their propagated copy are allocated C-ordered with
+``np.empty`` and filled by slice.
 """
 
 from __future__ import annotations
@@ -56,16 +52,14 @@ __all__ = [
     "AidingEpoch",
     "ukf_predict",
     "ukf_update",
+    "batch_fixes",
     "apply_batch",
 ]
 
 @dataclass(frozen=True)
 class NavBelief:
-    """Aided-INS state [pE, pN, vE, vN, bE, bN] with covariance and time.
-
-    ``state`` may also be a stack ``(R, 6)`` with ``cov`` ``(R, 6, 6)``: the
-    beliefs of R seeds at one time.
-    """
+    """Aided-INS states [pE, pN, vE, vN, bE, bN] of R seeds, ``(R, 6)``, with
+    their covariances ``(R, 6, 6)``, at one time."""
 
     state: np.ndarray
     cov: np.ndarray
@@ -188,8 +182,7 @@ def ukf_predict(
     position advances by ``v*dt + (a-b)*dt^2/2``, velocity by ``(a-b)*dt``,
     the bias stays put; process noise covers the accelerometer white noise,
     of PSD ``params.q_accel`` (a number: see :meth:`.ScenarioConfig.resolved`),
-    and the bias random walk. All sigma points of all seeds advance together,
-    and each seed's result has the bits of its own R = 1 call.
+    and the bias random walk.
 
     A seed whose covariance has no finite square root even after
     regularization, or whose predicted mean is not finite, raises
@@ -227,114 +220,98 @@ def ukf_update(
     position: np.ndarray,
     cov: np.ndarray,
     params: FusionParams,
-) -> tuple[NavBelief, float]:
-    """Apply the position fix ``position`` with covariance ``cov`` to the belief.
+) -> tuple[NavBelief, np.ndarray]:
+    """Apply one position fix to each belief of a stack.
 
-    Returns the updated belief and the fix's normalized innovation squared.
-    The update reads no gate: :func:`apply_batch` decides whether to keep it.
+    ``belief`` is a stack (``(R, 6)``, ``(R, 6, 6)``), ``position`` ``(R, 2)``
+    and ``cov`` ``(R, 2, 2)``: row i's fix goes to row i. Returns the updated
+    stack and each fix's normalized innovation squared, ``(R,)``. The update
+    reads no gate: :func:`apply_batch` decides which rows keep it. Each row
+    gets the bits of its own R = 1 call; the NIS is a stacked matmul, which
+    keeps them (an ``einsum`` or a product sum does not).
     """
-    points, wm, wc = _sigma_points(belief.state[None], belief.cov[None], params.alpha,
-                                   params.beta, params.kappa)
-    points = points[0]
-    z_pts = points[:, 0:2]
+    points, wm, wc = _sigma_points(belief.state, belief.cov, params.alpha, params.beta,
+                                   params.kappa)
+    z_pts = points[:, :, 0:2]
     z_hat = wm @ z_pts
-    dz = z_pts - z_hat
-    dx = points - belief.state
-    s = (wc[:, None] * dz).T @ dz + cov
-    s = 0.5 * (s + s.T)
-    cross = (wc[:, None] * dx).T @ dz
-    innovation = position - z_hat
-    nis = float(innovation @ np.linalg.solve(s, innovation))
-    gain = np.linalg.solve(s, cross.T).T
-    state = belief.state + gain @ innovation
-    updated = belief.cov - gain @ s @ gain.T
-    return NavBelief(state=state, cov=0.5 * (updated + updated.T), time=belief.time), nis
+    dz = z_pts - z_hat[:, None]
+    dx = points - belief.state[:, None]
+    s = (wc[:, None] * dz).transpose(0, 2, 1) @ dz + cov
+    s = 0.5 * (s + s.transpose(0, 2, 1))
+    cross = (wc[:, None] * dx).transpose(0, 2, 1) @ dz
+    innovation = (position - z_hat)[:, :, None]
+    nis = (innovation.transpose(0, 2, 1) @ np.linalg.solve(s, innovation))[:, 0, 0]
+    gain = np.linalg.solve(s, cross.transpose(0, 2, 1)).transpose(0, 2, 1)
+    state = belief.state + (gain @ innovation)[:, :, 0]
+    updated = belief.cov - gain @ s @ gain.transpose(0, 2, 1)
+    return NavBelief(state=state, cov=0.5 * (updated + updated.transpose(0, 2, 1)),
+                     time=belief.time), nis
+
+
+def batch_fixes(
+    estimate: BatchEstimate,
+    variabilities,
+    params: FusionParams,
+) -> tuple[AidingFix, ...]:
+    """The position fixes one seed's smoothed batch offers in the aiding mode ``params.mode``.
+
+    Each scan of ``estimate`` gives one fix: its time, the position rows of
+    its smoothed mean and the position block of its covariance.
+    ``standard`` offers the last scan's fix alone, ``retrodiction`` every
+    scan's, in time order. ``variabilities`` holds one normalized
+    variability per scan.
+
+    A fix passes the aiding gate (``accepted``) only where its variability
+    ``v`` reaches ``params.variability_threshold``. Low variability means the
+    local map carries little position information, so each fix covariance
+    is divided by ``max(v, params.v_floor)``: the floor caps the inflation.
+
+    The smoothed in-batch states share the batch's information, so feeding
+    them in as independent measurements would count that information T
+    times over. In retrodiction mode each fix covariance is therefore
+    inflated by the number of gate-accepted fixes, keeping the net batch
+    information on par with a single final-state update.
+    """
+    if len(variabilities) != len(estimate.times):
+        raise ValueError("need one variability value per scan")
+    scans = list(zip(estimate.times, estimate.means[:, :2], estimate.covs[:, :2, :2],
+                     map(float, variabilities)))
+    if params.mode == "standard":
+        scans = scans[-1:]
+    gate_ok = [v >= params.variability_threshold for *_, v in scans]
+    info_split = float(max(sum(gate_ok), 1)) if params.mode == "retrodiction" else 1.0
+    return tuple(
+        AidingFix(position=position, cov=info_split * (cov / max(v, params.v_floor)),
+                  time=float(t), variability=v, accepted=ok)
+        for (t, position, cov, v), ok in zip(scans, gate_ok))
 
 
 def apply_batch(
     belief: NavBelief,
-    estimate: BatchEstimate,
-    variabilities,
+    rows,
+    fixes,
     params: FusionParams,
-    advance=None,
-) -> tuple[NavBelief, AidingEpoch]:
-    """Feed a smoothed batch into the belief in the aiding mode ``params.mode``.
+) -> tuple[NavBelief, np.ndarray, tuple[int, ...]]:
+    """Apply one fix time's accepted fixes to the rows of a belief stack that have one.
 
-    Each scan of ``estimate`` gives one position fix: its time, the position
-    rows of its smoothed mean and the position block of its covariance.
-    ``standard`` applies a single update with the last scan's fix.
-    ``retrodiction`` applies every fix in time order; the belief must start
-    at or before the first fix. ``advance(belief, t)`` re-predicts a belief
-    to time ``t``: up to each fix that lies ahead of it, and then up to the
-    last scan time. ``variabilities`` holds one normalized variability per
-    scan.
+    ``fixes[j]`` (an :class:`AidingFix`) goes to row ``rows[j]`` of
+    ``belief``, which is at the fixes' time, in one stacked
+    :func:`ukf_update`; the other rows pass through. When ``params.nis_gate``
+    is set and a fix's NIS exceeds it, its row keeps its belief: a
+    wrong-cluster fix cannot corrupt the navigation state. So does a row
+    whose NIS is not finite, and it is named as failed.
 
-    A fix passes the aiding gate only where its variability ``v`` reaches
-    ``params.variability_threshold``. Low variability means the local map
-    carries little position information, so each fix covariance is divided
-    by ``max(v, params.v_floor)``: the floor caps the inflation. A fix that
-    passes is then applied, but when ``params.nis_gate`` is set and the
-    fix's NIS exceeds it, the update is dropped and the belief stays the
-    same object: a wrong-cluster fix cannot corrupt the navigation state.
-    A fix whose NIS is not finite raises :class:`NumericalError`.
-
-    The smoothed in-batch states share the batch's information, so feeding
-    them in as independent measurements would count that information T
-    times over. In retrodiction mode each applied fix covariance is
-    therefore inflated by the number of gate-accepted fixes, keeping the
-    net batch information on par with a single final-state update.
-
-    Returns the belief at the last scan time and the batch's epoch record.
+    Returns the stack, whether each fix was applied, and the failed rows.
     """
-    times = estimate.times
-    positions = estimate.means[:, :2]
-    covs = estimate.covs[:, :2, :2]
-    if len(variabilities) != len(times):
-        raise ValueError("need one variability value per scan")
-    if params.mode == "standard":
-        times, positions, covs = times[-1:], positions[-1:], covs[-1:]
-        variabilities = list(variabilities)[-1:]
-
-    def advance_to(bel: NavBelief, t: float) -> NavBelief:
-        if t <= bel.time + 1e-9:
-            return bel
-        if advance is None:
-            raise ValueError("belief lags the batch and no advance callback was given")
-        return advance(bel, t)
-
-    gate_ok = [float(v) >= params.variability_threshold for v in variabilities]
-    info_split = float(max(sum(gate_ok), 1)) if params.mode == "retrodiction" else 1.0
-
-    applied: list[AidingFix] = []
-    n_accepted = 0
-    n_nis_rejected = 0
-    for t, position, cov, var, ok in zip(times, positions, covs, variabilities, gate_ok):
-        var = float(var)
-        fix = AidingFix(
-            position=position,
-            cov=info_split * (cov / max(var, params.v_floor)),
-            time=float(t),
-            variability=var,
-            accepted=ok,
-        )
-        applied.append(fix)
-        if not fix.accepted:
-            continue
-        belief = advance_to(belief, fix.time)
-        updated, nis = ukf_update(belief, fix.position, fix.cov, params)
-        if not np.isfinite(nis):
-            raise NumericalError(f"non-finite NIS of the fix at {fix.time} s")
-        if params.nis_gate is not None and nis > params.nis_gate:
-            n_nis_rejected += 1
-        else:
-            belief = updated
-            n_accepted += 1
-    end_time = float(estimate.times[-1])
-    return advance_to(belief, end_time), AidingEpoch(
-        time=end_time,
-        fixes=tuple(applied),
-        n_accepted=n_accepted,
-        n_nis_rejected=n_nis_rejected,
-        iterations_used=estimate.iterations_used,
-        converged=estimate.converged,
-    )
+    rows = np.asarray(rows)
+    updated, nis = ukf_update(
+        NavBelief(state=belief.state[rows], cov=belief.cov[rows], time=belief.time),
+        np.array([fix.position for fix in fixes]), np.array([fix.cov for fix in fixes]),
+        params)
+    finite = np.isfinite(nis)
+    applied = finite if params.nis_gate is None else finite & (nis <= params.nis_gate)
+    state, cov = belief.state.copy(), belief.cov.copy()
+    state[rows[applied]] = updated.state[applied]
+    cov[rows[applied]] = updated.cov[applied]
+    return (NavBelief(state=state, cov=cov, time=belief.time), applied,
+            tuple(rows[~finite].tolist()))

@@ -15,12 +15,11 @@ Runs go in blocks of seeds (:func:`run_block`). Every seed of a block flies
 the same truth route and scans at the same steps, so the block simulates the
 truth once, reads the map along it once (one map value per scan; each seed
 adds its own gravimeter noise) and keeps the nav beliefs of its seeds as one
-stack with a leading seed axis, row i for seed i: one stacked predict per
-second moves them all. A seed that fails keeps its row and is only marked.
-Lookup, association, the batch smoother, variability and the fix updates
-stay per seed, and so does the retrodiction replay, as an R = 1 stack. Stacked
-numpy ``cholesky`` and ``matmul`` give each seed the bits of its own run as
-long as every operand keeps its per-matrix C order (see :mod:`.fusion`),
+stack with a leading seed axis, row i for seed i, the filter's only layout:
+one stacked predict per second, replayed or not, and one stacked update per
+fix time move them all. A seed that fails keeps its row and is only marked.
+Lookup, association, the batch smoother and variability stay per seed. The
+stacked filter gives each seed the bits of its own run (see :mod:`.fusion`),
 so a seed's outputs do not depend on which block it runs in; a single run
 (:func:`run_scenario`) is the block of one seed.
 
@@ -45,7 +44,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .config import (
     config_hash,
 )
 from .errors import ConfigError, NumericalError
-from .fusion import AidingEpoch, NavBelief, apply_batch, ukf_predict
+from .fusion import AidingEpoch, NavBelief, apply_batch, batch_fixes, ukf_predict
 from .geomap import (
     CandidateSet,
     GridMap,
@@ -465,8 +464,9 @@ class CampaignReport:
     config_digest: str
 
 
-def _initial_belief(cfg: ScenarioConfig, truth) -> NavBelief:
-    """The start belief of a resolved config (:meth:`.ScenarioConfig.resolved`)."""
+def _initial_belief(cfg: ScenarioConfig, truth, rows: int) -> NavBelief:
+    """The start belief of a resolved config (:meth:`.ScenarioConfig.resolved`),
+    as a stack of ``rows`` copies."""
     bias_sigma = cfg.init.bias_sigma
     state = np.concatenate([truth.positions[0], truth.velocities[0], np.zeros(2)])
     cov = np.diag([
@@ -474,7 +474,7 @@ def _initial_belief(cfg: ScenarioConfig, truth) -> NavBelief:
         cfg.init.vel_sigma ** 2, cfg.init.vel_sigma ** 2,
         bias_sigma ** 2, bias_sigma ** 2,
     ])
-    return NavBelief(state=state, cov=cov, time=0.0)
+    return NavBelief(state=np.tile(state, (rows, 1)), cov=np.tile(cov, (rows, 1, 1)), time=0.0)
 
 
 def _check_route(cfg: ScenarioConfig, extent: tuple[float, float, float, float]) -> None:
@@ -498,14 +498,15 @@ class _SeedRun:
     """One seed of a block: its INS and gravimeter records, its open batch and
     its diagnostics.
 
-    The block predicts every seed's belief together; at a scan step it hands
-    each seed its own row through :meth:`scan`. ``pos`` is this seed's
-    ``(n, 2)`` row of the block's position estimates. ``failed_at`` is the
-    step at which the run failed, or ``None``: :meth:`report` blanks the
-    estimates from there on. ``field`` is the map's value at each scan's
-    true position, which the block reads once for all its seeds; a seed
-    adds its own gravimeter noise. An unaided seed never scans, has no
-    ``grid`` and an empty ``field``. ``cfg`` is resolved.
+    The block predicts every seed's belief together and scans each seed
+    from its own row. ``pos`` is this seed's ``(n, 2)`` row of the block's
+    position estimates. ``failed_at`` is the step at which the run failed,
+    or ``None``: :meth:`report` blanks the estimates from there on. ``field``
+    is the map's value at each scan's true position, which the block reads
+    once for all its seeds; a seed adds its own gravimeter noise. An unaided
+    seed never scans, has no ``grid`` and an empty ``field``. ``cfg`` is
+    resolved. ``closed`` is the epoch of the last closed batch, before the
+    block's hand-off counts its applied and NIS-rejected fixes.
     """
 
     def __init__(self, cfg: ScenarioConfig, grid: GridMap | None, field: np.ndarray, truth,
@@ -519,71 +520,48 @@ class _SeedRun:
         self.accels = np.diff(ins.velocities, axis=0) / INS_DT
         self.pos = pos
         self.scans: list[CandidateSet] = []
-        self.checkpoint: NavBelief | None = None
+        self.closed: AidingEpoch | None = None
         self.var_history: list[float] = []
         self.epochs: list[AidingEpoch] = []
         self.failed_at: int | None = None
 
-    def advance(self, bel: NavBelief, t_target: float) -> NavBelief:
-        """Replay the predicts from ``bel.time`` to ``t_target`` as an R = 1 stack."""
-        stack = NavBelief(state=bel.state[None], cov=bel.cov[None], time=bel.time)
-        for kk in range(int(round(bel.time / INS_DT)), int(round(t_target / INS_DT))):
-            stack = ukf_predict(stack, self.accels[kk:kk + 1], INS_DT, self.cfg.fusion)
-            self.pos[kk + 1] = stack.position[0]
-        return NavBelief(state=stack.state[0], cov=stack.cov[0], time=stack.time)
+    def scan(self, n: int, belief: NavBelief, checkpoint: NavBelief, i: int) -> None:
+        """Gate reading ``n`` into the batch, around row ``i`` of the block's
+        ``belief``; when the batch is full, smooth it from row ``i`` of
+        ``checkpoint``, the stack at its first scan, into :attr:`closed`.
 
-    def scan(self, n: int, bel: NavBelief) -> NavBelief | None:
-        """Gate reading ``n`` into the batch; close the batch when full.
-
-        An empty gate adds an empty scan, and a batch of empty scans closes
-        as an epoch without fixes; a numerical fault raises
-        :class:`NumericalError`. Returns the aided belief when a batch
-        closed, else ``None``.
+        An empty gate adds an empty scan, and a batch of empty scans offers no
+        fix; a numerical fault raises :class:`NumericalError`.
         """
-        cfg = self.cfg
-        if not self.scans:
-            self.checkpoint = NavBelief(state=bel.state.copy(), cov=bel.cov.copy(),
-                                        time=bel.time)
-        self.scans.append(lookup_candidates(self.grid, self.readings[n], cfg.gravimeter.sigma,
-                                            bel.position, bel.cov[:2, :2], cfg.pmht.gamma,
-                                            cfg.pmht.n_max, cfg.pmht.k_sig))
-        if len(self.scans) < cfg.pmht.T:
-            return None
-        bel = self._close_batch(bel)
-        self.scans = []
-        self.checkpoint = None
-        return bel
-
-    def _close_batch(self, bel: NavBelief) -> NavBelief:
         cfg, fus, grid = self.cfg, self.cfg.fusion, self.grid
-        checkpoint = self.checkpoint
+        self.scans.append(lookup_candidates(grid, self.readings[n], cfg.gravimeter.sigma,
+                                            belief.state[i, :2], belief.cov[i, :2, :2],
+                                            cfg.pmht.gamma, cfg.pmht.n_max, cfg.pmht.k_sig))
+        if len(self.scans) < cfg.pmht.T:
+            return
         problem = BatchProblem(
-            prior_mean=checkpoint.state[:4],
-            prior_cov=checkpoint.cov[:4, :4],
+            prior_mean=checkpoint.state[i, :4],
+            prior_cov=checkpoint.cov[i, :4, :4],
             scans=tuple(self.scans),
             params=cfg.pmht,
             dt=cfg.gravimeter.interval,
             start_time=checkpoint.time,
         )
-        est = run_batch(problem)
-        if est is None:  # every scan empty: an epoch without fixes
-            self.epochs.append(AidingEpoch(time=bel.time, fixes=(), n_accepted=0,
-                                           n_nis_rejected=0, iterations_used=0,
-                                           converged=False))
-            return bel
-        variabilities = []
-        for position in est.means[:, :2]:
-            raw = 0.0  # a smoothed position off the map carries no position information
-            if grid.in_bounds(position):
-                raw = feature_variability(grid, grid.cell_of(position), fus.template_half_width)
-            self.var_history.append(raw)
-            variabilities.append(normalize_variability(self.var_history, fus.window_len))
-        # Retrodiction replays the batch from its start; standard mode aids
-        # the live belief at the batch end.
-        start = checkpoint if fus.mode == "retrodiction" else bel
-        bel, epoch = apply_batch(start, est, variabilities, fus, self.advance)
-        self.epochs.append(epoch)
-        return bel
+        self.scans = []
+        est, fixes = run_batch(problem), ()
+        if est is not None:  # else every scan was empty: an epoch without fixes
+            variabilities = []
+            for position in est.means[:, :2]:
+                raw = 0.0  # a smoothed position off the map carries no position information
+                if grid.in_bounds(position):
+                    raw = feature_variability(grid, grid.cell_of(position),
+                                              fus.template_half_width)
+                self.var_history.append(raw)
+                variabilities.append(normalize_variability(self.var_history, fus.window_len))
+            fixes = batch_fixes(est, variabilities, fus)
+        self.closed = AidingEpoch(time=belief.time, fixes=fixes, n_accepted=0, n_nis_rejected=0,
+                                  iterations_used=0 if est is None else est.iterations_used,
+                                  converged=est is not None and est.converged)
 
     def report(self, truth) -> RunReport:
         failed = self.failed_at is not None
@@ -621,9 +599,14 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     truth's scan positions once, in one :func:`.geomap.value_at` call; each
     seed has its own INS, gravimeter noise and belief. Row i of the belief
     stack, of the accelerations and of the position estimates is seed i for
-    the whole block. Every second one stacked predict moves all the beliefs,
-    and each seed's result has the bits of its own one-seed run. Every
-    ``gravimeter.interval`` each seed scans alone.
+    the whole block. Every second one stacked predict moves all the beliefs.
+    Every ``gravimeter.interval`` each seed scans alone, and all close their
+    batches at the same scan, so the block hands their fixes off at once,
+    one :func:`.fusion.apply_batch` per fix time. When the first accepted fix
+    lies before the live time (retrodiction), the hand-off starts from the
+    stack at the batch's first scan and replays the predicts up to each fix
+    time and then to the live time; otherwise (standard) it aids the live
+    stack.
 
     An aided block reads the map's values: it uses ``grid``, or builds the
     configured map when ``grid`` is ``None``. An unaided block reads only the
@@ -633,13 +616,14 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     ``cfg`` is validated (:func:`run_scenario` and :func:`run_campaign` do
     that), and the block runs on its :meth:`.ScenarioConfig.resolved` copy.
     Raises :class:`ConfigError` before any simulation when the trajectory
-    leaves the map. A seed's :class:`NumericalError` (at a predict, a lookup
-    or a batch) marks that seed's run failed/diverged at that step, and its
-    series is NaN from there on; the others go on. It is the only exception
-    the loop catches: the normal outcomes of a scan (an empty gate, a batch
-    without a candidate, a fix off the map) are values. A failed seed no
-    longer scans, and its row goes on from the start belief once its
-    predict fails. The block stops when every seed has failed.
+    leaves the map. A seed's :class:`NumericalError` (at a predict, replayed
+    or not, a lookup, a batch or a fix's NIS) marks that seed's run
+    failed/diverged at that step, and its series is NaN from there on; the
+    others go on. It is the only exception the loop catches: the normal
+    outcomes of a scan (an empty gate, a batch without a candidate, a fix off
+    the map) are values. A failed seed no longer scans, and its row goes on
+    from the start belief once its predict fails. The block stops, and
+    predicts no more, when every seed has failed.
     """
     cfg = cfg.resolved()
     if grid is None and cfg.aiding:
@@ -647,8 +631,8 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     _check_route(cfg, _map_extent(cfg, grid))
     truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, INS_DT)
     grades = SENSOR_GRADES[cfg.ins.accel_grade], SENSOR_GRADES[cfg.ins.gyro_grade]
-    fus = cfg.fusion
-    start = _initial_belief(cfg, truth)
+    fus, batch_len = cfg.fusion, cfg.pmht.T
+    start = _initial_belief(cfg, truth, len(seeds))
     pos_est = np.empty((len(seeds), len(truth), 2))
     pos_est[:, 0] = start.position
     every = round(cfg.gravimeter.interval / INS_DT)  # INS steps per scan
@@ -657,38 +641,75 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     runs = [_SeedRun(cfg, grid, field, truth, grades, seed, pos)
             for seed, pos in zip(seeds, pos_est)]
     accels = np.stack([run.accels for run in runs], axis=1)
-    belief = NavBelief(state=np.tile(start.state, (len(runs), 1)),
-                       cov=np.tile(start.cov, (len(runs), 1, 1)), time=start.time)
 
+    def fail(rows, k: int) -> bool:
+        """Mark the runs of ``rows`` failed at step ``k``; True once all have failed."""
+        for i in rows:
+            if runs[i].failed_at is None:
+                runs[i].failed_at = k
+        return all(run.failed_at is not None for run in runs)
+
+    def advance(bel: NavBelief, step: int) -> NavBelief | None:
+        """The stack predicted second by second up to ``step``; ``None`` once all have failed."""
+        for k in range(round(bel.time / INS_DT) + 1, step + 1):
+            try:
+                bel = ukf_predict(bel, accels[k - 1], INS_DT, fus)
+            except NumericalError as exc:
+                # A row that no longer factors or is no longer finite would
+                # fail every later predict; it goes on from the start belief.
+                if fail(exc.rows, k):
+                    return None
+                rows = list(exc.rows)
+                bel.state[rows], bel.cov[rows] = start.state[rows], start.cov[rows]
+                bel = ukf_predict(bel, accels[k - 1], INS_DT, fus)
+            pos_est[:, k] = bel.position
+        return bel
+
+    def hand_off(live: NavBelief, checkpoint: NavBelief, k: int) -> NavBelief | None:
+        """Feed the live runs' closed batches into the stack, fix time by fix time."""
+        tally = {i: [0, 0] for i, run in enumerate(runs) if run.failed_at is None}
+        offered = [(i, fix) for i in tally for fix in runs[i].closed.fixes if fix.accepted]
+        times = sorted({fix.time for _, fix in offered})
+        bel = checkpoint if times and times[0] < live.time else live
+        for t in times:
+            bel = advance(bel, round(t / INS_DT))
+            if bel is None:
+                return None
+            now = [(i, fix) for i, fix in offered if fix.time == t and runs[i].failed_at is None]
+            if now:
+                rows, fixes = zip(*now)
+                bel, applied, failed = apply_batch(bel, rows, fixes, fus)
+                for i, ok in zip(rows, applied):
+                    tally[i][not ok] += 1
+                if fail(failed, round(t / INS_DT)):
+                    return None
+        bel = advance(bel, k)
+        for i, (n_accepted, n_nis_rejected) in tally.items():
+            if runs[i].failed_at is None:
+                runs[i].epochs.append(replace(runs[i].closed, n_accepted=n_accepted,
+                                              n_nis_rejected=n_nis_rejected))
+                pos_est[i, k] = bel.position[i]
+        return bel
+
+    belief = start
     for k in range(1, len(truth)):
-        try:
-            belief = ukf_predict(belief, accels[k - 1], INS_DT, fus)
-        except NumericalError as exc:
-            # A row that no longer factors or is no longer finite would
-            # fail every later predict; it goes on from the start belief.
-            for i in exc.rows:
-                if runs[i].failed_at is None:
-                    runs[i].failed_at = k
-                belief.state[i], belief.cov[i] = start.state, start.cov
-            if all(run.failed_at is not None for run in runs):
-                break
-            belief = ukf_predict(belief, accels[k - 1], INS_DT, fus)
-        pos_est[:, k] = belief.position
+        belief = advance(belief, k)
+        if belief is None:
+            break
         if not cfg.aiding or k % every:
             continue
-        for run, state, cov in zip(runs, belief.state, belief.cov):
-            if run.failed_at is not None:
-                continue
-            try:
-                closed = run.scan(k // every - 1, NavBelief(state=state, cov=cov,
-                                                            time=belief.time))
-            except NumericalError:
-                run.failed_at = k
-                continue
-            if closed is not None:
-                state[:], cov[:] = closed.state, closed.cov
-                run.pos[k] = closed.position
-        if all(run.failed_at is not None for run in runs):
+        n = k // every - 1
+        if n % batch_len == 0:
+            checkpoint = belief
+        for i, run in enumerate(runs):
+            if run.failed_at is None:
+                try:
+                    run.scan(n, belief, checkpoint, i)
+                except NumericalError:
+                    run.failed_at = k
+        if n % batch_len == batch_len - 1:
+            belief = hand_off(belief, checkpoint, k)
+        if belief is None or all(run.failed_at is not None for run in runs):
             break
     return [run.report(truth) for run in runs]
 

@@ -93,24 +93,22 @@ def test_criterion_1_smoother_oracle():
 def test_criterion_2_ukf_oracle():
     rng = np.random.default_rng(1002)
     params = FusionParams(q_accel=1e-8, bias_psd=1e-12, nis_gate=None)
-    belief = NavBelief(state=np.array([0.0, 0.0, 22.0, 0.0, 1e-6, -1e-6]),
-                       cov=np.diag([900.0, 900.0, 0.01, 0.01, 4e-12, 4e-12]),
+    belief = NavBelief(state=np.array([[0.0, 0.0, 22.0, 0.0, 1e-6, -1e-6]]),
+                       cov=np.diag([900.0, 900.0, 0.01, 0.01, 4e-12, 4e-12])[None],
                        time=0.0)
-    kx, kp = belief.state.copy(), belief.cov.copy()
+    kx, kp = belief.state[0].copy(), belief.cov[0].copy()
     worst = 0.0
     for step in range(100):
         accel = rng.normal(0.0, 1e-4, 2)
-        stack = NavBelief(state=belief.state[None], cov=belief.cov[None], time=belief.time)
-        stack = ukf_predict(stack, accel[None], 1.0, params)
-        belief = NavBelief(state=stack.state[0], cov=stack.cov[0], time=stack.time)
+        belief = ukf_predict(belief, accel[None], 1.0, params)
         kx, kp = nav_kf_predict(kx, kp, accel, 1.0, params.q_accel, params.bias_psd)
         if step % 10 == 9:
             z = kx[:2] + rng.normal(0.0, 20.0, 2)
-            belief, _ = ukf_update(belief, z, 400.0 * np.eye(2), params)
+            belief, _ = ukf_update(belief, z[None], 400.0 * np.eye(2)[None], params)
             kx, kp = nav_kf_update(kx, kp, z, 400.0 * np.eye(2))
         worst = max(worst,
-                    np.linalg.norm(belief.state - kx) / max(np.linalg.norm(kx), 1.0),
-                    np.linalg.norm(belief.cov - kp) / max(np.linalg.norm(kp), 1.0))
+                    np.linalg.norm(belief.state[0] - kx) / max(np.linalg.norm(kx), 1.0),
+                    np.linalg.norm(belief.cov[0] - kp) / max(np.linalg.norm(kp), 1.0))
     ok = worst <= 1e-10
     report("criterion 2 (UKF = KF, 100 seeded steps)", ok,
            f"max rel err {worst:.2e} <= 1e-10")

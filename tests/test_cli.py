@@ -68,6 +68,19 @@ DEMO_RETRO_DIGESTS = {
     "runs/1.csv": "8704df1432d987ee16c0933a528337e9aa85b43a4bd4a0c9ae1abf1de7c572a9",
 }
 
+# The same with monte_carlo.runs = 6: one block hands six seeds' fixes off
+# together, and every seed keeps the bits of its own run.
+DEMO_RETRO6_DIGESTS = {
+    "campaign.csv": "89fa60fd77a10de2d8cc3c19a273f949b8e26665c872c5e1dd90028312596fd1",
+    "summary.csv": "180310101161ea392fb00486dd4ad656d69e0da3c428aab8562903791082c429",
+    "runs/0.csv": "351d5a049516e8d6431e12dc0f6e78ecd1dde8ff6394287eadc218ab35e388a1",
+    "runs/1.csv": "8704df1432d987ee16c0933a528337e9aa85b43a4bd4a0c9ae1abf1de7c572a9",
+    "runs/2.csv": "febd9ab358454d221698c67a279c0d7e7c156e4c272828e56ad9bd82d36964e6",
+    "runs/3.csv": "3cfec13d59bee6a0019b3024636bd0a9b55018a83f1a9adae5011c88448d149e",
+    "runs/4.csv": "c6a6689d46a43520c9c16623b4d8a7f8043381a6bc427a147984d52b6e1570ec",
+    "runs/5.csv": "f85de8673530692864889265f454ade923d382ccce032430be91d67587fae035",
+}
+
 
 # SHA-256 of map.asc from `gravnav genmap --config configs/demo.cfg`, recorded
 # from the one-thread map build: the rows a worker builds must not move a bit.
@@ -493,6 +506,18 @@ class TestCampaign:
                      "--seed", "0", "--jobs", "1"]) == 0
         assert {name: sha(out / name) for name in DEMO_RETRO_DIGESTS} == DEMO_RETRO_DIGESTS
 
+    def test_demo_retrodiction_six_seed_block_pinned(self, tmp_path):
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            text = fh.read()
+        cfg = write(tmp_path / "cfg.txt",
+                    text + "fusion.mode = retrodiction\nmonte_carlo.runs = 6\n")
+        out = tmp_path / "out"
+        assert main(["campaign", "--config", cfg, "--out", str(out),
+                     "--seed", "0", "--jobs", "1"]) == 0
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv"))
+        assert written == sorted(DEMO_RETRO6_DIGESTS)
+        assert {name: sha(out / name) for name in written} == DEMO_RETRO6_DIGESTS
+
     @pytest.mark.parametrize("workload, extra", [
         ("corridor-std", ""), ("corridor-retro", "fusion.mode = retrodiction\n"),
     ])
@@ -553,8 +578,8 @@ class TestRun:
         real_predict, real_apply = harness.ukf_predict, harness.apply_batch
         monkeypatch.setattr(harness, "ukf_predict", lambda belief, accel, dt, params:
                             real_predict(belief, accel, dt, replace(params, **fault)))
-        monkeypatch.setattr(harness, "apply_batch", lambda belief, est, var, params, advance:
-                            real_apply(belief, est, var, replace(params, **fault), advance))
+        monkeypatch.setattr(harness, "apply_batch", lambda belief, rows, fixes, params:
+                            real_apply(belief, rows, fixes, replace(params, **fault)))
         with open(DEMO_CFG, encoding="utf-8") as fh:
             cfg = write(tmp_path / "cfg.txt", fh.read() + line)
         with pytest.warns(RuntimeWarning) as got:

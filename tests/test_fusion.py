@@ -14,6 +14,7 @@ from gravnav.fusion import (
     _process_noise,
     _unscented_weights,
     apply_batch,
+    batch_fixes,
     ukf_predict,
     ukf_update,
 )
@@ -289,7 +290,7 @@ def sigma_point_loop_predict(b, accel, dt, params):
 
 
 def offered_fix(variability, cov=np.diag([4.0, 9.0]), **params):
-    """The fix ``apply_batch`` records for a one-scan batch in standard mode.
+    """The fix ``batch_fixes`` offers for a one-scan batch in standard mode.
 
     The scan's smoothed position covariance is ``cov`` and its normalized
     variability ``variability``; ``params`` override the fusion settings.
@@ -299,15 +300,16 @@ def offered_fix(variability, cov=np.diag([4.0, 9.0]), **params):
     covs[0, 2:, 2:] = 0.01 * np.eye(2)
     est = BatchEstimate(means=np.array([[0.0, 0.0, 22.0, 0.0]]), covs=covs,
                         times=np.array([0.0]), iterations_used=1, converged=True)
-    _, epoch = apply_batch(belief(), est, [variability],
-                           FusionParams(nis_gate=None, **params))
-    (fix,) = epoch.fixes
-    assert epoch.n_accepted == int(fix.accepted)
+    params = FusionParams(nis_gate=None, **params)
+    (fix,) = batch_fixes(est, [variability], params)
+    # Without a NIS gate, every fix that passes the aiding gate is applied.
+    applied = apply_batch(stack(belief()), [0], [fix], params)[1] if fix.accepted else []
+    assert sum(applied) == int(fix.accepted)
     return fix
 
 
 class TestWeightFixCovariance:
-    """``apply_batch`` divides each fix covariance by ``max(v, v_floor)``."""
+    """``batch_fixes`` divides each fix covariance by ``max(v, v_floor)``."""
 
     def test_full_confidence_identity(self):
         cov = np.diag([4.0, 9.0])
@@ -326,7 +328,7 @@ class TestWeightFixCovariance:
 
 
 class TestAidingGate:
-    """``apply_batch`` takes a fix only where ``v >= variability_threshold``."""
+    """``batch_fixes`` accepts a fix only where ``v >= variability_threshold``."""
 
     def test_accepts_above_threshold(self):
         assert offered_fix(0.5, variability_threshold=0.05).accepted
@@ -341,11 +343,17 @@ class TestAidingGate:
         assert offered_fix(0.0, variability_threshold=0.0).accepted
 
 
+def update_one(b, z, r, params):
+    """``ukf_update`` of one belief, as the R = 1 stack."""
+    out, nis = ukf_update(stack(b), z[None], r[None], params)
+    return solo(out, 0), nis[0]
+
+
 class TestUkfUpdate:
     def test_perfect_measurement_pins_position(self):
         b = belief()
         r = 1e-6 * np.eye(2)
-        out, nis = ukf_update(b, b.position, r, FusionParams())
+        out, nis = update_one(b, b.position, r, FusionParams())
         assert nis == pytest.approx(0.0, abs=1e-9)
         assert out.position == pytest.approx(b.position, abs=1e-9)
         eigs = np.linalg.eigvalsh(r - out.cov[:2, :2])
@@ -353,7 +361,7 @@ class TestUkfUpdate:
 
     def test_uninformative_measurement_keeps_prior(self):
         b = belief()
-        out, _ = ukf_update(b, np.array([123.0, -77.0]), 1e12 * np.eye(2), FusionParams())
+        out, _ = update_one(b, np.array([123.0, -77.0]), 1e12 * np.eye(2), FusionParams())
         assert np.linalg.norm(out.state - b.state) / np.linalg.norm(b.state) <= 1e-6
         assert np.linalg.norm(out.cov - b.cov) / np.linalg.norm(b.cov) <= 1e-6
 
@@ -364,7 +372,7 @@ class TestUkfUpdate:
             b = belief(cov=np.diag(rng.uniform(0.5, 2.0, 6)))
             z = b.position + rng.normal(0.0, 5.0, 2)
             r = np.diag(rng.uniform(1.0, 50.0, 2))
-            out, nis = ukf_update(b, z, r, params)
+            out, nis = update_one(b, z, r, params)
             kx, kp = nav_kf_update(b.state, b.cov, z, r)
             assert np.linalg.norm(out.state - kx) / max(np.linalg.norm(kx), 1.0) <= 1e-10
             assert np.linalg.norm(out.cov - kp) / max(np.linalg.norm(kp), 1.0) <= 1e-10
@@ -378,7 +386,7 @@ class TestUkfUpdate:
         for _ in range(50):
             b = belief(cov=np.diag(rng.uniform(0.1, 10.0, 6)))
             z = b.position + rng.normal(0.0, 1.0, 2)
-            out, _ = ukf_update(b, z, np.diag(rng.uniform(0.5, 5.0, 2)), params)
+            out, _ = update_one(b, z, np.diag(rng.uniform(0.5, 5.0, 2)), params)
             assert np.trace(out.cov) <= np.trace(b.cov) + 1e-9
 
     @settings(max_examples=100, deadline=None)
@@ -389,7 +397,7 @@ class TestUkfUpdate:
         state = data.draw(hnp.arrays(np.float64, 6, elements=st.floats(-1e4, 1e4)))
         offset = data.draw(hnp.arrays(np.float64, 2, elements=st.floats(-1e3, 1e3)))
         b = NavBelief(state=state, cov=cov, time=0.0)
-        out, nis = ukf_update(b, state[:2] + offset, r, FusionParams())
+        out, nis = update_one(b, state[:2] + offset, r, FusionParams())
         assert nis >= 0.0
         assert (out.cov == out.cov.T).all()
         assert_psd(out.cov)
@@ -399,11 +407,34 @@ class TestUkfUpdate:
         # A fix far past the NIS gate is still applied: the gate is apply_batch's.
         b = belief()
         far = b.position + np.array([4000.0, 0.0])
-        out, nis = ukf_update(b, far, np.eye(2), FusionParams(nis_gate=CHI2_99P9_2DOF))
-        ref, ref_nis = ukf_update(b, far, np.eye(2), FusionParams(nis_gate=None))
+        out, nis = update_one(b, far, np.eye(2), FusionParams(nis_gate=CHI2_99P9_2DOF))
+        ref, ref_nis = update_one(b, far, np.eye(2), FusionParams(nis_gate=None))
         assert nis == ref_nis > CHI2_99P9_2DOF
         assert np.array_equal(out.state, ref.state) and np.array_equal(out.cov, ref.cov)
         assert out.position[0] > b.position[0] + 3000.0
+
+    @pytest.mark.parametrize("params", [FusionParams(), FusionParams(alpha=0.5, kappa=1.0)],
+                             ids=["default", "spread"])
+    def test_each_row_gets_its_one_row_bits(self, params):
+        # 50 draws of 20 rows: random SPD beliefs and fix covariances, fixes
+        # around the beliefs. Every row, NIS included, has its R = 1 bits.
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            a = rng.normal(size=(20, 6, 6))
+            cov = a @ np.swapaxes(a, 1, 2) * rng.uniform(0.1, 1e3, (20, 1, 1)) + 1e-3 * np.eye(6)
+            c = rng.normal(size=(20, 2, 2))
+            r = c @ np.swapaxes(c, 1, 2) * rng.uniform(0.1, 1e2, (20, 1, 1)) + 1e-2 * np.eye(2)
+            b = NavBelief(state=rng.normal(0.0, 100.0, (20, 6)), cov=cov, time=3.0)
+            z = b.position + rng.normal(0.0, 30.0, (20, 2))
+            out, nis = ukf_update(b, z, r, params)
+            assert nis.shape == (20,) and out.time == 3.0
+            for i in range(20):
+                one, one_nis = ukf_update(NavBelief(state=b.state[i:i + 1],
+                                                    cov=b.cov[i:i + 1], time=3.0),
+                                          z[i:i + 1], r[i:i + 1], params)
+                assert np.array_equal(out.state[i], one.state[0])
+                assert np.array_equal(out.cov[i], one.cov[0])
+                assert nis[i] == one_nis[0]
 
 
 class TestApplyBatch:
@@ -415,101 +446,116 @@ class TestApplyBatch:
 
     def test_standard_applies_single_update(self):
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
-        b = belief(time=20.0)
+        b = stack(belief(time=20.0))
         params = FusionParams(nis_gate=None)
-        out, epoch = apply_batch(b, est, [1.0, 1.0], params)
-        assert len(epoch.fixes) == 1
-        assert epoch.n_accepted == 1
-        assert out.time == epoch.time == 20.0
-        assert (epoch.iterations_used, epoch.converged) == (1, True)
+        (fix,) = batch_fixes(est, [1.0, 1.0], params)
+        assert fix.accepted and fix.time == 20.0
+        assert np.array_equal(fix.position, est.means[-1, :2])
+        out, applied, failed = apply_batch(b, [0], [fix], params)
+        assert applied.tolist() == [True] and failed == ()
+        assert out.time == 20.0
+        assert out.position[0, 0] > b.position[0, 0] + 100.0
 
     def test_retrodiction_applies_all_fixes(self):
-        est = self.make_estimate([(10.0, 0.0), (120.0, 1.0), (230.0, 2.0)],
-                                 [10.0, 20.0, 30.0])
-        b = belief(time=10.0)
-        params = FusionParams(mode="retrodiction", nis_gate=None)
-        calls = []
-
-        def advance(bel, t_target):
-            calls.append(t_target)
-            return NavBelief(state=bel.state, cov=bel.cov, time=t_target)
-
-        out, epoch = apply_batch(b, est, [1.0, 1.0, 1.0], params, advance)
-        assert epoch.n_accepted == 3
-        assert calls == [20.0, 30.0]
-        assert out.time == 30.0
-
-    def test_retrodiction_replays_to_batch_end(self):
-        # the last fix is gated out, so the belief is re-predicted past it
+        # Every fix is offered in time order, each with its covariance
+        # inflated by the number of accepted fixes, and each applies at its
+        # time; the caller predicts the stack between them.
         est = self.make_estimate([(10.0, 0.0), (120.0, 1.0), (230.0, 2.0)],
                                  [10.0, 20.0, 30.0])
         params = FusionParams(mode="retrodiction", nis_gate=None)
-        calls = []
-
-        def advance(bel, t_target):
-            calls.append(t_target)
-            return NavBelief(state=bel.state, cov=bel.cov, time=t_target)
-
-        out, epoch = apply_batch(belief(time=10.0), est, [1.0, 1.0, 0.0], params, advance)
-        assert epoch.n_accepted == 2
-        assert not epoch.fixes[2].accepted
-        assert calls == [20.0, 30.0]
-        assert out.time == epoch.time == 30.0
-
-    def test_belief_behind_the_batch_needs_advance(self):
-        est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
-        with pytest.raises(ValueError, match="advance"):
-            apply_batch(belief(time=10.0), est, [1.0, 1.0], FusionParams(nis_gate=None))
+        fixes = batch_fixes(est, [1.0, 1.0, 1.0], params)
+        assert [f.time for f in fixes] == [10.0, 20.0, 30.0]
+        assert all(f.accepted for f in fixes)
+        assert np.allclose(fixes[0].cov, 3.0 * 25.0 * np.eye(2))
+        b = stack(belief(time=10.0))
+        for fix in fixes:
+            b = NavBelief(state=b.state, cov=b.cov, time=fix.time)
+            b, applied, _ = apply_batch(b, [0], [fix], params)
+            assert applied.tolist() == [True]
+        assert b.time == 30.0
 
     def test_modes_agree_on_single_effective_fix(self):
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
         params = FusionParams(nis_gate=None, variability_threshold=0.05)
         variabilities = [0.0, 1.0]  # first fix gated out
-        std, _ = apply_batch(belief(time=20.0), est, variabilities, params)
-        retro, _ = apply_batch(belief(time=20.0), est, variabilities,
-                               replace(params, mode="retrodiction"))
+        (std_fix,) = batch_fixes(est, variabilities, params)
+        first, retro_fix = batch_fixes(est, variabilities, replace(params, mode="retrodiction"))
+        assert not first.accepted
+        std = apply_batch(stack(belief(time=20.0)), [0], [std_fix], params)[0]
+        retro = apply_batch(stack(belief(time=20.0)), [0], [retro_fix], params)[0]
         assert (std.state == retro.state).all()
         assert (std.cov == retro.cov).all()
 
     def test_all_fixes_rejected_leaves_belief_unchanged(self):
+        # No fix passes the aiding gate, so there is nothing to apply; a fix
+        # the NIS gate rejects leaves its row bit-identical (below).
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
-        b = belief(time=20.0)
         params = FusionParams(variability_threshold=0.5)
-        out, epoch = apply_batch(b, est, [0.0, 0.01], params)
-        assert epoch.n_accepted == 0
-        assert out is b
-        assert not epoch.fixes[0].accepted
+        fixes = batch_fixes(est, [0.0, 0.01], replace(params, mode="retrodiction"))
+        assert not any(f.accepted for f in fixes)
+        (fix,) = batch_fixes(est, [0.0, 0.01], params)
+        assert not fix.accepted
 
     def test_nis_gate_rejects_far_fix_bit_identical(self):
+        # Row 1's fix is 4 km off and fails the gate; rows 0 and 2 apply theirs.
         est = self.make_estimate([(10.0, 0.0), (4020.0, 0.0)], [10.0, 20.0], pos_cov=1.0)
-        b = belief(time=20.0)
-        out, epoch = apply_batch(b, est, [1.0, 1.0], FusionParams(nis_gate=CHI2_99P9_2DOF))
-        assert out is b
-        assert (epoch.n_accepted, epoch.n_nis_rejected) == (0, 1)
-        assert epoch.fixes[0].accepted
+        near = self.make_estimate([(10.0, 0.0), (20.0, 0.0)], [10.0, 20.0], pos_cov=1.0)
+        b = stack(*(belief(time=20.0) for _ in range(3)))
+        gated = FusionParams(nis_gate=CHI2_99P9_2DOF)
+        (far_fix,) = batch_fixes(est, [1.0, 1.0], gated)
+        (near_fix,) = batch_fixes(near, [1.0, 1.0], gated)
+        assert far_fix.accepted
+        out, applied, failed = apply_batch(b, [0, 1, 2], [near_fix, far_fix, near_fix], gated)
+        assert applied.tolist() == [True, False, True] and failed == ()
+        assert np.array_equal(out.state[1], b.state[1]) and np.array_equal(out.cov[1], b.cov[1])
+        assert not np.array_equal(out.state[0], b.state[0])
         # without the gate the same fix is applied
-        out, epoch = apply_batch(b, est, [1.0, 1.0], FusionParams(nis_gate=None))
-        assert out is not b and out.position[0] > 3000.0
-        assert (epoch.n_accepted, epoch.n_nis_rejected) == (1, 0)
+        out, applied, _ = apply_batch(b, [1], [far_fix], FusionParams(nis_gate=None))
+        assert applied.tolist() == [True] and out.position[1, 0] > 3000.0
+        assert np.array_equal(out.state[[0, 2]], b.state[[0, 2]])
+
+    def test_rows_without_a_fix_pass_through(self):
+        est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
+        params = FusionParams(nis_gate=None)
+        (fix,) = batch_fixes(est, [1.0, 1.0], params)
+        b = stack(*(belief(x=[float(i), 0.0, 22.0, 0.0, 0.0, 0.0], time=20.0)
+                    for i in range(4)))
+        out, _, _ = apply_batch(b, [2], [fix], params)
+        alone, _, _ = apply_batch(stack(solo(b, 2)), [0], [fix], params)
+        for i in (0, 1, 3):
+            assert np.array_equal(out.state[i], b.state[i])
+            assert np.array_equal(out.cov[i], b.cov[i])
+        assert np.array_equal(out.state[2], alone.state[0])
+        assert np.array_equal(out.cov[2], alone.cov[0])
 
     @pytest.mark.parametrize("mode", ["standard", "retrodiction"])
-    def test_non_finite_nis_raises(self, mode):
+    def test_non_finite_nis_fails_its_row(self, mode):
         # alpha = 1e200 overflows the sigma-point spread: the update's NIS is
-        # NaN, which no gate comparison rejects.
+        # NaN, which no gate comparison rejects. The row is named and keeps
+        # its belief.
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
         params = FusionParams(mode=mode, nis_gate=CHI2_99P9_2DOF, alpha=1e200)
-        advance = lambda bel, t: NavBelief(state=bel.state, cov=bel.cov, time=t)  # noqa: E731
+        fix = batch_fixes(est, [1.0, 1.0], params)[-1]
+        b = stack(belief(time=20.0), belief(time=20.0))
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            with pytest.raises(NumericalError, match="NIS"):
-                apply_batch(belief(time=10.0), est, [1.0, 1.0], params, advance)
+            out, applied, failed = apply_batch(b, [1], [fix], params)
+        assert failed == (1,) and applied.tolist() == [False]
+        assert np.array_equal(out.state, b.state) and np.array_equal(out.cov, b.cov)
 
-    def test_nan_fix_position_raises(self):
+    def test_nan_fix_position_fails_its_row(self):
         est = self.make_estimate([(10.0, 0.0), (np.nan, 5.0)], [10.0, 20.0])
-        with pytest.raises(NumericalError, match="NIS"):
-            apply_batch(belief(time=20.0), est, [1.0, 1.0], FusionParams(nis_gate=None))
+        ok = self.make_estimate([(10.0, 0.0), (20.0, 5.0)], [10.0, 20.0])
+        params = FusionParams(nis_gate=None)
+        (bad,) = batch_fixes(est, [1.0, 1.0], params)
+        (good,) = batch_fixes(ok, [1.0, 1.0], params)
+        b = stack(belief(time=20.0), belief(time=20.0))
+        out, applied, failed = apply_batch(b, [0, 1], [good, bad], params)
+        assert failed == (1,) and applied.tolist() == [True, False]
+        assert np.array_equal(out.state[1], b.state[1])
+        assert not np.array_equal(out.state[0], b.state[0])
 
     def test_variability_inflates_fix_cov(self):
         est = self.make_estimate([(10.0, 0.0), (230.0, 5.0)], [10.0, 20.0])
         params = FusionParams(nis_gate=None)
-        _, epoch = apply_batch(belief(time=20.0), est, [1.0, 0.5], params)
-        assert np.allclose(epoch.fixes[0].cov, 2.0 * 25.0 * np.eye(2))
+        (fix,) = batch_fixes(est, [1.0, 0.5], params)
+        assert np.allclose(fix.cov, 2.0 * 25.0 * np.eye(2))

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gravnav
+import gravnav.fusion as fusion
 import gravnav.harness as harness
 from gravnav.config import (
     GaussianBump,
@@ -643,22 +644,18 @@ class TestRunScenario:
         cfg.fusion.mode = "retrodiction"
         cfg.fusion.q_accel = q_accel
         seen = {"block": [], "replay": []}
-        phase = ["block"]
-        real_predict, real_advance = harness.ukf_predict, harness._SeedRun.advance
+        latest = [-1.0]
+        real_predict = harness.ukf_predict
 
         def predict(belief, accel, dt, params):
-            seen[phase[0]].append(params.q_accel)
+            # A replay predict steps back in time, to the batch's start, and
+            # stays at or below the latest time the block has predicted from.
+            replay = belief.time <= latest[0]
+            latest[0] = max(latest[0], belief.time)
+            seen["replay" if replay else "block"].append(params.q_accel)
             return real_predict(belief, accel, dt, params)
 
-        def advance(run, bel, t_target):
-            phase[0] = "replay"
-            try:
-                return real_advance(run, bel, t_target)
-            finally:
-                phase[0] = "block"
-
         monkeypatch.setattr(harness, "ukf_predict", predict)
-        monkeypatch.setattr(harness._SeedRun, "advance", advance)
         run_scenario(cfg, 0)
         if q_accel is None:
             q_accel = SENSOR_GRADES[cfg.ins.accel_grade].accel_noise_density ** 2
@@ -994,11 +991,14 @@ class TestBlock:
         # Seed 2's second batch, closing at 100 s, meets a real fault. Either
         # its velocity prior is 1e250 times too wide, as a huge bias_psd makes
         # it, and the smoother gain stays singular after the jitter; or its
-        # update runs with alpha = 1e200, whose sigma-point spread overflows,
-        # so the belief turns NaN and the next scan's lookup rejects it.
+        # row's position variance is infinite at the update, so its sigma
+        # points spread without bound and the fix's NIS is NaN. The stacked
+        # update has one set of parameters for all rows, so the fault is put
+        # in seed 2's row alone: row 2 of the block, row 0 of its solo run.
         cfg = small_scenario(duration=600.0, batch_len=5)
         grid = build_grid(cfg)
         _, values = seed_streams(cfg, grid, 2)
+        target = [2]
         if fault == "smoother-solve":
             real_batch = harness.run_batch
 
@@ -1013,15 +1013,18 @@ class TestBlock:
         else:
             real_apply = harness.apply_batch
 
-            def faulty(belief, est, variabilities, params, advance):
-                if est.times[-1] == 100.0 and advance.__self__.seed == 2:
-                    params = replace(params, alpha=1e200)
-                return real_apply(belief, est, variabilities, params, advance)
+            def faulty(belief, rows, fixes, params):
+                if fixes[0].time == 100.0 and target[0] in rows:
+                    cov = belief.cov.copy()
+                    cov[target[0], 0, 0] = cov[target[0], 1, 1] = np.inf
+                    belief = replace(belief, cov=cov)
+                return real_apply(belief, rows, fixes, params)
 
             monkeypatch.setattr(harness, "apply_batch", faulty)
         with pytest.warns(RuntimeWarning, match=warning):
             block = run_block(cfg, SEEDS, grid)
         for rep in block:
+            target[0] = 0 if rep.seed == 2 else None
             with pytest.warns(RuntimeWarning, match=warning) if rep.seed == 2 else nullcontext():
                 alone = run_scenario(cfg, rep.seed, grid)
             assert np.array_equal(rep.error_series, alone.error_series, equal_nan=True)
@@ -1079,10 +1082,14 @@ class TestBlock:
         with pytest.raises(ValueError, match="forced"):
             run_block(small_scenario(duration=300.0, batch_len=5), [0, 1])
 
-    def test_batch_of_empty_scans(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["standard", "retrodiction"])
+    def test_batch_of_empty_scans(self, monkeypatch, mode):
+        # In retrodiction the other seeds replay the batch, and seed 1's row
+        # rides through the stacked replay with no fix.
         import gravnav.harness as harness
 
         cfg = small_scenario(duration=300.0, batch_len=5)
+        cfg.fusion = replace(cfg.fusion, mode=mode)
         grid = build_grid(cfg)
         _, values = seed_streams(cfg, grid, 1)
         real = harness.lookup_candidates
@@ -1098,6 +1105,92 @@ class TestBlock:
         empty = block[1].epochs[1]
         assert (empty.time, empty.fixes, empty.iterations_used) == (100.0, (), 0)
         assert all(r.epochs[1].fixes for r in block if r.seed != 1)
+
+    @pytest.mark.parametrize("mode", ["standard", "retrodiction"])
+    def test_nis_rejected_fix_of_one_seed(self, monkeypatch, mode):
+        # Seed 3's second batch offers fixes 2 km north of its smoothed track:
+        # the NIS gate rejects each of them, while the other seeds' fixes at
+        # the same times apply.
+        cfg = small_scenario(duration=300.0, batch_len=5)
+        cfg.fusion = replace(cfg.fusion, mode=mode)
+        grid = build_grid(cfg)
+        _, values = seed_streams(cfg, grid, 3)
+        real_batch, real_fixes = harness.run_batch, harness.batch_fixes
+        far = []
+
+        def marked(problem):
+            est = real_batch(problem)
+            if problem.scans[0].measurement == values[5]:
+                far.append(est)
+            return est
+
+        def shifted(est, variabilities, params):
+            fixes = real_fixes(est, variabilities, params)
+            if any(est is e for e in far):
+                fixes = tuple(replace(f, position=f.position + [0.0, 2000.0]) for f in fixes)
+            return fixes
+
+        monkeypatch.setattr(harness, "run_batch", marked)
+        monkeypatch.setattr(harness, "batch_fixes", shifted)
+        block = assert_block_matches_solo(cfg, SEEDS, grid)
+        rejected = block[3].epochs[1]
+        assert rejected.n_accepted == 0
+        assert rejected.n_nis_rejected == sum(f.accepted for f in rejected.fixes) > 0
+        for rep in block:
+            if rep.seed != 3:
+                assert rep.epochs[1].n_accepted > 0 and rep.epochs[1].n_nis_rejected == 0
+        assert not any(r.failed for r in block)
+
+    def test_retrodiction_replay_is_lock_stepped(self, monkeypatch):
+        # A 3-seed retrodiction block replays each batch with one 3-row
+        # predict per replayed second, from its first accepted fix up to the
+        # live time (each batch's last fix is gated out here, so the replay
+        # runs past the last applied fix), and makes one update per fix time
+        # for the whole block.
+        cfg = small_scenario(duration=300.0, batch_len=5)
+        cfg.fusion = replace(cfg.fusion, mode="retrodiction")
+        predicts, updates = [], []
+        real_predict, real_update = harness.ukf_predict, fusion.ukf_update
+        real_fixes = harness.batch_fixes
+
+        def predict(belief, accel, dt, params):
+            predicts.append((belief.time, len(belief.state)))
+            return real_predict(belief, accel, dt, params)
+
+        def update(belief, position, cov, params):
+            updates.append((belief.time, len(belief.state)))
+            return real_update(belief, position, cov, params)
+
+        def last_gated_out(est, variabilities, params):
+            *fixes, last = real_fixes(est, variabilities, params)
+            return (*fixes, replace(last, accepted=False))
+
+        monkeypatch.setattr(harness, "ukf_predict", predict)
+        monkeypatch.setattr(fusion, "ukf_update", update)
+        monkeypatch.setattr(harness, "batch_fixes", last_gated_out)
+        block = run_block(cfg, [0, 1, 2])
+        assert not any(r.failed for r in block)
+        assert {rows for _, rows in predicts} == {3}
+        # A replay predict steps back in time; the block's own predicts
+        # run once through every second.
+        live, replayed = [], []
+        for t, _ in predicts:
+            (replayed if live and t <= live[-1] else live).append(t)
+        assert live == [float(t) for t in range(int(cfg.duration))]
+        accepted = {}
+        for rep in block:
+            for epoch in rep.epochs:
+                for fix in epoch.fixes:
+                    if fix.accepted:
+                        accepted.setdefault(epoch.time, []).append(fix.time)
+        assert len(accepted) == 6  # every batch aids
+        expected = [float(t) for close, times in sorted(accepted.items())
+                    for t in range(int(min(times)), int(close))]
+        assert replayed == expected
+        fix_times = sorted({t for times in accepted.values() for t in times})
+        assert updates == [(t, sum(times.count(t) for times in accepted.values()))
+                           for t in fix_times]
+        assert {rows for _, rows in updates} == {3}
 
     def test_nodata_next_to_route_fails_no_seed(self, tmp_path):
         # A cell whose gradient stencil touches the hole is no candidate, and

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from gravnav.assoc import ScanStack, candidate_weights, position_noise_cov, stack_fuse
 from gravnav.errors import NumericalError
 from gravnav.config import FusionParams, PmhtParams
-from gravnav.fusion import NavBelief, apply_batch
+from gravnav.fusion import batch_fixes
 from gravnav.geomap import CandidateSet
 from gravnav.pmht import (
     BatchProblem,
@@ -466,20 +466,12 @@ class TestRetrodict:
         assert np.diff(est.times) == pytest.approx(np.full(29, 10.0))
 
         params = FusionParams(nis_gate=None)
-        start = NavBelief(state=np.concatenate([problem.prior_mean, np.zeros(2)]),
-                          cov=np.eye(6), time=float(est.times[0]))
-
-        def advance(bel, t_target):
-            return NavBelief(state=bel.state, cov=bel.cov, time=t_target)
-
-        _, retro = apply_batch(start, est, [1.0] * 30, replace(params, mode="retrodiction"),
-                               advance)
-        assert len(retro.fixes) == 30
-        assert [f.time for f in retro.fixes] == pytest.approx(est.times)
-        for fix, mean in zip(retro.fixes, est.means):
+        retro = batch_fixes(est, [1.0] * 30, replace(params, mode="retrodiction"))
+        assert len(retro) == 30
+        assert [f.time for f in retro] == pytest.approx(est.times)
+        for fix, mean in zip(retro, est.means):
             assert np.array_equal(fix.position, mean[:2])
 
-        end = NavBelief(state=start.state, cov=start.cov, time=float(est.times[-1]))
-        (fix,) = apply_batch(end, est, [1.0] * 30, params)[1].fixes
+        (fix,) = batch_fixes(est, [1.0] * 30, params)
         assert fix.position == pytest.approx(est.means[-1, :2])
         assert np.allclose(fix.cov, est.covs[-1, :2, :2])
