@@ -8,6 +8,7 @@ timestamp ever emitted is a single ``generated_at:`` line on stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import os
 import sys
@@ -35,6 +36,27 @@ def _stamp() -> None:
     print(f"generated_at: {now}")
 
 
+@contextlib.contextmanager
+def _out_dir(path: str | None, *subdirs: str):
+    """Make the output directory ``path`` and its ``subdirs`` before any
+    simulation work, so that a path that cannot be one exits 2 first; if the
+    command then raises, remove the directories made here while empty."""
+    made = []
+    try:
+        for sub in ("", *subdirs) if path else ():
+            d = new = os.path.abspath(os.path.join(path, sub))
+            while not os.path.exists(d):
+                made.append(d)
+                d = os.path.dirname(d)
+            os.makedirs(new, exist_ok=True)
+        yield
+    except BaseException:
+        for d in sorted(made, reverse=True):  # a directory after what it holds
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
+        raise
+
+
 def _load_config(path: str) -> ScenarioConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -47,10 +69,10 @@ def _cmd_genmap(args) -> int:
     if cfg.map.gen is None:
         raise ConfigError("genmap needs synthetic map parameters (map.rows, map.cols, ...)")
     cfg.validate()
-    grid = build_grid(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "map.asc")
-    save_grid(grid, out_path)
+    with _out_dir(args.out):
+        grid = build_grid(cfg)
+        out_path = os.path.join(args.out, "map.asc")
+        save_grid(grid, out_path)
     _stamp()
     print(f"map: {out_path}")
     print(f"rows: {grid.n_rows}")
@@ -73,10 +95,10 @@ def _cmd_run(args) -> int:
     _check_seed(args.seed)
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.monte_carlo.base_seed
-    report = run_scenario(cfg, seed)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_run_csv(report, os.path.join(args.out, f"{report.seed}.csv"))
+    with _out_dir(args.out):
+        report = run_scenario(cfg, seed)
+        if args.out:
+            write_run_csv(report, os.path.join(args.out, f"{report.seed}.csv"))
     _stamp()
     print(f"seed: {report.seed}")
     print(f"terminal_error_m: {report.terminal_error:.17g}")
@@ -95,8 +117,9 @@ def _cmd_campaign(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.monte_carlo.base_seed = args.seed
-    report = run_campaign(cfg, jobs=args.jobs)
-    write_campaign_outputs(report, args.out)
+    with _out_dir(args.out, "runs"):
+        report = run_campaign(cfg, jobs=args.jobs)
+        write_campaign_outputs(report, args.out)
     _stamp()
     print(f"out: {args.out}")
     print(f"runs: {len(report.seeds)}")

@@ -42,13 +42,16 @@ class NumericalError(GravNavError):
 
     ``iteration`` holds the iteration index at which the failure surfaced.
     ``rows`` names the failed rows when the input was a stack (one row per
-    seed) and the others came through.
+    seed) and the others came through. A run of nav-filter predict steps
+    names the step that failed as the ``iteration`` and the ``belief``
+    before it.
     """
 
     def __init__(self, message: str, iteration: int | None = None,
-                 rows: tuple[int, ...] | None = None):
+                 rows: tuple[int, ...] | None = None, belief=None):
         self.iteration = iteration
         self.rows = rows
+        self.belief = belief
         if iteration is not None:
             message = f"iteration {iteration}: {message}"
         super().__init__(message)

@@ -3,8 +3,8 @@
 The navigation belief carries planar position, velocity and accelerometer
 bias, as a stack with a leading seed axis: state ``(R, 6)``, covariance
 ``(R, 6, 6)``, one row per seed of a campaign block, all at one time; a
-lone belief is the R = 1 stack. Prediction propagates the stack through the
-dead-reckoning dynamics driven by the indicated accelerations; an update
+lone belief is the R = 1 stack. Prediction propagates the stack through a
+run of dead-reckoning steps driven by the indicated accelerations; an update
 applies one position fix per row and returns each fix's normalized
 innovation squared (NIS). This module owns the aiding decision:
 :func:`batch_fixes` reads the mode, the variability gate and its floor, and
@@ -31,7 +31,7 @@ per-matrix strides as in the one-matrix form: C-ordered matrices, and their
 transposed views where that form transposes. An F-ordered operand takes
 another BLAS path and moves the last bit of nearly every covariance, so the
 sigma points and their propagated copy are allocated C-ordered with
-``np.empty`` and filled by slice.
+``np.empty`` and filled by slice; a run of predict steps makes them once.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import FusionParams, unscented_spread
 from .errors import NumericalError
@@ -111,49 +112,33 @@ def _unscented_weights(n: int, alpha: float, beta: float,
     return c, wm, wc
 
 
-def _regularized_cholesky(scaled: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack ``(R, n, n)`` whose stacked factoring failed.
+def _cholesky(scaled: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack ``(R, n, n)``, as ``np.linalg.cholesky``
+    gives them.
 
-    Each matrix is factored alone, which gives it the bits of the stacked
-    call. Only a matrix that is not positive definite gets a trace-scaled
-    jitter and the warning; one that still fails after the jitter gets a
-    NaN factor, which :func:`ukf_predict` reports as a failed row.
+    When the stacked call fails, each matrix is factored alone, which gives
+    it the bits of the stacked call. Only a matrix that is not positive
+    definite gets a trace-scaled jitter and the warning, at the line that
+    called the predict or the update; one that still fails after the jitter
+    gets a NaN factor, which :func:`ukf_predict` reports as a failed row.
     """
+    try:
+        return np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
+        pass
     root = np.empty_like(scaled)
     for i, matrix in enumerate(scaled):
         try:
             root[i] = np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:
             warnings.warn("belief covariance lost positive definiteness; regularized",
-                          RuntimeWarning, stacklevel=4)
+                          RuntimeWarning, stacklevel=3)
             jitter = max(np.trace(matrix), 1.0) * 1e-12
             try:
                 root[i] = np.linalg.cholesky(matrix + jitter * np.eye(len(matrix)))
             except np.linalg.LinAlgError:
                 root[i] = np.nan
     return root
-
-
-def _sigma_points(x: np.ndarray, cov: np.ndarray, alpha: float, beta: float,
-                  kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled unscented sigma points of a stack and their mean/cov weights.
-
-    ``x`` is ``(R, n)`` and ``cov`` ``(R, n, n)``; the points are
-    ``(R, 2n + 1, n)``, C-ordered.
-    """
-    n = x.shape[1]
-    c, wm, wc = _unscented_weights(n, alpha, beta, kappa)
-    scaled = c * 0.5 * (cov + cov.transpose(0, 2, 1))
-    try:
-        root = np.linalg.cholesky(scaled)
-    except np.linalg.LinAlgError:
-        root = _regularized_cholesky(scaled)
-    root_t = root.transpose(0, 2, 1)
-    points = np.empty((len(x), 2 * n + 1, n))
-    points[:, 0] = x
-    points[:, 1:n + 1] = x[:, None] + root_t
-    points[:, n + 1:] = x[:, None] - root_t
-    return points, wm, wc
 
 
 @lru_cache(maxsize=32)
@@ -171,48 +156,93 @@ def _process_noise(dt: float, q_accel: float, bias_psd: float) -> np.ndarray:
 
 def ukf_predict(
     belief: NavBelief,
-    indicated_accel,
+    indicated_accels,
     dt: float,
     params: FusionParams,
-) -> NavBelief:
-    """Propagate a stack of beliefs one step with their indicated accelerations.
+    out: np.ndarray | None = None,
+) -> tuple[NavBelief, np.ndarray]:
+    """Propagate a stack of beliefs through a run of steps with their indicated accelerations.
 
-    ``belief.state`` is ``(R, 6)`` and ``belief.cov`` ``(R, 6, 6)``, one row
-    per seed; ``indicated_accel`` is ``(R, 2)``. Dynamics per sigma point:
-    position advances by ``v*dt + (a-b)*dt^2/2``, velocity by ``(a-b)*dt``,
-    the bias stays put; process noise covers the accelerometer white noise,
-    of PSD ``params.q_accel`` (a number: see :meth:`.ScenarioConfig.resolved`),
-    and the bias random walk.
+    ``belief`` is ``(R, 6)``/``(R, 6, 6)``, one row per seed, and
+    ``indicated_accels`` ``(S, R, 2)``. Returns the belief after the S steps
+    (at ``belief.time`` plus ``dt`` once per step) and each step's positions
+    ``(S, R, 2)``, written into ``out`` when given. One step is S = 1.
+    Dynamics per sigma point: position advances by ``v*dt + (a-b)*dt^2/2``,
+    velocity by ``(a-b)*dt``, the bias stays put; process noise covers the
+    accelerometer white noise, of PSD ``params.q_accel`` (a number: see
+    :meth:`.ScenarioConfig.resolved`), and the bias random walk.
+
+    The weights, the process noise and every buffer are made once per run,
+    and each step is a fixed sequence of numpy kernels into the buffers:
+    the IEEE operations, in order, of the one-step form, so the bits are the
+    same. The sigma points are spread and propagated component-major,
+    ``(R, 6, 2n + 1)``, so each elementwise kernel runs over contiguous rows,
+    and copied C-ordered for the matmuls. A run calls LAPACK's factor
+    directly (``_umath_linalg.cholesky_lo``, the gufunc that
+    ``np.linalg.cholesky`` wraps: its bits without its per-call cost) and
+    checks for faults once, at its end: a matrix that is not positive
+    definite factors into NaN, and no value that is not finite becomes
+    finite again, so a run that ends finite met none. Any other run, or one
+    whose caller reports underflow, is replayed step by step under the
+    caller's error state through :func:`_cholesky` and the mean check: the
+    warnings and bits of one-step calls.
 
     A seed whose covariance has no finite square root even after
     regularization, or whose predicted mean is not finite, raises
-    :class:`NumericalError`, whose ``rows`` names the failed seeds; the
-    other seeds give the same bits when predicted without them. A NaN
-    covariance factors into NaN without raising, so the check is on the
-    mean: the state and the factor enter every off-centre sigma point, and
-    each of those enters the mean with the weight ``1 / (2 (n + lambda))``,
-    which is never zero for a finite spread factor.
+    :class:`NumericalError`, naming the failed seeds (``rows``), the step
+    (``iteration``) and the ``belief`` before it; ``out`` holds the earlier
+    steps' positions. The other seeds give the same bits when predicted without
+    them. A NaN covariance factors into NaN without raising, so the check is
+    on the mean: the state and the factor enter every off-centre sigma
+    point, each weighted ``1 / (2 (n + lambda))`` in the mean, which is
+    never zero for a finite spread factor.
     """
-    if belief.state.ndim != 2:
-        raise ValueError("ukf_predict takes a stack of beliefs: state (R, 6), cov (R, 6, 6)")
-    a = np.asarray(indicated_accel, dtype=float)
-    points, wm, wc = _sigma_points(belief.state, belief.cov, params.alpha,
-                                   params.beta, params.kappa)
-    pos, vel, bias = points[:, :, 0:2], points[:, :, 2:4], points[:, :, 4:6]
-    acc = a[:, None] - bias
-    prop = np.empty(points.shape)
-    prop[:, :, 0:2] = pos + vel * dt + 0.5 * acc * dt * dt
-    prop[:, :, 2:4] = vel + acc * dt
-    prop[:, :, 4:6] = bias
-    mean = wm @ prop
-    if not np.isfinite(mean).all():
-        failed = np.flatnonzero(~np.isfinite(mean).all(axis=1))
-        raise NumericalError("predicted mean not finite", rows=tuple(failed.tolist()))
-    dev = prop - mean[:, None]
-    cov = (wc[:, None] * dev).transpose(0, 2, 1) @ dev + _process_noise(dt, params.q_accel,
-                                                                         params.bias_psd)
-    return NavBelief(state=mean, cov=0.5 * (cov + cov.transpose(0, 2, 1)),
-                     time=belief.time + dt)
+    a = np.asarray(indicated_accels, dtype=float)
+    if belief.state.ndim != 2 or a.ndim != 3:
+        raise ValueError("ukf_predict takes a stack of beliefs and (S, R, 2) accelerations")
+    rows, n = belief.state.shape
+    c, wm, wc = _unscented_weights(n, params.alpha, params.beta, params.kappa)
+    q = _process_noise(dt, params.q_accel, params.bias_psd)
+    positions = np.empty((len(a), rows, 2)) if out is None else out
+    states, covs = np.empty((2, rows, n)), np.empty((2, rows, n, n))
+    scaled, root, pred = np.empty((3, rows, n, n))
+    spread = np.empty((rows, n, 2 * n + 1))
+    points, dev, wdev = np.empty((3, rows, 2 * n + 1, n))
+    acc, tmp = np.empty((2, rows, 2, 2 * n + 1))
+    weights = np.broadcast_to(wc[:, None], points.shape).copy()
+    pos, vel, bias = spread[:, 0:2], spread[:, 2:4], spread[:, 4:6]
+    for checked in (np.geterr()["under"] != "ignore", True):
+        x, cov, time = belief.state, belief.cov, belief.time
+        with np.errstate(all=None if checked else "ignore"):
+            for s, accel in enumerate(a[..., None]):
+                np.add(cov, cov.transpose(0, 2, 1), out=scaled)
+                scaled *= c * 0.5
+                factor = _cholesky(scaled) if checked else _umath_linalg.cholesky_lo(
+                    scaled, signature="d->d", out=root)
+                spread[:, :, 0] = x
+                np.add(x[:, :, None], factor, out=spread[:, :, 1:n + 1])
+                np.subtract(x[:, :, None], factor, out=spread[:, :, n + 1:])
+                np.subtract(accel, bias, out=acc)
+                pos += np.multiply(vel, dt, out=tmp)
+                np.multiply(acc, 0.5, out=tmp)
+                tmp *= dt
+                pos += np.multiply(tmp, dt, out=tmp)
+                vel += np.multiply(acc, dt, out=tmp)
+                points[...] = spread.transpose(0, 2, 1)
+                mean = np.matmul(wm, points, out=states[s % 2])
+                if checked and not (finite := np.isfinite(mean).all(axis=1)).all():
+                    raise NumericalError("predicted mean not finite", iteration=s,
+                                         rows=tuple(np.flatnonzero(~finite).tolist()),
+                                         belief=NavBelief(state=x, cov=cov, time=time))
+                np.subtract(points, mean[:, None], out=dev)
+                np.matmul(np.multiply(weights, dev, out=wdev).transpose(0, 2, 1), dev, out=pred)
+                pred += q
+                x, cov = mean, np.add(pred, pred.transpose(0, 2, 1), out=covs[s % 2])
+                cov *= 0.5
+                positions[s] = x[:, :2]
+                time += dt
+        if checked or np.isfinite(x).all() and np.isfinite(cov).all():
+            return NavBelief(state=x, cov=cov, time=time), positions
 
 
 def ukf_update(
@@ -230,19 +260,24 @@ def ukf_update(
     gets the bits of its own R = 1 call; the NIS is a stacked matmul, which
     keeps them (an ``einsum`` or a product sum does not).
     """
-    points, wm, wc = _sigma_points(belief.state, belief.cov, params.alpha, params.beta,
-                                   params.kappa)
+    x, n = belief.state, belief.state.shape[1]
+    c, wm, wc = _unscented_weights(n, params.alpha, params.beta, params.kappa)
+    root_t = _cholesky(c * 0.5 * (belief.cov + belief.cov.transpose(0, 2, 1))).transpose(0, 2, 1)
+    points = np.empty((len(x), 2 * n + 1, n))
+    points[:, 0] = x
+    points[:, 1:n + 1] = x[:, None] + root_t
+    points[:, n + 1:] = x[:, None] - root_t
     z_pts = points[:, :, 0:2]
     z_hat = wm @ z_pts
     dz = z_pts - z_hat[:, None]
-    dx = points - belief.state[:, None]
+    dx = points - x[:, None]
     s = (wc[:, None] * dz).transpose(0, 2, 1) @ dz + cov
     s = 0.5 * (s + s.transpose(0, 2, 1))
     cross = (wc[:, None] * dx).transpose(0, 2, 1) @ dz
     innovation = (position - z_hat)[:, :, None]
     nis = (innovation.transpose(0, 2, 1) @ np.linalg.solve(s, innovation))[:, 0, 0]
     gain = np.linalg.solve(s, cross.transpose(0, 2, 1)).transpose(0, 2, 1)
-    state = belief.state + (gain @ innovation)[:, :, 0]
+    state = x + (gain @ innovation)[:, :, 0]
     updated = belief.cov - gain @ s @ gain.transpose(0, 2, 1)
     return NavBelief(state=state, cov=0.5 * (updated + updated.transpose(0, 2, 1)),
                      time=belief.time), nis

@@ -16,8 +16,9 @@ the same truth route and scans at the same steps, so the block simulates the
 truth once, reads the map along it once (one map value per scan; each seed
 adds its own gravimeter noise) and keeps the nav beliefs of its seeds as one
 stack with a leading seed axis, row i for seed i, the filter's only layout:
-one stacked predict per second, replayed or not, and one stacked update per
-fix time move them all. A seed that fails keeps its row and is only marked.
+one stacked predict per run of steps (scan to scan, fix time to fix time in
+a replay, the whole flight unaided) and one stacked update per fix time
+move them all. A seed that fails keeps its row and is only marked.
 Lookup, association, the batch smoother and variability stay per seed. The
 stacked filter gives each seed the bits of its own run (see :mod:`.fusion`),
 so a seed's outputs do not depend on which block it runs in; a single run
@@ -42,7 +43,6 @@ import functools
 import math
 import os
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -599,7 +599,8 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     truth's scan positions once, in one :func:`.geomap.value_at` call; each
     seed has its own INS, gravimeter noise and belief. Row i of the belief
     stack, of the accelerations and of the position estimates is seed i for
-    the whole block. Every second one stacked predict moves all the beliefs.
+    the whole block. One stacked predict moves all the beliefs from scan to
+    scan, or through the whole flight when unaided.
     Every ``gravimeter.interval`` each seed scans alone, and all close their
     batches at the same scan, so the block hands their fixes off at once,
     one :func:`.fusion.apply_batch` per fix time. When the first accepted fix
@@ -650,19 +651,23 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
         return all(run.failed_at is not None for run in runs)
 
     def advance(bel: NavBelief, step: int) -> NavBelief | None:
-        """The stack predicted second by second up to ``step``; ``None`` once all have failed."""
-        for k in range(round(bel.time / INS_DT) + 1, step + 1):
+        """The stack predicted up to ``step`` in one run; ``None`` once all have failed."""
+        retried = None
+        while (k0 := round(bel.time / INS_DT)) < step:
             try:
-                bel = ukf_predict(bel, accels[k - 1], INS_DT, fus)
+                return ukf_predict(bel, accels[k0:step], INS_DT, fus,
+                                   out=pos_est[:, k0 + 1:step + 1].swapaxes(0, 1))[0]
             except NumericalError as exc:
                 # A row that no longer factors or is no longer finite would
-                # fail every later predict; it goes on from the start belief.
+                # fail every later predict; it goes on from the start belief,
+                # which must pass the failed step.
+                k = k0 + exc.iteration + 1
+                if k == retried:
+                    raise
                 if fail(exc.rows, k):
                     return None
-                rows = list(exc.rows)
+                rows, bel, retried = list(exc.rows), exc.belief, k
                 bel.state[rows], bel.cov[rows] = start.state[rows], start.cov[rows]
-                bel = ukf_predict(bel, accels[k - 1], INS_DT, fus)
-            pos_est[:, k] = bel.position
         return bel
 
     def hand_off(live: NavBelief, checkpoint: NavBelief, k: int) -> NavBelief | None:
@@ -692,12 +697,10 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
         return bel
 
     belief = start
-    for k in range(1, len(truth)):
+    for k in range(every, len(truth), every) if cfg.aiding else ():
         belief = advance(belief, k)
         if belief is None:
             break
-        if not cfg.aiding or k % every:
-            continue
         n = k // every - 1
         if n % batch_len == 0:
             checkpoint = belief
@@ -711,6 +714,8 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
             belief = hand_off(belief, checkpoint, k)
         if belief is None or all(run.failed_at is not None for run in runs):
             break
+    else:
+        advance(belief, len(truth) - 1)
     return [run.report(truth) for run in runs]
 
 
@@ -774,17 +779,25 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
         reports = run_block(cfg, seeds, grid=grid)
 
     err = np.vstack([r.error_series for r in reports])
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        # A time at which every run has failed has no RMS: NaN, not a warning.
-        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
-        rms = np.sqrt(np.nanmean(err ** 2, axis=0))
+    # The RMS over the live runs is np.nanmean's sum over count of the
+    # squares, without its copy of them; a time at which every run has
+    # failed has none: NaN. The aggregation sets an unaided campaign's peak
+    # memory, so each whole-campaign array is dropped once used.
+    squares = err ** 2
+    failed = np.isnan(squares)
+    np.copyto(squares, 0.0, where=failed)
+    with np.errstate(invalid="ignore"):
+        rms = np.sqrt(np.sum(squares, axis=0) / np.sum(~failed, axis=0, dtype=np.intp))
+    del squares, failed
     n_live = np.isfinite(err).sum(axis=0)
     times = reports[0].times
 
     aided = cfg.mean_error_window == "aided" and cfg.aiding  # validate keeps the window non-empty
     window_mask = times >= aided_phase_start(cfg) if aided else np.ones_like(times, dtype=bool)
-    counted = err[[cfg.include_diverged or not r.diverged for r in reports]][:, window_mask]
-    pooled = counted[np.isfinite(counted)]
+    counted = np.isfinite(err)
+    counted[[r.diverged and not cfg.include_diverged for r in reports]] = False
+    counted[:, ~window_mask] = False
+    pooled = err[counted]
     mean_error = float(np.mean(pooled)) if pooled.size else float("nan")
     divergence_rate = sum(r.diverged for r in reports) / len(reports)
 

@@ -100,7 +100,7 @@ def test_criterion_2_ukf_oracle():
     worst = 0.0
     for step in range(100):
         accel = rng.normal(0.0, 1e-4, 2)
-        belief = ukf_predict(belief, accel[None], 1.0, params)
+        belief, _ = ukf_predict(belief, accel[None, None], 1.0, params)
         kx, kp = nav_kf_predict(kx, kp, accel, 1.0, params.q_accel, params.bias_psd)
         if step % 10 == 9:
             z = kx[:2] + rng.normal(0.0, 20.0, 2)

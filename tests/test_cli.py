@@ -286,6 +286,24 @@ class TestCampaign:
         assert "trajectory leaves the map extent" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["genmap", "run", "campaign"])
+    def test_output_path_not_a_directory_exit_2_before_simulation(self, tmp_path, capsys,
+                                                                  monkeypatch, command):
+        # The output directory is made before the map is built or any run
+        # starts, so a path under a file fails first.
+        def no_work(*args, **kwargs):
+            raise AssertionError("simulation work began before the output directory was made")
+
+        for name in ("run_campaign", "run_scenario", "build_grid"):
+            monkeypatch.setattr(cli, name, no_work)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        cfg = write(tmp_path / "cfg.txt", TOY_SCENARIO)
+        jobs = ["--jobs", "2"] if command == "campaign" else []
+        assert main([command, "--config", cfg, "--out", str(blocker / "x"), *jobs]) == 2
+        err = capsys.readouterr().err
+        assert str(blocker / "x") in err and "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["fusion.mode", "mean_error_window", "ins.accel_grade",
                                      "ins.gyro_grade"])
     @pytest.mark.parametrize("command", [["campaign", "--jobs", "1"],
@@ -576,8 +594,8 @@ class TestRun:
         # validate() rejects these filter settings, so they are slipped in
         # past it: every predict and batch update of the run gets them.
         real_predict, real_apply = harness.ukf_predict, harness.apply_batch
-        monkeypatch.setattr(harness, "ukf_predict", lambda belief, accel, dt, params:
-                            real_predict(belief, accel, dt, replace(params, **fault)))
+        monkeypatch.setattr(harness, "ukf_predict", lambda belief, accels, dt, params, out:
+                            real_predict(belief, accels, dt, replace(params, **fault), out=out))
         monkeypatch.setattr(harness, "apply_batch", lambda belief, rows, fixes, params:
                             real_apply(belief, rows, fixes, replace(params, **fault)))
         with open(DEMO_CFG, encoding="utf-8") as fh:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -31,6 +32,11 @@ def belief(x=None, cov=None, time=0.0):
                      time=time)
 
 
+def predict_step(b, accels, dt, params):
+    """The stack ``b`` predicted one step with ``accels`` ``(R, 2)``: a run of one step."""
+    return ukf_predict(b, np.asarray(accels)[None], dt, params)[0]
+
+
 def stack(*beliefs):
     """The beliefs as one stack of seeds, in order; they share the first one's time."""
     return NavBelief(state=np.array([b.state for b in beliefs]),
@@ -41,7 +47,7 @@ class TestUkfPredict:
     def test_deterministic_linear_advance(self):
         params = FusionParams(q_accel=0.0, bias_psd=0.0)
         b = stack(belief(x=[1.0, 2.0, 3.0, -4.0, 0.0, 0.0]))
-        out = ukf_predict(b, np.zeros((1, 2)), 1.0, params)
+        out = predict_step(b, np.zeros((1, 2)), 1.0, params)
         assert out.position[0] == pytest.approx([4.0, -2.0], abs=1e-9)
         assert out.state[0, 2:4] == pytest.approx([3.0, -4.0], abs=1e-12)
         assert out.time == 1.0
@@ -55,7 +61,7 @@ class TestUkfPredict:
         kx, kp = b.state[0].copy(), b.cov[0].copy()
         for _ in range(30):
             a = rng.normal(0.0, 1e-3, 2)
-            b = ukf_predict(b, a[None], 1.0, params)
+            b = predict_step(b, a[None], 1.0, params)
             kx, kp = nav_kf_predict(kx, kp, a, 1.0, 1e-8, 1e-12)
             assert np.linalg.norm(b.state[0] - kx) / max(np.linalg.norm(kx), 1.0) <= 1e-10
             assert np.linalg.norm(b.cov[0] - kp) / max(np.linalg.norm(kp), 1.0) <= 1e-10
@@ -65,7 +71,7 @@ class TestUkfPredict:
         b = stack(belief())
         traces = [np.trace(b.cov[0])]
         for _ in range(20):
-            b = ukf_predict(b, np.array([[0.1, -0.2]]), 1.0, params)
+            b = predict_step(b, np.array([[0.1, -0.2]]), 1.0, params)
             traces.append(np.trace(b.cov[0]))
         assert (np.diff(traces) > 0).all()
 
@@ -73,7 +79,7 @@ class TestUkfPredict:
         params = FusionParams(q_accel=1e-8, bias_psd=1e-12)
         b = stack(belief())
         for _ in range(10):
-            b = ukf_predict(b, np.array([[1.0, 2.0]]), 1.0, params)
+            b = predict_step(b, np.array([[1.0, 2.0]]), 1.0, params)
             assert (b.cov[0] == b.cov[0].T).all()
 
     def test_bit_identical_to_point_by_point_propagation(self):
@@ -84,7 +90,7 @@ class TestUkfPredict:
             b = stack(r)
             for _ in range(50):
                 a = rng.normal(0.0, 1e-3, 2)
-                b = ukf_predict(b, a[None], dt, params)
+                b = predict_step(b, a[None], dt, params)
                 r = sigma_point_loop_predict(r, a, dt, params)
                 assert np.array_equal(b.state[0], r.state)
                 assert np.array_equal(b.cov[0], r.cov)
@@ -110,11 +116,11 @@ class TestUkfPredict:
 
     def test_process_noise_cache_keys_on_every_parameter(self):
         b = stack(belief())
-        base = ukf_predict(b, np.zeros((1, 2)), 1.0,
+        base = predict_step(b, np.zeros((1, 2)), 1.0,
                            FusionParams(q_accel=1e-8, bias_psd=1e-12))
         for changed in (FusionParams(q_accel=2e-8, bias_psd=1e-12),
                         FusionParams(q_accel=1e-8, bias_psd=2e-12)):
-            out = ukf_predict(b, np.zeros((1, 2)), 1.0, changed)
+            out = predict_step(b, np.zeros((1, 2)), 1.0, changed)
             assert not np.array_equal(out.cov, base.cov)
 
 
@@ -170,7 +176,7 @@ class TestStackedPredict:
             # exactly where the solo calls do.
             with warnings.catch_warnings(record=True) as got:
                 warnings.simplefilter("always")
-                out = ukf_predict(b, accels, dt, params)
+                out = predict_step(b, accels, dt, params)
             with warnings.catch_warnings(record=True) as want:
                 warnings.simplefilter("always")
                 refs = [ukf_predict_one(solo(b, i), accels[i], dt, params) for i in range(r)]
@@ -191,7 +197,7 @@ class TestStackedPredict:
         params = data.draw(st.sampled_from(self.PARAMS))
         b = NavBelief(state=states, cov=cov, time=0.0)
         for _ in range(3):
-            b = ukf_predict(b, accels, 1.0, params)
+            b = predict_step(b, accels, 1.0, params)
             assert (b.cov == np.swapaxes(b.cov, 1, 2)).all()
             for c in b.cov:
                 assert_psd(c)
@@ -204,7 +210,7 @@ class TestStackedPredict:
         accels = rng.normal(0.0, 1e-3, (5, 2))
         with warnings.catch_warnings(record=True) as got:
             warnings.simplefilter("always")
-            out = ukf_predict(b, accels, 1.0, params)
+            out = predict_step(b, accels, 1.0, params)
         with warnings.catch_warnings(record=True) as want:
             warnings.simplefilter("always")
             ref = ukf_predict_one(solo(b, 2), accels[2], 1.0, params)
@@ -227,7 +233,7 @@ class TestStackedPredict:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NumericalError) as exc:
-                ukf_predict(b, np.zeros((4, 2)), 1.0, params)
+                predict_step(b, np.zeros((4, 2)), 1.0, params)
         assert exc.value.rows == (1, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -245,15 +251,139 @@ class TestStackedPredict:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NumericalError) as exc:
-                ukf_predict(b, np.zeros((4, 2)), 1.0, params)
+                predict_step(b, np.zeros((4, 2)), 1.0, params)
         assert exc.value.rows == (1, 3)
 
     def test_overflowing_spread_fails_every_row(self):
         b = stack(*(belief() for _ in range(3)))
         with pytest.warns(RuntimeWarning, match="invalid value"):
             with pytest.raises(NumericalError) as exc:
-                ukf_predict(b, np.zeros((3, 2)), 1.0, FusionParams(alpha=1e200))
+                predict_step(b, np.zeros((3, 2)), 1.0, FusionParams(alpha=1e200, q_accel=2.5e-9))
         assert exc.value.rows == (0, 1, 2)
+
+def corridor_stack(rng, r):
+    """``r`` beliefs at corridor scale: positions tens of km out, 22 m/s,
+    micro-g biases, and random SPD covariances around the init sigmas."""
+    sigma = np.array([30.0, 30.0, 0.1, 0.1, 2e-6, 2e-6]) * 10.0 ** rng.uniform(-1.0, 1.0, (r, 6))
+    a = rng.normal(size=(r, 6, 6))
+    cov = sigma[:, :, None] * (a @ a.transpose(0, 2, 1) + 6.0 * np.eye(6)) * sigma[:, None, :]
+    state = np.column_stack([rng.uniform(0.0, 1.5e5, (r, 2)), 22.0 + rng.normal(0.0, 1.0, (r, 2)),
+                             rng.normal(0.0, 2e-6, (r, 2))])
+    return NavBelief(state=state, cov=cov, time=0.0)
+
+
+def oracle_run(b, accels, dt, params):
+    """Each row of ``b`` predicted alone, step by step, by the one-belief
+    oracle: every step's beliefs, one list of rows per step."""
+    rows, steps = [solo(b, i) for i in range(len(b.state))], []
+    for run in accels:
+        rows = [ukf_predict_one(row, a, dt, params) for row, a in zip(rows, run)]
+        steps.append(rows)
+    return steps
+
+
+class TestPredictRun:
+    """A run of S predict steps against S one-belief oracle steps per row, bit for bit."""
+
+    PARAMS = FusionParams(q_accel=6.4e-9, bias_psd=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 7, 10, 300])
+    def test_every_step_of_every_row_gets_the_oracle_bits(self, steps, r):
+        rng = np.random.default_rng(10 * steps + r)
+        b = corridor_stack(rng, r)
+        accels = rng.normal(0.0, 1e-3, (steps, r, 2))
+        for dt in (1.0, 0.37):
+            out, positions = ukf_predict(b, accels, dt, self.PARAMS)
+            want = oracle_run(b, accels, dt, self.PARAMS)
+            assert positions.shape == (steps, r, 2)
+            for s, rows in enumerate(want):
+                for i, ref in enumerate(rows):
+                    assert np.array_equal(positions[s, i], ref.state[:2])
+            for i, ref in enumerate(want[-1]):
+                assert np.array_equal(out.state[i], ref.state)
+                assert np.array_equal(out.cov[i], ref.cov)
+                assert out.time == ref.time
+
+    def test_positions_go_into_the_callers_array(self):
+        rng = np.random.default_rng(4)
+        b, accels = corridor_stack(rng, 3), rng.normal(0.0, 1e-3, (12, 3, 2))
+        seed_major = np.full((3, 12, 2), np.nan)
+        _, positions = ukf_predict(b, accels, 1.0, self.PARAMS, out=seed_major.swapaxes(0, 1))
+        assert np.shares_memory(positions, seed_major)
+        assert np.array_equal(seed_major, ukf_predict(b, accels, 1.0, self.PARAMS)[1].swapaxes(0, 1))
+
+    def test_empty_run_keeps_the_belief(self):
+        b = corridor_stack(np.random.default_rng(5), 2)
+        out, positions = ukf_predict(b, np.empty((0, 2, 2)), 1.0, self.PARAMS)
+        assert positions.shape == (0, 2, 2) and out.time == b.time
+        assert np.array_equal(out.state, b.state) and np.array_equal(out.cov, b.cov)
+
+    def test_run_that_loses_definiteness_warns_and_regularizes_as_one_steps_do(self):
+        # A velocity prior of 2e8 m/s, like init.vel_sigma = 1e7 over a longer
+        # flight, pushes the position/velocity block's condition number past
+        # 1e16: one step of this run needs the jitter.
+        cov = np.diag([900.0, 900.0, 4e16, 4e16, 4e-12, 4e-12])
+        b = stack(belief(x=[1000.0, 1500.0, 22.0, 0.0, 0.0, 0.0], cov=cov), belief())
+        accels = np.random.default_rng(1).normal(0.0, 1e-3, (40, 2, 2))
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            out, positions = ukf_predict(b, accels, 1.0, self.PARAMS)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            steps = oracle_run(b, accels, 1.0, self.PARAMS)
+        assert [(w.filename, str(w.message)) for w in got] == \
+            [(w.filename, str(w.message)) for w in want] == \
+            [(__file__, "belief covariance lost positive definiteness; regularized")]
+        for s, rows in enumerate(steps):
+            for i, ref in enumerate(rows):
+                assert np.array_equal(positions[s, i], ref.state[:2])
+        for i, ref in enumerate(steps[-1]):
+            assert np.array_equal(out.state[i], ref.state) and np.array_equal(out.cov[i], ref.cov)
+
+    def test_non_finite_row_names_its_row_and_step(self):
+        rng = np.random.default_rng(9)
+        b = corridor_stack(rng, 3)
+        accels = rng.normal(0.0, 1e-3, (10, 3, 2))
+        accels[6, 1, 0] = np.nan
+        positions = np.zeros((10, 3, 2))
+        with pytest.raises(NumericalError, match="iteration 6") as exc:
+            ukf_predict(b, accels, 1.0, self.PARAMS, out=positions)
+        assert exc.value.rows == (1,) and exc.value.iteration == 6
+        steps = oracle_run(b, accels[:6], 1.0, self.PARAMS)
+        before = exc.value.belief
+        assert before.time == steps[-1][0].time == 6.0
+        for i, ref in enumerate(steps[-1]):
+            assert np.array_equal(before.state[i], ref.state)
+            assert np.array_equal(before.cov[i], ref.cov)
+        for s, rows in enumerate(steps):
+            assert np.array_equal(positions[s], [ref.state[:2] for ref in rows])
+
+
+class TestLapackCholesky:
+    """``ukf_predict`` factors through the LAPACK gufunc that ``np.linalg.cholesky``
+    wraps; a numpy that changes either fails here instead of moving digests."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_same_bits_as_np_linalg_cholesky(self, r):
+        rng = np.random.default_rng(r)
+        for scale in (1e-12, 1.0, 1e8):
+            a = rng.normal(size=(r, 6, 6))
+            spd = scale * (a @ a.transpose(0, 2, 1) + 0.1 * np.eye(6))
+            root = np.empty_like(spd)
+            assert _umath_linalg.cholesky_lo(spd, signature="d->d", out=root) is root
+            assert np.array_equal(root, np.linalg.cholesky(spd))
+
+    def test_not_positive_definite_gives_nan_without_warning(self):
+        spd = np.tile(np.eye(6), (3, 1, 1))
+        spd[1, 2, 2] = -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                root = _umath_linalg.cholesky_lo(spd, signature="d->d")
+        assert np.isnan(root[1]).all()
+        assert np.array_equal(root[[0, 2]], np.linalg.cholesky(spd[[0, 2]]))
+
 
 def sigma_point_loop_predict(b, accel, dt, params):
     """Unscented predict that advances the sigma points one at a time."""

@@ -26,6 +26,7 @@ from gravnav.config import (
     MapGenParams,
     MapSource,
     ScenarioConfig,
+    aided_phase_start,
     parse_config,
 )
 from gravnav.errors import ConfigError, NumericalError
@@ -644,16 +645,16 @@ class TestRunScenario:
         cfg.fusion.mode = "retrodiction"
         cfg.fusion.q_accel = q_accel
         seen = {"block": [], "replay": []}
-        latest = [-1.0]
+        latest = [0.0]
         real_predict = harness.ukf_predict
 
-        def predict(belief, accel, dt, params):
-            # A replay predict steps back in time, to the batch's start, and
-            # stays at or below the latest time the block has predicted from.
-            replay = belief.time <= latest[0]
-            latest[0] = max(latest[0], belief.time)
-            seen["replay" if replay else "block"].append(params.q_accel)
-            return real_predict(belief, accel, dt, params)
+        def predict(belief, accels, dt, params, out=None):
+            # A run of steps is live where the block's last live run ended; a
+            # replay run steps back in time, to the batch's start or a fix.
+            replay = belief.time < latest[0]
+            latest[0] = max(latest[0], belief.time + len(accels) * dt)
+            seen["replay" if replay else "block"].extend([params.q_accel] * len(accels))
+            return real_predict(belief, accels, dt, params, out=out)
 
         monkeypatch.setattr(harness, "ukf_predict", predict)
         run_scenario(cfg, 0)
@@ -845,6 +846,37 @@ class TestRunCampaign:
         assert excl.divergence_rate == incl.divergence_rate == 0.5
         assert incl.mean_error != excl.mean_error
 
+    @pytest.mark.parametrize("include_diverged", [False, True])
+    def test_aggregates_have_the_bits_of_their_numpy_definitions(self, monkeypatch,
+                                                                include_diverged):
+        # The campaign sums and counts the squares itself, and pools the
+        # counted errors through one mask: the bits of np.nanmean and of the
+        # row-then-window selection, with a failed (NaN) and a diverged run.
+        import gravnav.harness as harness
+
+        real_run_batch = harness.run_batch
+        calls = {"n": 0}
+
+        def second_batch_boom(problem):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise NumericalError("forced", iteration=1)
+            return real_run_batch(problem)
+
+        monkeypatch.setattr(harness, "run_batch", second_batch_boom)
+        cfg = small_scenario(duration=300.0, batch_len=5, runs=3)
+        cfg.include_diverged = include_diverged
+        camp = run_campaign(cfg, jobs=1)
+        err = np.vstack([r.error_series for r in camp.reports])
+        assert np.isnan(err).any() and 0 < camp.divergence_rate < 1
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rms = np.sqrt(np.nanmean(err ** 2, axis=0))
+        assert rms.tobytes() == camp.rms_series.tobytes()
+        window = camp.times >= aided_phase_start(cfg)
+        counted = err[[include_diverged or not r.diverged for r in camp.reports]][:, window]
+        assert camp.mean_error == float(np.mean(counted[np.isfinite(counted)]))
+
     def test_noise_ordering_mean_error(self, monkeypatch):
         # meaningful only when dead-reckoning drift dominates the fix error,
         # so degrade the accelerometer as in the aiding-dominance test
@@ -958,14 +990,18 @@ class TestBlock:
         else:
             real = harness.ukf_predict
 
-            def flaky(belief, accel, dt, params):
-                # Once: the failed row goes on from the start belief with
-                # the same accelerations, which must not fail it again.
-                hit = [i for i, a in enumerate(accel) if np.array_equal(a, accels[276])]
-                if belief.time == 276.0 and hit and not seen:
+            def flaky(belief, run, dt, params, out):
+                # Once, at the step from 276 s: the failed row goes on from
+                # the start belief with the same accelerations, which must
+                # not fail it again.
+                j = round(276.0 - belief.time)
+                hit = [i for i, a in enumerate(run[j]) if np.array_equal(a, accels[276])] \
+                    if 0 <= j < len(run) else []
+                if hit and not seen:
                     seen.add(276)
-                    raise NumericalError("forced", rows=tuple(hit))
-                return real(belief, accel, dt, params)
+                    before, _ = real(belief, run[:j], dt, params, out=out[:j])
+                    raise NumericalError("forced", iteration=j, rows=tuple(hit), belief=before)
+                return real(belief, run, dt, params, out=out)
 
             monkeypatch.setattr(harness, "ukf_predict", flaky)
             step = 277
@@ -1043,11 +1079,17 @@ class TestBlock:
         real = harness.ukf_predict
         times = []
 
-        def predict(belief, accel, dt, params):
-            times.append(belief.time)
-            if where == "predict" and belief.time == step - 1:
-                raise NumericalError("forced", rows=tuple(range(len(accel))))
-            return real(belief, accel, dt, params)
+        def predict(belief, accels, dt, params, out):
+            # ``times`` holds the time each predicted step starts from.
+            starts = [belief.time + j * dt for j in range(len(accels))]
+            if where == "predict" and step - 1 in starts:
+                j = starts.index(step - 1)
+                times.extend(starts[:j + 1])
+                before, _ = real(belief, accels[:j], dt, params, out=out[:j])
+                raise NumericalError("forced", iteration=j, rows=tuple(range(accels.shape[1])),
+                                     belief=before)
+            times.extend(starts)
+            return real(belief, accels, dt, params, out=out)
 
         def boom(problem):
             raise NumericalError("forced", iteration=1)
@@ -1142,20 +1184,20 @@ class TestBlock:
         assert not any(r.failed for r in block)
 
     def test_retrodiction_replay_is_lock_stepped(self, monkeypatch):
-        # A 3-seed retrodiction block replays each batch with one 3-row
-        # predict per replayed second, from its first accepted fix up to the
-        # live time (each batch's last fix is gated out here, so the replay
-        # runs past the last applied fix), and makes one update per fix time
-        # for the whole block.
+        # A 3-seed retrodiction block replays each batch with one 3-row run
+        # of predict steps per replayed segment, from fix time to fix time
+        # and from its last accepted fix up to the live time (each batch's
+        # last fix is gated out here, so the replay runs past the last
+        # applied fix), and makes one update per fix time for the whole block.
         cfg = small_scenario(duration=300.0, batch_len=5)
         cfg.fusion = replace(cfg.fusion, mode="retrodiction")
         predicts, updates = [], []
         real_predict, real_update = harness.ukf_predict, fusion.ukf_update
         real_fixes = harness.batch_fixes
 
-        def predict(belief, accel, dt, params):
-            predicts.append((belief.time, len(belief.state)))
-            return real_predict(belief, accel, dt, params)
+        def predict(belief, accels, dt, params, out):
+            predicts.append((belief.time, len(accels), len(belief.state)))
+            return real_predict(belief, accels, dt, params, out=out)
 
         def update(belief, position, cov, params):
             updates.append((belief.time, len(belief.state)))
@@ -1170,12 +1212,17 @@ class TestBlock:
         monkeypatch.setattr(harness, "batch_fixes", last_gated_out)
         block = run_block(cfg, [0, 1, 2])
         assert not any(r.failed for r in block)
-        assert {rows for _, rows in predicts} == {3}
-        # A replay predict steps back in time; the block's own predicts
-        # run once through every second.
-        live, replayed = [], []
-        for t, _ in predicts:
-            (replayed if live and t <= live[-1] else live).append(t)
+        assert {rows for *_, rows in predicts} == {3}
+        # A replay run steps back in time; the block's own runs go once
+        # through every second.
+        live, replayed, segments = [], [], []
+        for t, steps, _ in predicts:
+            seconds = [t + j for j in range(steps)]
+            if live and t <= live[-1]:
+                replayed += seconds
+                segments.append((t, steps))
+            else:
+                live += seconds
         assert live == [float(t) for t in range(int(cfg.duration))]
         accepted = {}
         for rep in block:
@@ -1187,6 +1234,8 @@ class TestBlock:
         expected = [float(t) for close, times in sorted(accepted.items())
                     for t in range(int(min(times)), int(close))]
         assert replayed == expected
+        bounds = [[*sorted(set(times)), close] for close, times in sorted(accepted.items())]
+        assert segments == [(a, b - a) for ends in bounds for a, b in zip(ends, ends[1:])]
         fix_times = sorted({t for times in accepted.values() for t in times})
         assert updates == [(t, sum(times.count(t) for times in accepted.values()))
                            for t in fix_times]
