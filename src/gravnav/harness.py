@@ -18,8 +18,9 @@ adds its own gravimeter noise) and keeps the nav beliefs of its seeds as one
 stack with a leading seed axis, row i for seed i, the filter's only layout:
 one stacked predict per run of steps (scan to scan, fix time to fix time in
 a replay, the whole flight unaided) and one stacked update per fix time
-move them all. A seed that fails keeps its row and is only marked.
-Lookup, association, the batch smoother and variability stay per seed. The
+move them all. The block owns every seed's records, in the stack's row
+order; a seed that fails keeps its row and is only marked. Lookup,
+association, the batch smoother and variability stay per seed. The
 stacked filter gives each seed the bits of its own run (see :mod:`.fusion`),
 so a seed's outputs do not depend on which block it runs in; a single run
 (:func:`run_scenario`) is the block of one seed.
@@ -44,7 +45,7 @@ import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +59,6 @@ from .config import (
 from .errors import ConfigError, NumericalError
 from .fusion import AidingEpoch, NavBelief, apply_batch, batch_fixes, ukf_predict
 from .geomap import (
-    CandidateSet,
     GridMap,
     feature_variability,
     grid_extent,
@@ -68,7 +68,7 @@ from .geomap import (
     read_grid_extent,
     value_at,
 )
-from .inertial import SENSOR_GRADES, SensorGrade, sample_gravimeter, simulate_ins, simulate_truth
+from .inertial import SENSOR_GRADES, sample_gravimeter, simulate_ins, simulate_truth
 from .pmht import BatchProblem, run_batch
 
 __all__ = [
@@ -494,100 +494,34 @@ def _check_route(cfg: ScenarioConfig, extent: tuple[float, float, float, float])
         raise ConfigError("trajectory leaves the map extent")
 
 
-class _SeedRun:
-    """One seed of a block: its INS and gravimeter records, its open batch and
-    its diagnostics.
-
-    The block predicts every seed's belief together and scans each seed
-    from its own row. ``pos`` is this seed's ``(n, 2)`` row of the block's
-    position estimates. ``failed_at`` is the step at which the run failed,
-    or ``None``: :meth:`report` blanks the estimates from there on. ``field``
-    is the map's value at each scan's true position, which the block reads
-    once for all its seeds; a seed adds its own gravimeter noise. An unaided
-    seed never scans, has no ``grid`` and an empty ``field``. ``cfg`` is
-    resolved. ``closed`` is the epoch of the last closed batch, before the
-    block's hand-off counts its applied and NIS-rejected fixes.
-    """
-
-    def __init__(self, cfg: ScenarioConfig, grid: GridMap | None, field: np.ndarray, truth,
-                 grades: tuple[SensorGrade, SensorGrade], seed: int, pos: np.ndarray):
-        self.cfg, self.grid = cfg, grid
-        self.seed = int(seed)
-        # The gravimeter has its own seed stream: its draws change no INS draw.
-        seed_ins, seed_grav = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-        ins = simulate_ins(truth, *grades, seed_ins)
-        self.readings = sample_gravimeter(field, cfg.gravimeter.sigma, seed_grav)
-        self.accels = np.diff(ins.velocities, axis=0) / INS_DT
-        self.pos = pos
-        self.scans: list[CandidateSet] = []
-        self.closed: AidingEpoch | None = None
-        self.var_history: list[float] = []
-        self.epochs: list[AidingEpoch] = []
-        self.failed_at: int | None = None
-
-    def scan(self, n: int, belief: NavBelief, checkpoint: NavBelief, i: int) -> None:
-        """Gate reading ``n`` into the batch, around row ``i`` of the block's
-        ``belief``; when the batch is full, smooth it from row ``i`` of
-        ``checkpoint``, the stack at its first scan, into :attr:`closed`.
-
-        An empty gate adds an empty scan, and a batch of empty scans offers no
-        fix; a numerical fault raises :class:`NumericalError`.
-        """
-        cfg, fus, grid = self.cfg, self.cfg.fusion, self.grid
-        self.scans.append(lookup_candidates(grid, self.readings[n], cfg.gravimeter.sigma,
-                                            belief.state[i, :2], belief.cov[i, :2, :2],
-                                            cfg.pmht.gamma, cfg.pmht.n_max, cfg.pmht.k_sig))
-        if len(self.scans) < cfg.pmht.T:
-            return
-        problem = BatchProblem(
-            prior_mean=checkpoint.state[i, :4],
-            prior_cov=checkpoint.cov[i, :4, :4],
-            scans=tuple(self.scans),
-            params=cfg.pmht,
-            dt=cfg.gravimeter.interval,
-            start_time=checkpoint.time,
-        )
-        self.scans = []
-        est, fixes = run_batch(problem), ()
-        if est is not None:  # else every scan was empty: an epoch without fixes
-            variabilities = []
-            for position in est.means[:, :2]:
-                raw = 0.0  # a smoothed position off the map carries no position information
-                if grid.in_bounds(position):
-                    raw = feature_variability(grid, grid.cell_of(position),
-                                              fus.template_half_width)
-                self.var_history.append(raw)
-                variabilities.append(normalize_variability(self.var_history, fus.window_len))
-            fixes = batch_fixes(est, variabilities, fus)
-        self.closed = AidingEpoch(time=belief.time, fixes=fixes, n_accepted=0, n_nis_rejected=0,
-                                  iterations_used=0 if est is None else est.iterations_used,
-                                  converged=est is not None and est.converged)
-
-    def report(self, truth) -> RunReport:
-        failed = self.failed_at is not None
-        if failed:
-            self.pos[self.failed_at:] = np.nan
-        errors = np.linalg.norm(self.pos - truth.positions, axis=1)
-        series = errors[1:]
-        aided = np.zeros(len(series), dtype=bool)
-        first_aided = next((e.time for e in self.epochs if e.n_accepted > 0), None)
-        if first_aided is not None:
-            aided[round(first_aided / INS_DT) - 1:] = True
-        div = self.cfg.divergence
-        diverged = failed or detect_divergence(series, div.error_threshold_m,
-                                               div.sustain_s, INS_DT)
-        terminal = float(series[-1]) if np.isfinite(series[-1]) else float("inf")
-        return RunReport(
-            seed=self.seed,
-            times=truth.times[1:],
-            error_series=series,
-            positions=self.pos[1:],
-            aided_flags=aided,
-            epochs=tuple(self.epochs),
-            diverged=bool(diverged),
-            terminal_error=terminal,
-            failed=failed,
-        )
+def _run_report(cfg: ScenarioConfig, seed: int, pos: np.ndarray, failed_at: int | None,
+                epochs: list[AidingEpoch], truth, times: np.ndarray) -> RunReport:
+    """One seed's report from its row ``pos`` of the block's position
+    estimates, blanked from step ``failed_at`` on when the run failed.
+    ``times`` is the block's one time axis: a pooled block pickles it once."""
+    failed = failed_at is not None
+    if failed:
+        pos[failed_at:] = np.nan
+    errors = np.linalg.norm(pos - truth.positions, axis=1)
+    series = errors[1:]
+    aided = np.zeros(len(series), dtype=bool)
+    first_aided = next((e.time for e in epochs if e.n_accepted > 0), None)
+    if first_aided is not None:
+        aided[round(first_aided / INS_DT) - 1:] = True
+    div = cfg.divergence
+    diverged = failed or detect_divergence(series, div.error_threshold_m, div.sustain_s, INS_DT)
+    terminal = float(series[-1]) if np.isfinite(series[-1]) else float("inf")
+    return RunReport(
+        seed=int(seed),
+        times=times,
+        error_series=series,
+        positions=pos[1:],
+        aided_flags=aided,
+        epochs=tuple(epochs),
+        diverged=bool(diverged),
+        terminal_error=terminal,
+        failed=failed,
+    )
 
 
 def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[RunReport]:
@@ -597,17 +531,21 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
 
     The truth is simulated once, and an aided block reads the map at the
     truth's scan positions once, in one :func:`.geomap.value_at` call; each
-    seed has its own INS, gravimeter noise and belief. Row i of the belief
-    stack, of the accelerations and of the position estimates is seed i for
-    the whole block. One stacked predict moves all the beliefs from scan to
-    scan, or through the whole flight when unaided.
+    seed has its own INS, gravimeter noise and belief. The block owns every
+    seed's records, row i for seed i: the belief stack, the ``(n - 1, R, 2)``
+    accelerations the predict reads (each seed's INS written there once),
+    the ``(R, scans)`` readings and the position estimates, and per seed its
+    open scans, variability history, epochs and failure step. One stacked
+    predict moves all the beliefs from scan to scan, or through the whole
+    flight when unaided. The reports share one time axis.
     Every ``gravimeter.interval`` each seed scans alone, and all close their
-    batches at the same scan, so the block hands their fixes off at once,
-    one :func:`.fusion.apply_batch` per fix time. When the first accepted fix
-    lies before the live time (retrodiction), the hand-off starts from the
-    stack at the batch's first scan and replays the predicts up to each fix
-    time and then to the live time; otherwise (standard) it aids the live
-    stack.
+    batches at the same scan, each live seed's in one helper (its fixes, EM
+    iterations and convergence), so the block hands their fixes off at once,
+    one :func:`.fusion.apply_batch` per fix time, and then records each live
+    seed's epoch. When the first accepted fix lies before the live time
+    (retrodiction), the hand-off starts from the stack at the batch's first
+    scan and replays the predicts up to each fix time and then to the live
+    time; otherwise (standard) it aids the live stack.
 
     An aided block reads the map's values: it uses ``grid``, or builds the
     configured map when ``grid`` is ``None``. An unaided block reads only the
@@ -633,22 +571,32 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, INS_DT)
     grades = SENSOR_GRADES[cfg.ins.accel_grade], SENSOR_GRADES[cfg.ins.gyro_grade]
     fus, batch_len = cfg.fusion, cfg.pmht.T
-    start = _initial_belief(cfg, truth, len(seeds))
-    pos_est = np.empty((len(seeds), len(truth), 2))
-    pos_est[:, 0] = start.position
+    n_seeds = len(seeds)
     every = round(cfg.gravimeter.interval / INS_DT)  # INS steps per scan
     # Scan n is at step (n + 1) * every. An unaided block scans nowhere.
     field = value_at(grid, truth.positions[every::every]) if cfg.aiding else np.empty(0)
-    runs = [_SeedRun(cfg, grid, field, truth, grades, seed, pos)
-            for seed, pos in zip(seeds, pos_est)]
-    accels = np.stack([run.accels for run in runs], axis=1)
+    accels = np.empty((len(truth) - 1, n_seeds, 2))
+    readings = np.empty((n_seeds, len(field)))
+    for i, seed in enumerate(seeds):
+        # The gravimeter has its own seed stream: its draws change no INS draw.
+        seed_ins, seed_grav = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+        np.divide(np.diff(simulate_ins(truth, *grades, seed_ins).velocities, axis=0), INS_DT,
+                  out=accels[:, i])
+        readings[i] = sample_gravimeter(field, cfg.gravimeter.sigma, seed_grav)
+    start = _initial_belief(cfg, truth, n_seeds)
+    pos_est = np.empty((n_seeds, len(truth), 2))
+    pos_est[:, 0] = start.position
+    failed_at: list[int | None] = [None] * n_seeds
+    scans: list[list] = [[] for _ in seeds]
+    var_history: list[list[float]] = [[] for _ in seeds]
+    epochs: list[list[AidingEpoch]] = [[] for _ in seeds]
 
     def fail(rows, k: int) -> bool:
         """Mark the runs of ``rows`` failed at step ``k``; True once all have failed."""
         for i in rows:
-            if runs[i].failed_at is None:
-                runs[i].failed_at = k
-        return all(run.failed_at is not None for run in runs)
+            if failed_at[i] is None:
+                failed_at[i] = k
+        return None not in failed_at
 
     def advance(bel: NavBelief, step: int) -> NavBelief | None:
         """The stack predicted up to ``step`` in one run; ``None`` once all have failed."""
@@ -670,17 +618,44 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
                 bel.state[rows], bel.cov[rows] = start.state[rows], start.cov[rows]
         return bel
 
-    def hand_off(live: NavBelief, checkpoint: NavBelief, k: int) -> NavBelief | None:
-        """Feed the live runs' closed batches into the stack, fix time by fix time."""
-        tally = {i: [0, 0] for i, run in enumerate(runs) if run.failed_at is None}
-        offered = [(i, fix) for i in tally for fix in runs[i].closed.fixes if fix.accepted]
+    def close(i: int, checkpoint: NavBelief) -> tuple:
+        """Smooth seed ``i``'s full batch from its row of ``checkpoint``, the
+        stack at the batch's first scan: its fixes, EM iterations and
+        convergence. A batch of empty scans offers no fix; a numerical fault
+        raises :class:`NumericalError`."""
+        problem = BatchProblem(
+            prior_mean=checkpoint.state[i, :4],
+            prior_cov=checkpoint.cov[i, :4, :4],
+            scans=tuple(scans[i]),
+            params=cfg.pmht,
+            dt=cfg.gravimeter.interval,
+            start_time=checkpoint.time,
+        )
+        scans[i] = []
+        est = run_batch(problem)
+        if est is None:  # every scan was empty
+            return (), 0, False
+        variabilities = []
+        for position in est.means[:, :2]:
+            raw = 0.0  # a smoothed position off the map carries no position information
+            if grid.in_bounds(position):
+                raw = feature_variability(grid, grid.cell_of(position), fus.template_half_width)
+            var_history[i].append(raw)
+            variabilities.append(normalize_variability(var_history[i], fus.window_len))
+        return batch_fixes(est, variabilities, fus), est.iterations_used, est.converged
+
+    def hand_off(live: NavBelief, checkpoint: NavBelief, k: int, closed: dict) -> NavBelief | None:
+        """Feed the ``closed`` batches of the live seeds into the stack, fix
+        time by fix time, and record each live seed's epoch."""
+        tally = {i: [0, 0] for i in closed}
+        offered = [(i, fix) for i, (fixes, *_) in closed.items() for fix in fixes if fix.accepted]
         times = sorted({fix.time for _, fix in offered})
         bel = checkpoint if times and times[0] < live.time else live
         for t in times:
             bel = advance(bel, round(t / INS_DT))
             if bel is None:
                 return None
-            now = [(i, fix) for i, fix in offered if fix.time == t and runs[i].failed_at is None]
+            now = [(i, fix) for i, fix in offered if fix.time == t and failed_at[i] is None]
             if now:
                 rows, fixes = zip(*now)
                 bel, applied, failed = apply_batch(bel, rows, fixes, fus)
@@ -689,10 +664,9 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
                 if fail(failed, round(t / INS_DT)):
                     return None
         bel = advance(bel, k)
-        for i, (n_accepted, n_nis_rejected) in tally.items():
-            if runs[i].failed_at is None:
-                runs[i].epochs.append(replace(runs[i].closed, n_accepted=n_accepted,
-                                              n_nis_rejected=n_nis_rejected))
+        for i, (fixes, iterations, converged) in closed.items():
+            if failed_at[i] is None:
+                epochs[i].append(AidingEpoch(live.time, fixes, *tally[i], iterations, converged))
                 pos_est[i, k] = bel.position[i]
         return bel
 
@@ -704,19 +678,26 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
         n = k // every - 1
         if n % batch_len == 0:
             checkpoint = belief
-        for i, run in enumerate(runs):
-            if run.failed_at is None:
+        closing, closed = n % batch_len == batch_len - 1, {}
+        for i in range(n_seeds):
+            if failed_at[i] is None:
                 try:
-                    run.scan(n, belief, checkpoint, i)
+                    scans[i].append(lookup_candidates(
+                        grid, readings[i, n], cfg.gravimeter.sigma, belief.state[i, :2],
+                        belief.cov[i, :2, :2], cfg.pmht.gamma, cfg.pmht.n_max, cfg.pmht.k_sig))
+                    if closing:
+                        closed[i] = close(i, checkpoint)
                 except NumericalError:
-                    run.failed_at = k
-        if n % batch_len == batch_len - 1:
-            belief = hand_off(belief, checkpoint, k)
-        if belief is None or all(run.failed_at is not None for run in runs):
+                    failed_at[i] = k
+        if closing:
+            belief = hand_off(belief, checkpoint, k, closed)
+        if belief is None or None not in failed_at:
             break
     else:
         advance(belief, len(truth) - 1)
-    return [run.report(truth) for run in runs]
+    times = truth.times[1:]
+    return [_run_report(cfg, seed, pos_est[i], failed_at[i], epochs[i], truth, times)
+            for i, seed in enumerate(seeds)]
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int, grid: GridMap | None = None) -> RunReport:

@@ -2,6 +2,7 @@ import csv
 import importlib
 import inspect
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -781,6 +782,27 @@ class TestUnaidedGeometry:
             tracemalloc.stop()
         assert peak < 0.25 * CORRIDOR_MAP.rows * CORRIDOR_MAP.cols * 8
 
+    def test_corridor_block_peak_memory_per_seed(self):
+        # Per seed, an unaided block holds its row of the INS accelerations
+        # (written once, straight into the block's array), its row of the
+        # position estimates and its report: about two (n, 2) float64
+        # records. A second copy of the accelerations would make it three.
+        cfg = parse_config(os.path.join(CONFIGS, "corridor.cfg"))
+        cfg.aiding = False
+        cfg.duration = 1800.0
+        run_block(replace(cfg, duration=60.0), [0])  # first-call caches, outside the peaks
+
+        def peak(seeds):
+            tracemalloc.start()
+            try:
+                run_block(cfg, seeds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        record = (round(cfg.duration) + 1) * 2 * 8
+        assert (peak(list(range(20))) - peak([0])) / 19 < 2.5 * record
+
 
 class TestRunCampaign:
     def test_single_run_rms_equals_abs_error(self):
@@ -967,7 +989,7 @@ class TestBlock:
         accepted = [sum(e.n_accepted for e in r.epochs) for r in block]
         assert all(accepted) if aiding else not any(accepted)
 
-    @pytest.mark.parametrize("where", ["lookup", "predict"])
+    @pytest.mark.parametrize("where", ["lookup", "closing-lookup", "predict"])
     def test_seed_failing_mid_run_leaves_the_others(self, monkeypatch, where):
         import gravnav.harness as harness
 
@@ -975,18 +997,20 @@ class TestBlock:
         grid = build_grid(cfg)
         accels, values = seed_streams(cfg, grid, 2)
         seen = set()
-        if where == "lookup":
+        if where != "predict":
             real = harness.lookup_candidates
+            # Mid-batch, the 12th scan at 120 s; or the 15th at 150 s, the
+            # last scan of seed 2's third batch, which then never closes.
+            step = 120 if where == "lookup" else 150
 
             def flaky(grid, s, *args):
                 if s in values:
                     seen.add(s)
-                    if len(seen) == 12:  # mid-batch: the 12th scan, at 120 s
+                    if len(seen) == step // 10:
                         raise NumericalError("forced")
                 return real(grid, s, *args)
 
             monkeypatch.setattr(harness, "lookup_candidates", flaky)
-            step = 120
         else:
             real = harness.ukf_predict
 
@@ -1017,6 +1041,9 @@ class TestBlock:
         failed = block[2].error_series
         assert np.isfinite(failed[:step - 1]).all() and np.isnan(failed[step - 1:]).all()
         assert all(np.isfinite(r.error_series).all() for r in block if r.seed != 2)
+        if where == "closing-lookup":
+            assert [e.time for e in block[2].epochs] == [50.0, 100.0]
+            assert all(r.epochs[2].time == 150.0 for r in block if r.seed != 2)
 
     @pytest.mark.parametrize("fault, warning", [
         ("smoother-solve", "singular covariance in batch recursion"),
@@ -1103,6 +1130,13 @@ class TestBlock:
             assert rep.failed and rep.diverged
             assert np.isfinite(rep.error_series[:step - 1]).all()
             assert np.isnan(rep.error_series[step - 1:]).all()
+
+    def test_reports_share_the_block_time_axis(self):
+        # A pooled block's reports go back to the campaign in one pickle,
+        # which then holds their one time axis once.
+        reports = run_block(small_scenario(aiding=False), [0, 1])
+        assert reports[0].times is reports[1].times
+        assert len(pickle.dumps([r.times for r in reports])) < 2 * reports[0].times.nbytes
 
     def test_campaign_validates_its_config_once(self, monkeypatch):
         # run_campaign checks the config; its block does not check it again.
