@@ -245,11 +245,11 @@ class ScenarioConfig:
             raise ConfigError(f"{name} = {_fmt(_BY_NAME[name].get(resolved))} over duration = "
                               f"{_fmt(self.duration)} s overflows the nav filter's covariance, "
                               f"scaled by n + lambda = {_fmt(spread)}")
-        steps = self.gravimeter.interval / INS_DT
-        if abs(steps - round(steps)) > 1e-9:
-            raise ConfigError(
-                f"gravimeter.interval must be a whole number of {INS_DT:g} s INS steps, "
-                f"got {_fmt(self.gravimeter.interval)}")
+        for name in ("duration", "gravimeter.interval"):
+            value = _BY_NAME[name].get(self)
+            if not (value / INS_DT).is_integer():
+                raise ConfigError(f"{name} must be a whole number of {INS_DT:g} s INS steps, "
+                                  f"got {_fmt(value)}")
         if self.aiding and aided_phase_start(self) > self.duration:
             raise ConfigError(
                 f"pmht.T = {self.pmht.T} scans every gravimeter.interval = "

@@ -482,11 +482,12 @@ def _check_route(cfg: ScenarioConfig, extent: tuple[float, float, float, float])
     simulated.
 
     The truth is ``start + t * velocity`` at every whole INS step up to the
-    duration. Each coordinate of it is monotone in ``t``, rounding included,
-    so the route stays on the map exactly when both of its end points do.
+    duration, itself a whole step. Each coordinate of it is monotone in
+    ``t``, rounding included, so the route stays on the map exactly when
+    both of its end points do.
     """
     start = np.asarray(cfg.start, dtype=float)
-    end = start + round(cfg.duration / INS_DT) * INS_DT * np.asarray(cfg.velocity, dtype=float)
+    end = start + cfg.duration * np.asarray(cfg.velocity, dtype=float)
     xmin, xmax, ymin, ymax = extent
     ends = np.array([start, end])
     if not ((ends[:, 0] >= xmin) & (ends[:, 0] <= xmax)
@@ -580,8 +581,7 @@ def run_block(cfg: ScenarioConfig, seeds, grid: GridMap | None = None) -> list[R
     for i, seed in enumerate(seeds):
         # The gravimeter has its own seed stream: its draws change no INS draw.
         seed_ins, seed_grav = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-        np.divide(np.diff(simulate_ins(truth, *grades, seed_ins).velocities, axis=0), INS_DT,
-                  out=accels[:, i])
+        simulate_ins(truth, *grades, seed_ins, out=accels[:, i])
         readings[i] = sample_gravimeter(field, cfg.gravimeter.sigma, seed_grav)
     start = _initial_belief(cfg, truth, n_seeds)
     pos_est = np.empty((n_seeds, len(truth), 2))

@@ -1,12 +1,12 @@
-"""Ground truth, drifting planar dead reckoning, and the gravimeter's noise.
+"""Ground truth, the INS's indicated accelerations, and the gravimeter's noise.
 
-The dead-reckoning model is deliberately planar: position and velocity in a
-local East-North frame, a constant accelerometer bias, accelerometer white
+The INS model is deliberately planar: accelerations in a local East-North
+frame, corrupted by a constant accelerometer bias, accelerometer white
 noise, and gyro errors entering through two small tilt angles that leak
 gravity into the horizontal channels (plus a yaw error that misresolves the
-true acceleration). This reproduces the qualitative growth of inertial
-drift - quadratic in accelerometer bias, cubic in gyro bias - without a full
-strapdown mechanization. The vertical channel is not simulated.
+true acceleration). Dead-reckoned, they drift as an INS does - quadratic in
+accelerometer bias, cubic in gyro bias - without a full strapdown
+mechanization. The vertical channel is not simulated.
 """
 
 from __future__ import annotations
@@ -71,16 +71,6 @@ class Trajectory:
     positions: np.ndarray
     velocities: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "velocities", np.asarray(self.velocities, dtype=float))
-        if len(self.times) < 2:
-            raise ValueError("trajectory needs at least 2 samples")
-        steps = np.diff(self.times)
-        if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
-            raise ValueError("trajectory time spacing must be uniform")
-
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
@@ -105,12 +95,14 @@ def simulate_ins(
     grade_accel: SensorGrade,
     grade_gyro: SensorGrade,
     seed: int,
-) -> Trajectory:
-    """Dead-reckoned path indicated by an error-corrupted sensor suite.
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The ``(n - 1, 2)`` accelerations an error-corrupted sensor suite
+    indicates over each step of ``truth``, written into ``out`` when given.
 
     Bias directions and all noise draws are deterministic in ``seed``. With
-    error-free sensors the indicated path equals the truth to machine
-    precision.
+    error-free sensors the indicated accelerations equal the truth's to
+    machine precision.
     """
     rng = np.random.default_rng(seed)
     n = len(truth)
@@ -139,12 +131,8 @@ def simulate_ins(
     velocities = np.empty((n, 2))
     velocities[0] = truth.velocities[0]
     velocities[1:] = truth.velocities[0] + np.cumsum(a_ind * dt, axis=0)
-    positions = np.empty((n, 2))
-    positions[0] = truth.positions[0]
-    increments = velocities[:-1] * dt + 0.5 * a_ind * dt * dt
-    positions[1:] = truth.positions[0] + np.cumsum(increments, axis=0)
-    return Trajectory(times=truth.times.copy(), positions=positions,
-                      velocities=velocities)
+    # a_ind itself would move every pinned output's last bit: ROADMAP item 8's re-baseline.
+    return np.divide(np.diff(velocities, axis=0), dt, out=out)
 
 
 def sample_gravimeter(field, sigma: float, seed: int) -> np.ndarray:

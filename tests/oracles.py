@@ -232,6 +232,23 @@ def ukf_predict_one(belief, indicated_accel, dt, params):
     return NavBelief(state=mean, cov=0.5 * (cov + cov.T), time=belief.time + dt)
 
 
+# --- dead reckoning --------------------------------------------------------
+
+def dead_reckon(truth, accels):
+    """Positions and velocities of an INS that starts on ``truth`` and
+    integrates its ``(n - 1, 2)`` indicated ``accels``: constant acceleration
+    over each step."""
+    dt = truth.dt
+    velocities = np.empty((len(truth), 2))
+    velocities[0] = truth.velocities[0]
+    velocities[1:] = truth.velocities[0] + np.cumsum(accels * dt, axis=0)
+    positions = np.empty((len(truth), 2))
+    positions[0] = truth.positions[0]
+    increments = velocities[:-1] * dt + 0.5 * accels * dt * dt
+    positions[1:] = truth.positions[0] + np.cumsum(increments, axis=0)
+    return positions, velocities
+
+
 # --- map statistics --------------------------------------------------------
 
 def brute_variability(values, row, col, half_width):

@@ -228,6 +228,8 @@ class TestCampaign:
             ("gravimeter.sigma", "-1"),
             ("gravimeter.sigma", "0"),
             ("gravimeter.interval", "2.5"),
+            # Within 1e-9 of a whole step, but not one.
+            ("gravimeter.interval", "10.0000000001"),
             ("gravimeter.interval", "inf"),
             ("fusion.alpha", "0"),
             ("fusion.template_half_width", "-1"),
@@ -238,6 +240,7 @@ class TestCampaign:
             ("pmht.T", "40"),
             ("duration", "inf"),
             ("duration", "0.5"),
+            ("duration", "300.4"),
             ("duration", "1e12"),
             ("gravimeter.interval", "1e-10"),
             ("start", "nan,0"),

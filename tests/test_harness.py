@@ -49,6 +49,7 @@ from gravnav.harness import (
 )
 from gravnav.inertial import SENSOR_GRADES, sample_gravimeter, simulate_ins, simulate_truth
 from gravnav.pmht import cv_model
+from oracles import dead_reckon
 from scenarios import corridor_config, corridor_map_params
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -543,9 +544,9 @@ class TestRunScenario:
         rep = run_scenario(cfg, 3)
         truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, 1.0)
         seed_ins = int(np.random.SeedSequence(3).generate_state(2)[0])
-        ins = simulate_ins(truth, SENSOR_GRADES[cfg.ins.accel_grade],
-                           SENSOR_GRADES[cfg.ins.gyro_grade], seed_ins)
-        ins_err = np.linalg.norm(ins.positions - truth.positions, axis=1)[1:]
+        accels = simulate_ins(truth, SENSOR_GRADES[cfg.ins.accel_grade],
+                              SENSOR_GRADES[cfg.ins.gyro_grade], seed_ins)
+        ins_err = np.linalg.norm(dead_reckon(truth, accels)[0] - truth.positions, axis=1)[1:]
         assert np.abs(rep.error_series - ins_err).max() < 1e-6
 
     def test_unaided_run_flies_over_nodata_under_the_route(self):
@@ -803,6 +804,22 @@ class TestUnaidedGeometry:
         record = (round(cfg.duration) + 1) * 2 * 8
         assert (peak(list(range(20))) - peak([0])) / 19 < 2.5 * record
 
+    def test_corridor_block_peak_memory_one_seed(self):
+        # The INS writes only its accelerations, straight into the block's
+        # array, and keeps no dead-reckoned path or times copy.
+        cfg = parse_config(os.path.join(CONFIGS, "corridor.cfg"))
+        cfg.aiding = False
+        cfg.duration = 1800.0
+        run_block(replace(cfg, duration=60.0), [0])  # first-call caches, outside the peak
+        tracemalloc.start()
+        try:
+            run_block(cfg, [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = (round(cfg.duration) + 1) * 2 * 8
+        assert peak < 16.5 * record
+
 
 class TestRunCampaign:
     def test_single_run_rms_equals_abs_error(self):
@@ -923,11 +940,10 @@ def seed_streams(cfg, grid, seed):
     """A seed's indicated accelerations (n - 1, 2) and gravimeter readings, as a run draws them."""
     truth = simulate_truth(cfg.start, cfg.velocity, cfg.duration, 1.0)
     seed_ins, seed_grav = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
-    ins = simulate_ins(truth, SENSOR_GRADES[cfg.ins.accel_grade],
-                       SENSOR_GRADES[cfg.ins.gyro_grade], seed_ins)
     every = round(cfg.gravimeter.interval)
     field = value_at(grid, truth.positions[every::every])
-    return (np.diff(ins.velocities, axis=0),
+    return (simulate_ins(truth, SENSOR_GRADES[cfg.ins.accel_grade],
+                         SENSOR_GRADES[cfg.ins.gyro_grade], seed_ins),
             sample_gravimeter(field, cfg.gravimeter.sigma, seed_grav))
 
 

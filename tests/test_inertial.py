@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from gravnav.inertial import (
+    GRAVITY,
     SENSOR_GRADES,
     SensorGrade,
+    Trajectory,
     sample_gravimeter,
     simulate_ins,
     simulate_truth,
 )
+from oracles import dead_reckon
 
 
 def tiny_grade(accel_bias=1e-30, accel_noise=1e-30, gyro_bias=1e-30, gyro_noise=1e-30):
@@ -67,21 +72,23 @@ class TestSimulateTruth:
 class TestSimulateIns:
     def test_error_free_sensors_reproduce_truth(self):
         traj = simulate_truth((0.0, 0.0), (22.0, 5.0), duration=600.0, dt=1.0)
-        ins = simulate_ins(traj, tiny_grade(), tiny_grade(), seed=1)
-        assert np.abs(ins.positions - traj.positions).max() < 1e-9
-        assert np.abs(ins.velocities - traj.velocities).max() < 1e-12
+        accels = simulate_ins(traj, tiny_grade(), tiny_grade(), seed=1)
+        positions, velocities = dead_reckon(traj, accels)
+        assert np.abs(positions - traj.positions).max() < 1e-9
+        assert np.abs(velocities - traj.velocities).max() < 1e-12
 
     def test_bias_only_statics_half_b_t_squared(self):
         bias = 2e-6
         traj = simulate_truth((0.0, 0.0), (0.0, 0.0), duration=3600.0, dt=1.0)
-        ins = simulate_ins(traj, tiny_grade(accel_bias=bias), tiny_grade(), seed=3)
-        err = np.linalg.norm(ins.positions - traj.positions, axis=1)
+        accels = simulate_ins(traj, tiny_grade(accel_bias=bias), tiny_grade(), seed=3)
+        positions, _ = dead_reckon(traj, accels)
+        err = np.linalg.norm(positions - traj.positions, axis=1)
         times = traj.times
         expected = 0.5 * bias * times ** 2
         assert err[1:] == pytest.approx(expected[1:], rel=1e-9)
         # drift stays along one direction
-        late = ins.positions[-1] - traj.positions[-1]
-        mid = ins.positions[1800] - traj.positions[1800]
+        late = positions[-1] - traj.positions[-1]
+        mid = positions[1800] - traj.positions[1800]
         cosang = (late @ mid) / (np.linalg.norm(late) * np.linalg.norm(mid))
         assert cosang == pytest.approx(1.0, abs=1e-9)
 
@@ -92,8 +99,8 @@ class TestSimulateIns:
         a = simulate_ins(traj, pc, pg, seed=42)
         b = simulate_ins(traj, pc, pg, seed=42)
         c = simulate_ins(traj, pc, pg, seed=43)
-        assert (a.positions == b.positions).all()
-        assert not (a.positions == c.positions).all()
+        assert (a == b).all()
+        assert not (a == c).all()
 
     def test_noise_scaling_doubles_terminal_spread(self):
         traj = simulate_truth((0.0, 0.0), (0.0, 0.0), duration=600.0, dt=1.0)
@@ -103,8 +110,9 @@ class TestSimulateIns:
             grade = tiny_grade(accel_noise=scale * density)
             errs = []
             for s in range(200):
-                ins = simulate_ins(traj, grade, tiny_grade(), seed=seed0 + s)
-                errs.append(np.linalg.norm(ins.positions[-1] - traj.positions[-1]))
+                accels = simulate_ins(traj, grade, tiny_grade(), seed=seed0 + s)
+                positions, _ = dead_reckon(traj, accels)
+                errs.append(np.linalg.norm(positions[-1] - traj.positions[-1]))
             return np.std(errs)
 
         ratio = terminal_errors(2.0, 10_000) / terminal_errors(1.0, 10_000)
@@ -119,14 +127,51 @@ class TestSimulateIns:
         grew = 0
         terminal = []
         for seed in range(100):
-            ins = simulate_ins(traj, pc, pg, seed=seed)
-            err = np.linalg.norm(ins.positions - traj.positions, axis=1)
+            positions, _ = dead_reckon(traj, simulate_ins(traj, pc, pg, seed=seed))
+            err = np.linalg.norm(positions - traj.positions, axis=1)
             checkpoints = err[-3601::600]
             if (np.diff(checkpoints) > 0).all():
                 grew += 1
             terminal.append(err[-1])
         assert grew >= 95
         assert np.mean(terminal) > 200.0
+
+
+class TestGyroBias:
+    """A gyro bias alone: tilt leaks gravity, yaw misresolves the true
+    acceleration, each angle growing as b * k * dt with one sign per axis."""
+
+    BIAS = 100.0  # deg/h
+
+    def angles(self, n):
+        return self.BIAS * math.pi / 180.0 / 3600.0 * np.arange(1, n)
+
+    def test_standing_tilt_leaks_g_sin_angle(self):
+        traj = simulate_truth((0.0, 0.0), (0.0, 0.0), duration=600.0, dt=1.0)
+        accels = simulate_ins(traj, tiny_grade(), tiny_grade(gyro_bias=self.BIAS), seed=4)
+        leak = GRAVITY * np.sin(self.angles(len(traj)))
+        signs = np.sign(accels[0])
+        assert np.abs(accels - signs * leak[:, None]).max() < 1e-12
+
+    def test_yaw_rotates_the_true_acceleration(self):
+        # The same seed over a constant-velocity truth draws the same errors
+        # and has no true acceleration to rotate: the difference is a_rot.
+        n, accel = 601, np.array([0.3, -0.2])
+        times = np.arange(n) * 1.0
+        velocities = np.array([22.0, 5.0]) + times[:, None] * accel
+        turning = Trajectory(times=times, positions=np.zeros((n, 2)), velocities=velocities)
+        steady = simulate_truth((0.0, 0.0), (22.0, 5.0), duration=600.0, dt=1.0)
+        grade = tiny_grade(gyro_bias=self.BIAS)
+        signs = set()
+        for seed in (6, 8):  # one yaw bias of each sign
+            rotated = (simulate_ins(turning, tiny_grade(), grade, seed=seed)
+                       - simulate_ins(steady, tiny_grade(), grade, seed=seed))
+            angle = np.arctan2(rotated[:, 1], rotated[:, 0]) - math.atan2(accel[1], accel[0])
+            sign = np.sign(angle[-1])
+            signs.add(sign)
+            assert np.abs(angle - sign * self.angles(n)).max() < 5e-12
+            assert np.abs(np.linalg.norm(rotated, axis=1) - np.linalg.norm(accel)).max() < 1e-12
+        assert signs == {-1.0, 1.0}
 
 
 class TestSampleGravimeter:
