@@ -86,6 +86,13 @@ def _cmd_genmap(args) -> int:
     return 0
 
 
+def _warn_never_aided(runs: str) -> None:
+    """Warn on stderr that ``runs`` had aiding on and accepted no fix, so
+    their errors are dead reckoning's; the exit code does not change."""
+    print(f"warning: {runs} never aided: aiding is on but no fix was accepted",
+          file=sys.stderr)
+
+
 def _check_seed(seed: int | None) -> None:
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
@@ -105,6 +112,8 @@ def _cmd_run(args) -> int:
     print(f"diverged: {str(report.diverged).lower()}")
     print(f"aiding_epochs: {len(report.epochs)}")
     print(f"accepted_fixes: {sum(e.n_accepted for e in report.epochs)}")
+    if cfg.aiding and not report.aided_flags.any():
+        _warn_never_aided("the run")
     if report.failed:
         return 3
     return 0
@@ -125,7 +134,11 @@ def _cmd_campaign(args) -> int:
     print(f"runs: {len(report.seeds)}")
     print(f"mean_error_m: {report.mean_error:.17g}")
     print(f"divergence_rate: {report.divergence_rate:.17g}")
+    never_aided = sum(not r.aided_flags.any() for r in report.reports) if cfg.aiding else 0
+    print(f"never_aided_runs: {never_aided}")
     print(f"config_hash: {report.config_digest}")
+    if never_aided:
+        _warn_never_aided(f"{never_aided} of {len(report.reports)} runs")
     return 0
 
 

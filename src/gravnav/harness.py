@@ -32,9 +32,9 @@ byte-stable for any worker count.
 
 A synthetic map (:func:`gen_synthetic_map`) is built in place in one
 map-sized array. Each of its passes (column strips of the smoothing, then
-row blocks of the smoothing and of the bump sum) is split over at most
-``_MAX_MAP_WORKERS`` threads by :func:`_in_blocks`, and the map has the
-same bits at any thread count.
+row blocks of the smoothing and of the bump sum) runs one task per strip or
+block on a pool of at most ``_MAX_MAP_WORKERS`` threads (:func:`_in_blocks`),
+and the map has the same bits at any thread count.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ import contextvars
 import functools
 import math
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,41 +111,21 @@ def _map_workers() -> int:
 
 
 def _in_blocks(n: int, block: int, job) -> None:
-    """Split ``[0, n)`` into one run ``(a, b)`` of whole ``block``-sized
-    blocks per worker, with :func:`_map_workers` workers but no more than
-    blocks, and call ``job(a, b)`` on each.
+    """Call ``job(a, b)`` once per ``block``-sized block ``[a, b)`` of
+    ``[0, n)``, the last one short, on a pool of :func:`_map_workers` threads.
 
-    The calling thread does the first run and a thread each does the rest;
-    the threads are joined before this returns, and the first exception a
-    run raised is raised here. Each thread runs in a copy of the caller's
-    context, so the caller's numpy error state holds there too.
+    Each job runs in a copy of the caller's context, so the caller's numpy
+    error state holds there too. The pool is joined before this returns,
+    and then the first block's exception, if any, is raised here.
 
     ``job`` must call no name in a module's ``__all__``: perfbench's tracer
     wraps those names and keeps one span stack, which threads would corrupt.
     """
-    n_blocks = -(-n // block)
-    workers = max(1, min(_map_workers(), n_blocks))
-    cuts = [min(i * n_blocks // workers * block, n) for i in range(workers + 1)]
-    (a0, b0), *rest = zip(cuts[:-1], cuts[1:])
-    errors: list[Exception] = []
-
-    def run(a: int, b: int) -> None:
-        try:
-            job(a, b)
-        except Exception as exc:  # raised again by the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, a, b))
-               for a, b in rest]
-    for thread in threads:
-        thread.start()
-    try:
-        job(a0, b0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(_map_workers()) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, job, a, min(a + block, n))
+                   for a in range(0, n, block)]
+    for future in futures:
+        future.result()
 
 
 def _reflected(n: int, radius: int) -> np.ndarray:
@@ -196,33 +176,15 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     return (kernel / kernel.sum())[radius:]
 
 
-def _smooth_columns(values: np.ndarray, taps: np.ndarray, a: int, b: int) -> None:
-    """The axis-0 pass of the filter over columns ``[a, b)`` of ``values``,
-    in place: each strip of ``_STRIP_COLS`` columns is copied out with its
-    reflected row padding, filtered into a contiguous buffer and copied back."""
-    rows = len(values)
-    src = _reflected(rows, len(taps) - 1)
-    out = np.empty((rows, _STRIP_COLS))
-    tmp = np.empty((rows, _STRIP_COLS))
-    for c0 in range(a, b, _STRIP_COLS):
-        c1 = min(c0 + _STRIP_COLS, b)
-        strip = out[:, :c1 - c0]
-        _correlate(values[src, c0:c1], taps, strip, tmp[:, :c1 - c0], axis=0)
-        values[:, c0:c1] = strip
-
-
-def _smooth_rows(values: np.ndarray, taps: np.ndarray, a: int, b: int) -> None:
-    """The axis-1 pass of the filter over rows ``[a, b)`` of ``values``, in
-    place: each block of ``_BLOCK_ROWS`` rows is copied out with its
-    reflected column padding and filtered back into ``values``."""
-    src = _reflected(values.shape[1], len(taps) - 1)
-    padded = np.empty((_BLOCK_ROWS, len(src)))
-    tmp = np.empty((_BLOCK_ROWS, values.shape[1]))
-    for r0 in range(a, b, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, b)
-        # Every index is in range; "clip" writes straight into the buffer.
-        np.take(values[r0:r1], src, axis=1, out=padded[:r1 - r0], mode="clip")
-        _correlate(padded[:r1 - r0], taps, values[r0:r1], tmp[:r1 - r0], axis=1)
+def _smooth_block(values: np.ndarray, taps: np.ndarray, axis: int, a: int, b: int) -> None:
+    """The axis-``axis`` pass of the filter over lines ``[a, b)`` of the other
+    axis of ``values``, in place: the lines are taken out with their
+    reflected padding, filtered into a contiguous buffer and copied back."""
+    lines = values[:, a:b] if axis == 0 else values[a:b]
+    padded = np.take(lines, _reflected(values.shape[axis], len(taps) - 1), axis=axis)
+    out = np.empty(lines.shape)
+    _correlate(padded, taps, out, np.empty(lines.shape), axis)
+    lines[...] = out
 
 
 def _smoothed_noise(rng: np.random.Generator, rows: int, cols: int,
@@ -236,19 +198,19 @@ def _smoothed_noise(rng: np.random.Generator, rows: int, cols: int,
     that is returned, which gives the same stream, and is smoothed there in
     place.
 
-    Each pass runs over the map-build workers (:func:`_in_blocks`): axis 0
-    by column strips (:func:`_smooth_columns`), then axis 1 by row blocks
-    (:func:`_smooth_rows`). A strip or a block reads only its own cells, so
+    Each pass is one task per column strip (axis 0), then one per row block
+    (axis 1), on the map-build threads (:func:`_in_blocks`,
+    :func:`_smooth_block`). A strip or a block reads only its own cells, so
     it can be written back in place. Every cell gets the same IEEE
-    operations in the same order whichever worker computes it, so the
-    result does not depend on the worker count. Besides the result, the
-    build holds only a padded strip or block and its buffers per worker.
+    operations in the same order whichever thread computes it, so the
+    result does not depend on the thread count. Besides the result, the
+    build holds only a padded strip or block and its buffers per thread.
     """
     taps = _gaussian_taps(sigma)
     values = np.empty((rows, cols))
     rng.standard_normal(out=values)
-    _in_blocks(cols, _STRIP_COLS, functools.partial(_smooth_columns, values, taps))
-    _in_blocks(rows, _BLOCK_ROWS, functools.partial(_smooth_rows, values, taps))
+    _in_blocks(cols, _STRIP_COLS, functools.partial(_smooth_block, values, taps, 0))
+    _in_blocks(rows, _BLOCK_ROWS, functools.partial(_smooth_block, values, taps, 1))
     return values
 
 
@@ -299,32 +261,28 @@ def _sum_bumps(values: np.ndarray, background: float, bumps: list, std: float,
     is contiguous so that ``np.exp`` takes the same SIMD path for every call.
 
     With a positive ``std`` the rows hold the smoothed noise: the bumps are
-    summed per block in a buffer of the worker's, and each row becomes
-    ``noise / std * noise_scale + bump_sum`` (IEEE addition commutes, so this
-    is the bump sum plus the scaled noise). Otherwise there is no noise term
-    and the bumps are summed in the rows themselves: adding zeros would turn
-    a ``-0.0`` sum into ``+0.0``.
+    summed in a buffer, and each row becomes ``noise / std * noise_scale +
+    bump_sum`` (IEEE addition commutes, so this is the bump sum plus the
+    scaled noise). Otherwise there is no noise term and the bumps are summed
+    in the rows themselves: adding zeros would turn a ``-0.0`` sum into
+    ``+0.0``.
     """
-    cols = values.shape[1]
-    work = np.empty(_BLOCK_ROWS * cols)
-    sums = np.empty((_BLOCK_ROWS, cols)) if std > 0 else None
-    for r0 in range(a, b, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, b)
-        rows = values[r0:r1]
-        total = rows if sums is None else sums[:r1 - r0]
-        total.fill(background)
-        for amplitude, denom, c0, dx2, dy2 in bumps:
-            buf = work[:(r1 - r0) * len(dx2)].reshape(r1 - r0, len(dx2))
-            np.add(dx2[None, :], dy2[r0:r1, None], out=buf)
-            np.negative(buf, out=buf)
-            np.divide(buf, denom, out=buf)
-            np.exp(buf, out=buf)
-            np.multiply(amplitude, buf, out=buf)
-            total[:, c0:c0 + len(dx2)] += buf
-        if sums is not None:
-            rows /= std
-            rows *= noise_scale
-            rows += total
+    rows = values[a:b]
+    total = np.empty(rows.shape) if std > 0 else rows
+    total.fill(background)
+    work = np.empty(rows.size)
+    for amplitude, denom, c0, dx2, dy2 in bumps:
+        buf = work[:(b - a) * len(dx2)].reshape(b - a, len(dx2))
+        np.add(dx2[None, :], dy2[a:b, None], out=buf)
+        np.negative(buf, out=buf)
+        np.divide(buf, denom, out=buf)
+        np.exp(buf, out=buf)
+        np.multiply(amplitude, buf, out=buf)
+        total[:, c0:c0 + len(dx2)] += buf
+    if total is not rows:
+        rows /= std
+        rows *= noise_scale
+        rows += total
 
 
 def gen_synthetic_map(params: MapGenParams) -> GridMap:
@@ -337,17 +295,17 @@ def gen_synthetic_map(params: MapGenParams) -> GridMap:
     ``scipy.ndimage.gaussian_filter`` to the bit, without importing scipy
     (:func:`_smoothed_noise`).
 
-    The map is built in one map-sized array, on the CPUs this process may
-    use (at most ``_MAX_MAP_WORKERS``), each pass split into one contiguous
-    run of whole blocks per worker (:func:`_in_blocks`). The white noise is
-    drawn into the array and smoothed there in place. The calling thread
-    then takes its ``std`` (:func:`_chunked_std`, the bits of
-    ``ndarray.std()``: a reduction's pairing must not change), and the
-    workers scale the noise and add the bumps block by block
-    (:func:`_sum_bumps`). Every cell gets the same IEEE operations in the
-    same order whichever thread computes it, so the map does not depend on
-    the worker count. The workers call only private helpers and numpy,
-    never a traced ``__all__`` name (:func:`_in_blocks`).
+    The map is built in one map-sized array, each pass one task per strip
+    or block on a pool of as many threads as this process may use CPUs, at
+    most ``_MAX_MAP_WORKERS`` (:func:`_in_blocks`). The white noise is drawn
+    into the array and smoothed there in place. The calling thread then
+    takes its ``std`` (:func:`_chunked_std`, the bits of ``ndarray.std()``:
+    a reduction's pairing must not change), and one task per row block
+    scales the noise and adds the bumps (:func:`_sum_bumps`). Every cell
+    gets the same IEEE operations in the same order whichever thread
+    computes it, so the map does not depend on the thread count. The tasks
+    call only private helpers and numpy, never a traced ``__all__`` name
+    (:func:`_in_blocks`).
 
     Each bump is added only over the columns where its add can change a
     cell. Every cell stays at least ``|background| - sum(|amplitude|)``
@@ -760,25 +718,17 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> CampaignReport:
         reports = run_block(cfg, seeds, grid=grid)
 
     err = np.vstack([r.error_series for r in reports])
-    # The RMS over the live runs is np.nanmean's sum over count of the
-    # squares, without its copy of them; a time at which every run has
-    # failed has none: NaN. The aggregation sets an unaided campaign's peak
-    # memory, so each whole-campaign array is dropped once used.
-    squares = err ** 2
-    failed = np.isnan(squares)
-    np.copyto(squares, 0.0, where=failed)
-    with np.errstate(invalid="ignore"):
-        rms = np.sqrt(np.sum(squares, axis=0) / np.sum(~failed, axis=0, dtype=np.intp))
-    del squares, failed
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        # A time at which every run has failed has no RMS: NaN, not a warning.
+        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
+        rms = np.sqrt(np.nanmean(err ** 2, axis=0))
     n_live = np.isfinite(err).sum(axis=0)
     times = reports[0].times
 
     aided = cfg.mean_error_window == "aided" and cfg.aiding  # validate keeps the window non-empty
     window_mask = times >= aided_phase_start(cfg) if aided else np.ones_like(times, dtype=bool)
-    counted = np.isfinite(err)
-    counted[[r.diverged and not cfg.include_diverged for r in reports]] = False
-    counted[:, ~window_mask] = False
-    pooled = err[counted]
+    counted = err[[cfg.include_diverged or not r.diverged for r in reports]][:, window_mask]
+    pooled = counted[np.isfinite(counted)]
     mean_error = float(np.mean(pooled)) if pooled.size else float("nan")
     divergence_rate = sum(r.diverged for r in reports) / len(reports)
 

@@ -671,6 +671,36 @@ COMMANDS = pytest.mark.parametrize("command", [
 ], ids=["run", "campaign-j1", "campaign-j2"])
 
 
+class TestNeverAided:
+    """A run with aiding on that accepts no fix is reported, not passed off
+    as aided: its errors are dead reckoning's."""
+
+    def test_gate_that_admits_nothing_is_reported(self, tmp_path, capsys):
+        # A gate of 0.001 sigma leaves every scan of both seeds empty.
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            cfg = write(tmp_path / "cfg.txt", fh.read() + "pmht.k_sig = 0.001\n")
+        out = tmp_path / "o"
+        assert main(["campaign", "--config", cfg, "--out", str(out)]) == 0
+        text = capsys.readouterr()
+        assert "divergence_rate: 0\nnever_aided_runs: 2\n" in text.out
+        assert text.err == "warning: 2 of 2 runs never aided: aiding is on but no fix was accepted\n"
+        assert (out / "summary.csv").exists() and len(list((out / "runs").iterdir())) == 2
+        assert main(["run", "--config", cfg]) == 0
+        text = capsys.readouterr()
+        assert "accepted_fixes: 0\n" in text.out
+        assert text.err == "warning: the run never aided: aiding is on but no fix was accepted\n"
+
+    @pytest.mark.parametrize("extra", ["", "aiding = false\n"], ids=["aided", "unaided"])
+    def test_no_warning_when_every_run_aids_or_none_should(self, tmp_path, capsys, extra):
+        with open(DEMO_CFG, encoding="utf-8") as fh:
+            cfg = write(tmp_path / "cfg.txt", fh.read() + extra)
+        assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        text = capsys.readouterr()
+        assert "never_aided_runs: 0\n" in text.out and text.err == ""
+        assert main(["run", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestUnaided:
     """An unaided run reads only the map's geometry: it builds no map."""
 

@@ -337,8 +337,19 @@ def map_with_workers(params, workers):
         return gen_synthetic_map(params).values
 
 
+def jobs_of_in_blocks(monkeypatch, n, block, workers):
+    """The sorted ``(a, b)`` jobs that :func:`harness._in_blocks` runs on
+    ``workers`` threads: one per block, so together they cover ``[0, n)``
+    exactly once."""
+    monkeypatch.setattr(harness, "_map_workers", lambda: workers)
+    seen = []
+    harness._in_blocks(n, block, lambda a, b: seen.append((a, b)))
+    return sorted(seen)
+
+
 class TestMapBuildWorkers:
-    """The map build splits each pass over the usable CPUs, bit for bit."""
+    """The map build runs one task per strip or block on a pool of threads
+    over the usable CPUs, bit for bit."""
 
     @pytest.mark.parametrize("params", [
         pytest.param(DEMO_MAP, id="demo.cfg"),
@@ -377,29 +388,24 @@ class TestMapBuildWorkers:
             assert_same_map(params, gaussian_filter)
 
     @pytest.mark.parametrize("n_rows, cpus, runs", [
-        (480, 2, [(0, 240), (240, 480)]),
-        (37, 2, [(0, 16), (16, 37)]),
+        (480, 2, [(a, a + 16) for a in range(0, 480, 16)]),
+        (37, 2, [(0, 16), (16, 32), (32, 37)]),
         (37, 8, [(0, 16), (16, 32), (32, 37)]),
         (5, 4, [(0, 5)]),
-        (100, 3, [(0, 32), (32, 64), (64, 100)]),
+        (100, 3, [(a, min(a + 16, 100)) for a in range(0, 100, 16)]),
     ])
     def test_rows_split_into_whole_blocks(self, monkeypatch, n_rows, cpus, runs):
-        monkeypatch.setattr(harness, "_map_workers", lambda: cpus)
-        seen = []
-        harness._in_blocks(n_rows, harness._BLOCK_ROWS, lambda a, b: seen.append((a, b)))
-        assert sorted(seen) == runs
+        assert jobs_of_in_blocks(monkeypatch, n_rows, harness._BLOCK_ROWS, cpus) == runs
 
     @pytest.mark.parametrize("n_cols, cpus, runs", [
-        (3240, 2, [(0, 1664), (1664, 3240)]),
+        (3240, 2, [(a, min(a + 128, 3240)) for a in range(0, 3240, 128)]),
         (300, 3, [(0, 128), (128, 256), (256, 300)]),
-        (261, 2, [(0, 128), (128, 261)]),
+        (261, 2, [(0, 128), (128, 256), (256, 261)]),
         (128, 2, [(0, 128)]),
+        (100, 2, [(0, 100)]),
     ])
     def test_columns_split_into_whole_strips(self, monkeypatch, n_cols, cpus, runs):
-        monkeypatch.setattr(harness, "_map_workers", lambda: cpus)
-        seen = []
-        harness._in_blocks(n_cols, harness._STRIP_COLS, lambda a, b: seen.append((a, b)))
-        assert sorted(seen) == runs
+        assert jobs_of_in_blocks(monkeypatch, n_cols, harness._STRIP_COLS, cpus) == runs
 
     def test_worker_error_is_raised_by_the_caller(self, monkeypatch):
         monkeypatch.setattr(harness, "_map_workers", lambda: 3)
@@ -451,22 +457,10 @@ class TestMapBuildWorkers:
         assert run - base < 2 * map_kib
 
     def test_build_grid_joins_its_worker_threads(self, monkeypatch):
-        started = []
-        thread = threading.Thread
-
-        def recording_thread(*args, **kwargs):
-            started.append(thread(*args, **kwargs))
-            return started[-1]
-
         monkeypatch.setattr(harness, "_map_workers", lambda: 3)
-        monkeypatch.setattr(harness.threading, "Thread", recording_thread)
         before = threading.active_count()
         build_grid(parse_config(os.path.join(CONFIGS, "demo.cfg")))
         assert threading.active_count() == before
-        # Both smoothing passes and the bump sum each split three ways
-        # (demo.cfg's three column strips, then its four row blocks twice):
-        # the caller's share and two threads.
-        assert len(started) == 6 and not any(t.is_alive() for t in started)
 
     def test_thread_jobs_call_no_traced_name(self, monkeypatch):
         # perfbench's tracer wraps every name in a module's __all__ and keeps
