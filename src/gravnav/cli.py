@@ -21,7 +21,6 @@ from .geomap import (
     feature_variability,
     gradient_at,
     load_grid,
-    normalize_variability,
     save_grid,
     value_at,
     variability_field,
@@ -156,13 +155,11 @@ def _cmd_inspect_map(args) -> int:
     grad = gradient_at(grid, pos)
     cell = grid.cell_of(pos)
     raw = feature_variability(grid, cell, args.template_half_width)
-    norm = normalize_variability([raw], 1)
     print(f"point: {x:.17g},{y:.17g}")
     print(f"cell: {cell[0]},{cell[1]}")
     print(f"value: {value:.17g}")
     print(f"gradient_mag: {float(np.hypot(*grad)):.17g}")
     print(f"variability_raw: {raw:.17g}")
-    print(f"variability_norm: {norm:.17g}")
     return 0
 
 

@@ -128,39 +128,6 @@ def _in_blocks(n: int, block: int, job) -> None:
         future.result()
 
 
-def _reflected(n: int, radius: int) -> np.ndarray:
-    """The cell, of ``n``, behind each cell of their padding by ``radius``.
-
-    This is ``np.pad(np.arange(n), radius, mode="symmetric")``, including its
-    repeated reflection when ``n`` is less than ``radius``: the padded line
-    continues the ``n`` cells with period ``2n``, every other period reversed.
-    """
-    i = np.arange(-radius, n + radius) % (2 * n)
-    return np.minimum(i, 2 * n - 1 - i)
-
-
-def _correlate(padded: np.ndarray, taps: np.ndarray, out: np.ndarray, tmp: np.ndarray,
-               axis: int) -> None:
-    """Correlate ``padded`` along ``axis`` with a symmetric kernel into ``out``.
-
-    ``padded`` has ``len(taps) - 1`` extra cells on each side of ``axis``.
-    Each output is ``centre * taps[0]`` plus ``(before + after) * taps[j]``
-    added from the outermost tap inwards: the order of scipy's symmetric
-    ``NI_Correlate1D`` loop, so every cell gets the same bits.
-    """
-    radius = len(taps) - 1
-    n = out.shape[axis]
-
-    def shifted(k: int) -> np.ndarray:
-        return padded[k:k + n] if axis == 0 else padded[:, k:k + n]
-
-    np.multiply(shifted(radius), taps[0], out=out)
-    for j in range(radius, 0, -1):
-        np.add(shifted(radius - j), shifted(radius + j), out=tmp)
-        tmp *= taps[j]
-        out += tmp
-
-
 def _gaussian_taps(sigma: float) -> np.ndarray:
     """Centre and right half of scipy's Gaussian kernel for ``sigma``.
 
@@ -178,12 +145,30 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
 
 def _smooth_block(values: np.ndarray, taps: np.ndarray, axis: int, a: int, b: int) -> None:
     """The axis-``axis`` pass of the filter over lines ``[a, b)`` of the other
-    axis of ``values``, in place: the lines are taken out with their
-    reflected padding, filtered into a contiguous buffer and copied back."""
+    axis of ``values``, in place.
+
+    The lines are copied out padded by ``len(taps) - 1`` cells with
+    ``np.pad(..., mode="symmetric")`` (scipy's "reflect", repeated when a
+    line is shorter than that), correlated with the symmetric kernel into a
+    contiguous buffer and copied back. Each output is ``centre * taps[0]``
+    plus ``(before + after) * taps[j]`` added from the outermost tap inwards:
+    the order of scipy's symmetric ``NI_Correlate1D`` loop, so every cell
+    gets the same bits.
+    """
     lines = values[:, a:b] if axis == 0 else values[a:b]
-    padded = np.take(lines, _reflected(values.shape[axis], len(taps) - 1), axis=axis)
-    out = np.empty(lines.shape)
-    _correlate(padded, taps, out, np.empty(lines.shape), axis)
+    radius, n = len(taps) - 1, lines.shape[axis]
+    padded = np.pad(lines, [(radius, radius) if d == axis else (0, 0) for d in (0, 1)],
+                    mode="symmetric")
+
+    def shifted(k: int) -> np.ndarray:
+        return padded[k:k + n] if axis == 0 else padded[:, k:k + n]
+
+    out = np.multiply(shifted(radius), taps[0])
+    tmp = np.empty(lines.shape)
+    for j in range(radius, 0, -1):
+        np.add(shifted(radius - j), shifted(radius + j), out=tmp)
+        tmp *= taps[j]
+        out += tmp
     lines[...] = out
 
 
@@ -193,10 +178,10 @@ def _smoothed_noise(rng: np.random.Generator, rows: int, cols: int,
 
     The result is ``scipy.ndimage.gaussian_filter(rng.standard_normal((rows,
     cols)), sigma, mode="reflect")``: axis 0 is filtered first, then axis 1,
-    both with reflect (numpy "symmetric") padding and scipy's kernel
-    (:func:`_gaussian_taps`). The noise is drawn straight into the array
-    that is returned, which gives the same stream, and is smoothed there in
-    place.
+    both with scipy's reflect padding, which is ``np.pad``'s "symmetric", and
+    scipy's kernel (:func:`_gaussian_taps`). The noise is drawn straight into
+    the array that is returned, which gives the same stream, and is smoothed
+    there in place.
 
     Each pass is one task per column strip (axis 0), then one per row block
     (axis 1), on the map-build threads (:func:`_in_blocks`,
@@ -234,12 +219,13 @@ def _chunked_std(values: np.ndarray) -> float:
     no temporary larger than ``_SUM_LEAF`` elements.
 
     numpy's ``std`` is ``sqrt(sum((x - mean)²) / n)`` with ``mean = sum(x)
-    / n``, each sum one reduction over the whole array; both go through
-    :func:`_pairwise_sum`, the squared deviations one leaf at a time.
+    / n``, each sum one reduction over the whole array. The mean is that
+    one ``np.add.reduce``, which needs no temporary; the squared deviations
+    go through :func:`_pairwise_sum` one leaf at a time.
     """
     flat = values.reshape(-1)
     n = flat.size
-    mean = _pairwise_sum(lambda a, b: np.add.reduce(flat[a:b]), 0, n) / n
+    mean = np.add.reduce(flat) / n
 
     def squared_deviations(a: int, b: int) -> float:
         dev = flat[a:b] - mean

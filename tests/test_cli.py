@@ -866,7 +866,6 @@ class TestInspectMap:
                       for line in capsys.readouterr().out.strip().splitlines())
         assert float(fields["value"]) == pytest.approx(9.79)
         assert float(fields["variability_raw"]) == 0.0
-        assert float(fields["variability_norm"]) == 0.0
         assert float(fields["gradient_mag"]) == 0.0
 
     def test_bump_center_value(self, tmp_path, capsys):
@@ -889,8 +888,7 @@ class TestInspectMap:
         assert main(["inspect-map", str(path), "--point", "5000,1500"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         keys = [line.split(":")[0] for line in lines]
-        assert keys == ["point", "cell", "value", "gradient_mag",
-                        "variability_raw", "variability_norm"]
+        assert keys == ["point", "cell", "value", "gradient_mag", "variability_raw"]
 
     @pytest.mark.parametrize("width", ["0", "-1"])
     def test_template_half_width_below_one_exit_2_names_flag(self, tmp_path, capsys, width):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gravnav import fusion
 from gravnav.config import CHI2_99P9_2DOF, FusionParams
 from gravnav.errors import NumericalError
 from gravnav.fusion import (
@@ -318,6 +319,25 @@ class TestPredictRun:
         out, positions = ukf_predict(b, np.empty((0, 2, 2)), 1.0, self.PARAMS)
         assert positions.shape == (0, 2, 2) and out.time == b.time
         assert np.array_equal(out.state, b.state) and np.array_equal(out.cov, b.cov)
+
+    def test_caller_reporting_underflow_takes_the_checked_path_with_the_same_bits(
+            self, monkeypatch):
+        # A caller whose error state reports underflow gets every step
+        # factored through _cholesky under that state, from the first step;
+        # these inputs underflow nowhere, so no warning is raised.
+        rng = np.random.default_rng(11)
+        b, accels = corridor_stack(rng, 2), rng.normal(0.0, 1e-3, (10, 2, 2))
+        calls = []
+        cholesky = fusion._cholesky
+        monkeypatch.setattr(fusion, "_cholesky", lambda m: calls.append(1) or cholesky(m))
+        out, positions = ukf_predict(b, accels, 1.0, self.PARAMS)
+        assert len(calls) == 0
+        with np.errstate(under="warn"):
+            checked, checked_positions = ukf_predict(b, accels, 1.0, self.PARAMS)
+        assert len(calls) == 10
+        assert np.array_equal(checked_positions, positions)
+        assert np.array_equal(checked.state, out.state) and np.array_equal(checked.cov, out.cov)
+        assert checked.time == out.time == 10.0
 
     def test_run_that_loses_definiteness_warns_and_regularizes_as_one_steps_do(self):
         # A velocity prior of 2e8 m/s, like init.vel_sigma = 1e7 over a longer

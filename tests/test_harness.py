@@ -496,7 +496,7 @@ class TestMapBuildWorkers:
                 funcs.extend(f for name in code.co_names
                              if name.startswith("_")
                              and isinstance(f := func.__globals__.get(name), types.FunctionType))
-        assert {harness._correlate, harness._reflected} <= walked
+        assert walked == {harness._smooth_block, harness._sum_bumps}
         assert not names & traced
 
     def test_workers_capped_at_the_timed_count(self, monkeypatch):
@@ -882,9 +882,9 @@ class TestRunCampaign:
     @pytest.mark.parametrize("include_diverged", [False, True])
     def test_aggregates_have_the_bits_of_their_numpy_definitions(self, monkeypatch,
                                                                 include_diverged):
-        # The campaign sums and counts the squares itself, and pools the
-        # counted errors through one mask: the bits of np.nanmean and of the
-        # row-then-window selection, with a failed (NaN) and a diverged run.
+        # The campaign's RMS series is np.nanmean over the runs, and its mean
+        # error the counted runs' rows, then the aided window, then the finite
+        # errors: the same bits here, with a failed (NaN) and a diverged run.
         import gravnav.harness as harness
 
         real_run_batch = harness.run_batch
